@@ -1,0 +1,157 @@
+"""Golden-byte pins for what the CLI emits.
+
+Each ``run`` case pins the exit code and the sha256 and byte length of
+stdout, the CSV trace and the JSON summary; one ``compare`` case pins its
+stdout; malformed selectors pin the exit code and the exact stderr line.
+A refactor of the learners, schedules or bound tables must leave every one
+of these unchanged.
+
+The digests were recorded with Python 3.11.7 and numpy 2.4.6.  Floats are
+rendered with ``repr``, so a numpy build whose kernels round differently
+(another BLAS dot, say) may legitimately move them.
+"""
+
+import hashlib
+
+import pytest
+
+from softbayes.cli import main
+
+ALL_LEARNERS = (
+    "soft-bayes:anytime",
+    "soft-bayes:sparse",
+    "soft-bayes:shifting",
+    "soft-bayes:self-confident",
+    "soft-bayes:fixed=0.3",
+    "soft-bayes:inverse-t=2",
+    "bayes",
+    "eg:fixed=0.5",
+    "ogd:fixed=0.1",
+    "ml-soft-bayes",
+    "meta:rates=1,0.5,0.25",
+)
+
+
+def _learners(names):
+    return [arg for name in names for arg in ("--learner", name)]
+
+
+def _bounds(names):
+    return [arg for name in names for arg in ("--bound", name)]
+
+
+ALL_BOUNDS = ("thm2", "thm3", "thm4", "thm5", "thm6", "thm7", "single-expert")
+
+# name -> (argv after "run", exit code, {artifact: (bytes, sha256)})
+RUNS = {
+    "theorem2-continue": (
+        ["--generator", "theorem2:T=300", "--on-divergence", "continue",
+         *_learners(ALL_LEARNERS), *_bounds(ALL_BOUNDS)],
+        1,
+        {
+            "stdout": (4921, "becbd3860ce21d2d019a6a1cf84184574e1510d4f93f6350c64440a9fd583dc0"),
+            "csv": (373796, "d12b1afa0b8ee4aae5341998eec95b5ff6562f6e5b015e4d3f39fa908c024432"),
+            "json": (14685, "bc4433e45cceb7146f2c356fb571f5a92b2cc21f115e2c23d397a2b557733b8f"),
+        },
+    ),
+    # N <= 16: the scalar update path, a weight snapshot every round
+    "iid-n10-bits": (
+        ["--generator", "iid-mixture:N=10,T=400", "--seed", "5", "--bits",
+         *_learners(ALL_LEARNERS), *_bounds(("thm2", "thm4", "thm5"))],
+        0,
+        {
+            "stdout": (2644, "768218779bb6249ed1988231bf7d9d2486350c192496145a855a5a8740dc2ff2"),
+            "csv": (1203773, "85bdfff17776f6e2bb6ae100403e76c5ac96cb7a958dc9c07771da20ce4578f6"),
+            "json": (8992, "6a074f45f9feb662837073ba22fa6a812ee95ca8eecc82b1d601a7757d3bd547"),
+        },
+    ),
+    # N > 16: the numpy update path, a weight snapshot every third round
+    "iid-n20-halt": (
+        ["--generator", "iid-mixture:N=20,T=2500", "--seed", "7",
+         "--on-divergence", "halt",
+         *_learners(ALL_LEARNERS), *_bounds(("thm2", "thm4", "thm5"))],
+        1,
+        {
+            "stdout": (2638, "1e6a9543c8bf66efd8f2d1806632a8833051ad2db2702db7101deab3b3f8d2d5"),
+            "csv": (6093117, "e2fc7a6ff4b1160867502a7c611b982e5579c17abea3ad3ee6577a95cb016a31"),
+            "json": (9252, "bc5fb30c34ff1d949385d074ddf9caba0cea61ca17fbb82df591b25162c00625"),
+        },
+    ),
+    # no comparator, divergence policy or unit flag: the config defaults apply
+    "defaults": (
+        ["--generator", "theorem2:T=120", *_learners(("soft-bayes", "bayes"))],
+        0,
+        {
+            "stdout": (104, "f3c220a4a831ad2e61e29ad1d3db00af5ce23d15daa38d3c144cb174405af41b"),
+            "csv": (18554, "f97883a8569bc7d6724df4efa6c1ae7a8127bbda143da524e98bbfea1466fef2"),
+            "json": (1157, "d3611450515195508fedc660920c5fb39d1f0d2542fd4980efa47c20722b6d57"),
+        },
+    ),
+}
+
+COMPARE = (
+    ["compare", "--generator", "iid-mixture:N=4,T=300", "--seed", "11",
+     *_learners(("soft-bayes:anytime", "eg:fixed=0.5", "ogd:fixed=0.1",
+                 "ml-soft-bayes", "meta:rates=1,0.5,0.25")),
+     "--bound", "thm5"],
+    0,
+    (483, "3f73515150e573264b09630f5152db7f232cad82880eead5609b8aac8146cf34"),
+)
+
+# malformed selector -> the exact stderr line (every one exits with code 2)
+BAD_SELECTORS = {
+    "bayes:x": "error: bayes takes no schedule (it is soft-bayes at rate 1)",
+    "eg": "error: eg needs a rate, e.g. eg:fixed=0.5",
+    "eg:0.5": "error: eg takes only a fixed rate, e.g. eg:fixed=0.5",
+    "meta": "error: meta needs sub-rates, e.g. meta:rates=1,0.5,0.25",
+    "meta:rates=2": "error: meta rates must lie in (0, 1]",
+    "meta:rates=a,b": "error: bad meta rates 'a,b'",
+    "ml-soft-bayes:anytime": "error: ml-soft-bayes takes no schedule (rates are per-expert)",
+    "mystery": ("error: unknown learner 'mystery'; "
+                "known: soft-bayes, bayes, eg, ogd, ml-soft-bayes, meta"),
+    "ogd:fixed=-1": "error: ogd rate must be positive",
+    "soft-bayes:anytime=3": ("error: bad schedule in 'soft-bayes:anytime=3': "
+                             "schedule 'anytime' takes no parameter"),
+    "soft-bayes:fixed": ("error: bad schedule in 'soft-bayes:fixed': "
+                         "schedule 'fixed' needs a parameter, e.g. fixed:0.5"),
+    "soft-bayes:fixed=1.5": "error: fixed rate 1.5 outside (0, 1]",
+    "soft-bayes:self-confident=x": ("error: bad schedule in 'soft-bayes:self-confident=x': "
+                                    "could not convert string to float: 'x'"),
+    "soft-bayes:warp": "error: bad schedule in 'soft-bayes:warp': unknown schedule 'warp'",
+}
+
+
+def _digest(data: bytes):
+    return len(data), hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv, tmp_path, capsys):
+    csv_path, json_path = tmp_path / "trace.csv", tmp_path / "summary.json"
+    code = main(["run", *argv, "--out-csv", str(csv_path), "--out-json", str(json_path)])
+    stdout = capsys.readouterr().out.encode("utf-8")
+    return code, {"stdout": _digest(stdout), "csv": _digest(csv_path.read_bytes()),
+                  "json": _digest(json_path.read_bytes())}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_artifacts_pinned(name, tmp_path, capsys):
+    argv, exit_code, expected = RUNS[name]
+    code, got = run_case(argv, tmp_path, capsys)
+    assert code == exit_code
+    assert got == expected
+
+
+def test_compare_stdout_pinned(capsys):
+    argv, exit_code, expected = COMPARE
+    code = main(argv)
+    assert code == exit_code
+    assert _digest(capsys.readouterr().out.encode("utf-8")) == expected
+
+
+@pytest.mark.parametrize("selector", sorted(BAD_SELECTORS))
+def test_malformed_selector_message_pinned(selector, capsys):
+    code = main(["run", "--generator", "theorem2:T=10", "--learner", selector])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == BAD_SELECTORS[selector] + "\n"
