@@ -59,11 +59,7 @@ def _config_from_args(args) -> ExperimentConfig:
     )
     if args.config:
         return ExperimentConfig.from_json_file(args.config, **overrides)
-    settings = {k: v for k, v in overrides.items() if v not in (None, ())}
-    settings.setdefault("comparator", "fixed-mixture")
-    settings.setdefault("on_divergence", "halt")
-    settings.setdefault("bits", False)
-    return ExperimentConfig(**settings)
+    return ExperimentConfig(**{k: v for k, v in overrides.items() if v not in (None, ())})
 
 
 def _cmd_run(args) -> int:

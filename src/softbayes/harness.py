@@ -23,7 +23,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -154,9 +155,6 @@ def write_stream_jsonl(stream: ExpertStream, path: str) -> None:
 
 # ---------------------------------------------------------------- learners
 
-LEARNER_NAMES = ("soft-bayes", "bayes", "eg", "ogd", "ml-soft-bayes", "meta")
-
-
 @dataclass(frozen=True)
 class LearnerSpec:
     """Parsed learner selector, e.g. ``soft-bayes:anytime`` or ``eg:fixed=0.5``.
@@ -174,33 +172,32 @@ class LearnerSpec:
 
     def build(self, n: int):
         prior = None if self.prior is None else list(self.prior)
-        if self.kind == "soft-bayes":
-            return SoftBayes(n, self.schedule.build(n), prior=prior, name=self.text)
-        if self.kind == "bayes":
-            return Bayes(n, prior=prior, name=self.text)
-        if self.kind == "eg":
-            return ExponentiatedGradient(n, self.eta, prior=prior, name=self.text)
-        if self.kind == "ogd":
-            return OnlineGradientDescent(n, self.eta, prior=prior, name=self.text)
-        if self.kind == "ml-soft-bayes":
-            return MLSoftBayes(n, prior=prior, name=self.text)
-        if self.kind == "meta":
-            return MetaBayes(n, self.rates, prior=prior, name=self.text)
-        raise AssertionError(self.kind)
+        return LEARNER_KINDS[self.kind][1](self, n, prior=prior, name=self.text)
 
     @property
     def constant_rate(self) -> float | None:
         """The learner's constant rate when it has one (drives bound tables)."""
-        if self.kind == "bayes":
-            return 1.0
-        if self.kind in ("eg", "ogd"):
-            return self.eta
-        if self.kind == "soft-bayes" and self.schedule.kind == "fixed":
-            return self.schedule.param
-        return None
+        return LEARNER_KINDS[self.kind][2](self)
 
 
-def _parse_fixed_rate(kind: str, arg: str) -> float:
+def _schedule_arg(arg: str, kind: str, text: str) -> dict:
+    try:
+        return {"schedule": parse_schedule(arg) if arg else ScheduleConfig("anytime")}
+    except ValueError as exc:
+        raise ConfigError(f"bad schedule in {text!r}: {exc}") from exc
+
+
+def _no_arg(why: str):
+    def parse(arg: str, kind: str, text: str) -> dict:
+        if arg:
+            raise ConfigError(f"{kind} takes no schedule ({why})")
+        return {}
+    return parse
+
+
+def _fixed_rate_arg(arg: str, kind: str, text: str) -> dict:
+    if not arg:
+        raise ConfigError(f"{kind} needs a rate, e.g. {kind}:fixed=0.5")
     head, sep, value = arg.replace(":", "=").partition("=")
     if head.strip() != "fixed" or not sep:
         raise ConfigError(f"{kind} takes only a fixed rate, e.g. {kind}:fixed=0.5")
@@ -210,45 +207,48 @@ def _parse_fixed_rate(kind: str, arg: str) -> float:
         raise ConfigError(f"bad rate for {kind}: {value!r}") from exc
     if not eta > 0.0:
         raise ConfigError(f"{kind} rate must be positive")
-    return eta
+    return {"eta": eta}
+
+
+def _rates_arg(arg: str, kind: str, text: str) -> dict:
+    head, sep, value = arg.partition("=")
+    if head.strip() != "rates" or not sep:
+        raise ConfigError("meta needs sub-rates, e.g. meta:rates=1,0.5,0.25")
+    try:
+        rates = tuple(float(v) for v in value.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad meta rates {value!r}") from exc
+    if not rates or any(not 0.0 < r <= 1.0 for r in rates):
+        raise ConfigError("meta rates must lie in (0, 1]")
+    return {"rates": rates}
+
+
+# selector kind -> (argument parser (arg, kind, text) -> LearnerSpec fields,
+#                   factory (spec, n, prior=, name=), constant rate (spec))
+LEARNER_KINDS = {
+    "soft-bayes": (_schedule_arg, lambda s, n, **kw: SoftBayes(n, s.schedule.build(n), **kw),
+                   lambda s: s.schedule.param if s.schedule.kind == "fixed" else None),
+    "bayes": (_no_arg("it is soft-bayes at rate 1"), lambda s, n, **kw: Bayes(n, **kw),
+              lambda s: 1.0),
+    "eg": (_fixed_rate_arg, lambda s, n, **kw: ExponentiatedGradient(n, s.eta, **kw),
+           lambda s: s.eta),
+    "ogd": (_fixed_rate_arg, lambda s, n, **kw: OnlineGradientDescent(n, s.eta, **kw),
+            lambda s: s.eta),
+    "ml-soft-bayes": (_no_arg("rates are per-expert"), lambda s, n, **kw: MLSoftBayes(n, **kw),
+                      lambda s: None),
+    "meta": (_rates_arg, lambda s, n, **kw: MetaBayes(n, s.rates, **kw), lambda s: None),
+}
+
+LEARNER_NAMES = tuple(LEARNER_KINDS)
 
 
 def parse_learner(text: str) -> LearnerSpec:
     spec = text.strip()
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
-    arg = arg.strip()
-    if kind == "soft-bayes":
-        try:
-            schedule = parse_schedule(arg) if arg else ScheduleConfig("anytime")
-        except ValueError as exc:
-            raise ConfigError(f"bad schedule in {text!r}: {exc}") from exc
-        return LearnerSpec(spec, kind, schedule=schedule)
-    if kind == "bayes":
-        if arg:
-            raise ConfigError("bayes takes no schedule (it is soft-bayes at rate 1)")
-        return LearnerSpec(spec, kind)
-    if kind in ("eg", "ogd"):
-        if not arg:
-            raise ConfigError(f"{kind} needs a rate, e.g. {kind}:fixed=0.5")
-        return LearnerSpec(spec, kind, eta=_parse_fixed_rate(kind, arg))
-    if kind == "ml-soft-bayes":
-        if arg:
-            raise ConfigError("ml-soft-bayes takes no schedule (rates are per-expert)")
-        return LearnerSpec(spec, kind)
-    if kind == "meta":
-        head, sep, value = arg.partition("=")
-        if head.strip() != "rates" or not sep:
-            raise ConfigError("meta needs sub-rates, e.g. meta:rates=1,0.5,0.25")
-        try:
-            rates = tuple(float(v) for v in value.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad meta rates {value!r}") from exc
-        if not rates or any(not 0.0 < r <= 1.0 for r in rates):
-            raise ConfigError("meta rates must lie in (0, 1]")
-        return LearnerSpec(spec, kind, rates=rates)
-    known = ", ".join(LEARNER_NAMES)
-    raise ConfigError(f"unknown learner {text!r}; known: {known}")
+    if kind not in LEARNER_KINDS:
+        raise ConfigError(f"unknown learner {text!r}; known: {', '.join(LEARNER_NAMES)}")
+    return LearnerSpec(spec, kind, **LEARNER_KINDS[kind][0](arg.strip(), kind, text))
 
 
 # -------------------------------------------------------------- comparator
@@ -356,49 +356,50 @@ def stream_best_count(stream: ExpertStream) -> int:
         tracker.update(p, t)
     return tracker.total_best
 
-CLI_BOUNDS = ("thm2", "thm3", "thm4", "thm5", "thm6", "thm7", "single-expert")
+
+class _BoundInput(NamedTuple):
+    """What a bound may depend on, for one learner's run."""
+
+    T: int
+    N: int
+    eta: float | None       # the learner's constant rate, if it has one
+    m: int                  # experts ever best
+    K: int                  # comparator segments
+    stats: Callable         # () -> ratio_stats of the run
 
 
-def _bound_for(variant: str, spec: LearnerSpec, trace: LearnerTrace,
-               stream: ExpertStream, cmp_spec: ComparatorSpec, m_best: int):
-    """Resolve one bound variant for one learner; returns (value, note).
+def _constant_or_tuned(variant: str, tuned: str, params=lambda b: {},
+                       constant_params=lambda b: {}):
+    """A bound stated for a constant rate in (0, 1), falling back to its
+    tuned form when the learner's schedule is not constant."""
+    def bound(b: _BoundInput):
+        extra = params(b)
+        if b.eta is not None and 0.0 < b.eta < 1.0:
+            return theoretical_bound(variant, T=b.T, N=b.N, eta=b.eta,
+                                     **constant_params(b), **extra), None
+        return theoretical_bound(tuned, T=b.T, N=b.N, **extra), "tuned form (no constant rate)"
+    return bound
 
-    Variants that are stated for a constant rate fall back to their tuned
-    form when the learner's schedule is not constant.
-    """
-    T, N = len(stream), stream.n_experts
-    eta = spec.constant_rate
-    if N < 2:
-        return None, "bounds need N >= 2"
-    if variant == "thm2":
-        if eta is not None and 0.0 < eta < 1.0:
-            return theoretical_bound("thm2", T=T, N=N, m=m_best, eta=eta), None
-        return theoretical_bound("thm2_tuned_n", T=T, N=N), "tuned form (no constant rate)"
-    if variant == "thm3":
-        stats = ratio_stats(trace, stream)
-        if eta is not None and 0.0 < eta < 1.0:
-            return theoretical_bound("thm3_max", T=T, N=N, eta=eta, c2=stats["c2"]), None
-        return (theoretical_bound("thm3_tuned", T=T, N=N, c2=stats["c2"]),
-                "tuned form (no constant rate)")
-    if variant == "thm4":
-        stats = ratio_stats(trace, stream)
-        if eta is not None and 0.0 < eta < 1.0:
-            return theoretical_bound("thm4", T=T, N=N, eta=eta, c1=stats["c1"]), None
-        return (theoretical_bound("thm4_tuned", T=T, N=N, c1=stats["c1"]),
-                "tuned form (no constant rate)")
-    if variant == "thm5":
-        return theoretical_bound("thm5", T=T, N=N), None
-    if variant == "thm6":
-        return theoretical_bound("thm6", T=T, N=N, m=m_best), None
-    if variant == "thm7":
-        if T < 2:
-            return None, "needs T >= 2"
-        return theoretical_bound("thm7", T=T, N=N, K=cmp_spec.k), None
-    if variant == "single-expert":
-        if eta is None or not 0.0 < eta <= 1.0:
-            return None, "needs a constant rate in (0, 1]"
-        return theoretical_bound("single-expert", eta=eta, prior_entry=1.0 / N), None
-    raise ConfigError(f"unknown bound {variant!r}; known: {', '.join(CLI_BOUNDS)}")
+
+def _single_expert(b: _BoundInput):
+    if b.eta is None or not 0.0 < b.eta <= 1.0:
+        return None, "needs a constant rate in (0, 1]"
+    return theoretical_bound("single-expert", eta=b.eta, prior_entry=1.0 / b.N), None
+
+
+# --bound choice -> bound(_BoundInput) -> (value or None, note or None)
+BOUNDS = {
+    "thm2": _constant_or_tuned("thm2", "thm2_tuned_n", constant_params=lambda b: {"m": b.m}),
+    "thm3": _constant_or_tuned("thm3_max", "thm3_tuned", lambda b: {"c2": b.stats()["c2"]}),
+    "thm4": _constant_or_tuned("thm4", "thm4_tuned", lambda b: {"c1": b.stats()["c1"]}),
+    "thm5": lambda b: (theoretical_bound("thm5", T=b.T, N=b.N), None),
+    "thm6": lambda b: (theoretical_bound("thm6", T=b.T, N=b.N, m=b.m), None),
+    "thm7": lambda b: ((None, "needs T >= 2") if b.T < 2
+                       else (theoretical_bound("thm7", T=b.T, N=b.N, K=b.K), None)),
+    "single-expert": _single_expert,
+}
+
+CLI_BOUNDS = tuple(BOUNDS)
 
 
 # ------------------------------------------------------------------ config
@@ -589,8 +590,10 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         reports.append(report)
 
         rows = []
+        b = _BoundInput(len(stream), stream.n_experts, spec.constant_rate, m_best,
+                        cmp_spec.k, lambda: ratio_stats(trace, stream))
         for variant in config.bounds:
-            value, note = _bound_for(variant, spec, trace, stream, cmp_spec, m_best)
+            value, note = (None, "bounds need N >= 2") if b.N < 2 else BOUNDS[variant](b)
             satisfied = None
             if value is not None:
                 satisfied = bool(report.regret <= value + BOUND_SLACK)

@@ -1,8 +1,8 @@
 """Sequential learners over expert-probability streams.
 
-The pure step functions implement one predict-then-update cycle each and are
-the unit under test for the algorithmic contracts; the learner classes wrap
-them with a rate schedule and exclusive state ownership for harness runs.
+Each update rule has one kernel.  The exported step functions validate their
+inputs and call it; the learner classes drive the same kernel with a rate
+schedule and exclusive state ownership for harness runs.
 
 Divergence (the learner assigned probability zero to the realized symbol) is
 reported through the infinite-loss sentinel in the returned outcome, with the
@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     INFINITE_LOSS,
-    LossLedger,
     as_simplex,
     mixture_prob,
     project_simplex,
@@ -86,6 +85,18 @@ def _soft_bayes_weights(w, prior, q, m: float, eta_t: float, eta_next: float) ->
     return u
 
 
+def _soft_bayes_cycle(state: WeightState, q: np.ndarray, eta_t: float, next_rate) -> StepOutcome:
+    """The soft-Bayes kernel: M, then ``next_rate(q, M)`` for the rate the
+    prior blend uses (online schedules see the round before they emit
+    eta_{t+1}), then the divergence sentinel or the updated weights."""
+    m = float(np.dot(state.w, q))
+    eta_next = next_rate(q, m)
+    if m == 0.0:
+        return StepOutcome(0.0, INFINITE_LOSS, eta_t, state.w.copy())
+    u = _soft_bayes_weights(state.w, state.prior, q, m, eta_t, eta_next)
+    return StepOutcome(m, -math.log(m), eta_t, u)
+
+
 def soft_bayes_step(state: WeightState, p, eta_t: float,
                     eta_next: float | None = None) -> StepOutcome:
     """One soft-Bayes cycle: mixture prediction, then the multiplicative-
@@ -105,51 +116,60 @@ def soft_bayes_step(state: WeightState, p, eta_t: float,
         raise ValueError(f"next rate {eta_next!r} outside (0, eta_t={eta_t!r}]: "
                          "the correction requires a nonincreasing rate sequence")
     q = _check_round(state.w, p)
-    m = mixture_prob(state.w, q)
-    if m == 0.0:
-        return StepOutcome(0.0, INFINITE_LOSS, eta_t, state.w.copy())
-    u = _soft_bayes_weights(state.w, state.prior, q, m, eta_t, eta_next)
-    return StepOutcome(m, -math.log(m), eta_t, u)
+    return _soft_bayes_cycle(state, q, eta_t, lambda q, m: eta_next)
 
 
 def bayes_step(state: WeightState, p) -> StepOutcome:
     """Exact Bayesian posterior update: soft-Bayes at rate 1."""
-    out = soft_bayes_step(state, p, 1.0, 1.0)
-    return StepOutcome(out.prediction, out.loss, 1.0, out.new_weights)
+    return soft_bayes_step(state, p, 1.0)
 
 
-def eg_step(state: WeightState, p, eta: float) -> StepOutcome:
-    """Exponentiated-gradient update w_i proportional to w_i exp(eta p_i / M).
+def _eg_cycle(log_w: np.ndarray, q: np.ndarray, eta: float):
+    """The EG kernel on log weights; returns ``(M, ln M, new log weights)``,
+    with ln M = -inf and the weights unchanged on divergence.
 
-    Computed in the log domain with a log-sum-exp normalization so exponent
-    arguments up to ~1e300 do not overflow; if a ratio exceeds even the
-    float range, the mass collapses onto the offending experts, which is the
-    instability this update genuinely has.
+    Log-sum-exp keeps -ln M finite after M underflows and lets exponent
+    arguments reach ~1e300; beyond the float range the mass collapses onto
+    the offending experts, which is the instability this update genuinely has.
     """
-    if not eta > 0.0:
-        raise ValueError("EG rate must be positive")
-    q = _check_round(state.w, p)
-    m = mixture_prob(state.w, q)
-    if m == 0.0:
-        return StepOutcome(0.0, INFINITE_LOSS, eta, state.w.copy())
     with np.errstate(divide="ignore"):
-        log_w = np.log(state.w)
-    new_log_w = _eg_log_update(log_w, q, m, eta)
-    return StepOutcome(m, -math.log(m), eta, np.exp(new_log_w))
-
-
-def _eg_log_update(log_w: np.ndarray, q: np.ndarray, m: float, eta: float) -> np.ndarray:
+        log_q = np.log(q)
+    z = log_w + log_q
+    top = float(z.max())
+    if math.isinf(top) and top < 0:
+        return 0.0, -math.inf, log_w
+    log_m = top + math.log(float(np.exp(z - top).sum()))
     with np.errstate(over="ignore"):
-        g = (eta / m) * q
+        g = eta * np.exp(log_q - log_m)
     with np.errstate(invalid="ignore"):
         z = log_w + g
     z[np.isneginf(log_w)] = -np.inf  # zero weight stays zero (-inf + inf above)
     top = z.max()
     if math.isinf(top) and top > 0:
         hit = np.isposinf(z)
-        return np.where(hit, -math.log(int(hit.sum())), -np.inf)
-    s = np.exp(z - top)
-    return z - (top + math.log(float(s.sum())))
+        new_log_w = np.where(hit, -math.log(int(hit.sum())), -np.inf)
+    else:
+        new_log_w = z - (top + math.log(float(np.exp(z - top).sum())))
+    return math.exp(log_m), log_m, new_log_w
+
+
+def eg_step(state: WeightState, p, eta: float) -> StepOutcome:
+    """Exponentiated-gradient update w_i proportional to w_i exp(eta p_i / M).
+
+    Runs the log-domain kernel of :class:`ExponentiatedGradient`, converting
+    the linear weights at the boundary; the linear weights themselves can
+    underflow to zero on long adversarial runs, where the class's log
+    weights do not.
+    """
+    if not eta > 0.0:
+        raise ValueError("EG rate must be positive")
+    q = _check_round(state.w, p)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(state.w)
+    m, log_m, new_log_w = _eg_cycle(log_w, q, eta)
+    if math.isinf(log_m):
+        return StepOutcome(0.0, INFINITE_LOSS, eta, state.w.copy())
+    return StepOutcome(m, -log_m, eta, np.exp(new_log_w))
 
 
 def ogd_step(state: WeightState, p, eta: float) -> StepOutcome:
@@ -210,6 +230,35 @@ def ml_rate_next(v_prev, n: int):
     return float(eta) if np.isscalar(v_prev) or v.ndim == 0 else eta
 
 
+def _check_next_rates(rates: np.ndarray, next_rates) -> np.ndarray:
+    nxt = np.asarray(next_rates, dtype=float)
+    if nxt.shape != rates.shape:
+        raise ValueError("need one next rate per expert")
+    if np.any(nxt <= 0.0) or np.any(nxt > rates):
+        raise ValueError("next rates must lie in (0, current rate] per expert")
+    return nxt
+
+
+def _ml_soft_bayes_cycle(state: MLWeightState, q: np.ndarray,
+                         next_rates) -> tuple[StepOutcome, MLWeightState]:
+    """The per-expert-rate kernel: M and the ratios p_i/M once, then
+    ``next_rates(V)`` with V already advanced, then the update.  A diverged
+    round returns the state it was given."""
+    wr = state.w * state.rates
+    den = float(wr.sum())
+    m = float(np.dot(wr, q)) / den
+    if m == 0.0:
+        return StepOutcome(0.0, INFINITE_LOSS, None, state.w.copy()), state
+    ratio = q / m
+    v_new = state.V + (ratio - 1.0) ** 2
+    nxt = next_rates(v_new)
+    u = state.w * (1.0 - state.rates + state.rates * ratio)
+    blend = nxt / state.rates
+    w_new = u * blend + (1.0 - blend) * state.prior
+    new_state = MLWeightState(w_new, state.prior, nxt.copy(), v_new, state.t + 1)
+    return StepOutcome(m, -math.log(m), None, w_new), new_state
+
+
 def ml_soft_bayes_step(state: MLWeightState, p, next_rates) -> tuple[StepOutcome, MLWeightState]:
     """One cycle of the per-expert-rate mixture.
 
@@ -219,24 +268,8 @@ def ml_soft_bayes_step(state: MLWeightState, p, next_rates) -> tuple[StepOutcome
     weights, the supplied next rates, and V incremented by (p_i/M - 1)^2).
     """
     q = _check_round(state.w, p)
-    nxt = np.asarray(next_rates, dtype=float)
-    if nxt.shape != state.rates.shape:
-        raise ValueError("need one next rate per expert")
-    if np.any(nxt <= 0.0) or np.any(nxt > state.rates):
-        raise ValueError("next rates must lie in (0, current rate] per expert")
-    wr = state.w * state.rates
-    den = float(wr.sum())
-    m = float(np.dot(wr, q)) / den
-    if m == 0.0:
-        out = StepOutcome(0.0, INFINITE_LOSS, None, state.w.copy())
-        return out, state
-    ratio = q / m
-    u = state.w * (1.0 - state.rates + state.rates * ratio)
-    blend = nxt / state.rates
-    w_new = u * blend + (1.0 - blend) * state.prior
-    v_new = state.V + (ratio - 1.0) ** 2
-    new_state = MLWeightState(w_new, state.prior, nxt.copy(), v_new, state.t + 1)
-    return StepOutcome(m, -math.log(m), None, w_new), new_state
+    nxt = _check_next_rates(state.rates, next_rates)
+    return _ml_soft_bayes_cycle(state, q, lambda v: nxt)
 
 
 def meta_bayes_step(meta_weights, sub_predictions) -> tuple[float, np.ndarray]:
@@ -320,32 +353,28 @@ class SoftBayes:
         return self._eta
 
     def step(self, p) -> StepOutcome:
-        eta_t = self._eta
         state = self.state
-        q = p if type(p) is np.ndarray else np.asarray(p, dtype=float)
-        if q.shape != state.w.shape:
-            raise ValueError(f"dimension mismatch: weights {state.w.shape} vs round {q.shape}")
-        m = float(np.dot(state.w, q))
-        if self._observe is not None:
-            self._observe(state.t, q, m)
-        eta_next = self.schedule.rate(state.t + 1)
-        if m == 0.0:
+        out = _soft_bayes_cycle(state, _check_round(state.w, p), self._eta, self._next_rate)
+        if out.diverged:
             self.diverged = True
-            out = StepOutcome(0.0, INFINITE_LOSS, eta_t, state.w.copy())
-        else:
-            if self.schedule.applies_correction:
-                if eta_next > eta_t:
-                    raise RuntimeError(
-                        f"schedule {self.schedule} emitted an increasing rate "
-                        f"({eta_t!r} -> {eta_next!r}) at t={state.t}")
-                w_new = _soft_bayes_weights(state.w, state.prior, q, m, eta_t, eta_next)
-            else:
-                w_new = _soft_bayes_weights(state.w, state.prior, q, m, eta_t, eta_t)
-            out = StepOutcome(m, -math.log(m), eta_t, w_new)
         state.w = out.new_weights
         state.t += 1
-        self._eta = eta_next
         return out
+
+    def _next_rate(self, q, m: float) -> float:
+        """Show round t to the schedule, advance to eta_{t+1}, and return the
+        rate the prior blend uses (eta_t itself for plain schedules)."""
+        t, eta_t = self.state.t, self._eta
+        if self._observe is not None:
+            self._observe(t, q, m)
+        self._eta = eta_next = self.schedule.rate(t + 1)
+        if not self.schedule.applies_correction:
+            return eta_t
+        if eta_next > eta_t and m != 0.0:
+            raise RuntimeError(
+                f"schedule {self.schedule} emitted an increasing rate "
+                f"({eta_t!r} -> {eta_next!r}) at t={t}")
+        return eta_next
 
 
 class Bayes(SoftBayes):
@@ -377,23 +406,11 @@ class ExponentiatedGradient:
         return np.exp(self.log_w)
 
     def step(self, p) -> StepOutcome:
-        q = np.asarray(p, dtype=float)
-        if q.shape != self.log_w.shape:
-            raise ValueError("dimension mismatch")
-        with np.errstate(divide="ignore"):
-            log_q = np.log(q)
-        z = self.log_w + log_q
-        top = float(z.max())
-        if math.isinf(top) and top < 0:
+        # the prediction may underflow to 0.0 for display while the loss,
+        # taken from ln M, stays finite
+        m, log_m, self.log_w = _eg_cycle(self.log_w, _check_round(self.log_w, p), self.eta)
+        if math.isinf(log_m):
             self.diverged = True
-            return StepOutcome(0.0, INFINITE_LOSS, self.eta, self.weights)
-        log_m = top + math.log(float(np.exp(z - top).sum()))
-        # prediction may underflow to 0.0 for display while the loss, taken
-        # from log_m, stays finite
-        m = math.exp(log_m)
-        with np.errstate(over="ignore"):
-            ratio = np.exp(log_q - log_m)
-        self.log_w = _eg_log_update(self.log_w, ratio, 1.0, self.eta)
         return StepOutcome(m, -log_m, self.eta, self.weights)
 
 
@@ -430,11 +447,9 @@ class MLSoftBayes:
             raise ValueError("ml-soft-bayes needs N >= 2")
         self.n = n
         self.name = name
-        r0 = float(ml_rate_next(0.0, n))
-        self.state = MLWeightState.uniform(n, np.full(n, r0))
-        if prior is not None:
-            pr = as_simplex(prior)
-            self.state = MLWeightState(pr.copy(), pr, np.full(n, r0), np.zeros(n), 1)
+        w1 = uniform_weights(n) if prior is None else as_simplex(prior)
+        r1 = np.full(n, float(ml_rate_next(0.0, n)))
+        self.state = MLWeightState(w1.copy(), w1, r1, np.zeros(n), 1)
         self.diverged = False
 
     @property
@@ -442,16 +457,12 @@ class MLSoftBayes:
         return self.state.w
 
     def step(self, p) -> StepOutcome:
-        q = np.asarray(p, dtype=float)
-        wr = self.state.w * self.state.rates
-        den = float(wr.sum())
-        m = float(np.dot(wr, q)) / den
-        if m == 0.0:
+        state = self.state
+        out, self.state = _ml_soft_bayes_cycle(
+            state, _check_round(state.w, p),
+            lambda v: _check_next_rates(state.rates, ml_rate_next(v, self.n)))
+        if out.diverged:
             self.diverged = True
-            out, self.state = ml_soft_bayes_step(self.state, q, self.state.rates)
-            return out
-        v_after = self.state.V + (q / m - 1.0) ** 2
-        out, self.state = ml_soft_bayes_step(self.state, q, ml_rate_next(v_after, self.n))
         return out
 
 
@@ -471,9 +482,7 @@ class MetaBayes:
         self.n = n
         self.name = name
         self.subs = [SoftBayes(n, FixedRate(r), prior=prior) for r in rates]
-        self.sub_rates = rates
         self.u = uniform_weights(len(rates))
-        self.sub_dead = [False] * len(rates)
         self.diverged = False
 
     @property
@@ -481,16 +490,13 @@ class MetaBayes:
         """Meta weights over the sub-learners (not over the experts)."""
         return self.u
 
+    @property
+    def sub_dead(self) -> list:
+        return [sub.diverged for sub in self.subs]
+
     def step(self, p) -> StepOutcome:
-        preds = np.zeros(len(self.subs))
-        for k, sub in enumerate(self.subs):
-            if self.sub_dead[k]:
-                continue
-            out = sub.step(p)
-            if out.diverged:
-                self.sub_dead[k] = True
-            else:
-                preds[k] = out.prediction
+        # a diverged round predicts 0.0, and a dead sub-learner stays at 0.0
+        preds = np.array([0.0 if sub.diverged else sub.step(p).prediction for sub in self.subs])
         mp, self.u = meta_bayes_step(self.u, preds)
         if mp == 0.0:
             self.diverged = True
@@ -507,7 +513,6 @@ class LearnerTrace:
     losses: np.ndarray
     rates: np.ndarray
     weights: np.ndarray
-    ledger: LossLedger
     halted_at: int | None = None
 
     @property
@@ -516,7 +521,7 @@ class LearnerTrace:
 
     @property
     def diverged(self) -> bool:
-        return self.ledger.diverged
+        return bool(not self.finite_mask().all())
 
     @property
     def cumulative_losses(self) -> np.ndarray:
@@ -525,18 +530,18 @@ class LearnerTrace:
     @property
     def total_loss(self) -> float:
         """Infinite if any recorded round diverged."""
-        return self.ledger.total_loss
+        return INFINITE_LOSS if self.diverged else self.finite_loss
 
     @property
     def finite_loss(self) -> float:
-        return self.ledger.cumulative_loss
+        return float(self.losses[self.finite_mask()].sum())
 
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.losses)
 
 
 def run_learner(learner, stream, on_divergence: str = "continue") -> LearnerTrace:
-    """Drive a learner over a stream, recording losses on a ledger.
+    """Drive a learner over a stream, recording every round's outcome.
 
     ``on_divergence="halt"`` stops at the first infinite loss, leaving a
     partial trace; ``"continue"`` keeps stepping (the learner's weights are
@@ -548,36 +553,20 @@ def run_learner(learner, stream, on_divergence: str = "continue") -> LearnerTrac
     preds, losses, rates, weights = [], [], [], []
     halted_at = None
     step = learner.step
-    if halt:
-        for t, p in enumerate(stream, 1):
-            out = step(p)
-            preds.append(out.prediction)
-            losses.append(out.loss)
-            rates.append(math.nan if out.rate_used is None else out.rate_used)
-            weights.append(out.new_weights)
-            if math.isinf(out.loss):
-                halted_at = t
-                break
-    else:
-        for p in stream:
-            out = step(p)
-            preds.append(out.prediction)
-            losses.append(out.loss)
-            rates.append(math.nan if out.rate_used is None else out.rate_used)
-            weights.append(out.new_weights)
-    loss_arr = np.asarray(losses)
-    finite = np.isfinite(loss_arr)
-    ledger = LossLedger(
-        per_round_loss=list(losses),
-        cumulative_loss=float(loss_arr[finite].sum()),
-        diverged=bool(not finite.all()),
-    )
+    for p in stream:
+        out = step(p)
+        preds.append(out.prediction)
+        losses.append(out.loss)
+        rates.append(math.nan if out.rate_used is None else out.rate_used)
+        weights.append(out.new_weights)
+        if halt and math.isinf(out.loss):
+            halted_at = len(losses)
+            break
     return LearnerTrace(
         name=getattr(learner, "name", type(learner).__name__),
         predictions=np.asarray(preds),
-        losses=loss_arr,
+        losses=np.asarray(losses),
         rates=np.asarray(rates),
         weights=np.asarray(weights),
-        ledger=ledger,
         halted_at=halted_at,
     )

@@ -131,11 +131,21 @@ class BestSetTracker:
         return max(1, len(self.first_best))
 
 
-class FixedRate:
+class _Schedule:
+    """Defaults shared by the schedules: an online schedule that ignores the
+    rounds it is shown.  ``observes = False`` lets the learner skip the call."""
+
+    applies_correction = True
+    observes = False
+
+    def observe(self, t: int, p, m: float) -> None:
+        pass
+
+
+class FixedRate(_Schedule):
     """Constant rate in (0, 1]; rate 1 is the exact Bayesian posterior."""
 
     applies_correction = False
-    observes = False
 
     def __init__(self, eta: float):
         if not 0.0 < eta <= 1.0:
@@ -145,20 +155,16 @@ class FixedRate:
     def rate(self, t: int) -> float:
         return self.eta
 
-    def observe(self, t: int, p, m: float) -> None:
-        pass
-
     def __str__(self):
         return f"fixed:{self.eta!r}"
 
 
-class InverseT:
+class InverseT(_Schedule):
     """Rate 1/(t + c); satisfies eta_t/(1 - eta_t) = eta_{t-1} exactly, which
     is what collapses the learner to the classical add-constant estimators on
     disjoint-support streams.  Used without the online correction."""
 
     applies_correction = False
-    observes = False
 
     def __init__(self, c: float):
         if not c > 0:
@@ -170,17 +176,11 @@ class InverseT:
             raise ValueError("t must be >= 1")
         return 1.0 / (t + self.c)
 
-    def observe(self, t: int, p, m: float) -> None:
-        pass
-
     def __str__(self):
         return f"inverse-t:{self.c!r}"
 
 
-class AnytimeRate:
-    applies_correction = True
-    observes = False
-
+class AnytimeRate(_Schedule):
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("anytime schedule needs N >= 2")
@@ -189,17 +189,13 @@ class AnytimeRate:
     def rate(self, t: int) -> float:
         return rate_anytime(t, self.n)
 
-    def observe(self, t: int, p, m: float) -> None:
-        pass
-
     def __str__(self):
         return "anytime"
 
 
-class SparseRate:
+class SparseRate(_Schedule):
     """Anytime rate scaled by the best-set size instead of N."""
 
-    applies_correction = True
     observes = True
 
     def __init__(self, n: int, cap: float = RATE_CAP):
@@ -219,39 +215,28 @@ class SparseRate:
         return "sparse"
 
 
-class ShiftingRate:
+class ShiftingRate(_Schedule):
     """Anytime rate with a ln(t+3) boost, for piecewise-constant competitors.
 
-    The closed form is strictly decreasing for every t >= 1; the guard below
-    holds the previous rate should a violation ever surface, because the
-    online correction requires a nonincreasing sequence.
+    The rate is strictly decreasing for t >= 1, as the online correction
+    requires: d/dt ln(t+3)/sqrt(t) has the sign of 2t/(t+3) - ln(t+3), and
+    2t/(t+3) < ln(t+3) (below 1.2 < ln 4 for t <= e^2 - 3, below 2 < ln(t+3)
+    beyond).
     """
-
-    applies_correction = True
-    observes = False
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("shifting schedule needs N >= 2")
         self.n = n
-        self._last: float | None = None
 
     def rate(self, t: int) -> float:
-        r = rate_shifting(t, self.n)
-        if self._last is not None and r > self._last:
-            r = self._last
-        self._last = r
-        return r
-
-    def observe(self, t: int, p, m: float) -> None:
-        pass
+        return rate_shifting(t, self.n)
 
     def __str__(self):
         return "shifting"
 
 
-class SelfConfidentRate:
-    applies_correction = True
+class SelfConfidentRate(_Schedule):
     observes = True
 
     def __init__(self, n: int, eta_max: float = RATE_CAP):
@@ -276,6 +261,18 @@ class SelfConfidentRate:
         return f"self-confident:{self.eta_max!r}"
 
 
+# selector kind -> (its parameter: "required", "none" or "optional"; factory(n, param))
+SCHEDULE_KINDS = {
+    "fixed": ("required", lambda n, eta: FixedRate(eta)),
+    "inverse-t": ("required", lambda n, c: InverseT(c)),
+    "anytime": ("none", lambda n, _: AnytimeRate(n)),
+    "sparse": ("none", lambda n, _: SparseRate(n)),
+    "shifting": ("none", lambda n, _: ShiftingRate(n)),
+    "self-confident": ("optional", lambda n, eta_max: SelfConfidentRate(
+        n, RATE_CAP if eta_max is None else eta_max)),
+}
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     """Parsed schedule selector; ``build(n)`` instantiates the stateful object."""
@@ -284,19 +281,9 @@ class ScheduleConfig:
     param: float | None = None
 
     def build(self, n: int):
-        if self.kind == "fixed":
-            return FixedRate(self.param)
-        if self.kind == "inverse-t":
-            return InverseT(self.param)
-        if self.kind == "anytime":
-            return AnytimeRate(n)
-        if self.kind == "sparse":
-            return SparseRate(n)
-        if self.kind == "shifting":
-            return ShiftingRate(n)
-        if self.kind == "self-confident":
-            return SelfConfidentRate(n, self.param if self.param is not None else RATE_CAP)
-        raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.kind not in SCHEDULE_KINDS:
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        return SCHEDULE_KINDS[self.kind][1](n, self.param)
 
     def __str__(self):
         return self.kind if self.param is None else f"{self.kind}:{self.param!r}"
@@ -315,14 +302,11 @@ def parse_schedule(text: str) -> ScheduleConfig:
         kind, arg = spec, ""
     kind = kind.strip().lower()
     arg = arg.strip()
-    if kind in ("fixed", "inverse-t"):
-        if not arg:
-            raise ValueError(f"schedule {kind!r} needs a parameter, e.g. {kind}:0.5")
-        return ScheduleConfig(kind, float(arg))
-    if kind in ("anytime", "sparse", "shifting"):
-        if arg:
-            raise ValueError(f"schedule {kind!r} takes no parameter")
-        return ScheduleConfig(kind)
-    if kind == "self-confident":
-        return ScheduleConfig(kind, float(arg) if arg else None)
-    raise ValueError(f"unknown schedule {text!r}")
+    if kind not in SCHEDULE_KINDS:
+        raise ValueError(f"unknown schedule {text!r}")
+    takes = SCHEDULE_KINDS[kind][0]
+    if takes == "required" and not arg:
+        raise ValueError(f"schedule {kind!r} needs a parameter, e.g. {kind}:0.5")
+    if takes == "none" and arg:
+        raise ValueError(f"schedule {kind!r} takes no parameter")
+    return ScheduleConfig(kind, float(arg) if arg else None)

@@ -93,6 +93,13 @@ class TestShiftingRate:
         r = np.sqrt(math.log(2) / (2 * 2 * t)) * np.log(t + 3)
         assert np.all(np.diff(r) < 0)
 
+    def test_emitted_rates_strictly_decrease(self):
+        # ShiftingRate has no non-increase guard; the scalar function it
+        # emits must decrease on its own
+        for n in (2, 10, 1000):
+            r = [rate_shifting(t, n) for t in range(1, 200_002)]
+            assert all(b < a for a, b in zip(r, r[1:]))
+
 
 class TestSelfConfidentRate:
     def test_value(self):
