@@ -367,14 +367,14 @@ class SoftBayes:
         t, eta_t = self.state.t, self._eta
         if self._observe is not None:
             self._observe(t, q, m)
-        self._eta = eta_next = self.schedule.rate(t + 1)
-        if not self.schedule.applies_correction:
-            return eta_t
-        if eta_next > eta_t and m != 0.0:
+        eta_next = self.schedule.rate(t + 1)
+        corrects = self.schedule.applies_correction
+        if corrects and eta_next > eta_t and m != 0.0:
             raise RuntimeError(
                 f"schedule {self.schedule} emitted an increasing rate "
                 f"({eta_t!r} -> {eta_next!r}) at t={t}")
-        return eta_next
+        self._eta = eta_next
+        return eta_next if corrects else eta_t
 
 
 class Bayes(SoftBayes):
