@@ -2,9 +2,9 @@
 
 Each ``run`` case pins the exit code and the sha256 and byte length of
 stdout, the CSV trace and the JSON summary; one ``compare`` case pins its
-stdout; malformed selectors pin the exit code and the exact stderr line.
-A refactor of the learners, schedules or bound tables must leave every one
-of these unchanged.
+stdout; malformed selectors and comparators pin the exit code and the exact
+stderr line.  A refactor of the learners, schedules, comparators or bound
+tables must leave every one of these unchanged.
 
 The digests were recorded with Python 3.11.7 and numpy 2.4.6.  Floats are
 rendered with ``repr``, so a numpy build whose kernels round differently
@@ -41,6 +41,11 @@ def _bounds(names):
 
 
 ALL_BOUNDS = ("thm2", "thm3", "thm4", "thm5", "thm6", "thm7", "single-expert")
+
+# one learner per kind, on a stream where EG, OGD and Bayes diverge
+THEOREM2_200 = ["--generator", "theorem2:T=200",
+                *_learners(("soft-bayes", "eg:fixed=0.5", "ogd:fixed=0.1",
+                            "ml-soft-bayes", "meta:rates=1,0.5,0.25", "bayes"))]
 
 # name -> (argv after "run", exit code, {artifact: (bytes, sha256)})
 RUNS = {
@@ -87,6 +92,68 @@ RUNS = {
             "json": (1157, "d3611450515195508fedc660920c5fb39d1f0d2542fd4980efa47c20722b6d57"),
         },
     ),
+    # continue mode refits each segment on a diverged learner's finite rounds
+    "shifting-continue": (
+        [*THEOREM2_200, "--comparator", "shifting=101,151", "--on-divergence", "continue",
+         *_bounds(("thm7", "thm5"))],
+        1,
+        {
+            "stdout": (932, "9d3dda66045506f8bd05631e9a1a13995531bad5a32152313785cb4ec4d1cf8e"),
+            "csv": (109731, "adf87e33df60b0021f1572c66d9bcacf9f8d12e24dd2d1d4edee081b22d48fd5"),
+            "json": (4297, "7822d69a2948ba76144f4ea7c06a8b19a5a8c8938283808f4d47d19e406a16b0"),
+        },
+    ),
+    "shifting-halt": (
+        [*THEOREM2_200, "--comparator", "shifting=101,151", "--on-divergence", "halt",
+         *_bounds(("thm7", "thm5"))],
+        1,
+        {
+            "stdout": (834, "5aad38a04e5a356cc5f2a0076337a807378bc6cbbbb492783bd73c0a01b913d2"),
+            "csv": (97909, "805bdc1800443cf5895ad0c2ae73495bb3b3190efa375f30282d3ac74d25aa73"),
+            "json": (4233, "7da04474900ccb8018359c480aee53abef1e38c10b0ce111ff9b99b07f5e5f64"),
+        },
+    ),
+    # a one-round middle segment
+    "shifting-one-row-continue": (
+        [*THEOREM2_200, "--comparator", "shifting=101,102", "--on-divergence", "continue",
+         *_bounds(("thm7",))],
+        1,
+        {
+            "stdout": (685, "45ba642738043ae84d751d6551149959878366f2e34e61719f883a2385cdf741"),
+            "csv": (109731, "adf87e33df60b0021f1572c66d9bcacf9f8d12e24dd2d1d4edee081b22d48fd5"),
+            "json": (3592, "d8511e12549196dc84720fbb27ce426721322af92027f413af4b795ad15b4a98"),
+        },
+    ),
+    "shifting-continue-bits": (
+        [*THEOREM2_200, "--comparator", "shifting=51", "--on-divergence", "continue", "--bits",
+         *_bounds(("thm7", "thm6"))],
+        1,
+        {
+            "stdout": (873, "bbac38b097b65f90f841704d91fa691e99c8356fa363fae2dae0d4a03abc5530"),
+            "csv": (108045, "2f8efc851481065839e668db61b8bb74a1323a1d7df361e05efa22c824503c73"),
+            "json": (4089, "10eb36e83ae98643dc118048c3c0aaeed96e347f320a91bd161908b2e12d1221"),
+        },
+    ),
+    "single-best-continue": (
+        [*THEOREM2_200, "--comparator", "single-best", "--on-divergence", "continue",
+         *_bounds(("single-expert",))],
+        0,
+        {
+            "stdout": (737, "f77dd18955a4a18e99e6d0233607e4b9f22bb741cae4274483ac540b933b783f"),
+            "csv": (109731, "adf87e33df60b0021f1572c66d9bcacf9f8d12e24dd2d1d4edee081b22d48fd5"),
+            "json": (3100, "227d09a5c70f9229969c5041282b11a9cc29c2fe0d275fd466c07d2507916e78"),
+        },
+    ),
+    "single-best-halt-bits": (
+        [*THEOREM2_200, "--comparator", "single-best", "--bits",
+         *_bounds(("single-expert", "thm2", "thm5"))],
+        1,
+        {
+            "stdout": (1231, "3a85470d87511dfb6d1984096bab349c91d66fbd1fbe7edfc02b530307bdce1a"),
+            "csv": (96223, "b1ae3647ed5f65be605bb7cb4fd892d95c5bd81ca639d291a22308e4fd6f9610"),
+            "json": (4615, "7642c066187c83c249b1c3bf67a8adbfc646b31dd8f54829169e97bea0876e89"),
+        },
+    ),
 }
 
 COMPARE = (
@@ -118,6 +185,17 @@ BAD_SELECTORS = {
     "soft-bayes:self-confident=x": ("error: bad schedule in 'soft-bayes:self-confident=x': "
                                     "could not convert string to float: 'x'"),
     "soft-bayes:warp": "error: bad schedule in 'soft-bayes:warp': unknown schedule 'warp'",
+}
+
+# malformed or out-of-range comparator on theorem2:T=200 -> the exact stderr line
+BAD_COMPARATORS = {
+    "median": ("error: unknown comparator 'median'; "
+               "known: fixed-mixture, single-best, shifting=t2,t3,..."),
+    "shifting": "error: shifting comparator needs boundaries, e.g. shifting=51,101",
+    "shifting=": "error: shifting comparator needs boundaries, e.g. shifting=51,101",
+    "shifting=5,5": "error: boundaries must be strictly increasing",
+    "shifting=a": "error: bad shifting boundaries 'a'",
+    "shifting=500": "error: boundary 500 beyond horizon 200",
 }
 
 
@@ -155,3 +233,13 @@ def test_malformed_selector_message_pinned(selector, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == BAD_SELECTORS[selector] + "\n"
+
+
+@pytest.mark.parametrize("comparator", sorted(BAD_COMPARATORS))
+def test_malformed_comparator_message_pinned(comparator, capsys):
+    code = main(["run", "--generator", "theorem2:T=200", "--learner", "bayes",
+                 "--comparator", comparator])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == BAD_COMPARATORS[comparator] + "\n"
