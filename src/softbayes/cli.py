@@ -65,10 +65,10 @@ def _config_from_args(args) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     artifact = run_experiment(_config_from_args(args))
     artifact.write()
-    for entry, rows in zip(artifact.summary["learners"], artifact.bound_rows):
+    for entry in artifact.summary["learners"]:
         flags = "diverged" if entry["diverged"] else "ok"
         print(f"{entry['name']}: loss={entry['loss']} regret={entry['regret']} [{flags}]")
-        for row in rows:
+        for row in entry["bounds"]:
             status = {True: "pass", False: "FAIL", None: "n/a"}[row["satisfied"]]
             note = f" ({row['note']})" if "note" in row else ""
             print(f"  bound {row['variant']}: {row['value']} -> {status}{note}")

@@ -130,11 +130,10 @@ class ShiftingSolution:
     total_loss: float
 
 
-def shifting_best(stream: ExpertStream, segments: SegmentSpec,
-                  tol: float = 1e-10, max_iter: int = 100_000) -> ShiftingSolution:
+def shifting_best(stream: ExpertStream, segments: SegmentSpec) -> ShiftingSolution:
     """Best piecewise-constant competitor: independent fixed-mixture fits per
     segment, losses summed."""
-    sols = [best_fixed_mixture(stream.slice(s, e), tol, max_iter)
+    sols = [best_fixed_mixture(stream.slice(s, e))
             for s, e in segments.segments(len(stream))]
     return ShiftingSolution(sols, float(sum(s.loss for s in sols)))
 

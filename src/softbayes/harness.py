@@ -20,6 +20,7 @@ timestamps, floats rendered by ``repr``, JSON keys sorted.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -29,12 +30,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .comparators import (
-    BOUND_SLACK,
     SegmentSpec,
     best_fixed_mixture,
     best_single_expert,
     regret_report,
-    shifting_best,
     theoretical_bound,
 )
 from .core import ExpertStream
@@ -255,20 +254,21 @@ def parse_learner(text: str) -> LearnerSpec:
 
 @dataclass(frozen=True)
 class ComparatorSpec:
+    """A comparator over segments starting at ``boundaries`` (1-based); the
+    fixed mixture and the single best expert are one segment from round 1."""
+
     kind: str
-    boundaries: tuple = ()
+    boundaries: tuple = (1,)
 
     @property
     def k(self) -> int:
-        return len(self.boundaries) if self.kind == "shifting" else 1
+        return len(self.boundaries)
 
 
 def parse_comparator(text: str) -> ComparatorSpec:
     spec = text.strip().lower()
-    if spec == "fixed-mixture":
-        return ComparatorSpec("fixed-mixture")
-    if spec == "single-best":
-        return ComparatorSpec("single-best")
+    if spec in ("fixed-mixture", "single-best"):
+        return ComparatorSpec(spec)
     if spec.startswith("shifting"):
         _, sep, arg = spec.partition("=")
         if not sep or not arg:
@@ -286,47 +286,42 @@ def parse_comparator(text: str) -> ComparatorSpec:
                       "known: fixed-mixture, single-best, shifting=t2,t3,...")
 
 
+def _segment_fits(cmp_spec: ComparatorSpec, stream: ExpertStream, mask=None) -> list:
+    """Best fixed mixture of each segment's rows, in segment order.  Under a
+    mask only the segment's unmasked rows count, and a segment without any
+    is skipped."""
+    fits = []
+    for s, e in SegmentSpec(cmp_spec.boundaries).segments(len(stream)):
+        rows = stream.p[s - 1 : e]
+        if mask is not None:
+            rows = rows[mask[s - 1 : e]]
+            if not len(rows):
+                continue
+        fits.append(best_fixed_mixture(ExpertStream(rows)))
+    return fits
+
+
 def _comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream):
     """Solve the configured comparator; returns (loss, detail dict)."""
-    if cmp_spec.kind == "fixed-mixture":
-        sol = best_fixed_mixture(stream)
-        return sol.loss, {
-            "kind": "fixed-mixture",
-            "weights": [float(v) for v in sol.a],
-            "iterations": sol.iterations,
-            "converged": sol.converged,
-        }
     if cmp_spec.kind == "single-best":
         i, loss = best_single_expert(stream)
         return loss, {"kind": "single-best", "expert": i + 1}
-    seg = SegmentSpec(cmp_spec.boundaries)
-    sol = shifting_best(stream, seg)
-    return sol.total_loss, {
-        "kind": "shifting",
-        "boundaries": list(seg.boundaries),
-        "per_segment": [
-            {"weights": [float(v) for v in s.a], "loss": float(s.loss),
-             "iterations": s.iterations, "converged": s.converged}
-            for s in sol.per_segment
-        ],
-    }
+    fits = _segment_fits(cmp_spec, stream)
+    segments = [{"weights": [float(v) for v in s.a], "loss": float(s.loss),
+                 "iterations": s.iterations, "converged": s.converged} for s in fits]
+    if cmp_spec.k == 1:
+        detail = segments[0]   # its "loss" is replaced by the reported one
+    else:
+        detail = {"boundaries": list(cmp_spec.boundaries), "per_segment": segments}
+    return float(sum(s.loss for s in fits)), {"kind": cmp_spec.kind, **detail}
 
 
 def _masked_comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream,
                             mask: np.ndarray) -> float:
     """Comparator loss over the non-diverged rounds only (continue mode)."""
-    if cmp_spec.kind == "shifting":
-        total = 0.0
-        for s, e in SegmentSpec(cmp_spec.boundaries).segments(len(stream)):
-            seg_mask = mask[s - 1 : e]
-            if not seg_mask.any():
-                continue
-            total += best_fixed_mixture(ExpertStream(stream.p[s - 1 : e][seg_mask])).loss
-        return total
-    sub = ExpertStream(stream.p[mask])
-    if cmp_spec.kind == "fixed-mixture":
-        return best_fixed_mixture(sub).loss
-    return best_single_expert(sub)[1]
+    if cmp_spec.kind == "single-best":
+        return best_single_expert(ExpertStream(stream.p[mask]))[1]
+    return float(sum(s.loss for s in _segment_fits(cmp_spec, stream, mask)))
 
 
 # ------------------------------------------------------------------ bounds
@@ -363,7 +358,7 @@ class _BoundInput(NamedTuple):
     T: int
     N: int
     eta: float | None       # the learner's constant rate, if it has one
-    m: int                  # experts ever best
+    m: Callable             # () -> experts ever best
     K: int                  # comparator segments
     stats: Callable         # () -> ratio_stats of the run
 
@@ -389,11 +384,11 @@ def _single_expert(b: _BoundInput):
 
 # --bound choice -> bound(_BoundInput) -> (value or None, note or None)
 BOUNDS = {
-    "thm2": _constant_or_tuned("thm2", "thm2_tuned_n", constant_params=lambda b: {"m": b.m}),
+    "thm2": _constant_or_tuned("thm2", "thm2_tuned_n", constant_params=lambda b: {"m": b.m()}),
     "thm3": _constant_or_tuned("thm3_max", "thm3_tuned", lambda b: {"c2": b.stats()["c2"]}),
     "thm4": _constant_or_tuned("thm4", "thm4_tuned", lambda b: {"c1": b.stats()["c1"]}),
     "thm5": lambda b: (theoretical_bound("thm5", T=b.T, N=b.N), None),
-    "thm6": lambda b: (theoretical_bound("thm6", T=b.T, N=b.N, m=b.m), None),
+    "thm6": lambda b: (theoretical_bound("thm6", T=b.T, N=b.N, m=b.m()), None),
     "thm7": lambda b: ((None, "needs T >= 2") if b.T < 2
                        else (theoretical_bound("thm7", T=b.T, N=b.N, K=b.K), None)),
     "single-expert": _single_expert,
@@ -472,6 +467,8 @@ class ExperimentConfig:
 # --------------------------------------------------------------- execution
 
 def _fmt(value: float | None, bits: bool = False) -> str:
+    """An artifact number as text: empty for None or NaN, finite values
+    converted to bits when asked, then ``repr``."""
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     v = float(value)
@@ -480,22 +477,13 @@ def _fmt(value: float | None, bits: bool = False) -> str:
     return repr(v)
 
 
-def _jsonify(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return None
-    return value
-
-
 def _scale(value: float | None, bits: bool):
-    if value is None:
+    """The JSON form of ``_fmt``: None for empty text, infinities as text,
+    other numbers as floats (exact, since ``float(repr(x)) == x``)."""
+    text = _fmt(value, bits)
+    if not text:
         return None
-    v = float(value)
-    if bits and math.isfinite(v):
-        v = v / LN2
-    return _jsonify(v)
+    return text if text in ("inf", "-inf") else float(text)
 
 
 @dataclass
@@ -503,9 +491,7 @@ class RunArtifact:
     config: ExperimentConfig
     stream: ExpertStream
     traces: list
-    comparator_detail: dict
     reports: list
-    bound_rows: list
     summary: dict
     csv_text: str
     exit_code: int
@@ -558,8 +544,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         stream = load_stream(config.stream)
         source = f"file:{config.stream}"
     cmp_spec = config.comparator_spec
-    if cmp_spec.kind == "shifting":
-        SegmentSpec(cmp_spec.boundaries).segments(len(stream))  # range check
+    SegmentSpec(cmp_spec.boundaries).segments(len(stream))  # range check
 
     names = set()
     traces = []
@@ -572,39 +557,33 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         learner.name = name
         traces.append(run_learner(learner, stream, config.on_divergence))
 
-    comparator_loss, comparator_detail = _comparator_loss(cmp_spec, stream)
-    m_best = stream_best_count(stream)
+    comparator_loss, detail = _comparator_loss(cmp_spec, stream)
+    m_best = functools.cache(lambda: stream_best_count(stream))
 
-    reports, bound_rows, learner_summaries = [], [], []
-    any_bound_failed = False
+    reports, learner_summaries = [], []
     for spec, trace in zip(config.learner_specs, traces):
         excluded = 0
-        if trace.diverged and config.on_divergence == "continue":
+        exclude = trace.diverged and config.on_divergence == "continue"
+        if exclude:
             mask = trace.finite_mask()
             excluded = int((~mask).sum())
             cmp_loss_i = _masked_comparator_loss(cmp_spec, stream, mask)
-            report = regret_report(trace, cmp_loss_i, exclude_diverged=True)
         else:
             cmp_loss_i = comparator_loss
-            report = regret_report(trace, cmp_loss_i)
+        report = regret_report(trace, cmp_loss_i, exclude_diverged=exclude)
         reports.append(report)
 
         rows = []
         b = _BoundInput(len(stream), stream.n_experts, spec.constant_rate, m_best,
-                        cmp_spec.k, lambda: ratio_stats(trace, stream))
+                        cmp_spec.k, functools.cache(lambda: ratio_stats(trace, stream)))
         for variant in config.bounds:
             value, note = (None, "bounds need N >= 2") if b.N < 2 else BOUNDS[variant](b)
-            satisfied = None
-            if value is not None:
-                satisfied = bool(report.regret <= value + BOUND_SLACK)
-                if not satisfied:
-                    any_bound_failed = True
             row = {"variant": variant, "value": _scale(value, config.bits),
-                   "satisfied": satisfied}
+                   "satisfied": regret_report(trace, cmp_loss_i, value,
+                                              exclude_diverged=exclude).bound_satisfied}
             if note:
                 row["note"] = note
             rows.append(row)
-        bound_rows.append(rows)
 
         learner_summaries.append({
             "name": trace.name,
@@ -618,8 +597,8 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
             "bounds": rows,
         })
 
-    exit_code = 1 if any_bound_failed else 0
-    detail = dict(comparator_detail)
+    exit_code = int(any(row["satisfied"] is False
+                        for entry in learner_summaries for row in entry["bounds"]))
     detail["loss"] = _scale(comparator_loss, config.bits)
     summary = {
         "config": {
@@ -642,9 +621,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         config=config,
         stream=stream,
         traces=traces,
-        comparator_detail=detail,
         reports=reports,
-        bound_rows=bound_rows,
         summary=summary,
         csv_text=_csv_table(config, stream, traces),
         exit_code=exit_code,

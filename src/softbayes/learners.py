@@ -287,7 +287,7 @@ def meta_bayes_step(meta_weights, sub_predictions) -> tuple[float, np.ndarray]:
     return mp, u * preds / mp
 
 
-def soft_bayes_sweep(batch, schedule, prior=None):
+def soft_bayes_sweep(batch, schedule):
     """Plain-schedule soft-Bayes over a batch of same-shape streams at once.
 
     ``batch`` is a (streams, rounds, experts) array; ``schedule`` must be one
@@ -303,8 +303,7 @@ def soft_bayes_sweep(batch, schedule, prior=None):
     if P.ndim != 3:
         raise ValueError("batch must be (streams, rounds, experts)")
     S, T, N = P.shape
-    w1 = uniform_weights(N) if prior is None else as_simplex(prior)
-    W = np.tile(w1, (S, 1))
+    W = np.tile(uniform_weights(N), (S, 1))
     preds = np.empty((S, T))
     hist = np.empty((S, T, N))
     eta = schedule.rate(1)

@@ -198,15 +198,14 @@ class SparseRate(_Schedule):
 
     observes = True
 
-    def __init__(self, n: int, cap: float = RATE_CAP):
+    def __init__(self, n: int):
         if n < 2:
             raise ValueError("sparse schedule needs N >= 2")
         self.n = n
-        self.cap = cap
         self.tracker = BestSetTracker()
 
     def rate(self, t: int) -> float:
-        return min(rate_sparse(t, self.n, self.tracker.m(t)), self.cap)
+        return min(rate_sparse(t, self.n, self.tracker.m(t)), RATE_CAP)
 
     def observe(self, t: int, p, m: float) -> None:
         self.tracker.update(p, t)

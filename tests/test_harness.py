@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from softbayes import harness
 from softbayes.cli import main
 from softbayes.core import ExpertStream
 from softbayes.generators import adversarial_constant, with_flip_round
@@ -264,6 +265,19 @@ class TestRunExperiment:
             has_weights = any(cells[6:])
             assert has_weights == (i % stride == 0 or i == 2500)
 
+    @pytest.mark.parametrize("comparator", ["fixed-mixture", "shifting=3", "single-best"])
+    def test_continue_with_every_round_diverged(self, comparator, tmp_path):
+        # a zero prior entry on the only expert that is ever right: every
+        # round diverges, so every comparator segment is empty and skipped
+        path = tmp_path / "s.jsonl"
+        write_stream_jsonl(ExpertStream(np.tile([0.0, 1.0], (5, 1))), str(path))
+        cfg = ExperimentConfig(stream=str(path), comparator=comparator,
+                               learners=({"spec": "bayes", "prior": [1.0, 0.0]},),
+                               on_divergence="continue")
+        entry = run_experiment(cfg).summary["learners"][0]
+        assert entry["excluded_rounds"] == 5
+        assert entry["comparator_loss"] == 0.0 and entry["regret"] == 0.0
+
     def test_duplicate_learner_names_disambiguated(self):
         cfg = ExperimentConfig(generator="theorem2:T=8",
                                learners=("bayes", "bayes"), on_divergence="continue")
@@ -288,6 +302,38 @@ class TestStats:
         assert stats["vmax"] == pytest.approx(float(((ratios - 1) ** 2).sum(axis=0).max()))
         assert stats["c1"] >= 0
         assert 1 <= stream_best_count(stream) <= 3
+
+
+class TestBoundInputsOnDemand:
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(harness, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(harness, name, counted)
+        return calls
+
+    def test_best_count_only_for_bounds_that_read_m(self, monkeypatch):
+        calls = self._count(monkeypatch, "stream_best_count")
+        cfg = ExperimentConfig(generator="theorem2:T=50", bounds=("thm5",),
+                               learners=("soft-bayes", "bayes"))
+        run_experiment(cfg)
+        assert calls == []
+        cfg = ExperimentConfig(generator="theorem2:T=50", bounds=("thm2", "thm6"),
+                               learners=("soft-bayes:fixed=0.5", "soft-bayes"))
+        run_experiment(cfg)
+        assert len(calls) == 1
+
+    def test_ratio_stats_once_per_learner(self, monkeypatch):
+        calls = self._count(monkeypatch, "ratio_stats")
+        cfg = ExperimentConfig(generator="theorem2:T=50", bounds=("thm3", "thm4"),
+                               learners=("soft-bayes", "eg:fixed=0.5", "ml-soft-bayes"))
+        run_experiment(cfg)
+        assert [trace.name for trace, _ in calls] == ["soft-bayes", "eg:fixed=0.5",
+                                                      "ml-soft-bayes"]
 
 
 class TestDeterminism:
