@@ -334,8 +334,16 @@ def ratio_stats(trace: LearnerTrace, stream: ExpertStream) -> dict:
     if not mask.any():
         return {"c1": 0.0, "c2": 0.0, "vmax": 0.0}
     P = stream.p[: trace.rounds][mask]
-    M = trace.predictions[: trace.rounds][mask]
-    excess = P / M[:, None] - 1.0
+    M = trace.predictions[: trace.rounds][mask, None]
+    ratio = np.divide(P, M, out=np.zeros_like(P), where=M > 0.0)
+    # a displayed prediction can underflow to 0.0 behind a finite loss
+    # -ln M (EG): there p/M = p exp(loss), and 0 where p = 0
+    under = M[:, 0] == 0.0
+    if under.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv = np.exp(trace.losses[mask][under])[:, None]
+            ratio[under] = np.where(P[under] > 0.0, P[under] * inv, 0.0)
+    excess = ratio - 1.0
     sq = excess ** 2
     return {
         "c1": float(excess.max(axis=1).sum()),

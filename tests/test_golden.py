@@ -54,9 +54,9 @@ RUNS = {
          *_learners(ALL_LEARNERS), *_bounds(ALL_BOUNDS)],
         1,
         {
-            "stdout": (4921, "becbd3860ce21d2d019a6a1cf84184574e1510d4f93f6350c64440a9fd583dc0"),
+            "stdout": (4919, "5e9ce2d9228a673ef5b76e5b452c76aa21b2d361a7b6919f62891cb32c82df1c"),
             "csv": (373796, "d12b1afa0b8ee4aae5341998eec95b5ff6562f6e5b015e4d3f39fa908c024432"),
-            "json": (14685, "bc4433e45cceb7146f2c356fb571f5a92b2cc21f115e2c23d397a2b557733b8f"),
+            "json": (14685, "f54dddea6e14eee03146e26588351f7b420f5b0bcc28a6c6811375015ea7ed05"),
         },
     ),
     # N <= 16: the scalar update path, a weight snapshot every round

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,21 @@ class TestStats:
         assert stats["vmax"] == pytest.approx(float(((ratios - 1) ** 2).sum(axis=0).max()))
         assert stats["c1"] >= 0
         assert 1 <= stream_best_count(stream) <= 3
+
+    def test_ratio_stats_with_an_underflowed_prediction(self):
+        cfg = ExperimentConfig(generator="theorem2:T=300", on_divergence="continue",
+                               learners=("eg:fixed=0.5",), bounds=("thm3", "thm4"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            artifact = run_experiment(cfg)
+            trace = artifact.traces[0]
+            stats = ratio_stats(trace, artifact.stream)
+        # EG's prediction shows 0.0 on a round whose loss -ln M is finite
+        shown_zero = trace.predictions == 0.0
+        assert np.isfinite(trace.losses[shown_zero]).any()
+        assert not math.isnan(stats["c1"]) and not math.isnan(stats["c2"])
+        rows = artifact.summary["learners"][0]["bounds"]
+        assert [row["satisfied"] for row in rows] == [True, True]
 
 
 class TestBoundInputsOnDemand:
