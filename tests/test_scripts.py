@@ -1,0 +1,30 @@
+"""Smoke tests: each script under ``scripts/`` runs on a small input and
+prints its table header."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# script -> (arguments, a header line it prints)
+SCRIPTS = {
+    "failure_demo.py": (["--T", "40"], "learner                        loss       regret  notes"),
+    "schedule_sweep.py": (["--n", "3", "--T", "200", "--seeds", "2"],
+                          "schedule          mean regret   max regret        bound  max/bound"),
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script):
+    args, header = SCRIPTS[script]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert header in result.stdout.splitlines()
