@@ -144,6 +144,20 @@ RUNS = {
             "json": (3100, "227d09a5c70f9229969c5041282b11a9cc29c2fe0d275fd466c07d2507916e78"),
         },
     ),
+    # a trace long enough to span several CSV render blocks: a quoted name with
+    # a comma, a NaN rate on every meta row, stride 10 with a last-round
+    # snapshot off the stride, losses in bits
+    "iid-n20-long-bits": (
+        ["--generator", "iid-mixture:N=20,T=9001", "--seed", "3", "--bits",
+         "--on-divergence", "continue",
+         *_learners(("meta:rates=1,0.5", "ogd:fixed=0.1", "bayes", "eg:fixed=0.5"))],
+        0,
+        {
+            "stdout": (271, "c6a782324086ff9f0541ec5f1a09ec65f4f795411de093077d090543bd99af90"),
+            "csv": (4240189, "dd4bb0080199a1eaa2e434edf8054afdcd379140e9976a0794121ea21edca941"),
+            "json": (2324, "ffd1e645c8015ae22c735889a2b2d0ad40db7a8cfe5a2915e41c0b5ab3256cea"),
+        },
+    ),
     "single-best-halt-bits": (
         [*THEOREM2_200, "--comparator", "single-best", "--bits",
          *_bounds(("single-expert", "thm2", "thm5"))],
