@@ -474,15 +474,25 @@ class ExperimentConfig:
 
 # --------------------------------------------------------------- execution
 
+def _text_rows(block: np.ndarray, bits=False) -> list:
+    """The unit rule for artifact numbers, on a 2-D block of them: each row
+    as its comma-joined cells, a cell empty for NaN and otherwise the value's
+    ``repr``, after converting to bits where ``bits`` (one flag, or one per
+    column) asks.  Infinities stay infinite in either unit.
+
+    One ``repr`` of the whole block does the formatting: a list's ``repr``
+    joins its floats' ``repr`` texts with ``", "``, and no float's text but
+    NaN's contains ``nan``."""
+    if np.any(bits):
+        block = np.where(bits, block / LN2, block)
+    text = repr(block.tolist())[2:-2]
+    return text.replace(", ", ",").replace("nan", "").split("],[")
+
+
 def _fmt(value: float | None, bits: bool = False) -> str:
-    """An artifact number as text: empty for None or NaN, finite values
-    converted to bits when asked, then ``repr``."""
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    v = float(value)
-    if bits and math.isfinite(v):
-        v = v / LN2
-    return repr(v)
+    """One artifact number as text under ``_text_rows``'s rule; None is
+    empty, like NaN."""
+    return _text_rows(np.array([[value]], dtype=float), bits)[0]
 
 
 def _scale(value: float | None, bits: bool):
@@ -514,29 +524,40 @@ class RunArtifact:
                 fh.write("\n")
 
 
+RENDER_BLOCK = 4096   # CSV rows formatted per ``_text_rows`` call
+
+
+def _csv_line(cells: list) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
 def _csv_table(config: ExperimentConfig, stream: ExpertStream, traces: list) -> str:
     T = len(stream)
     width = max(t.weights.shape[1] if t.weights.size else 0 for t in traces)
     stride = 1 if stream.n_experts <= 16 else max(1, math.ceil(T / 1000))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
-                    + [f"w{i + 1}" for i in range(width)])
-    bits = config.bits
+    parts = [_csv_line(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
+                       + [f"w{i + 1}" for i in range(width)])]
+    # rate, prediction, loss, cum_loss, weights: losses take the unit
+    bits = np.array([False, False, True, True] + [False] * width) & config.bits
     for trace in traces:
+        prefix = _csv_line([trace.name, ""])[:-1]   # the quoted name and a comma
         cum = trace.cumulative_losses
-        for t in range(trace.rounds):
-            snapshot = (t + 1) % stride == 0 or t + 1 == trace.rounds
-            wcells = ([_fmt(v) for v in trace.weights[t]] if snapshot else []) if width else []
-            wcells += [""] * (width - len(wcells))
-            writer.writerow([
-                trace.name, t + 1,
-                _fmt(trace.rates[t]),
-                _fmt(trace.predictions[t]),
-                _fmt(trace.losses[t], bits),
-                _fmt(cum[t], bits),
-            ] + wcells)
-    return buf.getvalue()
+        n = trace.rounds
+        for start in range(0, n, RENDER_BLOCK):
+            t = np.arange(start + 1, min(start + RENDER_BLOCK, n) + 1)
+            rows = slice(start, t[-1])
+            # a weight snapshot every stride-th round and on the last; NaN
+            # renders every other weight cell empty
+            snapshot = (t % stride == 0) | (t == n)
+            w = np.full((len(t), width), np.nan)
+            w[snapshot, : trace.weights.shape[-1]] = trace.weights[rows][snapshot]
+            block = np.column_stack([trace.rates[rows], trace.predictions[rows],
+                                     trace.losses[rows], cum[rows], w])
+            parts.append("".join(f"{prefix}{i},{cells}\n"
+                                 for i, cells in zip(t.tolist(), _text_rows(block, bits))))
+    return "".join(parts)
 
 
 def run_experiment(config: ExperimentConfig) -> RunArtifact:

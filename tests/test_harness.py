@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from softbayes.cli import main
 from softbayes.core import ExpertStream
 from softbayes.generators import adversarial_constant, with_flip_round
 from softbayes.harness import (
+    RENDER_BLOCK,
     ConfigError,
     ExperimentConfig,
     StreamFormatError,
@@ -23,6 +27,7 @@ from softbayes.harness import (
     stream_best_count,
     write_stream_jsonl,
 )
+from softbayes.learners import LearnerTrace
 
 
 class TestParseLearner:
@@ -285,6 +290,117 @@ class TestRunExperiment:
         artifact = run_experiment(cfg)
         names = [t.name for t in artifact.traces]
         assert len(set(names)) == 2
+
+
+def _reference_fmt(value, bits=False):
+    """The cell-by-cell unit rule the block renderer replaced."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return ""
+    v = float(value)
+    if bits and math.isfinite(v):
+        v = v / math.log(2.0)
+    return repr(v)
+
+
+def _reference_csv_table(config, stream, traces):
+    """The row-by-row CSV renderer the block renderer replaced."""
+    T = len(stream)
+    width = max(t.weights.shape[1] if t.weights.size else 0 for t in traces)
+    stride = 1 if stream.n_experts <= 16 else max(1, math.ceil(T / 1000))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
+                    + [f"w{i + 1}" for i in range(width)])
+    bits = config.bits
+    for trace in traces:
+        cum = trace.cumulative_losses
+        for t in range(trace.rounds):
+            snapshot = (t + 1) % stride == 0 or t + 1 == trace.rounds
+            wcells = ([_reference_fmt(v) for v in trace.weights[t]]
+                      if snapshot else []) if width else []
+            wcells += [""] * (width - len(wcells))
+            writer.writerow([
+                trace.name, t + 1,
+                _reference_fmt(trace.rates[t]),
+                _reference_fmt(trace.predictions[t]),
+                _reference_fmt(trace.losses[t], bits),
+                _reference_fmt(cum[t], bits),
+            ] + wcells)
+    return buf.getvalue()
+
+
+EDGE_VALUES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e16,
+               9999999999999998.0, 1e-5, 0.0001, 1 / 3)
+
+
+def _edgy(rng, shape):
+    """Floats over many magnitudes, a quarter of them edge values."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 20, shape)
+    edges = rng.random(shape) < 0.25
+    values[edges] = rng.choice(EDGE_VALUES, size=int(edges.sum()))
+    return values
+
+
+def _hand_trace(rng, name, rounds, n):
+    return LearnerTrace(name, _edgy(rng, rounds), _edgy(rng, rounds),
+                        _edgy(rng, rounds), _edgy(rng, (rounds, n)))
+
+
+def _assert_same_csv(config, stream, traces):
+    with np.errstate(invalid="ignore"):   # cumulative inf + -inf
+        got = harness._csv_table(config, stream, traces).split("\n")
+        want = _reference_csv_table(config, stream, traces).split("\n")
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert bad is None, f"line {bad + 1}: {got[bad]!r} != {want[bad]!r}"
+    assert len(got) == len(want)
+
+
+class TestCsvRenderer:
+    """The block renderer against the row-by-row reference, byte for byte."""
+
+    NAMES = ("soft-bayes", "meta:rates=1,0.5", 'say "hi"', "", "two\nlines")
+
+    def _check(self, T, n, bits, rounds=None, seed=0, names=NAMES):
+        rng = np.random.default_rng(seed)
+        rounds = rounds or [T] * len(names)
+        traces = [_hand_trace(rng, name, r, n) for name, r in zip(names, rounds)]
+        stream = ExpertStream(np.full((T, n), 0.5))
+        _assert_same_csv(SimpleNamespace(bits=bits), stream, traces)
+
+    @pytest.mark.parametrize("bits", [False, True])
+    @pytest.mark.parametrize("n", [3, 20])
+    @pytest.mark.parametrize("T", [64, 65])
+    def test_one_block_and_one_more_row(self, T, n, bits, monkeypatch):
+        monkeypatch.setattr(harness, "RENDER_BLOCK", 64)
+        self._check(T, n, bits)
+
+    def test_the_real_block_size(self):
+        self._check(RENDER_BLOCK + 1, 20, True, names=self.NAMES[:2])
+
+    @pytest.mark.parametrize("bits", [False, True])
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_several_blocks_with_a_stride_remainder(self, n, bits, monkeypatch):
+        # T = 2005 over 20 experts: a snapshot every 3rd round and on round 2005
+        monkeypatch.setattr(harness, "RENDER_BLOCK", 64)
+        self._check(2005, n, bits, seed=1)
+
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_halted_and_empty_traces(self, n, monkeypatch):
+        monkeypatch.setattr(harness, "RENDER_BLOCK", 16)
+        self._check(1500, n, True, rounds=[1500, 37, 0, 16, 1], seed=2)
+
+    def test_narrower_weights_are_padded(self):
+        rng = np.random.default_rng(3)
+        traces = [_hand_trace(rng, "meta", 40, 2), _hand_trace(rng, "bayes", 40, 5),
+                  LearnerTrace("none", np.ones(40), np.ones(40), np.ones(40),
+                               np.empty((40, 0)))]
+        stream = ExpertStream(np.full((40, 5), 0.5))
+        _assert_same_csv(SimpleNamespace(bits=False), stream, traces)
+
+    @pytest.mark.parametrize("bits", [False, True])
+    def test_one_value_matches_the_reference(self, bits):
+        for value in (None, *EDGE_VALUES, 3, -2.5, 1e300):
+            assert harness._fmt(value, bits) == _reference_fmt(value, bits)
 
 
 class TestStats:
