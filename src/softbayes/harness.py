@@ -24,6 +24,7 @@ import functools
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
@@ -51,6 +52,7 @@ from .learners import (
 from .rates import BestSetTracker, ScheduleConfig, parse_schedule
 
 LN2 = math.log(2.0)
+RENDER_BLOCK = 4096   # rows rendered per repr or json.dumps call
 
 
 class ConfigError(ValueError):
@@ -77,9 +79,27 @@ def _reduce_full_round(obj, lineno):
         raise StreamFormatError(f"line {lineno}: malformed 'dists': {exc}") from exc
 
 
-def read_stream_jsonl(text: str) -> ExpertStream:
+# a reduced round on one line, its list holding nothing but number characters
+_REDUCED_LINE = re.compile(r'[ \t]*\{[ \t]*"p"[ \t]*:[ \t]*\[[-+.0-9eE, \t]*\][ \t]*\}[ \t]*')
+
+
+def _bulk_rounds(lines: list):
+    """Every round at once when each non-blank line is a reduced round of
+    numbers: one ``json.loads`` of the lines as a list.  None otherwise, or
+    when that parse or the array fails, for the per-line reader to report."""
+    lines = [line for line in lines if line.strip()]
+    if not lines or not all(map(_REDUCED_LINE.fullmatch, lines)):
+        return None
+    try:
+        return np.asarray([obj["p"] for obj in json.loads("[" + ",".join(lines) + "]")],
+                          dtype=float)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _per_line_rounds(lines: list) -> np.ndarray:
     rounds = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
@@ -106,8 +126,16 @@ def read_stream_jsonl(text: str) -> ExpertStream:
         rounds.append(values)
     if not rounds:
         raise StreamFormatError("stream file contains no rounds")
+    return np.asarray(rounds, dtype=float)
+
+
+def read_stream_jsonl(text: str) -> ExpertStream:
+    lines = text.splitlines()
+    p = _bulk_rounds(lines)
+    if p is None:
+        p = _per_line_rounds(lines)
     try:
-        return ExpertStream(np.asarray(rounds, dtype=float))
+        return ExpertStream(p)
     except ValueError as exc:
         raise StreamFormatError(str(exc)) from exc
 
@@ -147,9 +175,12 @@ def load_stream(path: str) -> ExpertStream:
 
 
 def write_stream_jsonl(stream: ExpertStream, path: str) -> None:
+    """One reduced round per line, ``{"p": [...]}``, rendered a block of
+    rounds per ``json.dumps``."""
     with open(path, "w", encoding="utf-8") as fh:
-        for row in stream:
-            fh.write(json.dumps({"p": [float(v) for v in row]}) + "\n")
+        for start in range(0, len(stream), RENDER_BLOCK):
+            rows = json.dumps(stream.p[start : start + RENDER_BLOCK].tolist())[1:-1]
+            fh.write('{"p": ' + rows.replace("], [", ']}\n{"p": [') + "}\n")
 
 
 # ---------------------------------------------------------------- learners
@@ -522,9 +553,6 @@ class RunArtifact:
             with open(self.config.out_json, "w", encoding="utf-8") as fh:
                 json.dump(self.summary, fh, sort_keys=True, indent=2)
                 fh.write("\n")
-
-
-RENDER_BLOCK = 4096   # CSV rows formatted per ``_text_rows`` call
 
 
 def _csv_line(cells: list) -> str:

@@ -110,6 +110,50 @@ class TestStreamIO:
         with pytest.raises(StreamFormatError, match="outside"):
             read_stream_jsonl('{"dists": [[0.2, 0.8]], "x": 3}\n')
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_jsonl_write_matches_one_dumps_per_round(self, n, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "RENDER_BLOCK", 7)
+        rng = np.random.default_rng(n)
+        p = rng.uniform(0.0, 1.0, size=(30, n))
+        p[rng.random(p.shape) < 0.2] = rng.choice([0.0, 1.0, 5e-324, 1e-5, 0.1])
+        p[:, 0] = np.maximum(p[:, 0], 0.5)
+        stream = ExpertStream(p)
+        write_stream_jsonl(stream, tmp_path / "s.jsonl")
+        expected = "".join(json.dumps({"p": [float(v) for v in row]}) + "\n" for row in p)
+        assert (tmp_path / "s.jsonl").read_text() == expected
+
+    def test_bulk_and_per_line_reads_agree(self):
+        text = ('{"p": [0.5, 1e-3]}\n\n  {"p":[1, 0]}\t\n'
+                '{ "p" : [ 2.5E-1 , 0.75 ] }\n{"p": [5e-324, 1.0]}\n')
+        lines = text.splitlines()
+        bulk = harness._bulk_rounds(lines)
+        assert bulk is not None
+        np.testing.assert_array_equal(bulk, harness._per_line_rounds(lines))
+        np.testing.assert_array_equal(read_stream_jsonl(text).p, bulk)
+
+    @pytest.mark.parametrize("text, match", [
+        # valid as one list, but no line of it is one JSON object
+        ('{"p": [0.5, 0.5]},{"p": [0.5, 0.5]}\n{"p": [0.5\n0.5]}\n',
+         "line 1: invalid JSON"),
+        ('{"p": [0.5, 0.5]}\n{"p": [1.]}\n', "line 2: invalid JSON"),
+        ('{"p": [0.5, 0.5]}\n{"p": [0.5, null]}\n', "line 2: non-numeric"),
+        ('{"p": [0.5, 0.5]}\n{"p": [[0.5], 0.5]}\n', "line 2: non-numeric"),
+        ('{"p": [0.5, 0.5]}\n{"p": [0.5]}\n', "line 2: expected 2 experts, got 1"),
+        ('{"p": [0.5, 0.5]}\n{"q": [0.5, 0.5]}\n', "line 2: round needs"),
+        ("\n  \n", "no rounds"),
+    ])
+    def test_bulk_read_falls_back_to_line_errors(self, text, match):
+        assert harness._bulk_rounds(text.splitlines()) is None
+        with pytest.raises(StreamFormatError, match=match):
+            read_stream_jsonl(text)
+
+    def test_rounds_the_bulk_read_leaves_to_the_line_reader(self):
+        text = ('{"p": [0.5, "0.25"]}\n{"dists": [[0.2, 0.8], [0.6, 0.4]], "x": 2}\n'
+                '{"p": [true, 0.5], "note": 1}\n')
+        assert harness._bulk_rounds(text.splitlines()) is None
+        np.testing.assert_array_equal(read_stream_jsonl(text).p,
+                                      [[0.5, 0.25], [0.8, 0.4], [1.0, 0.5]])
+
     def test_csv_round_trip(self):
         text = "p1,p2\n0.5,0.25\n1.0,0.0\n"
         stream = read_stream_csv(text)
