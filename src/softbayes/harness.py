@@ -332,13 +332,14 @@ def _segment_fits(cmp_spec: ComparatorSpec, stream: ExpertStream, mask=None) -> 
     return fits
 
 
-def _comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream):
-    """Solve the configured comparator; returns (loss, detail dict)."""
+def _comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream, bits: bool):
+    """Solve the configured comparator; returns (loss, detail dict), the
+    detail's segment losses in the configured unit."""
     if cmp_spec.kind == "single-best":
         i, loss = best_single_expert(stream)
         return loss, {"kind": "single-best", "expert": i + 1}
     fits = _segment_fits(cmp_spec, stream)
-    segments = [{"weights": [float(v) for v in s.a], "loss": float(s.loss),
+    segments = [{"weights": [float(v) for v in s.a], "loss": _scale(s.loss, bits),
                  "iterations": s.iterations, "converged": s.converged} for s in fits]
     if cmp_spec.k == 1:
         detail = segments[0]   # its "loss" is replaced by the reported one
@@ -614,7 +615,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         learner.name = name
         traces.append(run_learner(learner, stream, config.on_divergence))
 
-    comparator_loss, detail = _comparator_loss(cmp_spec, stream)
+    comparator_loss, detail = _comparator_loss(cmp_spec, stream, config.bits)
     m_best = functools.cache(lambda: stream_best_count(stream))
 
     reports, learner_summaries = [], []

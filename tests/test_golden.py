@@ -131,7 +131,7 @@ RUNS = {
         {
             "stdout": (873, "bbac38b097b65f90f841704d91fa691e99c8356fa363fae2dae0d4a03abc5530"),
             "csv": (108045, "2f8efc851481065839e668db61b8bb74a1323a1d7df361e05efa22c824503c73"),
-            "json": (4089, "10eb36e83ae98643dc118048c3c0aaeed96e347f320a91bd161908b2e12d1221"),
+            "json": (4090, "15b4e2de6823a5c5284312403f02a348ff319a7a06ff7f379eb773975cdd6e3c"),
         },
     ),
     "single-best-continue": (

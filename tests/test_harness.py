@@ -300,6 +300,16 @@ class TestRunExperiment:
         bits = run_experiment(cfg_bits).summary["learners"][0]["loss"]
         assert bits == pytest.approx(nats / math.log(2), rel=1e-12)
 
+    def test_shifting_segment_losses_take_the_unit(self):
+        losses = {}
+        for bits in (False, True):
+            cfg = ExperimentConfig(generator="theorem2:T=200", learners=("soft-bayes",),
+                                   comparator="shifting=51", bits=bits)
+            detail = run_experiment(cfg).summary["comparator"]
+            losses[bits] = [s["loss"] for s in detail["per_segment"]]
+            assert sum(losses[bits]) == pytest.approx(detail["loss"], rel=1e-12)
+        assert losses[True] == [v / math.log(2) for v in losses[False]]
+
     def test_weight_snapshot_stride_for_many_experts(self, tmp_path):
         rng = np.random.default_rng(21)
         stream = ExpertStream(rng.uniform(0.01, 1.0, size=(2500, 20)))
