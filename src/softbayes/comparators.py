@@ -155,7 +155,9 @@ def regret_report(trace, comparator_loss: float, bound: float | None = None,
         regret = INFINITE_LOSS
     else:
         regret = learner_loss - comparator_loss
-    satisfied = None if bound is None else bool(regret <= bound + BOUND_SLACK)
+    # inf - inf leaves the regret, and so any verdict on it, undefined
+    satisfied = (None if bound is None or math.isnan(regret)
+                 else bool(regret <= bound + BOUND_SLACK))
     return RegretReport(learner_loss, comparator_loss, regret, bound, satisfied)
 
 

@@ -639,6 +639,8 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
             row = {"variant": variant, "value": _scale(value, config.bits),
                    "satisfied": regret_report(trace, cmp_loss_i, value,
                                               exclude_diverged=exclude).bound_satisfied}
+            if math.isnan(report.regret) and value is not None:
+                note = "; ".join(filter(None, (note, "regret undefined: both losses infinite")))
             if note:
                 row["note"] = note
             rows.append(row)

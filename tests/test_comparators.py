@@ -132,6 +132,12 @@ class TestRegretReport:
         r = regret_report(_FakeTrace(15.0), 2.0, bound=12.0)
         assert r.bound_satisfied is False
 
+    def test_no_verdict_on_an_undefined_regret(self):
+        # a diverged learner against a comparator whose loss is infinite too
+        r = regret_report(_FakeTrace(math.inf, diverged=True), math.inf, bound=12.0)
+        assert math.isnan(r.regret)
+        assert r.bound_satisfied is None
+
     def test_excluding_diverged_rounds(self):
         trace = _FakeTrace(math.inf, diverged=True, finite=4.0)
         r = regret_report(trace, 3.0, exclude_diverged=True)

@@ -158,14 +158,16 @@ RUNS = {
             "json": (2324, "ffd1e645c8015ae22c735889a2b2d0ad40db7a8cfe5a2915e41c0b5ab3256cea"),
         },
     ),
+    # every expert assigns 0 somewhere: the single best loses inf, and the
+    # learners that diverge and halt have an undefined (inf - inf) regret
     "single-best-halt-bits": (
         [*THEOREM2_200, "--comparator", "single-best", "--bits",
          *_bounds(("single-expert", "thm2", "thm5"))],
-        1,
+        0,
         {
-            "stdout": (1231, "3a85470d87511dfb6d1984096bab349c91d66fbd1fbe7edfc02b530307bdce1a"),
+            "stdout": (1590, "98b9d0e35f03a6f187fbf4aaa086e5398933b7508789bff51dbd628d775047b7"),
             "csv": (96223, "b1ae3647ed5f65be605bb7cb4fd892d95c5bd81ca639d291a22308e4fd6f9610"),
-            "json": (4615, "7642c066187c83c249b1c3bf67a8adbfc646b31dd8f54829169e97bea0876e89"),
+            "json": (5126, "6c0cc7fc93d1727e44a6d89b35da3169f7e29c497608203e9f85367d7ecb8046"),
         },
     ),
 }

@@ -272,6 +272,20 @@ class TestRunExperiment:
         artifact = run_experiment(cfg)
         assert artifact.summary["learners"][0]["regret"] == "inf"
 
+    def test_undefined_regret_is_not_a_failed_bound(self):
+        # every expert of theorem2 assigns 0 somewhere, so the single best
+        # loses inf; a halted Bayes run loses inf too
+        cfg = ExperimentConfig(generator="theorem2:T=200", learners=("bayes",),
+                               comparator="single-best", bounds=("thm5",))
+        artifact = run_experiment(cfg)
+        entry = artifact.summary["learners"][0]
+        assert entry["loss"] == "inf" and entry["comparator_loss"] == "inf"
+        assert entry["regret"] is None
+        row = entry["bounds"][0]
+        assert row["satisfied"] is None
+        assert row["note"] == "regret undefined: both losses infinite"
+        assert artifact.exit_code == 0
+
     def test_bound_failure_sets_exit_code(self):
         cfg = ExperimentConfig(
             generator="theorem2:T=100",
