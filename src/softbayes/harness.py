@@ -52,7 +52,9 @@ from .learners import (
 from .rates import BestSetTracker, ScheduleConfig, parse_schedule
 
 LN2 = math.log(2.0)
-RENDER_BLOCK = 4096   # rows rendered per repr or json.dumps call
+# rows per repr or json call: few calls, while a block's text and objects
+# stay small beside the whole artifact, which bounds peak memory
+RENDER_BLOCK = 256
 
 
 class ConfigError(ValueError):
@@ -84,15 +86,18 @@ _REDUCED_LINE = re.compile(r'[ \t]*\{[ \t]*"p"[ \t]*:[ \t]*\[[-+.0-9eE, \t]*\][ 
 
 
 def _bulk_rounds(lines: list):
-    """Every round at once when each non-blank line is a reduced round of
-    numbers: one ``json.loads`` of the lines as a list.  None otherwise, or
-    when that parse or the array fails, for the per-line reader to report."""
+    """The rounds, when each non-blank line is a reduced round of numbers,
+    parsed a block of lines per ``json.loads``.  None otherwise, or when a
+    parse or the array fails, for the per-line reader to report."""
     lines = [line for line in lines if line.strip()]
     if not lines or not all(map(_REDUCED_LINE.fullmatch, lines)):
         return None
+    blocks = []
     try:
-        return np.asarray([obj["p"] for obj in json.loads("[" + ",".join(lines) + "]")],
-                          dtype=float)
+        for i in range(0, len(lines), RENDER_BLOCK):
+            objs = json.loads("[" + ",".join(lines[i : i + RENDER_BLOCK]) + "]")
+            blocks.append(np.asarray([obj["p"] for obj in objs], dtype=float))
+        return np.concatenate(blocks)
     except (ValueError, OverflowError):
         return None
 
@@ -556,22 +561,21 @@ class RunArtifact:
                 fh.write("\n")
 
 
-def _csv_line(cells: list) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
-    return buf.getvalue()
-
-
 def _csv_table(config: ExperimentConfig, stream: ExpertStream, traces: list) -> str:
     T = len(stream)
     width = max(t.weights.shape[1] if t.weights.size else 0 for t in traces)
     stride = 1 if stream.n_experts <= 16 else max(1, math.ceil(T / 1000))
-    parts = [_csv_line(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
-                       + [f"w{i + 1}" for i in range(width)])]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
+                    + [f"w{i + 1}" for i in range(width)])
     # rate, prediction, loss, cum_loss, weights: losses take the unit
     bits = np.array([False, False, True, True] + [False] * width) & config.bits
     for trace in traces:
-        prefix = _csv_line([trace.name, ""])[:-1]   # the quoted name and a comma
+        # the name quoted as the csv module would, and a comma
+        head = io.StringIO()
+        csv.writer(head, lineterminator="\n").writerow([trace.name, ""])
+        prefix = head.getvalue()[:-1]
         cum = trace.cumulative_losses
         n = trace.rounds
         for start in range(0, n, RENDER_BLOCK):
@@ -584,9 +588,9 @@ def _csv_table(config: ExperimentConfig, stream: ExpertStream, traces: list) -> 
             w[snapshot, : trace.weights.shape[-1]] = trace.weights[rows][snapshot]
             block = np.column_stack([trace.rates[rows], trace.predictions[rows],
                                      trace.losses[rows], cum[rows], w])
-            parts.append("".join(f"{prefix}{i},{cells}\n"
-                                 for i, cells in zip(t.tolist(), _text_rows(block, bits))))
-    return "".join(parts)
+            buf.writelines(f"{prefix}{i},{cells}\n"
+                           for i, cells in zip(t.tolist(), _text_rows(block, bits)))
+    return buf.getvalue()
 
 
 def run_experiment(config: ExperimentConfig) -> RunArtifact:

@@ -122,7 +122,9 @@ class TestStreamIO:
         expected = "".join(json.dumps({"p": [float(v) for v in row]}) + "\n" for row in p)
         assert (tmp_path / "s.jsonl").read_text() == expected
 
-    def test_bulk_and_per_line_reads_agree(self):
+    @pytest.mark.parametrize("block", [2, RENDER_BLOCK])
+    def test_bulk_and_per_line_reads_agree(self, block, monkeypatch):
+        monkeypatch.setattr(harness, "RENDER_BLOCK", block)
         text = ('{"p": [0.5, 1e-3]}\n\n  {"p":[1, 0]}\t\n'
                 '{ "p" : [ 2.5E-1 , 0.75 ] }\n{"p": [5e-324, 1.0]}\n')
         lines = text.splitlines()
@@ -142,7 +144,9 @@ class TestStreamIO:
         ('{"p": [0.5, 0.5]}\n{"q": [0.5, 0.5]}\n', "line 2: round needs"),
         ("\n  \n", "no rounds"),
     ])
-    def test_bulk_read_falls_back_to_line_errors(self, text, match):
+    @pytest.mark.parametrize("block", [1, RENDER_BLOCK])
+    def test_bulk_read_falls_back_to_line_errors(self, text, match, block, monkeypatch):
+        monkeypatch.setattr(harness, "RENDER_BLOCK", block)
         assert harness._bulk_rounds(text.splitlines()) is None
         with pytest.raises(StreamFormatError, match=match):
             read_stream_jsonl(text)
