@@ -54,7 +54,7 @@ from .rates import BestSetTracker, ScheduleConfig, parse_schedule
 LN2 = math.log(2.0)
 # rows per repr or json call: few calls, while a block's text and objects
 # stay small beside the whole artifact, which bounds peak memory
-RENDER_BLOCK = 256
+BLOCK_ROWS = 256
 
 
 class ConfigError(ValueError):
@@ -94,8 +94,8 @@ def _bulk_rounds(lines: list):
         return None
     blocks = []
     try:
-        for i in range(0, len(lines), RENDER_BLOCK):
-            objs = json.loads("[" + ",".join(lines[i : i + RENDER_BLOCK]) + "]")
+        for i in range(0, len(lines), BLOCK_ROWS):
+            objs = json.loads("[" + ",".join(lines[i : i + BLOCK_ROWS]) + "]")
             blocks.append(np.asarray([obj["p"] for obj in objs], dtype=float))
         return np.concatenate(blocks)
     except (ValueError, OverflowError):
@@ -183,8 +183,8 @@ def write_stream_jsonl(stream: ExpertStream, path: str) -> None:
     """One reduced round per line, ``{"p": [...]}``, rendered a block of
     rounds per ``json.dumps``."""
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(stream), RENDER_BLOCK):
-            rows = json.dumps(stream.p[start : start + RENDER_BLOCK].tolist())[1:-1]
+        for start in range(0, len(stream), BLOCK_ROWS):
+            rows = json.dumps(stream.p[start : start + BLOCK_ROWS].tolist())[1:-1]
             fh.write('{"p": ' + rows.replace("], [", ']}\n{"p": [') + "}\n")
 
 
@@ -578,8 +578,8 @@ def _csv_table(config: ExperimentConfig, stream: ExpertStream, traces: list) -> 
         prefix = head.getvalue()[:-1]
         cum = trace.cumulative_losses
         n = trace.rounds
-        for start in range(0, n, RENDER_BLOCK):
-            t = np.arange(start + 1, min(start + RENDER_BLOCK, n) + 1)
+        for start in range(0, n, BLOCK_ROWS):
+            t = np.arange(start + 1, min(start + BLOCK_ROWS, n) + 1)
             rows = slice(start, t[-1])
             # a weight snapshot every stride-th round and on the last; NaN
             # renders every other weight cell empty

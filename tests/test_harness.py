@@ -13,7 +13,7 @@ from softbayes.cli import main
 from softbayes.core import ExpertStream
 from softbayes.generators import adversarial_constant, with_flip_round
 from softbayes.harness import (
-    RENDER_BLOCK,
+    BLOCK_ROWS,
     ConfigError,
     ExperimentConfig,
     StreamFormatError,
@@ -112,7 +112,7 @@ class TestStreamIO:
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_jsonl_write_matches_one_dumps_per_round(self, n, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "RENDER_BLOCK", 7)
+        monkeypatch.setattr(harness, "BLOCK_ROWS", 7)
         rng = np.random.default_rng(n)
         p = rng.uniform(0.0, 1.0, size=(30, n))
         p[rng.random(p.shape) < 0.2] = rng.choice([0.0, 1.0, 5e-324, 1e-5, 0.1])
@@ -122,9 +122,9 @@ class TestStreamIO:
         expected = "".join(json.dumps({"p": [float(v) for v in row]}) + "\n" for row in p)
         assert (tmp_path / "s.jsonl").read_text() == expected
 
-    @pytest.mark.parametrize("block", [2, RENDER_BLOCK])
+    @pytest.mark.parametrize("block", [2, BLOCK_ROWS])
     def test_bulk_and_per_line_reads_agree(self, block, monkeypatch):
-        monkeypatch.setattr(harness, "RENDER_BLOCK", block)
+        monkeypatch.setattr(harness, "BLOCK_ROWS", block)
         text = ('{"p": [0.5, 1e-3]}\n\n  {"p":[1, 0]}\t\n'
                 '{ "p" : [ 2.5E-1 , 0.75 ] }\n{"p": [5e-324, 1.0]}\n')
         lines = text.splitlines()
@@ -144,9 +144,9 @@ class TestStreamIO:
         ('{"p": [0.5, 0.5]}\n{"q": [0.5, 0.5]}\n', "line 2: round needs"),
         ("\n  \n", "no rounds"),
     ])
-    @pytest.mark.parametrize("block", [1, RENDER_BLOCK])
+    @pytest.mark.parametrize("block", [1, BLOCK_ROWS])
     def test_bulk_read_falls_back_to_line_errors(self, text, match, block, monkeypatch):
-        monkeypatch.setattr(harness, "RENDER_BLOCK", block)
+        monkeypatch.setattr(harness, "BLOCK_ROWS", block)
         assert harness._bulk_rounds(text.splitlines()) is None
         with pytest.raises(StreamFormatError, match=match):
             read_stream_jsonl(text)
@@ -443,22 +443,22 @@ class TestCsvRenderer:
     @pytest.mark.parametrize("n", [3, 20])
     @pytest.mark.parametrize("T", [64, 65])
     def test_one_block_and_one_more_row(self, T, n, bits, monkeypatch):
-        monkeypatch.setattr(harness, "RENDER_BLOCK", 64)
+        monkeypatch.setattr(harness, "BLOCK_ROWS", 64)
         self._check(T, n, bits)
 
     def test_the_real_block_size(self):
-        self._check(RENDER_BLOCK + 1, 20, True, names=self.NAMES[:2])
+        self._check(BLOCK_ROWS + 1, 20, True, names=self.NAMES[:2])
 
     @pytest.mark.parametrize("bits", [False, True])
     @pytest.mark.parametrize("n", [3, 20])
     def test_several_blocks_with_a_stride_remainder(self, n, bits, monkeypatch):
         # T = 2005 over 20 experts: a snapshot every 3rd round and on round 2005
-        monkeypatch.setattr(harness, "RENDER_BLOCK", 64)
+        monkeypatch.setattr(harness, "BLOCK_ROWS", 64)
         self._check(2005, n, bits, seed=1)
 
     @pytest.mark.parametrize("n", [3, 20])
     def test_halted_and_empty_traces(self, n, monkeypatch):
-        monkeypatch.setattr(harness, "RENDER_BLOCK", 16)
+        monkeypatch.setattr(harness, "BLOCK_ROWS", 16)
         self._check(1500, n, True, rounds=[1500, 37, 0, 16, 1], seed=2)
 
     def test_narrower_weights_are_padded(self):
