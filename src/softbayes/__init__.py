@@ -19,7 +19,6 @@ from .comparators import (
 )
 from .core import (
     ExpertStream,
-    LossLedger,
     as_simplex,
     log_loss,
     mixture_prob,

@@ -2,14 +2,13 @@
 
 All losses are in nats.  An infinite instantaneous loss (the learner placed
 zero probability on the realized symbol) is represented by the explicit
-sentinel ``math.inf``, never by a floating-point overflow; recording it on a
-:class:`LossLedger` flips the ledger's ``diverged`` flag.
+sentinel ``math.inf``, never by a floating-point overflow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,25 +42,6 @@ def uniform_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def validate_round(p) -> np.ndarray:
-    """Check a per-round vector of expert probabilities for the realized symbol.
-
-    Every entry must lie in [0, 1] and at least one must be strictly positive
-    (a round where every expert assigned zero makes the loss of every convex
-    combination infinite, so such rounds are rejected at ingestion).
-    """
-    q = np.asarray(p, dtype=float)
-    if q.ndim != 1 or q.size == 0:
-        raise ValueError("round must be a nonempty vector of probabilities")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("round contains non-finite probabilities")
-    if np.any(q < 0.0) or np.any(q > 1.0):
-        raise ValueError("round probabilities must lie in [0, 1]")
-    if not np.any(q > 0.0):
-        raise ValueError("round has no expert with positive probability")
-    return q
-
-
 @dataclass
 class ExpertStream:
     """A sequence of rounds, reduced form: ``p[t, i]`` is the probability
@@ -84,16 +64,6 @@ class ExpertStream:
             raise ValueError(f"round {bad + 1} has no expert with positive probability")
         self.p = q
 
-    @staticmethod
-    def from_rounds(rounds) -> "ExpertStream":
-        rows = [validate_round(r) for r in rounds]
-        if not rows:
-            raise ValueError("cannot build a stream from zero rounds")
-        n = rows[0].size
-        if any(r.size != n for r in rows):
-            raise ValueError("all rounds must have the same number of experts")
-        return ExpertStream(np.stack(rows))
-
     @property
     def n_experts(self) -> int:
         return self.p.shape[1]
@@ -114,30 +84,6 @@ class ExpertStream:
         if other.n_experts != self.n_experts:
             raise ValueError("cannot concatenate streams with different expert counts")
         return ExpertStream(np.concatenate([self.p, other.p]))
-
-
-@dataclass
-class LossLedger:
-    """Accumulates per-round losses; ``cumulative_loss`` sums the finite ones
-    and ``diverged`` records whether any round hit the infinite-loss sentinel."""
-
-    per_round_loss: list = field(default_factory=list)
-    cumulative_loss: float = 0.0
-    diverged: bool = False
-
-    def record(self, loss: float) -> None:
-        if loss < 0:
-            raise ValueError("losses are nonnegative")
-        self.per_round_loss.append(loss)
-        if math.isinf(loss):
-            self.diverged = True
-        else:
-            self.cumulative_loss += loss
-
-    @property
-    def total_loss(self) -> float:
-        """Cumulative loss including divergence: infinite if any round was."""
-        return INFINITE_LOSS if self.diverged else self.cumulative_loss
 
 
 def mixture_prob(w, p) -> float:

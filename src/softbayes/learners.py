@@ -338,9 +338,7 @@ class SoftBayes:
         self.name = name
         self.schedule = schedule
         self.state = WeightState.uniform(n) if prior is None else WeightState.from_prior(prior)
-        self.diverged = False
         self._eta = schedule.rate(1)
-        self._observe = schedule.observe if getattr(schedule, "observes", True) else None
 
     @property
     def weights(self) -> np.ndarray:
@@ -354,8 +352,6 @@ class SoftBayes:
     def step(self, p) -> StepOutcome:
         state = self.state
         out = _soft_bayes_cycle(state, _check_round(state.w, p), self._eta, self._next_rate)
-        if out.diverged:
-            self.diverged = True
         state.w = out.new_weights
         state.t += 1
         return out
@@ -364,8 +360,7 @@ class SoftBayes:
         """Show round t to the schedule, advance to eta_{t+1}, and return the
         rate the prior blend uses (eta_t itself for plain schedules)."""
         t, eta_t = self.state.t, self._eta
-        if self._observe is not None:
-            self._observe(t, q, m)
+        self.schedule.observe(t, q, m)
         eta_next = self.schedule.rate(t + 1)
         corrects = self.schedule.applies_correction
         if corrects and eta_next > eta_t and m != 0.0:
@@ -398,7 +393,6 @@ class ExponentiatedGradient:
         w1 = uniform_weights(n) if prior is None else as_simplex(prior)
         with np.errstate(divide="ignore"):
             self.log_w = np.log(w1)
-        self.diverged = False
 
     @property
     def weights(self) -> np.ndarray:
@@ -408,8 +402,6 @@ class ExponentiatedGradient:
         # the prediction may underflow to 0.0 for display while the loss,
         # taken from ln M, stays finite
         m, log_m, self.log_w = _eg_cycle(self.log_w, _check_round(self.log_w, p), self.eta)
-        if math.isinf(log_m):
-            self.diverged = True
         return StepOutcome(m, -log_m, self.eta, self.weights)
 
 
@@ -423,7 +415,6 @@ class OnlineGradientDescent:
         self.eta = float(eta)
         self.name = name
         self.state = WeightState.uniform(n) if prior is None else WeightState.from_prior(prior)
-        self.diverged = False
 
     @property
     def weights(self) -> np.ndarray:
@@ -431,8 +422,6 @@ class OnlineGradientDescent:
 
     def step(self, p) -> StepOutcome:
         out = ogd_step(self.state, p, self.eta)
-        if out.diverged:
-            self.diverged = True
         self.state = WeightState(out.new_weights, self.state.prior, self.state.t + 1)
         return out
 
@@ -449,7 +438,6 @@ class MLSoftBayes:
         w1 = uniform_weights(n) if prior is None else as_simplex(prior)
         r1 = np.full(n, float(ml_rate_next(0.0, n)))
         self.state = MLWeightState(w1.copy(), w1, r1, np.zeros(n), 1)
-        self.diverged = False
 
     @property
     def weights(self) -> np.ndarray:
@@ -460,8 +448,6 @@ class MLSoftBayes:
         out, self.state = _ml_soft_bayes_cycle(
             state, _check_round(state.w, p),
             lambda v: _check_next_rates(state.rates, ml_rate_next(v, self.n)))
-        if out.diverged:
-            self.diverged = True
         return out
 
 
@@ -482,23 +468,22 @@ class MetaBayes:
         self.name = name
         self.subs = [SoftBayes(n, FixedRate(r), prior=prior) for r in rates]
         self.u = uniform_weights(len(rates))
-        self.diverged = False
+        self.sub_dead = [False] * len(rates)
 
     @property
     def weights(self) -> np.ndarray:
         """Meta weights over the sub-learners (not over the experts)."""
         return self.u
 
-    @property
-    def sub_dead(self) -> list:
-        return [sub.diverged for sub in self.subs]
-
     def step(self, p) -> StepOutcome:
         # a diverged round predicts 0.0, and a dead sub-learner stays at 0.0
-        preds = np.array([0.0 if sub.diverged else sub.step(p).prediction for sub in self.subs])
+        preds = np.zeros(len(self.subs))
+        for k, sub in enumerate(self.subs):
+            if not self.sub_dead[k]:
+                out = sub.step(p)
+                preds[k], self.sub_dead[k] = out.prediction, out.diverged
         mp, self.u = meta_bayes_step(self.u, preds)
         if mp == 0.0:
-            self.diverged = True
             return StepOutcome(0.0, INFINITE_LOSS, None, self.u.copy())
         return StepOutcome(mp, -math.log(mp), None, self.u.copy())
 
@@ -528,8 +513,9 @@ class LearnerTrace:
 
     @property
     def total_loss(self) -> float:
-        """Infinite if any recorded round diverged."""
-        return INFINITE_LOSS if self.diverged else self.finite_loss
+        """Infinite if any recorded round diverged: the sentinel carries
+        through the sum."""
+        return float(self.losses.sum())
 
     @property
     def finite_loss(self) -> float:

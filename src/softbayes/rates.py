@@ -133,10 +133,9 @@ class BestSetTracker:
 
 class _Schedule:
     """Defaults shared by the schedules: an online schedule that ignores the
-    rounds it is shown.  ``observes = False`` lets the learner skip the call."""
+    rounds it is shown."""
 
     applies_correction = True
-    observes = False
 
     def observe(self, t: int, p, m: float) -> None:
         pass
@@ -196,8 +195,6 @@ class AnytimeRate(_Schedule):
 class SparseRate(_Schedule):
     """Anytime rate scaled by the best-set size instead of N."""
 
-    observes = True
-
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("sparse schedule needs N >= 2")
@@ -236,8 +233,6 @@ class ShiftingRate(_Schedule):
 
 
 class SelfConfidentRate(_Schedule):
-    observes = True
-
     def __init__(self, n: int, eta_max: float = RATE_CAP):
         if n < 2:
             raise ValueError("self-confident schedule needs N >= 2")

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from softbayes.core import (
     ExpertStream,
-    LossLedger,
     as_simplex,
     log_loss,
     mixture_prob,
     project_simplex,
     uniform_weights,
-    validate_round,
 )
 
 
@@ -81,23 +79,6 @@ class TestLogLoss:
             log_loss(m)
 
 
-class TestLossLedger:
-    def test_cumulative_sums_finite_entries(self):
-        ledger = LossLedger()
-        ledger.record(1.0)
-        ledger.record(math.inf)
-        ledger.record(2.0)
-        assert ledger.cumulative_loss == pytest.approx(3.0)
-        assert ledger.diverged
-        assert math.isinf(ledger.total_loss)
-
-    def test_not_diverged_without_sentinel(self):
-        ledger = LossLedger()
-        ledger.record(0.25)
-        assert not ledger.diverged
-        assert ledger.total_loss == pytest.approx(0.25)
-
-
 class TestProjectSimplex:
     def test_symmetric_overweight(self):
         np.testing.assert_allclose(project_simplex([0.6, 0.6]), [0.5, 0.5], atol=1e-12)
@@ -158,11 +139,7 @@ class TestExpertStream:
         with pytest.raises(ValueError):
             ExpertStream(np.array([[1.2, 0.0]]))
         with pytest.raises(ValueError):
-            validate_round([0.5, -0.1])
-
-    def test_from_rounds_requires_consistent_width(self):
-        with pytest.raises(ValueError, match="same number"):
-            ExpertStream.from_rounds([[0.5, 0.5], [0.1, 0.2, 0.3]])
+            ExpertStream(np.array([[0.5, -0.1]]))
 
     def test_slice_and_concat(self):
         s = ExpertStream(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))

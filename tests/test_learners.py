@@ -9,6 +9,7 @@ from softbayes.core import ExpertStream
 from softbayes.learners import (
     Bayes,
     ExponentiatedGradient,
+    LearnerTrace,
     MetaBayes,
     MLSoftBayes,
     MLWeightState,
@@ -354,3 +355,10 @@ class TestLearnerTrace:
         assert trace.weights.shape == (50, 3)
         assert np.all(np.diff(trace.cumulative_losses) >= -1e-12)
         assert trace.total_loss == pytest.approx(trace.losses.sum())
+
+    def test_sentinel_marks_divergence_and_finite_loss_sums_the_rest(self):
+        losses = np.array([1.0, math.inf, 2.0])
+        trace = LearnerTrace("t", np.zeros(3), losses, np.zeros(3), np.zeros((3, 2)))
+        assert trace.finite_loss == 3.0
+        assert trace.diverged
+        assert math.isinf(trace.total_loss)
