@@ -92,6 +92,8 @@ def _cmd_bound(args) -> int:
         params[key.strip()] = float(value)
     for k in ("T", "N", "m", "K"):
         if k in params:
+            if not params[k].is_integer():
+                raise ConfigError(f"parameter {k} must be an integer, got {params[k]!r}")
             params[k] = int(params[k])
     value = theoretical_bound(args.variant, **params)
     print(repr(value))

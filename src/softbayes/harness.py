@@ -147,10 +147,10 @@ def read_stream_jsonl(text: str) -> ExpertStream:
 
 def read_stream_csv(text: str) -> ExpertStream:
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    rows = [(reader.line_num, row) for row in reader if row]
     if len(rows) < 2:
         raise StreamFormatError("CSV stream needs a header row plus at least one round")
-    header = rows[0]
+    header = rows[0][1]
     try:
         [float(cell) for cell in header]
     except ValueError:
@@ -158,7 +158,7 @@ def read_stream_csv(text: str) -> ExpertStream:
     else:
         raise StreamFormatError("CSV stream must start with a non-numeric header row")
     rounds = []
-    for lineno, row in enumerate(rows[1:], 2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise StreamFormatError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
         try:
@@ -444,6 +444,16 @@ CLI_BOUNDS = tuple(BOUNDS)
 
 # ------------------------------------------------------------------ config
 
+# the JSON types each config-file key takes; None is null
+_CONFIG_TYPES = {
+    "stream": (str, None), "generator": (str, None), "learners": (list,),
+    "comparator": (str,), "bounds": (list,), "seed": (int, None),
+    "on_divergence": (str,), "bits": (bool,), "out_csv": (str, None), "out_json": (str, None),
+}
+_JSON_TYPE_NAMES = {str: "a string", list: "a list", int: "an integer", bool: "a boolean",
+                   None: "null"}
+
+
 @dataclass
 class ExperimentConfig:
     stream: str | None = None
@@ -505,6 +515,11 @@ class ExperimentConfig:
         unknown = set(data) - allowed
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key, value in data.items():
+            kinds = _CONFIG_TYPES[key]
+            if (None if value is None else type(value)) not in kinds:
+                raise ConfigError(f"config key {key!r} must be "
+                                  + " or ".join(_JSON_TYPE_NAMES[k] for k in kinds))
         data.update({k: v for k, v in overrides.items() if v not in (None, (), [])})
         return ExperimentConfig(**data)
 

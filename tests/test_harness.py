@@ -171,6 +171,12 @@ class TestStreamIO:
         with pytest.raises(StreamFormatError, match="line 3"):
             read_stream_csv("p1,p2\n0.5,0.5\n0.5,oops\n")
 
+    def test_csv_line_numbers_count_blank_lines(self):
+        with pytest.raises(StreamFormatError, match="line 5: non-numeric"):
+            read_stream_csv("a,b\n0.5,0.5\n\n\n0.5,x\n")
+        with pytest.raises(StreamFormatError, match="line 4: expected 2 columns, got 1"):
+            read_stream_csv("a,b\n0.5,0.5\n\n0.5\n")
+
 
 class TestConfig:
     def test_requires_learners(self):
@@ -201,6 +207,27 @@ class TestConfig:
         path.write_text(json.dumps({"learners": ["bayes"], "generator": "theorem2:T=8",
                                     "mystery": 1}))
         with pytest.raises(ConfigError, match="unknown config"):
+            ExperimentConfig.from_json_file(str(path))
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("stream", 5, "a string or null"),
+        ("generator", ["theorem2:T=8"], "a string or null"),
+        ("comparator", 5, "a string"),
+        ("on_divergence", None, "a string"),
+        ("out_csv", True, "a string or null"),
+        ("out_json", {}, "a string or null"),
+        ("learners", "bayes", "a list"),
+        ("bounds", "thm5", "a list"),
+        ("bits", "false", "a boolean"),
+        ("seed", "3", "an integer or null"),
+        ("seed", 3.0, "an integer or null"),
+        ("seed", True, "an integer or null"),
+    ])
+    def test_from_json_file_rejects_wrong_types(self, tmp_path, key, value, kind):
+        data = {"generator": "theorem2:T=8", "learners": ["bayes"], key: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"^config key '{key}' must be {kind}$"):
             ExperimentConfig.from_json_file(str(path))
 
 
@@ -581,6 +608,12 @@ class TestCLI:
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(349.326, abs=1e-3)
 
+    @pytest.mark.parametrize("param", ["T=10.7", "N=2.9", "m=1.5", "K=0.5", "T=inf"])
+    def test_bound_rejects_non_integral_counts(self, capsys, param):
+        argv = ["bound", "--variant", "thm5", "-p", "T=10", "-p", "N=2", "-p", param]
+        assert main(argv) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
     def test_bound_single_expert(self, capsys):
         assert main(["bound", "--variant", "single-expert",
                      "-p", "eta=1", "-p", "prior_entry=0.125"]) == 0
@@ -635,3 +668,12 @@ class TestCLI:
         }))
         assert main(["run", "--config", str(cfg)]) == 0
         assert "bound thm5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value", [
+        ("comparator", 5), ("bits", "false"), ("learners", "bayes")])
+    def test_config_file_wrong_type_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        data = {"generator": "theorem2:T=8", "learners": ["soft-bayes:anytime"], key: value}
+        cfg.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
