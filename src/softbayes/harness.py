@@ -444,14 +444,15 @@ CLI_BOUNDS = tuple(BOUNDS)
 
 # ------------------------------------------------------------------ config
 
-# the JSON types each config-file key takes; None is null
+# the JSON types each config-file key takes, None standing for null; they are
+# matched exactly, so a boolean is not an integer
 _CONFIG_TYPES = {
     "stream": (str, None), "generator": (str, None), "learners": (list,),
     "comparator": (str,), "bounds": (list,), "seed": (int, None),
     "on_divergence": (str,), "bits": (bool,), "out_csv": (str, None), "out_json": (str, None),
 }
 _JSON_TYPE_NAMES = {str: "a string", list: "a list", int: "an integer", bool: "a boolean",
-                   None: "null"}
+                    None: "null"}
 
 
 @dataclass
