@@ -322,15 +322,17 @@ class TestSoftBayesLearner:
 
 
 class TestSoftBayesSweep:
-    def test_bitwise_matches_sequential_learner(self):
+    # N = 17 is past the sequential learner's N <= 16 scalar branch
+    @pytest.mark.parametrize("n", [2, 5, 17])
+    def test_bitwise_matches_sequential_learner(self, n):
         rng = np.random.default_rng(31)
-        batch = rng.uniform(0.01, 1.0, size=(6, 120, 5))
+        batch = rng.uniform(0.01, 1.0, size=(6, 120, n))
         for schedule in (FixedRate(0.3), InverseT(2.5)):
             preds, hist = soft_bayes_sweep(batch, type(schedule)(
                 schedule.eta if isinstance(schedule, FixedRate) else schedule.c))
             for s in range(batch.shape[0]):
                 trace = run_learner(
-                    SoftBayes(5, type(schedule)(
+                    SoftBayes(n, type(schedule)(
                         schedule.eta if isinstance(schedule, FixedRate) else schedule.c)),
                     ExpertStream(batch[s]))
                 assert np.array_equal(hist[s], trace.weights)
