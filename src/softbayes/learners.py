@@ -63,13 +63,25 @@ def _check_round(w: np.ndarray, p) -> np.ndarray:
     return q
 
 
-def _soft_bayes_weights(w, prior, q, m: float, eta_t: float, eta_next: float) -> np.ndarray:
+def _mixture(w: np.ndarray, q: np.ndarray):
+    """M = w . q for one weight row, or per row of a ``(K, N)`` stack; the
+    batched matmul gives each row the bits ``np.dot`` gives it alone."""
+    if w.ndim == 1:
+        return float(np.dot(w, q))
+    return (w[:, None, :] @ q[..., :, None]).reshape(len(w))
+
+
+def _soft_bayes_weights(w, q, m, eta_t, eta_next=None, prior=None) -> np.ndarray:
+    """w_i (1 - eta_t + eta_t q_i / M) on one weight row, or on a ``(K, N)``
+    stack with ``m`` and ``eta_t`` scalars or ``(K, 1)`` columns; an
+    ``eta_next`` other than ``eta_t`` then blends toward ``prior``."""
     c2 = eta_t / m
     c1 = 1.0 - eta_t
-    if w.size <= 16:
+    blend = eta_next is not None and eta_next != eta_t
+    if w.ndim == 1 and w.size <= 16:
         # numpy call overhead dominates at small expert counts; the scalar
         # loop applies the identical per-element operations
-        if eta_next != eta_t:
+        if blend:
             ratio = eta_next / eta_t
             c3 = 1.0 - ratio
             return np.array([wi * (c1 + c2 * qi) * ratio + c3 * pi
@@ -78,7 +90,7 @@ def _soft_bayes_weights(w, prior, q, m: float, eta_t: float, eta_next: float) ->
     u = q * c2
     u += c1
     u *= w
-    if eta_next != eta_t:
+    if blend:
         ratio = eta_next / eta_t
         u *= ratio
         u += (1.0 - ratio) * prior
@@ -89,11 +101,11 @@ def _soft_bayes_cycle(state: WeightState, q: np.ndarray, eta_t: float, next_rate
     """The soft-Bayes kernel: M, then ``next_rate(q, M)`` for the rate the
     prior blend uses (online schedules see the round before they emit
     eta_{t+1}), then the divergence sentinel or the updated weights."""
-    m = float(np.dot(state.w, q))
+    m = _mixture(state.w, q)
     eta_next = next_rate(q, m)
     if m == 0.0:
         return StepOutcome(0.0, INFINITE_LOSS, eta_t, state.w.copy())
-    u = _soft_bayes_weights(state.w, state.prior, q, m, eta_t, eta_next)
+    u = _soft_bayes_weights(state.w, q, m, eta_t, eta_next, state.prior)
     return StepOutcome(m, -math.log(m), eta_t, u)
 
 
@@ -293,9 +305,9 @@ def soft_bayes_sweep(batch, schedule):
     ``batch`` is a (streams, rounds, experts) array; ``schedule`` must be one
     of the plain kinds (fixed, inverse-t), since the online correction is a
     per-learner affair.  Returns ``(predictions, weights)`` with shapes
-    (S, T) and (S, T, N) (post-update weights).  The per-element arithmetic
-    matches ``SoftBayes.step``; this exists so seed sweeps don't pay the
-    per-round interpreter cost once per stream.
+    (S, T) and (S, T, N) (post-update weights).  It runs ``SoftBayes.step``'s
+    kernel on all S rows at once, so seed sweeps don't pay the per-round
+    interpreter cost once per stream.
     """
     if schedule.applies_correction:
         raise ValueError("batched sweeps support only plain schedules")
@@ -309,16 +321,11 @@ def soft_bayes_sweep(batch, schedule):
     eta = schedule.rate(1)
     for t in range(1, T + 1):
         Q = P[:, t - 1, :]
-        # batched matmul hits the same dot kernel as the sequential learner,
-        # keeping the two paths bitwise identical
-        m = (W[:, None, :] @ Q[:, :, None]).reshape(S)
+        m = _mixture(W, Q)
         if not np.all(m > 0.0):
             raise ValueError(f"round {t}: a sweep member diverged (mixture hit 0); "
                              "run it through run_learner for divergence handling")
-        U = Q * (eta / m)[:, None]
-        U += 1.0 - eta
-        U *= W
-        W = U
+        W = _soft_bayes_weights(W, Q, m[:, None], eta)
         preds[:, t - 1] = m
         hist[:, t - 1] = W
         eta = schedule.rate(t + 1)
@@ -452,7 +459,8 @@ class MLSoftBayes:
 
 
 class MetaBayes:
-    """Bayesian mixture over fixed-rate soft-Bayes sub-learners.
+    """Bayesian mixture over fixed-rate soft-Bayes sub-learners, one row each
+    of a weight stack.
 
     A sub-learner that diverges has its prediction pinned to zero from that
     round on; the Bayes posterior then removes its meta weight natively.
@@ -462,27 +470,33 @@ class MetaBayes:
         rates = [float(r) for r in rates]
         if not rates:
             raise ValueError("meta learner needs at least one sub-rate")
-        from .rates import FixedRate
-
+        for r in rates:
+            if not 0.0 < r <= 1.0:
+                raise ValueError(f"fixed rate {r!r} outside (0, 1]")
+        w1 = uniform_weights(n) if prior is None else as_simplex(prior)
         self.n = n
         self.name = name
-        self.subs = [SoftBayes(n, FixedRate(r), prior=prior) for r in rates]
+        self.w = np.tile(w1, (len(rates), 1))
+        self.eta = np.array(rates)[:, None]
+        self.dead = np.zeros(len(rates), dtype=bool)
         self.u = uniform_weights(len(rates))
-        self.sub_dead = [False] * len(rates)
 
     @property
     def weights(self) -> np.ndarray:
         """Meta weights over the sub-learners (not over the experts)."""
         return self.u
 
+    @property
+    def sub_dead(self) -> list:
+        return self.dead.tolist()
+
     def step(self, p) -> StepOutcome:
-        # a diverged round predicts 0.0, and a dead sub-learner stays at 0.0
-        preds = np.zeros(len(self.subs))
-        for k, sub in enumerate(self.subs):
-            if not self.sub_dead[k]:
-                out = sub.step(p)
-                preds[k], self.sub_dead[k] = out.prediction, out.diverged
-        mp, self.u = meta_bayes_step(self.u, preds)
+        q = _check_round(self.w[0], p)
+        m = _mixture(self.w, q)
+        # a dead row is stepped at M = 1, which is cheaper than masking it out
+        self.dead |= m == 0.0
+        self.w = _soft_bayes_weights(self.w, q, np.where(self.dead, 1.0, m)[:, None], self.eta)
+        mp, self.u = meta_bayes_step(self.u, np.where(self.dead, 0.0, m))
         if mp == 0.0:
             return StepOutcome(0.0, INFINITE_LOSS, None, self.u.copy())
         return StepOutcome(mp, -math.log(mp), None, self.u.copy())
