@@ -499,10 +499,17 @@ class ExperimentConfig:
             unknown = set(entry) - {"spec", "prior"}
             if unknown or "spec" not in entry:
                 raise ConfigError("learner objects take exactly 'spec' and optional 'prior'")
+            if not isinstance(entry["spec"], str):
+                raise ConfigError("learner key 'spec' must be a string")
             base = parse_learner(entry["spec"])
-            if entry.get("prior") is None:
+            prior = entry.get("prior")
+            if prior is None:
                 return base
-            return replace(base, prior=tuple(float(v) for v in entry["prior"]))
+            # a string is iterable and a boolean is an int: neither is a number list
+            if (not isinstance(prior, (list, tuple))
+                    or any(type(v) not in (int, float) for v in prior)):
+                raise ConfigError("learner key 'prior' must be a list of numbers")
+            return replace(base, prior=tuple(float(v) for v in prior))
         raise ConfigError("learner entries must be selector strings or "
                           "{'spec': ..., 'prior': [...]} objects")
 

@@ -677,3 +677,15 @@ class TestCLI:
         cfg.write_text(json.dumps(data))
         assert main(["run", "--config", str(cfg)]) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"spec": 5}, "spec"),
+        ({"spec": "bayes", "prior": 5}, "prior"),
+        ({"spec": "bayes", "prior": "ab"}, "prior"),
+        ({"spec": "bayes", "prior": [True, False]}, "prior"),
+    ])
+    def test_config_file_learner_object_wrong_type_exits_2(self, tmp_path, capsys, entry, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generator": "theorem2:T=8", "learners": [entry]}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert f"learner key '{key}' must be" in capsys.readouterr().err
