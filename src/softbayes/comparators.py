@@ -64,6 +64,15 @@ class SegmentSpec:
         ends = list(self.boundaries[1:]) + [T + 1]
         return [(s, e - 1) for s, e in zip(self.boundaries, ends)]
 
+    def rows(self, stream: ExpertStream, mask=None):
+        """Each segment's rows as a stream, in segment order.  Under a boolean
+        ``mask`` over the rounds only the rows where it is true count, and a
+        segment without any is skipped."""
+        for s, e in self.segments(len(stream)):
+            p = stream.p[s - 1 : e] if mask is None else stream.p[s - 1 : e][mask[s - 1 : e]]
+            if len(p):   # only a mask can empty a segment
+                yield ExpertStream(p)
+
 
 def best_fixed_mixture(stream: ExpertStream, tol: float = 1e-10,
                        max_iter: int = 100_000) -> MixtureSolution:
@@ -101,12 +110,11 @@ def best_fixed_mixture(stream: ExpertStream, tol: float = 1e-10,
     # a vertex optimum is only reached in the limit; hand over to the exact
     # vertex whenever one evaluates at least as well, so the solution is
     # never worse than any single expert
-    vertex_losses = single_expert_losses(stream)
-    i = int(np.argmin(vertex_losses))
-    if float(vertex_losses[i]) < -obj:
+    i, vertex_loss = best_single_expert(stream)
+    if vertex_loss < -obj:
         a = np.zeros(stream.n_experts)
         a[i] = 1.0
-        obj = -float(vertex_losses[i])
+        obj = -vertex_loss
     return MixtureSolution(a=a, loss=-obj + 0.0, iterations=iterations, converged=converged)
 
 
@@ -133,8 +141,7 @@ class ShiftingSolution:
 def shifting_best(stream: ExpertStream, segments: SegmentSpec) -> ShiftingSolution:
     """Best piecewise-constant competitor: independent fixed-mixture fits per
     segment, losses summed."""
-    sols = [best_fixed_mixture(stream.slice(s, e))
-            for s, e in segments.segments(len(stream))]
+    sols = [best_fixed_mixture(rows) for rows in segments.rows(stream)]
     return ShiftingSolution(sols, float(sum(s.loss for s in sols)))
 
 

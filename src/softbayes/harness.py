@@ -289,22 +289,17 @@ def parse_learner(text: str) -> LearnerSpec:
 # -------------------------------------------------------------- comparator
 
 @dataclass(frozen=True)
-class ComparatorSpec:
+class ComparatorSpec(SegmentSpec):
     """A comparator over segments starting at ``boundaries`` (1-based); the
     fixed mixture and the single best expert are one segment from round 1."""
 
     kind: str
-    boundaries: tuple = (1,)
-
-    @property
-    def k(self) -> int:
-        return len(self.boundaries)
 
 
 def parse_comparator(text: str) -> ComparatorSpec:
     spec = text.strip().lower()
     if spec in ("fixed-mixture", "single-best"):
-        return ComparatorSpec(spec)
+        return ComparatorSpec((1,), spec)
     if spec.startswith("shifting"):
         _, sep, arg = spec.partition("=")
         if not sep or not arg:
@@ -314,27 +309,11 @@ def parse_comparator(text: str) -> ComparatorSpec:
         except ValueError as exc:
             raise ConfigError(f"bad shifting boundaries {arg!r}") from exc
         try:
-            SegmentSpec((1,) + extra)
+            return ComparatorSpec((1,) + extra, "shifting")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return ComparatorSpec("shifting", (1,) + extra)
     raise ConfigError(f"unknown comparator {text!r}; "
                       "known: fixed-mixture, single-best, shifting=t2,t3,...")
-
-
-def _segment_fits(cmp_spec: ComparatorSpec, stream: ExpertStream, mask=None) -> list:
-    """Best fixed mixture of each segment's rows, in segment order.  Under a
-    mask only the segment's unmasked rows count, and a segment without any
-    is skipped."""
-    fits = []
-    for s, e in SegmentSpec(cmp_spec.boundaries).segments(len(stream)):
-        rows = stream.p[s - 1 : e]
-        if mask is not None:
-            rows = rows[mask[s - 1 : e]]
-            if not len(rows):
-                continue
-        fits.append(best_fixed_mixture(ExpertStream(rows)))
-    return fits
 
 
 def _comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream, bits: bool):
@@ -343,7 +322,7 @@ def _comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream, bits: bool)
     if cmp_spec.kind == "single-best":
         i, loss = best_single_expert(stream)
         return loss, {"kind": "single-best", "expert": i + 1}
-    fits = _segment_fits(cmp_spec, stream)
+    fits = [best_fixed_mixture(rows) for rows in cmp_spec.rows(stream)]
     segments = [{"weights": [float(v) for v in s.a], "loss": _scale(s.loss, bits),
                  "iterations": s.iterations, "converged": s.converged} for s in fits]
     if cmp_spec.k == 1:
@@ -358,7 +337,7 @@ def _masked_comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream,
     """Comparator loss over the non-diverged rounds only (continue mode)."""
     if cmp_spec.kind == "single-best":
         return best_single_expert(ExpertStream(stream.p[mask]))[1]
-    return float(sum(s.loss for s in _segment_fits(cmp_spec, stream, mask)))
+    return float(sum(best_fixed_mixture(rows).loss for rows in cmp_spec.rows(stream, mask)))
 
 
 # ------------------------------------------------------------------ bounds
@@ -629,7 +608,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         stream = load_stream(config.stream)
         source = f"file:{config.stream}"
     cmp_spec = config.comparator_spec
-    SegmentSpec(cmp_spec.boundaries).segments(len(stream))  # range check
+    cmp_spec.segments(len(stream))  # range check
 
     names = set()
     traces = []

@@ -107,6 +107,19 @@ class TestShiftingBest:
         np.testing.assert_allclose(single.a, [0.5, 0.5], atol=1e-9)
         assert single.loss == pytest.approx(100 * math.log(2), abs=1e-8)
 
+    def test_segment_rows_in_order_and_masked(self):
+        stream = ExpertStream(np.linspace(0.1, 1.0, 12).reshape(6, 2))
+        spec = SegmentSpec((1, 3, 5))
+        np.testing.assert_array_equal(
+            np.concatenate([rows.p for rows in spec.rows(stream)]), stream.p)
+        assert [len(rows) for rows in spec.rows(stream)] == [2, 2, 2]
+        # the middle segment has no unmasked round and is skipped
+        mask = np.array([True, False, False, False, True, True])
+        masked = list(spec.rows(stream, mask))
+        assert [len(rows) for rows in masked] == [1, 2]
+        np.testing.assert_array_equal(masked[0].p, stream.p[:1])
+        np.testing.assert_array_equal(masked[1].p, stream.p[4:])
+
     def test_boundary_validation(self):
         with pytest.raises(ValueError):
             SegmentSpec((2, 5))
