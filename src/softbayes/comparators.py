@@ -129,7 +129,7 @@ def single_expert_losses(stream: ExpertStream) -> np.ndarray:
 def best_single_expert(stream: ExpertStream) -> tuple[int, float]:
     losses = single_expert_losses(stream)
     i = int(np.argmin(losses))
-    return i, float(losses[i])
+    return i, float(losses[i]) + 0.0
 
 
 @dataclass

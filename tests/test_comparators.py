@@ -6,6 +6,7 @@ import pytest
 from softbayes.comparators import (
     SegmentSpec,
     best_fixed_mixture,
+    best_single_expert,
     disjoint_closed_form,
     regret_report,
     shifting_best,
@@ -79,6 +80,12 @@ class TestBestFixedMixture:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             best_fixed_mixture(ExpertStream(np.zeros((0, 2))))
+
+    def test_zero_loss_is_positive_zero(self):
+        # -ln 1 summed is -0.0, which artifacts would print as "-0.0"
+        stream = ExpertStream(np.array([[0.0, 1.0]] * 5))
+        for loss in (best_single_expert(stream)[1], best_fixed_mixture(stream).loss):
+            assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
 
     def test_non_convergence_reports_flag(self):
         rng = np.random.default_rng(8)

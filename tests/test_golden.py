@@ -141,7 +141,7 @@ RUNS = {
         {
             "stdout": (737, "f77dd18955a4a18e99e6d0233607e4b9f22bb741cae4274483ac540b933b783f"),
             "csv": (109731, "adf87e33df60b0021f1572c66d9bcacf9f8d12e24dd2d1d4edee081b22d48fd5"),
-            "json": (3100, "227d09a5c70f9229969c5041282b11a9cc29c2fe0d275fd466c07d2507916e78"),
+            "json": (3098, "0e86d2ca80c9ea7409d68ae9af363419db57174d236ba18b5db50808143bc555"),
         },
     ),
     # a trace long enough to span several CSV render blocks: a quoted name with
