@@ -108,7 +108,30 @@ def random_disjoint_symbols(N: int, T: int, seed: int) -> np.ndarray:
     """Seeded uniform symbol sequence in [1, N]."""
     return rng_from_seed(seed).integers(1, N + 1, size=T)
 
-GENERATOR_KINDS = ("theorem2", "theorem2_constant", "disjoint_dirac", "iid_mixture")
+
+def _disjoint_dirac_stream(spec: "GeneratorSpec", seed: int | None) -> ExpertStream:
+    n = spec._int("N")
+    if "symbols" in spec.params:
+        return disjoint_dirac(spec.params["symbols"], n)
+    if seed is None:
+        raise ValueError("disjoint_dirac without explicit symbols needs a seed")
+    return disjoint_dirac(random_disjoint_symbols(n, spec._int("T"), seed), n)
+
+
+def _iid_mixture_stream(spec: "GeneratorSpec", seed: int | None) -> ExpertStream:
+    if seed is None:
+        raise ValueError("iid_mixture needs a seed")
+    alphabet = spec._int("alphabet") if "alphabet" in spec.params else None
+    return random_iid_instance(spec._int("N"), spec._int("T"), seed, alphabet)
+
+
+# generator kind -> builder (spec, seed) -> stream
+GENERATOR_KINDS = {
+    "theorem2": lambda spec, seed: adversarial_alternating(spec._int("T")),
+    "theorem2_constant": lambda spec, seed: adversarial_constant(spec._int("T")),
+    "disjoint_dirac": _disjoint_dirac_stream,
+    "iid_mixture": _iid_mixture_stream,
+}
 
 
 @dataclass(frozen=True)
@@ -123,31 +146,18 @@ class GeneratorSpec:
             known = ", ".join(GENERATOR_KINDS)
             raise ValueError(f"unknown generator {self.kind!r}; known: {known}")
 
-    def _int(self, key, default=None):
-        v = self.params.get(key, default)
+    def _int(self, key):
+        v = self.params.get(key)
         if v is None:
             raise ValueError(f"generator {self.kind!r} needs parameter {key}")
+        # a float here came from text such as 10.5 or 1e400; 1e4 is an integer
+        if isinstance(v, float) and not v.is_integer():
+            raise ValueError(f"generator {self.kind!r} parameter {key} must be an integer, "
+                             f"got {v!r}")
         return int(v)
 
     def build(self, seed: int | None = None) -> ExpertStream:
-        if self.kind == "theorem2":
-            return adversarial_alternating(self._int("T"))
-        if self.kind == "theorem2_constant":
-            return adversarial_constant(self._int("T"))
-        if self.kind == "disjoint_dirac":
-            n = self._int("N")
-            if "symbols" in self.params:
-                return disjoint_dirac(self.params["symbols"], n)
-            if seed is None:
-                raise ValueError("disjoint_dirac without explicit symbols needs a seed")
-            return disjoint_dirac(random_disjoint_symbols(n, self._int("T"), seed), n)
-        if self.kind == "iid_mixture":
-            if seed is None:
-                raise ValueError("iid_mixture needs a seed")
-            alphabet = self.params.get("alphabet")
-            return random_iid_instance(self._int("N"), self._int("T"), seed,
-                                       None if alphabet is None else int(alphabet))
-        raise AssertionError(self.kind)
+        return GENERATOR_KINDS[self.kind](self, seed)
 
     def __str__(self):
         if not self.params:

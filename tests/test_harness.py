@@ -614,6 +614,28 @@ class TestCLI:
         assert main(argv) == 2
         assert "must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, generator, key", [
+        ("gen", "theorem2:T=10.5", "T"),
+        ("gen", "iid-mixture:N=2.7,T=100", "N"),
+        ("gen", "iid-mixture:N=3,T=100,alphabet=4.5", "alphabet"),
+        ("run", "theorem2:T=1e400", "T"),
+        ("run", "disjoint-dirac:N=3,T=-1e400", "T"),
+    ])
+    def test_generator_rejects_non_integral_parameters(self, tmp_path, capsys,
+                                                       command, generator, key):
+        argv = [command, "--generator", generator, "--seed", "1"]
+        argv += (["--out", str(tmp_path / "s.jsonl")] if command == "gen"
+                 else ["--learner", "bayes"])
+        assert main(argv) == 2
+        kind = generator.partition(":")[0].replace("-", "_")
+        assert f"generator '{kind}' parameter {key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def test_generator_takes_integral_float_text(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        assert main(["gen", "--generator", "theorem2:T=1e4", "--out", str(out)]) == 0
+        assert "wrote 10000 rounds" in capsys.readouterr().out
+
     def test_bound_single_expert(self, capsys):
         assert main(["bound", "--variant", "single-expert",
                      "-p", "eta=1", "-p", "prior_entry=0.125"]) == 0
