@@ -42,6 +42,20 @@ def uniform_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
+class BadRoundError(ValueError):
+    """A round that breaks the stream's validity rule: ``round`` is its
+    1-based index, ``reason`` what is wrong with it."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"round {index}: {reason}")
+        self.round = index
+        self.reason = reason
+
+
+def _first(bad_rounds: np.ndarray) -> int:
+    return int(np.flatnonzero(bad_rounds)[0]) + 1
+
+
 @dataclass
 class ExpertStream:
     """A sequence of rounds, reduced form: ``p[t, i]`` is the probability
@@ -55,13 +69,16 @@ class ExpertStream:
             raise ValueError("stream must be a (rounds, experts) array")
         if q.shape[1] < 1:
             raise ValueError("stream needs at least one expert")
+        # the first bad round is looked for only once a check has failed
         if not np.all(np.isfinite(q)):
-            raise ValueError("stream contains non-finite probabilities")
+            raise BadRoundError(_first(~np.isfinite(q).all(axis=1)),
+                                "non-finite probability")
         if np.any(q < 0.0) or np.any(q > 1.0):
-            raise ValueError("stream probabilities must lie in [0, 1]")
+            raise BadRoundError(_first(((q < 0.0) | (q > 1.0)).any(axis=1)),
+                                "stream probabilities must lie in [0, 1]")
         if q.shape[0] and not np.all(q.max(axis=1) > 0.0):
-            bad = int(np.nonzero(q.max(axis=1) == 0.0)[0][0])
-            raise ValueError(f"round {bad + 1} has no expert with positive probability")
+            raise BadRoundError(_first(q.max(axis=1) == 0.0),
+                                "no expert has positive probability")
         self.p = q
 
     @property

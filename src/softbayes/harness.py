@@ -37,7 +37,7 @@ from .comparators import (
     regret_report,
     theoretical_bound,
 )
-from .core import ExpertStream
+from .core import BadRoundError, ExpertStream
 from .generators import RNG_NAME, parse_generator
 from .learners import (
     Bayes,
@@ -134,15 +134,24 @@ def _per_line_rounds(lines: list) -> np.ndarray:
     return np.asarray(rounds, dtype=float)
 
 
+def _stream(p: np.ndarray, line_of_round) -> ExpertStream:
+    """The stream of the rounds read, its errors as StreamFormatError; a bad
+    round is named by its source line, ``line_of_round(round)``."""
+    try:
+        return ExpertStream(p)
+    except BadRoundError as exc:
+        raise StreamFormatError(f"line {line_of_round(exc.round)}: {exc.reason}") from exc
+    except ValueError as exc:
+        raise StreamFormatError(str(exc)) from exc
+
+
 def read_stream_jsonl(text: str) -> ExpertStream:
     lines = text.splitlines()
     p = _bulk_rounds(lines)
     if p is None:
         p = _per_line_rounds(lines)
-    try:
-        return ExpertStream(p)
-    except ValueError as exc:
-        raise StreamFormatError(str(exc)) from exc
+    # a round is a non-blank line
+    return _stream(p, lambda r: [i for i, line in enumerate(lines, 1) if line.strip()][r - 1])
 
 
 def read_stream_csv(text: str) -> ExpertStream:
@@ -165,10 +174,7 @@ def read_stream_csv(text: str) -> ExpertStream:
             rounds.append([float(cell) for cell in row])
         except ValueError as exc:
             raise StreamFormatError(f"line {lineno}: non-numeric probability: {exc}") from exc
-    try:
-        return ExpertStream(np.asarray(rounds, dtype=float))
-    except ValueError as exc:
-        raise StreamFormatError(str(exc)) from exc
+    return _stream(np.asarray(rounds, dtype=float), lambda r: rows[r][0])
 
 
 def load_stream(path: str) -> ExpertStream:

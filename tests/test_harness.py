@@ -171,6 +171,21 @@ class TestStreamIO:
         with pytest.raises(StreamFormatError, match="line 3"):
             read_stream_csv("p1,p2\n0.5,0.5\n0.5,oops\n")
 
+    @pytest.mark.parametrize("name, text, error", [
+        ("s.jsonl", '{"p": [0.5, 0.5]}\n{"p": [0.2, 0.8]}\n{"p": [1.5, 0.2]}\n',
+         "line 3: stream probabilities must lie in [0, 1]"),
+        ("s.jsonl", '{"p": [0.5, 0.5]}\n\n{"p": [0.0, 0.0]}\n',
+         "line 3: no expert has positive probability"),
+        ("s.jsonl", '{"p": [0.5, 0.5]}\n\n{"p": [NaN, 0.5]}\n', "line 3: non-finite probability"),
+        ("s.csv", "p1,p2\n0.5,0.5\n0.5,2\n", "line 3: stream probabilities must lie in [0, 1]"),
+        ("s.csv", "p1,p2\n\n0.5,nan\n", "line 3: non-finite probability"),
+    ])
+    def test_bad_values_name_their_source_line(self, tmp_path, capsys, name, text, error):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["run", "--stream", str(path), "--learner", "bayes"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_csv_line_numbers_count_blank_lines(self):
         with pytest.raises(StreamFormatError, match="line 5: non-numeric"):
             read_stream_csv("a,b\n0.5,0.5\n\n\n0.5,x\n")
