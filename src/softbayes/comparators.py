@@ -4,7 +4,10 @@ disjoint-support closed form.
 The best fixed mixture is found by the classical multiplicative fixed-point
 iteration for log-optimal mixtures, a_i <- a_i * mean_t(p_it / A_t), whose
 objective is provably nondecreasing; that monotonicity is asserted at runtime
-as a self-check.
+as a self-check.  Repeated rows are folded into (distinct row, count) pairs
+first, each cycle's two steps are extrapolated by SQUAREM (Varadhan & Roland
+2008), and the solve stops on Cover's (1984) Kuhn-Tucker bound on the
+distance to the optimum, which ``MixtureSolution.gap`` reports.
 """
 
 from __future__ import annotations
@@ -21,11 +24,14 @@ BOUND_SLACK = 1e-6
 
 @dataclass
 class MixtureSolution:
-    """Best fixed convex combination in hindsight and its loss in nats."""
+    """Best fixed convex combination in hindsight and its loss in nats;
+    ``gap`` bounds how far ``loss`` lies above the optimum, in nats, and
+    ``iterations`` counts the solver's cycles."""
 
     a: np.ndarray
     loss: float
     iterations: int
+    gap: float
     converged: bool
 
 
@@ -74,39 +80,94 @@ class SegmentSpec:
                 yield ExpertStream(p)
 
 
-def best_fixed_mixture(stream: ExpertStream, tol: float = 1e-10,
+def _folded_rows(p: np.ndarray):
+    """The distinct rows of ``p`` and how often each occurs.  Each row's bytes
+    are one item to ``np.unique``, so the order is the rows' byte order,
+    whatever order the rounds came in."""
+    p = np.ascontiguousarray(p)
+    keys = p.view(np.dtype((np.void, p.itemsize * p.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return p[first], counts.astype(float)
+
+
+def best_fixed_mixture(stream: ExpertStream, tol: float = 1e-6,
                        max_iter: int = 100_000) -> MixtureSolution:
     """Maximize sum_t ln(sum_i a_i p_it) over the simplex.
 
-    Multiplicative fixed-point iteration from the uniform start; stops when
-    the objective's relative change drops below ``tol``.  The iterate stays
-    exactly on the simplex and the objective never decreases.
+    Multiplicative fixed-point iteration from the uniform start over the
+    distinct rows weighted by their counts, two steps per cycle extrapolated
+    by SQUAREM; stops once the Kuhn-Tucker gap, a bound on the loss above
+    the optimum, is at most ``tol`` nats, or after ``max_iter`` cycles.  The
+    objective never decreases.
     """
-    P = stream.p
     T = len(stream)
     if T == 0:
         raise ValueError("cannot fit a comparator to an empty stream")
-    a = uniform_weights(stream.n_experts)
-    A = P @ a
-    obj = float(np.log(A).sum())
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        a = a * (P.T @ (1.0 / A)) / T
-        a = a / a.sum()
-        A = P @ a
-        new_obj = float(np.log(A).sum())
+    U, c = _folded_rows(stream.p)
+
+    def ratio(A):
+        # g_i = sum_t c_t U_ti / A_t / T; the multiplicative step is a * g,
+        # and sum_i a_i g_i = 1 at the a that gave A
+        return (c / A) @ U / T
+
+    def gap(g):
+        # Cover (1984): the optimum lies at most T ln max_i g_i above the
+        # objective at the a that gave g (clipped at 0 against rounding)
+        return max(0.0, T * math.log(g.max()))
+
+    def mapped(a, g, obj):
+        a = a * g
+        a /= a.sum()
+        A = U @ a
+        new_obj = float(c @ np.log(A))
         # relative tolerance: evaluating the objective itself carries
         # summation noise proportional to its magnitude
         if new_obj < obj - 1e-12 * max(1.0, abs(obj)):
             raise RuntimeError(
                 f"fixed-point objective decreased ({obj!r} -> {new_obj!r}); "
                 "the iteration is monotone, so this indicates a bug")
-        done = abs(new_obj - obj) <= tol * max(1.0, abs(new_obj))
-        obj = new_obj
-        if done:
-            converged = True
+        return a, A, new_obj
+
+    a = uniform_weights(stream.n_experts)
+    A = U @ a
+    obj = float(c @ np.log(A))
+    iterations = 0
+    while True:
+        g = ratio(A)
+        certified = gap(g)
+        if certified <= tol or iterations == max_iter:
             break
+        iterations += 1
+        a1, A1, obj1 = mapped(a, g, obj)
+        a2, A2, obj2 = mapped(a1, ratio(A1), obj1)
+        # SQUAREM (Varadhan & Roland 2008): the step length is their third
+        # rule, alpha = -|r|/|v| for r = a1 - a and v = a2 - 2 a1 + a, and the
+        # step is taken on the log-weights, ln a - 2 alpha ln(a1/a) +
+        # alpha^2 ln(a2 a / a1^2), which is ln a2 at alpha = -1, keeps every
+        # live weight positive and sends a vanishing one further down.  A
+        # longer step is kept only if it does not lower the objective; else
+        # alpha is halved toward -1, and set to -1 once within 0.01 of it.
+        r, v = a1 - a, a2 - 2.0 * a1 + a
+        vv = float(v @ v)
+        alpha = min(-1.0, -math.sqrt(float(r @ r) / vv)) if vv > 0.0 else -1.0
+        live = a2 > 0.0
+        log_a, log_a1, log_a2 = np.log(a[live]), np.log(a1[live]), np.log(a2[live])
+        log_r, log_v = log_a1 - log_a, log_a2 - 2.0 * log_a1 + log_a
+        while alpha < -1.0:
+            log_ext = log_a - 2.0 * alpha * log_r + alpha * alpha * log_v
+            ext = np.zeros_like(a)
+            ext[live] = np.exp(log_ext - log_ext.max())
+            ext /= ext.sum()
+            A_ext = U @ ext
+            with np.errstate(divide="ignore", invalid="ignore"):
+                obj_ext = float(c @ np.log(A_ext))
+            if obj_ext >= obj:
+                a, A, obj = ext, A_ext, obj_ext
+                break
+            alpha = (alpha - 1.0) / 2.0 if alpha < -1.01 else -1.0
+        else:
+            # the double step is kept even where it has reached exact zeros
+            a, A, obj = a2, A2, obj2
     # a vertex optimum is only reached in the limit; hand over to the exact
     # vertex whenever one evaluates at least as well, so the solution is
     # never worse than any single expert
@@ -115,7 +176,9 @@ def best_fixed_mixture(stream: ExpertStream, tol: float = 1e-10,
         a = np.zeros(stream.n_experts)
         a[i] = 1.0
         obj = -vertex_loss
-    return MixtureSolution(a=a, loss=-obj + 0.0, iterations=iterations, converged=converged)
+        certified = gap(ratio(U[:, i]))
+    return MixtureSolution(a=a, loss=-obj + 0.0, iterations=iterations,
+                           gap=certified, converged=certified <= tol)
 
 
 def single_expert_losses(stream: ExpertStream) -> np.ndarray:

@@ -68,6 +68,9 @@ class ExpertStream:
         if q.ndim != 2:
             raise ValueError("stream must be a (rounds, experts) array")
         if q.shape[1] < 1:
+            # every round is empty, so the first one is named
+            if q.shape[0]:
+                raise BadRoundError(1, "stream needs at least one expert")
             raise ValueError("stream needs at least one expert")
         # the first bad round is looked for only once a check has failed
         if not np.all(np.isfinite(q)):

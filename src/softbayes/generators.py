@@ -162,7 +162,11 @@ class GeneratorSpec:
     def __str__(self):
         if not self.params:
             return self.kind
-        inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
+        # an integral float echoes as the integer ``_int`` reads, so T=1e1
+        # and T=10 name the same generator
+        echo = {k: int(v) if isinstance(v, float) and v.is_integer() else v
+                for k, v in self.params.items()}
+        inner = ",".join(f"{k}={echo[k]}" for k in sorted(echo))
         return f"{self.kind}:{inner}"
 
 

@@ -330,7 +330,8 @@ def _comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream, bits: bool)
         return loss, {"kind": "single-best", "expert": i + 1}
     fits = [best_fixed_mixture(rows) for rows in cmp_spec.rows(stream)]
     segments = [{"weights": [float(v) for v in s.a], "loss": _scale(s.loss, bits),
-                 "iterations": s.iterations, "converged": s.converged} for s in fits]
+                 "iterations": s.iterations, "gap": _scale(s.gap, bits),
+                 "converged": s.converged} for s in fits]
     if cmp_spec.k == 1:
         detail = segments[0]   # its "loss" is replaced by the reported one
     else:

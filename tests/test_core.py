@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softbayes.core import (
+    BadRoundError,
     ExpertStream,
     as_simplex,
     log_loss,
@@ -134,6 +135,12 @@ class TestExpertStream:
     def test_rejects_all_zero_round(self):
         with pytest.raises(ValueError, match="positive"):
             ExpertStream(np.array([[0.5, 0.5], [0.0, 0.0]]))
+
+    def test_rounds_without_experts_name_the_first(self):
+        with pytest.raises(BadRoundError, match="round 1: stream needs at least one expert"):
+            ExpertStream(np.zeros((3, 0)))
+        with pytest.raises(ValueError, match="^stream needs at least one expert$"):
+            ExpertStream(np.zeros((0, 0)))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

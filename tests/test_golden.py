@@ -56,7 +56,7 @@ RUNS = {
         {
             "stdout": (4919, "5e9ce2d9228a673ef5b76e5b452c76aa21b2d361a7b6919f62891cb32c82df1c"),
             "csv": (373796, "d12b1afa0b8ee4aae5341998eec95b5ff6562f6e5b015e4d3f39fa908c024432"),
-            "json": (14685, "f54dddea6e14eee03146e26588351f7b420f5b0bcc28a6c6811375015ea7ed05"),
+            "json": (14673, "d7b017403ed126b9a981553be5f2a9079dfd81b9c19ffc19d2c3446cc0c2b780"),
         },
     ),
     # N <= 16: the scalar update path, a weight snapshot every round
@@ -65,9 +65,9 @@ RUNS = {
          *_learners(ALL_LEARNERS), *_bounds(("thm2", "thm4", "thm5"))],
         0,
         {
-            "stdout": (2644, "768218779bb6249ed1988231bf7d9d2486350c192496145a855a5a8740dc2ff2"),
+            "stdout": (2645, "febd3bf69da9b3fb4029b2f03811384f09e2aaf93de792a2cd1484d0a4617a82"),
             "csv": (1203773, "85bdfff17776f6e2bb6ae100403e76c5ac96cb7a958dc9c07771da20ce4578f6"),
-            "json": (8992, "6a074f45f9feb662837073ba22fa6a812ee95ca8eecc82b1d601a7757d3bd547"),
+            "json": (9027, "a1e728555b058fc81e2b8bf5e9ccb6ab0d5d748309cf65b7f574213388d308d8"),
         },
     ),
     # N > 16: the numpy update path, a weight snapshot every third round
@@ -77,9 +77,9 @@ RUNS = {
          *_learners(ALL_LEARNERS), *_bounds(("thm2", "thm4", "thm5"))],
         1,
         {
-            "stdout": (2638, "1e6a9543c8bf66efd8f2d1806632a8833051ad2db2702db7101deab3b3f8d2d5"),
+            "stdout": (2640, "1ea45729b4f4c3cadd364a2edf52ec8052a5ee2aae6a6697ad37b992fec1f37b"),
             "csv": (6093117, "e2fc7a6ff4b1160867502a7c611b982e5579c17abea3ad3ee6577a95cb016a31"),
-            "json": (9252, "bc5fb30c34ff1d949385d074ddf9caba0cea61ca17fbb82df591b25162c00625"),
+            "json": (9304, "faacb0bc00491b72219c805edf34752d7be9bf759ad943a9a9796cf123f8cb15"),
         },
     ),
     # no comparator, divergence policy or unit flag: the config defaults apply
@@ -87,9 +87,9 @@ RUNS = {
         ["--generator", "theorem2:T=120", *_learners(("soft-bayes", "bayes"))],
         0,
         {
-            "stdout": (104, "f3c220a4a831ad2e61e29ad1d3db00af5ce23d15daa38d3c144cb174405af41b"),
+            "stdout": (105, "a63393ee134eeb0fedfcb1b76de32df59194b8d2d1b96846a55f746b65ba8c35"),
             "csv": (18554, "f97883a8569bc7d6724df4efa6c1ae7a8127bbda143da524e98bbfea1466fef2"),
-            "json": (1157, "d3611450515195508fedc660920c5fb39d1f0d2542fd4980efa47c20722b6d57"),
+            "json": (1140, "221bbaa4e144998b7c3678f536b35734b75aad8193ac30747163bf05baecacfe"),
         },
     ),
     # continue mode refits each segment on a diverged learner's finite rounds
@@ -100,7 +100,7 @@ RUNS = {
         {
             "stdout": (932, "9d3dda66045506f8bd05631e9a1a13995531bad5a32152313785cb4ec4d1cf8e"),
             "csv": (109731, "adf87e33df60b0021f1572c66d9bcacf9f8d12e24dd2d1d4edee081b22d48fd5"),
-            "json": (4297, "7822d69a2948ba76144f4ea7c06a8b19a5a8c8938283808f4d47d19e406a16b0"),
+            "json": (4357, "35a96db7992ec9c721ee28b7e194da9a2caf10f4a2500f9a35f8a30506c92c6a"),
         },
     ),
     "shifting-halt": (
@@ -110,7 +110,7 @@ RUNS = {
         {
             "stdout": (834, "5aad38a04e5a356cc5f2a0076337a807378bc6cbbbb492783bd73c0a01b913d2"),
             "csv": (97909, "805bdc1800443cf5895ad0c2ae73495bb3b3190efa375f30282d3ac74d25aa73"),
-            "json": (4233, "7da04474900ccb8018359c480aee53abef1e38c10b0ce111ff9b99b07f5e5f64"),
+            "json": (4293, "0302a7f0ec72a088ba834027cad58dc28bffe9e8ef3475dcf452690a87dce27d"),
         },
     ),
     # a one-round middle segment
@@ -121,7 +121,7 @@ RUNS = {
         {
             "stdout": (685, "45ba642738043ae84d751d6551149959878366f2e34e61719f883a2385cdf741"),
             "csv": (109731, "adf87e33df60b0021f1572c66d9bcacf9f8d12e24dd2d1d4edee081b22d48fd5"),
-            "json": (3592, "d8511e12549196dc84720fbb27ce426721322af92027f413af4b795ad15b4a98"),
+            "json": (3650, "71d209b0cd4992e9d3574978e31f1909497ff4b2ee942691d4ab5e330c826731"),
         },
     ),
     "shifting-continue-bits": (
@@ -129,9 +129,9 @@ RUNS = {
          *_bounds(("thm7", "thm6"))],
         1,
         {
-            "stdout": (873, "bbac38b097b65f90f841704d91fa691e99c8356fa363fae2dae0d4a03abc5530"),
+            "stdout": (873, "388d0153a1a562413e21d523be8d94eefb9a9962e49eaace60cbddf89a712022"),
             "csv": (108045, "2f8efc851481065839e668db61b8bb74a1323a1d7df361e05efa22c824503c73"),
-            "json": (4090, "15b4e2de6823a5c5284312403f02a348ff319a7a06ff7f379eb773975cdd6e3c"),
+            "json": (4128, "896fd3a26b77c5de940051eff0dd9dcfa3292061f69aa19aab808b16ba4d1948"),
         },
     ),
     "single-best-continue": (
@@ -153,9 +153,9 @@ RUNS = {
          *_learners(("meta:rates=1,0.5", "ogd:fixed=0.1", "bayes", "eg:fixed=0.5"))],
         0,
         {
-            "stdout": (271, "c6a782324086ff9f0541ec5f1a09ec65f4f795411de093077d090543bd99af90"),
+            "stdout": (270, "2429d2e52365952a461d4811759ed206a82f0315190aca75b12c68d46ef3061c"),
             "csv": (4240189, "dd4bb0080199a1eaa2e434edf8054afdcd379140e9976a0794121ea21edca941"),
-            "json": (2324, "ffd1e645c8015ae22c735889a2b2d0ad40db7a8cfe5a2915e41c0b5ab3256cea"),
+            "json": (2352, "242de4f4a11c14cde00c6e8825e7390ee6fbb25947babbae9a3e1b135ef2a785"),
         },
     ),
     # every expert assigns 0 somewhere: the single best loses inf, and the
@@ -178,7 +178,7 @@ COMPARE = (
                  "ml-soft-bayes", "meta:rates=1,0.5,0.25")),
      "--bound", "thm5"],
     0,
-    (483, "3f73515150e573264b09630f5152db7f232cad82880eead5609b8aac8146cf34"),
+    (483, "591a4b5c9606d149db0bf186e3fdce850471ba10874fdb4790c46585e5cef803"),
 )
 
 # malformed selector -> the exact stderr line (every one exits with code 2)

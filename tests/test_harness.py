@@ -177,6 +177,8 @@ class TestStreamIO:
         ("s.jsonl", '{"p": [0.5, 0.5]}\n\n{"p": [0.0, 0.0]}\n',
          "line 3: no expert has positive probability"),
         ("s.jsonl", '{"p": [0.5, 0.5]}\n\n{"p": [NaN, 0.5]}\n', "line 3: non-finite probability"),
+        ("s.jsonl", '{"p": []}\n', "line 1: stream needs at least one expert"),
+        ("s.jsonl", '\n{"p": []}\n{"p": []}\n', "line 2: stream needs at least one expert"),
         ("s.csv", "p1,p2\n0.5,0.5\n0.5,2\n", "line 3: stream probabilities must lie in [0, 1]"),
         ("s.csv", "p1,p2\n\n0.5,nan\n", "line 3: non-finite probability"),
     ])
@@ -369,6 +371,18 @@ class TestRunExperiment:
             losses[bits] = [s["loss"] for s in detail["per_segment"]]
             assert sum(losses[bits]) == pytest.approx(detail["loss"], rel=1e-12)
         assert losses[True] == [v / math.log(2) for v in losses[False]]
+
+    @pytest.mark.parametrize("comparator", ["fixed-mixture", "shifting=251"])
+    def test_solver_gap_takes_the_unit(self, comparator):
+        gaps = {}
+        for bits in (False, True):
+            cfg = ExperimentConfig(generator="iid-mixture:N=5,T=500", seed=3,
+                                   learners=("soft-bayes",), comparator=comparator, bits=bits)
+            detail = run_experiment(cfg).summary["comparator"]
+            gaps[bits] = [s["gap"] for s in detail.get("per_segment", [detail])]
+        assert len(gaps[False]) == (2 if comparator.startswith("shifting") else 1)
+        assert all(0.0 < g <= 1e-6 for g in gaps[False])
+        assert gaps[True] == [g / math.log(2) for g in gaps[False]]
 
     def test_weight_snapshot_stride_for_many_experts(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -650,6 +664,16 @@ class TestCLI:
         out = tmp_path / "s.jsonl"
         assert main(["gen", "--generator", "theorem2:T=1e4", "--out", str(out)]) == 0
         assert "wrote 10000 rounds" in capsys.readouterr().out
+
+    def test_integral_float_text_echoes_as_the_integer(self, tmp_path):
+        summaries = []
+        for spelling in ("T=1e1", "T=10"):
+            out = tmp_path / f"{spelling}.json"
+            assert main(["run", "--generator", f"theorem2:{spelling}", "--learner", "bayes",
+                         "--out-json", str(out)]) == 0
+            summaries.append(out.read_bytes())
+        assert summaries[0] == summaries[1]
+        assert json.loads(summaries[0])["config"]["generator"] == "theorem2:T=10"
 
     def test_bound_single_expert(self, capsys):
         assert main(["bound", "--variant", "single-expert",
