@@ -47,12 +47,9 @@ from .learners import (
     SoftBayes,
     StepOutcome,
     WeightState,
-    bayes_step,
-    eg_step,
     meta_bayes_step,
     ml_rate_next,
     ml_soft_bayes_step,
-    ogd_step,
     run_learner,
     soft_bayes_step,
 )

@@ -1,8 +1,9 @@
 """Sequential learners over expert-probability streams.
 
-Each update rule has one kernel.  The exported step functions validate their
-inputs and call it; the learner classes drive the same kernel with a rate
-schedule and exclusive state ownership for harness runs.
+Each update rule has one kernel.  The learner classes drive it with a rate
+schedule and exclusive state ownership for harness runs; a rule with an input
+no class takes (a chosen rate pair, per-expert rates, sub-learner predictions)
+also has an exported step function that validates it and calls the kernel.
 
 Divergence (the learner assigned probability zero to the realized symbol) is
 reported through the infinite-loss sentinel in the returned outcome, with the
@@ -19,7 +20,6 @@ import numpy as np
 from .core import (
     INFINITE_LOSS,
     as_simplex,
-    mixture_prob,
     project_simplex,
     uniform_weights,
 )
@@ -131,11 +131,6 @@ def soft_bayes_step(state: WeightState, p, eta_t: float,
     return _soft_bayes_cycle(state, q, eta_t, lambda q, m: eta_next)
 
 
-def bayes_step(state: WeightState, p) -> StepOutcome:
-    """Exact Bayesian posterior update: soft-Bayes at rate 1."""
-    return soft_bayes_step(state, p, 1.0)
-
-
 def _eg_cycle(log_w: np.ndarray, q: np.ndarray, eta: float):
     """The EG kernel on log weights; returns ``(M, ln M, new log weights)``,
     with ln M = -inf and the weights unchanged on divergence.
@@ -165,38 +160,16 @@ def _eg_cycle(log_w: np.ndarray, q: np.ndarray, eta: float):
     return math.exp(log_m), log_m, new_log_w
 
 
-def eg_step(state: WeightState, p, eta: float) -> StepOutcome:
-    """Exponentiated-gradient update w_i proportional to w_i exp(eta p_i / M).
-
-    Runs the log-domain kernel of :class:`ExponentiatedGradient`, converting
-    the linear weights at the boundary; the linear weights themselves can
-    underflow to zero on long adversarial runs, where the class's log
-    weights do not.
-    """
-    if not eta > 0.0:
-        raise ValueError("EG rate must be positive")
-    q = _check_round(state.w, p)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(state.w)
-    m, log_m, new_log_w = _eg_cycle(log_w, q, eta)
-    if math.isinf(log_m):
-        return StepOutcome(0.0, INFINITE_LOSS, eta, state.w.copy())
-    return StepOutcome(m, -log_m, eta, np.exp(new_log_w))
-
-
-def ogd_step(state: WeightState, p, eta: float) -> StepOutcome:
-    """Projected gradient step w' = Pi(w + eta p / M).
+def _ogd_cycle(w: np.ndarray, q: np.ndarray, eta: float) -> StepOutcome:
+    """The OGD kernel: the projected gradient step w' = Pi(w + eta q / M).
 
     The projection can concentrate all mass on one expert, after which a
     round that expert gets wrong produces the infinite-loss sentinel.
     """
-    if not eta > 0.0:
-        raise ValueError("OGD rate must be positive")
-    q = _check_round(state.w, p)
-    m = mixture_prob(state.w, q)
+    m = _mixture(w, q)
     if m == 0.0:
-        return StepOutcome(0.0, INFINITE_LOSS, eta, state.w.copy())
-    return StepOutcome(m, -math.log(m), eta, project_simplex(state.w + (eta / m) * q))
+        return StepOutcome(0.0, INFINITE_LOSS, eta, w.copy())
+    return StepOutcome(m, -math.log(m), eta, project_simplex(w + (eta / m) * q))
 
 
 @dataclass
@@ -428,8 +401,10 @@ class OnlineGradientDescent:
         return self.state.w
 
     def step(self, p) -> StepOutcome:
-        out = ogd_step(self.state, p, self.eta)
-        self.state = WeightState(out.new_weights, self.state.prior, self.state.t + 1)
+        state = self.state
+        out = _ogd_cycle(state.w, _check_round(state.w, p), self.eta)
+        state.w = out.new_weights
+        state.t += 1
         return out
 
 

@@ -1,8 +1,8 @@
 """Each learner class must drive the same kernel as its exported step function.
 
-Every round the function and the class start from the same weights (EG's
-class from their logarithm), the function gets the rates the class used,
-and prediction, loss and new weights must agree bit for bit.
+Every round the function and the class start from the same weights, the
+function gets the rates the class used, and prediction, loss and new weights
+must agree bit for bit.
 """
 
 import math
@@ -12,19 +12,13 @@ import pytest
 
 from softbayes.generators import adversarial_alternating, random_iid_instance
 from softbayes.learners import (
-    Bayes,
-    ExponentiatedGradient,
     MLSoftBayes,
     MetaBayes,
     MLWeightState,
-    OnlineGradientDescent,
     SoftBayes,
     WeightState,
-    bayes_step,
-    eg_step,
     meta_bayes_step,
     ml_soft_bayes_step,
-    ogd_step,
     soft_bayes_step,
 )
 from softbayes.rates import (
@@ -70,39 +64,6 @@ def test_soft_bayes(stream_name, schedule):
         cls_out = learner.step(p)
         fn_out = soft_bayes_step(state, p, eta_t, learner.current_rate if corrects else eta_t)
         assert_same(fn_out, cls_out)
-
-
-@pytest.mark.parametrize("stream_name", sorted(STREAMS))
-def test_bayes(stream_name):
-    stream = STREAMS[stream_name]()
-    learner = Bayes(stream.n_experts)
-    for p in stream:
-        state = WeightState(learner.weights.copy(), learner.state.prior, learner.state.t)
-        assert_same(bayes_step(state, p), learner.step(p))
-
-
-@pytest.mark.parametrize("stream_name", sorted(STREAMS))
-def test_eg(stream_name):
-    stream = STREAMS[stream_name]()
-    n = stream.n_experts
-    learner = ExponentiatedGradient(n, 0.5)
-    w = learner.weights
-    for p in stream:
-        with np.errstate(divide="ignore"):
-            learner.log_w = np.log(w)
-        cls_out = learner.step(p)
-        fn_out = eg_step(WeightState(w.copy(), w.copy(), 1), p, 0.5)
-        assert_same(fn_out, cls_out)
-        w = fn_out.new_weights
-
-
-@pytest.mark.parametrize("stream_name", sorted(STREAMS))
-def test_ogd(stream_name):
-    stream = STREAMS[stream_name]()
-    learner = OnlineGradientDescent(stream.n_experts, 0.1)
-    for p in stream:
-        state = WeightState(learner.weights.copy(), learner.state.prior, learner.state.t)
-        assert_same(ogd_step(state, p, 0.1), learner.step(p))
 
 
 @pytest.mark.parametrize("stream_name", sorted(STREAMS))

@@ -13,14 +13,12 @@ from softbayes.learners import (
     MetaBayes,
     MLSoftBayes,
     MLWeightState,
+    OnlineGradientDescent,
     SoftBayes,
     WeightState,
-    bayes_step,
-    eg_step,
     meta_bayes_step,
     ml_rate_next,
     ml_soft_bayes_step,
-    ogd_step,
     run_learner,
     soft_bayes_step,
     soft_bayes_sweep,
@@ -91,16 +89,15 @@ class TestSoftBayesStep:
 
 class TestBayesStep:
     def test_posterior(self):
-        out = bayes_step(WeightState.uniform(2), [0.2, 0.6])
+        out = Bayes(2).step([0.2, 0.6])
         np.testing.assert_allclose(out.new_weights, [0.25, 0.75], atol=1e-15)
 
     def test_equal_likelihoods(self):
-        out = bayes_step(WeightState.uniform(2), [0.7, 0.7])
+        out = Bayes(2).step([0.7, 0.7])
         np.testing.assert_allclose(out.new_weights, [0.5, 0.5], atol=1e-15)
 
     def test_zero_weight_stays_zero(self):
-        state = WeightState(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1)
-        out = bayes_step(state, [0.3, 0.9])
+        out = Bayes(2, prior=[1.0, 0.0]).step([0.3, 0.9])
         np.testing.assert_allclose(out.new_weights, [1.0, 0.0], atol=1e-15)
 
     def test_bit_identical_to_rate_one_soft_bayes(self):
@@ -117,23 +114,22 @@ class TestBayesStep:
 
 class TestEGStep:
     def test_hand_update(self):
-        out = eg_step(WeightState.uniform(2), [0.0, 1.0], 0.5)
+        out = ExponentiatedGradient(2, 0.5).step([0.0, 1.0])
         assert out.prediction == pytest.approx(0.5)
         np.testing.assert_allclose(out.new_weights, [0.26894, 0.73106], atol=5e-6)
 
     def test_equal_probabilities_leave_weights(self):
         w = np.array([0.3, 0.7])
-        out = eg_step(WeightState(w.copy(), w.copy(), 1), [0.4, 0.4], 1.0)
+        out = ExponentiatedGradient(2, 1.0, prior=w).step([0.4, 0.4])
         np.testing.assert_allclose(out.new_weights, w, atol=1e-12)
 
     def test_weight_collapse_under_huge_ratio(self):
         w = np.array([1e-12, 1 - 1e-12])
-        out = eg_step(WeightState(w.copy(), w.copy(), 1), [1.0, 0.0], 1.0)
+        out = ExponentiatedGradient(2, 1.0, prior=w).step([1.0, 0.0])
         assert out.new_weights[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_divergence(self):
-        state = WeightState(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 1)
-        out = eg_step(state, [0.0, 1.0], 0.5)
+        out = ExponentiatedGradient(2, 0.5, prior=[1.0, 0.0]).step([0.0, 1.0])
         assert out.diverged
 
     def test_log_domain_learner_survives_overflow_ratios(self):
@@ -149,7 +145,7 @@ class TestEGStep:
 
 class TestOGDStep:
     def test_hand_update(self):
-        out = ogd_step(WeightState.uniform(2), [0.0, 1.0], 0.5)
+        out = OnlineGradientDescent(2, 0.5).step([0.0, 1.0])
         assert out.prediction == pytest.approx(0.5)
         # pre-projection point is (0.5, 1.5); the grid oracle projects it to
         # (0, 1): all mass onto the expert that was right
@@ -157,12 +153,11 @@ class TestOGDStep:
 
     def test_uniform_shift_removed_by_projection(self):
         w = np.array([0.2, 0.3, 0.5])
-        out = ogd_step(WeightState(w.copy(), w.copy(), 1), [0.6, 0.6, 0.6], 0.7)
+        out = OnlineGradientDescent(3, 0.7, prior=w).step([0.6, 0.6, 0.6])
         np.testing.assert_allclose(out.new_weights, w, atol=1e-12)
 
     def test_divergence(self):
-        state = WeightState(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 1)
-        out = ogd_step(state, [0.0, 1.0], 0.5)
+        out = OnlineGradientDescent(2, 0.5, prior=[1.0, 0.0]).step([0.0, 1.0])
         assert out.diverged and math.isinf(out.loss)
 
 
