@@ -134,6 +134,11 @@ def project_simplex(v) -> np.ndarray:
     u = np.sort(x)[::-1]
     css = np.cumsum(u)
     j = np.arange(1, x.size + 1)
-    rho = int(np.nonzero(u * j > css - 1.0)[0][-1])
+    support = np.nonzero(u * j > css - 1.0)[0]
+    if not support.size:
+        # rounding swallowed the 1 beside a huge top entry; shifting every
+        # entry by the max leaves the projection unchanged
+        return project_simplex(x - u[0])
+    rho = int(support[-1])
     lam = (1.0 - css[rho]) / (rho + 1)
     return np.maximum(x + lam, 0.0)

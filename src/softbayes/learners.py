@@ -164,12 +164,20 @@ def _ogd_cycle(w: np.ndarray, q: np.ndarray, eta: float) -> StepOutcome:
     """The OGD kernel: the projected gradient step w' = Pi(w + eta q / M).
 
     The projection can concentrate all mass on one expert, after which a
-    round that expert gets wrong produces the infinite-loss sentinel.
+    round that expert gets wrong produces the infinite-loss sentinel.  A
+    step eta/M that overflows is taken at its limit: all mass on the experts
+    with the largest q, split as the projection of their current weights.
     """
     m = _mixture(w, q)
     if m == 0.0:
         return StepOutcome(0.0, INFINITE_LOSS, eta, w.copy())
-    return StepOutcome(m, -math.log(m), eta, project_simplex(w + (eta / m) * q))
+    step = eta / m
+    if math.isinf(step):
+        top = q == q.max()
+        u = np.zeros_like(w)
+        u[top] = project_simplex(w[top])
+        return StepOutcome(m, -math.log(m), eta, u)
+    return StepOutcome(m, -math.log(m), eta, project_simplex(w + step * q))
 
 
 @dataclass

@@ -113,6 +113,12 @@ class TestProjectSimplex:
         with pytest.raises(ValueError):
             project_simplex([np.inf, 0.0])
 
+    def test_huge_entry_swallowing_the_rest(self):
+        # 1e300 - 1 rounds to 1e300, so no entry passes the support test
+        # until the point is shifted by its max
+        np.testing.assert_array_equal(project_simplex([1e300, 1.0]), [1.0, 0.0])
+        np.testing.assert_array_equal(project_simplex([1.0, 1e300, 1e300]), [0.0, 0.5, 0.5])
+
 
 class TestSimplexValidation:
     def test_renormalizes_dust(self):

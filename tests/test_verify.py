@@ -1,3 +1,4 @@
+from softbayes.cli import main
 from softbayes.verify import (
     disjoint_equivalence_checks,
     reverse_jensen_checks,
@@ -26,3 +27,8 @@ def test_disjoint_equivalence_small():
 def test_check_line_format():
     results = scalar_inequality_checks(samples=1000, seed=3)
     assert results[0].line().startswith("[PASS]")
+
+
+def test_cli_verify_passes_every_check(capsys):
+    assert main(["verify", "--samples", "2000"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "16/16 checks passed"
