@@ -20,8 +20,6 @@ from .comparators import (
 from .core import (
     ExpertStream,
     as_simplex,
-    log_loss,
-    mixture_prob,
     project_simplex,
     uniform_weights,
 )

@@ -1,4 +1,4 @@
-"""Simplex arithmetic, mixture prediction, and log-loss accounting.
+"""Simplex arithmetic, expert streams, and the infinite-loss sentinel.
 
 All losses are in nats.  An infinite instantaneous loss (the learner placed
 zero probability on the realized symbol) is represented by the explicit
@@ -17,10 +17,10 @@ SIMPLEX_ATOL = 1e-9
 INFINITE_LOSS = math.inf
 
 
-def as_simplex(v, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+def as_simplex(v) -> np.ndarray:
     """Validate ``v`` as a probability vector, renormalizing float dust.
 
-    Entries must be nonnegative and sum to 1 within ``atol``; anything
+    Entries must be nonnegative and sum to 1 within ``SIMPLEX_ATOL``; anything
     further off is a hard error, not something to silently rescale.
     """
     w = np.asarray(v, dtype=float)
@@ -31,8 +31,8 @@ def as_simplex(v, atol: float = SIMPLEX_ATOL) -> np.ndarray:
     if np.any(w < 0):
         raise ValueError(f"negative simplex entry: {w.min()}")
     s = float(w.sum())
-    if abs(s - 1.0) > atol:
-        raise ValueError(f"simplex entries sum to {s!r}, expected 1 within {atol}")
+    if abs(s - 1.0) > SIMPLEX_ATOL:
+        raise ValueError(f"simplex entries sum to {s!r}, expected 1 within {SIMPLEX_ATOL}")
     return w / s
 
 
@@ -104,24 +104,6 @@ class ExpertStream:
         if other.n_experts != self.n_experts:
             raise ValueError("cannot concatenate streams with different expert counts")
         return ExpertStream(np.concatenate([self.p, other.p]))
-
-
-def mixture_prob(w, p) -> float:
-    """Probability the weighted mixture assigns to the realized symbol."""
-    w = np.asarray(w, dtype=float)
-    q = np.asarray(p, dtype=float)
-    if w.shape != q.shape:
-        raise ValueError(f"dimension mismatch: weights {w.shape} vs round {q.shape}")
-    return float(np.dot(w, q))
-
-
-def log_loss(m: float) -> float:
-    """Instantaneous loss -ln(m), with the infinite sentinel at m = 0."""
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"prediction {m!r} outside [0, 1]")
-    if m == 0.0:
-        return INFINITE_LOSS
-    return -math.log(m)
 
 
 def project_simplex(v) -> np.ndarray:

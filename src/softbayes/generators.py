@@ -111,10 +111,8 @@ def random_disjoint_symbols(N: int, T: int, seed: int) -> np.ndarray:
 
 def _disjoint_dirac_stream(spec: "GeneratorSpec", seed: int | None) -> ExpertStream:
     n = spec._int("N")
-    if "symbols" in spec.params:
-        return disjoint_dirac(spec.params["symbols"], n)
     if seed is None:
-        raise ValueError("disjoint_dirac without explicit symbols needs a seed")
+        raise ValueError("disjoint_dirac needs a seed")
     return disjoint_dirac(random_disjoint_symbols(n, spec._int("T"), seed), n)
 
 

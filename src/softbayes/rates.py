@@ -24,19 +24,17 @@ import numpy as np
 RATE_CAP = 0.5
 
 
-def rate_offline(T: int, N: int, m: int | None = None, variant: str = "thm2_N") -> float:
-    """Horizon-tuned constant rate: sqrt(ln N / (T m)) in odds form."""
+def rate_offline(T: int, N: int, m: int | None = None) -> float:
+    """Horizon-tuned constant rate: sqrt(ln N / (T m)) in odds form, with
+    m = N unless given."""
     if T < 1:
         raise ValueError("T must be >= 1")
     if N < 2:
         raise ValueError("N must be >= 2")
-    if variant == "thm2_N":
+    if m is None:
         m = N
-    elif variant == "thm2_m":
-        if m is None or not 1 <= m <= N:
-            raise ValueError(f"m={m} outside [1, N={N}]")
-    else:
-        raise ValueError(f"unknown offline variant {variant!r}")
+    elif not 1 <= m <= N:
+        raise ValueError(f"m={m} outside [1, N={N}]")
     eta_bar = math.sqrt(math.log(N) / (T * m))
     return eta_bar / (1.0 + eta_bar)
 
@@ -154,9 +152,6 @@ class FixedRate(_Schedule):
     def rate(self, t: int) -> float:
         return self.eta
 
-    def __str__(self):
-        return f"fixed:{self.eta!r}"
-
 
 class InverseT(_Schedule):
     """Rate 1/(t + c); satisfies eta_t/(1 - eta_t) = eta_{t-1} exactly, which
@@ -175,9 +170,6 @@ class InverseT(_Schedule):
             raise ValueError("t must be >= 1")
         return 1.0 / (t + self.c)
 
-    def __str__(self):
-        return f"inverse-t:{self.c!r}"
-
 
 class AnytimeRate(_Schedule):
     def __init__(self, n: int):
@@ -187,9 +179,6 @@ class AnytimeRate(_Schedule):
 
     def rate(self, t: int) -> float:
         return rate_anytime(t, self.n)
-
-    def __str__(self):
-        return "anytime"
 
 
 class SparseRate(_Schedule):
@@ -206,9 +195,6 @@ class SparseRate(_Schedule):
 
     def observe(self, t: int, p, m: float) -> None:
         self.tracker.update(p, t)
-
-    def __str__(self):
-        return "sparse"
 
 
 class ShiftingRate(_Schedule):
@@ -227,9 +213,6 @@ class ShiftingRate(_Schedule):
 
     def rate(self, t: int) -> float:
         return rate_shifting(t, self.n)
-
-    def __str__(self):
-        return "shifting"
 
 
 class SelfConfidentRate(_Schedule):
@@ -250,9 +233,6 @@ class SelfConfidentRate(_Schedule):
     def observe(self, t: int, p, m: float) -> None:
         if m > 0.0:
             self.stats.C1 += float(np.max(p)) / m - 1.0
-
-    def __str__(self):
-        return f"self-confident:{self.eta_max!r}"
 
 
 # selector kind -> (its parameter: "required", "none" or "optional"; factory(n, param))
@@ -278,9 +258,6 @@ class ScheduleConfig:
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         return SCHEDULE_KINDS[self.kind][1](n, self.param)
-
-    def __str__(self):
-        return self.kind if self.param is None else f"{self.kind}:{self.param!r}"
 
 
 def parse_schedule(text: str) -> ScheduleConfig:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +7,6 @@ from softbayes.core import (
     BadRoundError,
     ExpertStream,
     as_simplex,
-    log_loss,
-    mixture_prob,
     project_simplex,
     uniform_weights,
 )
@@ -36,48 +32,6 @@ def grid_project_nd(v, step):
     pts = np.concatenate([rest[ok], np.clip(last[ok], 0, None)[:, None]], axis=1)
     d = ((pts - v) ** 2).sum(axis=1)
     return pts[d.argmin()]
-
-
-class TestMixtureProb:
-    def test_dot_product(self):
-        assert mixture_prob([0.5, 0.5], [0.2, 0.6]) == pytest.approx(0.4, abs=1e-15)
-
-    def test_dirac_weight(self):
-        for q, r in [(0.0, 1.0), (0.3, 0.9), (1.0, 0.0)]:
-            assert mixture_prob([1.0, 0.0], [q, r]) == pytest.approx(q, abs=1e-15)
-
-    def test_symmetric(self):
-        assert mixture_prob([0.5, 0.5], [0.7, 0.7]) == pytest.approx(0.7, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mixture_prob([0.5, 0.5], [0.1, 0.2, 0.7])
-
-    @given(st.integers(2, 6), st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_bounds_and_dominance(self, n, seed):
-        rng = np.random.default_rng(seed)
-        w = rng.dirichlet(np.ones(n))
-        p = rng.random(n)
-        m = mixture_prob(w, p)
-        assert p.min() - 1e-12 <= m <= p.max() + 1e-12
-        assert np.all(m >= w * p - 1e-12)
-
-
-class TestLogLoss:
-    def test_certain(self):
-        assert log_loss(1.0) == 0.0
-
-    def test_half(self):
-        assert log_loss(0.5) == pytest.approx(math.log(2), abs=1e-15)
-
-    def test_zero_is_sentinel(self):
-        assert math.isinf(log_loss(0.0))
-
-    @pytest.mark.parametrize("m", [-0.1, 1.1, 2.0])
-    def test_out_of_range(self, m):
-        with pytest.raises(ValueError):
-            log_loss(m)
 
 
 class TestProjectSimplex:

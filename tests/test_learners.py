@@ -299,6 +299,34 @@ class TestSoftBayesLearner:
         assert math.isfinite(trace.losses[2])
         assert trace.rounds == 3
 
+    def test_prediction_is_the_weighted_mixture(self):
+        assert SoftBayes(2, FixedRate(0.5)).step([0.2, 0.6]).prediction == pytest.approx(
+            0.4, abs=1e-15)
+        assert SoftBayes(2, FixedRate(0.5)).step([0.7, 0.7]).prediction == pytest.approx(
+            0.7, abs=1e-15)
+        for q, r in [(0.0, 1.0), (0.3, 0.9), (1.0, 0.0)]:
+            out = SoftBayes(2, FixedRate(0.5), prior=[1.0, 0.0]).step([q, r])
+            assert out.prediction == pytest.approx(q, abs=1e-15)
+
+    def test_loss_is_negative_log_prediction(self):
+        assert SoftBayes(2, FixedRate(0.5)).step([1.0, 1.0]).loss == 0.0
+        assert SoftBayes(2, FixedRate(0.5)).step([0.5, 0.5]).loss == pytest.approx(
+            math.log(2), abs=1e-15)
+
+    @given(st.integers(2, 6), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_prediction_bounds_and_dominance(self, n, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(n))
+        p = rng.random(n)
+        m = SoftBayes(n, FixedRate(0.5), prior=w).step(p).prediction
+        assert p.min() - 1e-12 <= m <= p.max() + 1e-12
+        assert np.all(m >= w * p - 1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            SoftBayes(2, FixedRate(0.5)).step([0.1, 0.2, 0.7])
+
     def test_halt_policy_truncates(self):
         stream = ExpertStream(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
         trace = run_learner(SoftBayes(2, FixedRate(1.0)), stream, on_divergence="halt")

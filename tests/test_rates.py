@@ -24,19 +24,19 @@ from softbayes.rates import (
 
 class TestOfflineRate:
     def test_tuned_value(self):
-        eta = rate_offline(10_000, 10, m=10, variant="thm2_m")
+        eta = rate_offline(10_000, 10, m=10)
         eta_bar = eta / (1 - eta)
         assert eta_bar == pytest.approx(4.7985e-3, rel=1e-4)
         assert eta == pytest.approx(4.7756e-3, rel=1e-4)
 
-    def test_variants_agree_at_m_equals_n(self):
-        assert rate_offline(500, 7, m=7, variant="thm2_m") == rate_offline(500, 7)
+    def test_m_defaults_to_n(self):
+        assert rate_offline(500, 7, m=7) == rate_offline(500, 7)
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
-            rate_offline(10, 4, m=5, variant="thm2_m")
+            rate_offline(10, 4, m=5)
         with pytest.raises(ValueError):
-            rate_offline(10, 4, m=0, variant="thm2_m")
+            rate_offline(10, 4, m=0)
 
     def test_in_unit_interval(self):
         for T in (1, 10, 10_000):
