@@ -123,12 +123,12 @@ def _iid_mixture_stream(spec: "GeneratorSpec", seed: int | None) -> ExpertStream
     return random_iid_instance(spec._int("N"), spec._int("T"), seed, alphabet)
 
 
-# generator kind -> builder (spec, seed) -> stream
+# generator kind -> (the parameters it takes, builder (spec, seed) -> stream)
 GENERATOR_KINDS = {
-    "theorem2": lambda spec, seed: adversarial_alternating(spec._int("T")),
-    "theorem2_constant": lambda spec, seed: adversarial_constant(spec._int("T")),
-    "disjoint_dirac": _disjoint_dirac_stream,
-    "iid_mixture": _iid_mixture_stream,
+    "theorem2": (("T",), lambda spec, seed: adversarial_alternating(spec._int("T"))),
+    "theorem2_constant": (("T",), lambda spec, seed: adversarial_constant(spec._int("T"))),
+    "disjoint_dirac": (("N", "T"), _disjoint_dirac_stream),
+    "iid_mixture": (("N", "T", "alphabet"), _iid_mixture_stream),
 }
 
 
@@ -143,6 +143,11 @@ class GeneratorSpec:
         if self.kind not in GENERATOR_KINDS:
             known = ", ".join(GENERATOR_KINDS)
             raise ValueError(f"unknown generator {self.kind!r}; known: {known}")
+        takes = GENERATOR_KINDS[self.kind][0]
+        for key in self.params:
+            if key not in takes:
+                raise ValueError(f"generator {self.kind!r} has no parameter {key!r}; "
+                                 f"it takes {', '.join(takes)}")
 
     def _int(self, key):
         v = self.params.get(key)
@@ -155,7 +160,7 @@ class GeneratorSpec:
         return int(v)
 
     def build(self, seed: int | None = None) -> ExpertStream:
-        return GENERATOR_KINDS[self.kind](self, seed)
+        return GENERATOR_KINDS[self.kind][1](self, seed)
 
     def __str__(self):
         if not self.params:

@@ -13,6 +13,7 @@ weights left unchanged; whether the run halts there is the harness's call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ def _check_round(w: np.ndarray, p) -> np.ndarray:
     return q
 
 
+# the smallest normal float: below it eta / M can overflow
+_MIN_NORMAL = sys.float_info.min
+
+
 def _mixture(w: np.ndarray, q: np.ndarray):
     """M = w . q for one weight row, or per row of a ``(K, N)`` stack; the
     batched matmul gives each row the bits ``np.dot`` gives it alone."""
@@ -74,22 +79,34 @@ def _mixture(w: np.ndarray, q: np.ndarray):
 def _soft_bayes_weights(w, q, m, eta_t, eta_next=None, prior=None) -> np.ndarray:
     """w_i (1 - eta_t + eta_t q_i / M) on one weight row, or on a ``(K, N)``
     stack with ``m`` and ``eta_t`` scalars or ``(K, 1)`` columns; an
-    ``eta_next`` other than ``eta_t`` then blends toward ``prior``."""
-    c2 = eta_t / m
+    ``eta_next`` other than ``eta_t`` then blends toward ``prior``.
+
+    A row whose M is subnormal, where eta_t / M can overflow, is updated as
+    (1 - eta_t) w_i + eta_t ((w_i q_i) / M), dividing before it scales so
+    that a weight carrying all of M is not rounded away."""
     c1 = 1.0 - eta_t
     blend = eta_next is not None and eta_next != eta_t
-    if w.ndim == 1 and w.size <= 16:
-        # numpy call overhead dominates at small expert counts; the scalar
-        # loop applies the identical per-element operations
-        if blend:
-            ratio = eta_next / eta_t
-            c3 = 1.0 - ratio
-            return np.array([wi * (c1 + c2 * qi) * ratio + c3 * pi
-                             for wi, qi, pi in zip(w.tolist(), q.tolist(), prior.tolist())])
-        return np.array([wi * (c1 + c2 * qi) for wi, qi in zip(w.tolist(), q.tolist())])
-    u = q * c2
-    u += c1
-    u *= w
+    if w.ndim == 2 and m.min() < _MIN_NORMAL:
+        # only the stack's subnormal rows take the single-row branch below
+        tiny = m < _MIN_NORMAL
+        return np.where(tiny, w * q / m * eta_t + c1 * w,
+                        _soft_bayes_weights(w, q, np.where(tiny, 1.0, m), eta_t))
+    if w.ndim == 1 and m < _MIN_NORMAL:
+        u = w * q / m * eta_t + c1 * w
+    else:
+        c2 = eta_t / m
+        if w.ndim == 1 and w.size <= 16:
+            # numpy call overhead dominates at small expert counts; the scalar
+            # loop applies the identical per-element operations
+            if blend:
+                ratio = eta_next / eta_t
+                c3 = 1.0 - ratio
+                return np.array([wi * (c1 + c2 * qi) * ratio + c3 * pi
+                                 for wi, qi, pi in zip(w.tolist(), q.tolist(), prior.tolist())])
+            return np.array([wi * (c1 + c2 * qi) for wi, qi in zip(w.tolist(), q.tolist())])
+        u = q * c2
+        u += c1
+        u *= w
     if blend:
         ratio = eta_next / eta_t
         u *= ratio
@@ -434,10 +451,12 @@ class MLSoftBayes:
         return self.state.w
 
     def step(self, p) -> StepOutcome:
+        # eta_bar / (1 + eta_bar) can rise by an ulp as V grows, so the
+        # rates are clamped to stay nonincreasing
         state = self.state
         out, self.state = _ml_soft_bayes_cycle(
             state, _check_round(state.w, p),
-            lambda v: _check_next_rates(state.rates, ml_rate_next(v, self.n)))
+            lambda v: np.minimum(ml_rate_next(v, self.n), state.rates))
         return out
 
 

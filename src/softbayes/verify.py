@@ -136,13 +136,15 @@ def disjoint_equivalence_checks(T: int = 1000, n_seeds: int = 20,
             trace = run_learner(SoftBayes(n, InverseT(c)),
                                 disjoint_dirac(random_disjoint_symbols(n, T, 1000 * n), n))
             worst = max(worst, float(np.abs(trace.weights - expected[0]).max()))
-            # spot-check one round through the closed-form evaluator itself
+            # spot-check one round through the closed-form evaluator itself,
+            # which must agree exactly
             mid = T // 2
-            assert np.allclose(expected[0, mid - 1],
-                               disjoint_closed_form(counts[0, mid - 1], mid, c, n),
-                               atol=0, rtol=0)
-            results.append(CheckResult(
-                f"disjoint-{label}-n{n}", worst <= tol, f"max weight gap {worst:.3e}"))
+            exact = np.array_equal(expected[0, mid - 1],
+                                   disjoint_closed_form(counts[0, mid - 1], mid, c, n))
+            detail = f"max weight gap {worst:.3e}"
+            if not exact:
+                detail += f"; closed form differs at round {mid}"
+            results.append(CheckResult(f"disjoint-{label}-n{n}", worst <= tol and exact, detail))
     return results
 
 

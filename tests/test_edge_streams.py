@@ -4,10 +4,6 @@ Each stream drives a mixture prediction M to a subnormal or a tiny normal
 value, where eta/M or p/M overflows the float range.  A run must still end
 in a verdict (exit 0 or 1), and since the suite turns warnings into errors,
 without a RuntimeWarning.
-
-Meta is left out: on the subnormal streams its soft-Bayes kernel
-(``_soft_bayes_weights``) still warns, the weight underflow that ROADMAP
-item 1 is about.
 """
 
 import json
@@ -48,6 +44,7 @@ SELECTORS = [
     "eg:fixed=0.5",
     "ogd:fixed=0.1",
     "ml-soft-bayes",
+    "meta:rates=1,0.5,0.25",
 ]
 
 
@@ -80,3 +77,14 @@ def test_ogd_takes_the_overflowing_step(stream, loss, tmp_path):
 def test_overflowing_ratio_reads_as_an_infinite_statistic(tmp_path, capsys):
     assert run(tmp_path, "B", "--learner", "bayes", "--bound", "thm3") == 0
     assert "bound thm3: inf -> pass" in capsys.readouterr().out
+
+
+def test_subnormal_mixture_steps_every_round(tmp_path, capsys):
+    # M reaches the subnormal range near round 10,001, where eta / M overflows
+    out = tmp_path / "summary.json"
+    assert main(["run", "--generator", "theorem2:T=20000", "--learner", "soft-bayes:fixed=0.25",
+                 "--on-divergence", "halt", "--bound", "thm2", "--out-json", str(out)]) == 0
+    entry = json.loads(out.read_text())["learners"][0]
+    assert entry["halted_at"] is None and not entry["diverged"]
+    assert entry["loss"] == pytest.approx(9217.65, abs=0.005)
+    assert entry["bounds"][0]["satisfied"] is True

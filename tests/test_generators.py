@@ -147,6 +147,10 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="needs parameter"):
             parse_generator("theorem2").build()
 
+    def test_unknown_parameter(self):
+        with pytest.raises(ValueError, match="has no parameter 'symbols'; it takes N, T"):
+            GeneratorSpec("disjoint_dirac", {"N": 2, "T": 3, "symbols": [1, 2, 1]})
+
     def test_seed_required_for_stochastic(self):
         with pytest.raises(ValueError, match="seed"):
             parse_generator("iid-mixture:N=2,T=10").build()

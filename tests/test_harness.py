@@ -660,6 +660,20 @@ class TestCLI:
         assert f"generator '{kind}' parameter {key} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "s.jsonl").exists()
 
+    @pytest.mark.parametrize("command, generator, key", [
+        ("gen", "iid-mixture:N=3,T=5,alphabt=7", "alphabt"),
+        ("run", "theorem2:T=4,N=9,foo=1", "N"),
+    ])
+    def test_generator_rejects_unknown_parameters(self, tmp_path, capsys,
+                                                  command, generator, key):
+        argv = [command, "--generator", generator, "--seed", "1"]
+        argv += (["--out", str(tmp_path / "s.jsonl")] if command == "gen"
+                 else ["--learner", "bayes"])
+        assert main(argv) == 2
+        kind = generator.partition(":")[0].replace("-", "_")
+        assert f"generator '{kind}' has no parameter '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
+
     def test_generator_takes_integral_float_text(self, tmp_path, capsys):
         out = tmp_path / "s.jsonl"
         assert main(["gen", "--generator", "theorem2:T=1e4", "--out", str(out)]) == 0

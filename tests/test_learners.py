@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softbayes.core import ExpertStream
+from softbayes.generators import adversarial_alternating
 from softbayes.learners import (
     Bayes,
     ExponentiatedGradient,
@@ -204,6 +205,17 @@ class TestMLSoftBayes:
         growth_cap = float(np.sum(learner.state.prior * (1 + np.log(bar(eta1) / bar(learner.state.rates)))))
         assert learner.state.w.sum() <= growth_cap + 1e-9
 
+    def test_near_tie_rounds_keep_rates_nonincreasing(self):
+        # eta_bar / (1 + eta_bar) rose by an ulp here, which aborted the run
+        stream = ExpertStream(np.array([[0.1, 0.9]] * 7 + [[0.5, 0.5000001]] * 3))
+        learner = MLSoftBayes(2)
+        rates, losses = [learner.state.rates], []
+        for p in stream:
+            losses.append(learner.step(p).loss)
+            rates.append(learner.state.rates)
+        assert np.all(np.diff(rates, axis=0) <= 0.0)
+        assert sum(losses) == pytest.approx(4.677, abs=5e-4)
+
     def test_rejects_increasing_rates(self):
         state = MLWeightState.uniform(2, [0.3, 0.3])
         with pytest.raises(ValueError):
@@ -342,6 +354,50 @@ class TestSoftBayesLearner:
             for i in range(n):
                 regret = float(np.log(stream.p[:, i] / trace.predictions).sum())
                 assert regret <= math.log(n) / eta + 1e-6
+
+
+class TestSubnormalMixture:
+    """M below the smallest normal float, where eta / M overflows."""
+
+    def test_exact_bayes_posterior_after_subnormal_round(self):
+        stream = ExpertStream(np.concatenate([np.tile([0.0, 1.0], (50, 1)), [[1.0, 1e-320]],
+                                              np.tile([0.5, 0.5], (3, 1))]))
+        trace = run_learner(Bayes(2), stream, on_divergence="halt")
+        assert trace.halted_at is None
+        np.testing.assert_array_equal(trace.weights[50:], np.tile([0.0, 1.0], (4, 1)))
+        np.testing.assert_array_equal(trace.losses[51:], [math.log(2)] * 3)
+
+    def test_division_comes_before_the_rate(self):
+        # a weight holding all of M keeps its share: 0.25 of it, not 1e-323
+        w = np.array([1e-323, 1.0 - 1e-323])
+        q = np.array([1.0, 0.0])
+        learner = SoftBayes(2, FixedRate(0.25))
+        learner.state.w = w
+        out = learner.step(q)
+        assert out.new_weights[0] == pytest.approx(0.25, rel=1e-12)
+        assert np.isfinite(out.new_weights).all()
+
+    @pytest.mark.parametrize("n", [2, 17])
+    def test_stack_rows_match_single_rows(self, n):
+        w = np.zeros(n)
+        w[1] = 1.0
+        q = np.zeros(n)
+        q[0], q[1] = 1.0, 1e-320
+        meta = MetaBayes(n, [1.0, 0.5, 0.25])
+        meta.w = np.tile(w, (3, 1))
+        meta.w[2] = np.full(n, 1.0 / n)
+        rows = []
+        for k, eta in enumerate((1.0, 0.5, 0.25)):
+            learner = SoftBayes(n, FixedRate(eta))
+            learner.state.w = meta.w[k].copy()
+            rows.append(learner.step(q).new_weights)
+        meta.step(q)
+        np.testing.assert_array_equal(meta.w, np.array(rows))
+
+    def test_meta_loses_only_the_round_every_row_misses(self):
+        trace = run_learner(MetaBayes(2, [1.0, 0.5, 0.25]), adversarial_alternating(20_000))
+        assert int((~np.isfinite(trace.losses)).sum()) == 1
+        assert not np.isnan(trace.losses).any()
 
 
 class TestSoftBayesSweep:

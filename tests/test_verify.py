@@ -1,3 +1,4 @@
+from softbayes import verify
 from softbayes.cli import main
 from softbayes.verify import (
     disjoint_equivalence_checks,
@@ -22,6 +23,15 @@ def test_disjoint_equivalence_small():
     results = disjoint_equivalence_checks(T=200, n_seeds=3)
     assert len(results) == 9
     assert all(r.passed for r in results), [r.line() for r in results]
+
+
+def test_closed_form_mismatch_is_a_failed_check(monkeypatch):
+    exact = verify.disjoint_closed_form
+    monkeypatch.setattr(verify, "disjoint_closed_form", lambda *a: exact(*a) + 1e-9)
+    results = disjoint_equivalence_checks(T=200, n_seeds=3)
+    assert len(results) == 9
+    assert not any(r.passed for r in results)
+    assert all(r.line().endswith("closed form differs at round 100") for r in results)
 
 
 def test_check_line_format():
