@@ -1,13 +1,10 @@
 """Regret accounting: hindsight competitors, guarantee evaluation, and the
 disjoint-support closed form.
 
-The best fixed mixture is found by the classical multiplicative fixed-point
-iteration for log-optimal mixtures, a_i <- a_i * mean_t(p_it / A_t), whose
-objective is provably nondecreasing; that monotonicity is asserted at runtime
-as a self-check.  Repeated rows are folded into (distinct row, count) pairs
-first, each cycle's two steps are extrapolated by SQUAREM (Varadhan & Roland
-2008), and the solve stops on Cover's (1984) Kuhn-Tucker bound on the
-distance to the optimum, which ``MixtureSolution.gap`` reports.
+The best fixed mixture is found by a log-barrier Newton method (Boyd &
+Vandenberghe 2004, ch. 11) over the distinct rows weighted by their counts.
+It stops on Cover's (1984) Kuhn-Tucker bound on the distance to the
+optimum, which ``MixtureSolution.gap`` reports.
 """
 
 from __future__ import annotations
@@ -20,13 +17,15 @@ import numpy as np
 from .core import INFINITE_LOSS, ExpertStream, uniform_weights
 
 BOUND_SLACK = 1e-6
+# the fixed-mixture solve's barrier weight: its start, and the factor it is cut by
+MU_START, MU_CUT = 1.0, 100.0
 
 
 @dataclass
 class MixtureSolution:
     """Best fixed convex combination in hindsight and its loss in nats;
     ``gap`` bounds how far ``loss`` lies above the optimum, in nats, and
-    ``iterations`` counts the solver's cycles."""
+    ``iterations`` counts the solver's Newton steps."""
 
     a: np.ndarray
     loss: float
@@ -90,24 +89,40 @@ def _folded_rows(p: np.ndarray):
     return p[first], counts.astype(float)
 
 
+def _spd_solve(H: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with H X = B for a symmetric positive definite H, by Gauss-Jordan
+    elimination without pivoting.  It is elementwise numpy only: LAPACK's
+    blocked factorizations round differently at different thread counts."""
+    n = len(H)
+    M = np.hstack([H, B])
+    for k in range(n):
+        pivot_row = M[k] / M[k, k]
+        M -= np.outer(M[:, k], pivot_row)
+        M[k] = pivot_row
+    return M[:, n:]
+
+
 def best_fixed_mixture(stream: ExpertStream, tol: float = 1e-6,
                        max_iter: int = 100_000) -> MixtureSolution:
     """Maximize sum_t ln(sum_i a_i p_it) over the simplex.
 
-    Multiplicative fixed-point iteration from the uniform start over the
-    distinct rows weighted by their counts, two steps per cycle extrapolated
-    by SQUAREM; stops once the Kuhn-Tucker gap, a bound on the loss above
-    the optimum, is at most ``tol`` nats, or after ``max_iter`` cycles.  The
-    objective never decreases.
+    Newton steps from the uniform start on w . ln(U a) + mu sum_i ln a_i
+    subject to sum_i a_i = 1, where U holds the distinct rows and w their
+    counts over T; mu is cut once the Newton decrement is at most mu.  Stops
+    once the Kuhn-Tucker gap, a bound on the loss above the optimum, is at
+    most ``tol`` nats, or after ``max_iter`` steps.
     """
     T = len(stream)
     if T == 0:
         raise ValueError("cannot fit a comparator to an empty stream")
     U, c = _folded_rows(stream.p)
+    # w = c / T leaves every iterate's bits the same when all counts double
+    w = c / T
+    n = stream.n_experts
 
     def ratio(A):
-        # g_i = sum_t c_t U_ti / A_t / T; the multiplicative step is a * g,
-        # and sum_i a_i g_i = 1 at the a that gave A
+        # g_i = sum_t c_t U_ti / A_t / T, the gradient of w . ln(U a); and
+        # sum_i a_i g_i = 1 at the a that gave A
         return (c / A) @ U / T
 
     def gap(g):
@@ -115,22 +130,9 @@ def best_fixed_mixture(stream: ExpertStream, tol: float = 1e-6,
         # objective at the a that gave g (clipped at 0 against rounding)
         return max(0.0, T * math.log(g.max()))
 
-    def mapped(a, g, obj):
-        a = a * g
-        a /= a.sum()
-        A = U @ a
-        new_obj = float(c @ np.log(A))
-        # relative tolerance: evaluating the objective itself carries
-        # summation noise proportional to its magnitude
-        if new_obj < obj - 1e-12 * max(1.0, abs(obj)):
-            raise RuntimeError(
-                f"fixed-point objective decreased ({obj!r} -> {new_obj!r}); "
-                "the iteration is monotone, so this indicates a bug")
-        return a, A, new_obj
-
-    a = uniform_weights(stream.n_experts)
+    a = uniform_weights(n)
     A = U @ a
-    obj = float(c @ np.log(A))
+    mu = MU_START
     iterations = 0
     while True:
         g = ratio(A)
@@ -138,36 +140,31 @@ def best_fixed_mixture(stream: ExpertStream, tol: float = 1e-6,
         if certified <= tol or iterations == max_iter:
             break
         iterations += 1
-        a1, A1, obj1 = mapped(a, g, obj)
-        a2, A2, obj2 = mapped(a1, ratio(A1), obj1)
-        # SQUAREM (Varadhan & Roland 2008): the step length is their third
-        # rule, alpha = -|r|/|v| for r = a1 - a and v = a2 - 2 a1 + a, and the
-        # step is taken on the log-weights, ln a - 2 alpha ln(a1/a) +
-        # alpha^2 ln(a2 a / a1^2), which is ln a2 at alpha = -1, keeps every
-        # live weight positive and sends a vanishing one further down.  A
-        # longer step is kept only if it does not lower the objective; else
-        # alpha is halved toward -1, and set to -1 once within 0.01 of it.
-        r, v = a1 - a, a2 - 2.0 * a1 + a
-        vv = float(v @ v)
-        alpha = min(-1.0, -math.sqrt(float(r @ r) / vv)) if vv > 0.0 else -1.0
-        live = a2 > 0.0
-        log_a, log_a1, log_a2 = np.log(a[live]), np.log(a1[live]), np.log(a2[live])
-        log_r, log_v = log_a1 - log_a, log_a2 - 2.0 * log_a1 + log_a
-        while alpha < -1.0:
-            log_ext = log_a - 2.0 * alpha * log_r + alpha * alpha * log_v
-            ext = np.zeros_like(a)
-            ext[live] = np.exp(log_ext - log_ext.max())
-            ext /= ext.sum()
-            A_ext = U @ ext
-            with np.errstate(divide="ignore", invalid="ignore"):
-                obj_ext = float(c @ np.log(A_ext))
-            if obj_ext >= obj:
-                a, A, obj = ext, A_ext, obj_ext
-                break
-            alpha = (alpha - 1.0) / 2.0 if alpha < -1.01 else -1.0
-        else:
-            # the double step is kept even where it has reached exact zeros
-            a, A, obj = a2, A2, obj2
+        # the KKT system [H 1; 1' 0] [d; nu] = [grad; 0] through H, whose bits,
+        # one matrix-vector product per column, hold at any BLAS thread count
+        grad = g + mu / a
+        W = U * (np.sqrt(w) / A)[:, None]
+        H = np.stack([W[:, j] @ W for j in range(n)]) + np.diag(mu / (a * a))
+        x, y = _spd_solve(H, np.stack([grad, np.ones(n)], axis=1)).T
+        d = x - (x.sum() / y.sum()) * y
+        # sum_i d_i = 0 holds above only to x's rounding, and w . ln(U a) rises
+        # by sum_i d_i along d, which near the optimum swamps the true rise
+        d -= d.sum() / n
+        decrement = float(d @ grad)
+        # keep each weight above 1% of itself, then halve s until the rise,
+        # summed from log1p terms free of cancellation, is at least a quarter
+        # of its linear prediction; a step under 1e-12 is taken as it is
+        s = 0.99 / np.max(-d / a, initial=0.99)
+        Ud = U @ d
+        while s >= 1e-12 and (float(w @ np.log1p(s * Ud / A))
+                              + mu * float(np.log1p(s * d / a).sum()) < 0.25 * s * decrement):
+            s /= 2.0
+        a = a + s * d
+        A = U @ a
+        if decrement <= mu:
+            # below eps / N the centre's certificate T N mu is under its rounding
+            mu = max(mu / MU_CUT, np.finfo(float).eps / n)
+    obj = float(c @ np.log(A))
     # a vertex optimum is only reached in the limit; hand over to the exact
     # vertex whenever one evaluates at least as well, so the solution is
     # never worse than any single expert

@@ -70,15 +70,16 @@ class StreamFormatError(ValueError):
 def _reduce_full_round(obj, lineno):
     dists = obj.get("dists")
     x = obj.get("x")
-    if not isinstance(dists, list) or not dists or not isinstance(x, int):
+    # a boolean is an int to isinstance, but it is not a symbol
+    if not isinstance(dists, list) or not dists or type(x) is not int:
         raise StreamFormatError(f"line {lineno}: full round needs 'dists' and integer 'x'")
     alphabet = len(dists[0]) if isinstance(dists[0], list) else 0
     if not 1 <= x <= alphabet:
         raise StreamFormatError(f"line {lineno}: symbol x={x} outside [1, {alphabet}]")
-    try:
-        return [float(d[x - 1]) for d in dists]
-    except (TypeError, IndexError) as exc:
-        raise StreamFormatError(f"line {lineno}: malformed 'dists': {exc}") from exc
+    if not all(isinstance(d, list) and len(d) >= x for d in dists):
+        raise StreamFormatError(f"line {lineno}: malformed 'dists': each distribution "
+                                f"must be a list covering symbol x={x}")
+    return [d[x - 1] for d in dists]
 
 
 # a reduced round on one line, its list holding nothing but number characters
@@ -121,10 +122,15 @@ def _per_line_rounds(lines: list) -> np.ndarray:
             row = _reduce_full_round(obj, lineno)
         else:
             raise StreamFormatError(f"line {lineno}: round needs 'p' or 'dists'+'x'")
+        # float() would take a numeric string or a boolean: neither is a JSON number
+        bad = [v for v in row if type(v) not in (int, float)]
+        if bad:
+            raise StreamFormatError(f"line {lineno}: non-numeric probability {bad[0]!r}")
         try:
             values = [float(v) for v in row]
-        except (TypeError, ValueError) as exc:
-            raise StreamFormatError(f"line {lineno}: non-numeric probability: {exc}") from exc
+        except OverflowError:   # an integer beyond the float range
+            raise StreamFormatError(
+                f"line {lineno}: stream probabilities must lie in [0, 1]") from None
         if rounds and len(values) != len(rounds[0]):
             raise StreamFormatError(
                 f"line {lineno}: expected {len(rounds[0])} experts, got {len(values)}")

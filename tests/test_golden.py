@@ -8,7 +8,10 @@ tables must leave every one of these unchanged.
 
 The digests were recorded with Python 3.11.7 and numpy 2.4.6.  Floats are
 rendered with ``repr``, so a numpy build whose kernels round differently
-(another BLAS dot, say) may legitimately move them.
+(another BLAS dot, say) may legitimately move them.  The BLAS thread count
+must not move them: the comparator solve uses no BLAS matrix product and no
+LAPACK factorization, and ``tests/test_comparators.py`` holds its bits equal
+at one and two OpenBLAS threads.
 """
 
 import hashlib
@@ -56,7 +59,7 @@ RUNS = {
         {
             "stdout": (4919, "5e9ce2d9228a673ef5b76e5b452c76aa21b2d361a7b6919f62891cb32c82df1c"),
             "csv": (373796, "d12b1afa0b8ee4aae5341998eec95b5ff6562f6e5b015e4d3f39fa908c024432"),
-            "json": (14673, "d7b017403ed126b9a981553be5f2a9079dfd81b9c19ffc19d2c3446cc0c2b780"),
+            "json": (14720, "ef51cb0f74b4193b87b0546f54dcf229e5a0586bbcbc2d84b911092d4f6152cc"),
         },
     ),
     # N <= 16: the scalar update path, a weight snapshot every round
@@ -65,9 +68,9 @@ RUNS = {
          *_learners(ALL_LEARNERS), *_bounds(("thm2", "thm4", "thm5"))],
         0,
         {
-            "stdout": (2645, "febd3bf69da9b3fb4029b2f03811384f09e2aaf93de792a2cd1484d0a4617a82"),
+            "stdout": (2643, "4a33738d96fad79a1197119c42e82a66327466dcb718778a34071483e84738ef"),
             "csv": (1203773, "85bdfff17776f6e2bb6ae100403e76c5ac96cb7a958dc9c07771da20ce4578f6"),
-            "json": (9027, "a1e728555b058fc81e2b8bf5e9ccb6ab0d5d748309cf65b7f574213388d308d8"),
+            "json": (9010, "7f6527703c707af161e792f3a5d8feaff28cd3ea8211dd2247ae00f643f6701f"),
         },
     ),
     # N > 16: the numpy update path, a weight snapshot every third round
@@ -77,9 +80,9 @@ RUNS = {
          *_learners(ALL_LEARNERS), *_bounds(("thm2", "thm4", "thm5"))],
         1,
         {
-            "stdout": (2640, "1ea45729b4f4c3cadd364a2edf52ec8052a5ee2aae6a6697ad37b992fec1f37b"),
+            "stdout": (2639, "630494716d55f2cc18cca25346c6e3c0d7ec8bc4eae02654c2e954e8aa0993e3"),
             "csv": (6093117, "e2fc7a6ff4b1160867502a7c611b982e5579c17abea3ad3ee6577a95cb016a31"),
-            "json": (9304, "faacb0bc00491b72219c805edf34752d7be9bf759ad943a9a9796cf123f8cb15"),
+            "json": (9302, "5389912184bb07087276f8675e3c222ba5420b9e5acf3acc1475969c8aca6195"),
         },
     ),
     # no comparator, divergence policy or unit flag: the config defaults apply
@@ -87,9 +90,9 @@ RUNS = {
         ["--generator", "theorem2:T=120", *_learners(("soft-bayes", "bayes"))],
         0,
         {
-            "stdout": (105, "a63393ee134eeb0fedfcb1b76de32df59194b8d2d1b96846a55f746b65ba8c35"),
+            "stdout": (105, "23d08f7f9397bf0551a1ec3382f198019b43503f21c2eeb5c0f642afe1f6d8ea"),
             "csv": (18554, "f97883a8569bc7d6724df4efa6c1ae7a8127bbda143da524e98bbfea1466fef2"),
-            "json": (1140, "221bbaa4e144998b7c3678f536b35734b75aad8193ac30747163bf05baecacfe"),
+            "json": (1192, "bae6ae256ee8791b17bc9217726474a7252e7704aa716ab71d1ee5f758d6dd07"),
         },
     ),
     # continue mode refits each segment on a diverged learner's finite rounds
@@ -100,7 +103,7 @@ RUNS = {
         {
             "stdout": (932, "9d3dda66045506f8bd05631e9a1a13995531bad5a32152313785cb4ec4d1cf8e"),
             "csv": (109731, "adf87e33df60b0021f1572c66d9bcacf9f8d12e24dd2d1d4edee081b22d48fd5"),
-            "json": (4357, "35a96db7992ec9c721ee28b7e194da9a2caf10f4a2500f9a35f8a30506c92c6a"),
+            "json": (4357, "87cec5db362f6a56de7ef561b6ab9a782e880eef82c0f630a7870c089c299b4c"),
         },
     ),
     "shifting-halt": (
@@ -110,7 +113,7 @@ RUNS = {
         {
             "stdout": (834, "5aad38a04e5a356cc5f2a0076337a807378bc6cbbbb492783bd73c0a01b913d2"),
             "csv": (97909, "805bdc1800443cf5895ad0c2ae73495bb3b3190efa375f30282d3ac74d25aa73"),
-            "json": (4293, "0302a7f0ec72a088ba834027cad58dc28bffe9e8ef3475dcf452690a87dce27d"),
+            "json": (4293, "2dcb5b4a979036ed157174442438822c8933fc684388782c49b4b69b93daf8cd"),
         },
     ),
     # a one-round middle segment
@@ -121,7 +124,7 @@ RUNS = {
         {
             "stdout": (685, "45ba642738043ae84d751d6551149959878366f2e34e61719f883a2385cdf741"),
             "csv": (109731, "adf87e33df60b0021f1572c66d9bcacf9f8d12e24dd2d1d4edee081b22d48fd5"),
-            "json": (3650, "71d209b0cd4992e9d3574978e31f1909497ff4b2ee942691d4ab5e330c826731"),
+            "json": (3672, "29b869b3c75a98a07756549e2ade6301daf388cc9f1bf88fce5d02c225e51c05"),
         },
     ),
     "shifting-continue-bits": (
@@ -129,9 +132,9 @@ RUNS = {
          *_bounds(("thm7", "thm6"))],
         1,
         {
-            "stdout": (873, "388d0153a1a562413e21d523be8d94eefb9a9962e49eaace60cbddf89a712022"),
+            "stdout": (873, "b82a101a86811b729e7a4a998ec6acbac40b3fea38ebca08a45080573f55719e"),
             "csv": (108045, "2f8efc851481065839e668db61b8bb74a1323a1d7df361e05efa22c824503c73"),
-            "json": (4128, "896fd3a26b77c5de940051eff0dd9dcfa3292061f69aa19aab808b16ba4d1948"),
+            "json": (4149, "1c662372f2cb2f000d4d98c3819a3b865c54e5d2a626d107a13bb1ad6fa92627"),
         },
     ),
     "single-best-continue": (
@@ -153,9 +156,9 @@ RUNS = {
          *_learners(("meta:rates=1,0.5", "ogd:fixed=0.1", "bayes", "eg:fixed=0.5"))],
         0,
         {
-            "stdout": (270, "2429d2e52365952a461d4811759ed206a82f0315190aca75b12c68d46ef3061c"),
+            "stdout": (268, "b778cd1ffc021cad4ae48f58d1e49f7e348259d5588c2337a5a1bb8854635e51"),
             "csv": (4240189, "dd4bb0080199a1eaa2e434edf8054afdcd379140e9976a0794121ea21edca941"),
-            "json": (2352, "242de4f4a11c14cde00c6e8825e7390ee6fbb25947babbae9a3e1b135ef2a785"),
+            "json": (2349, "74cddcd2ff05010c9beefc1693f4e636e22d4ac85403e63a31dcc1941086e320"),
         },
     ),
     # every expert assigns 0 somewhere: the single best loses inf, and the
@@ -178,7 +181,7 @@ COMPARE = (
                  "ml-soft-bayes", "meta:rates=1,0.5,0.25")),
      "--bound", "thm5"],
     0,
-    (483, "591a4b5c9606d149db0bf186e3fdce850471ba10874fdb4790c46585e5cef803"),
+    (483, "2b13e2bd3c5fe9cfe4f57bde99a1bf13b5689f7eb558f789835b440424dfcfaa"),
 )
 
 # malformed selector -> the exact stderr line (every one exits with code 2)

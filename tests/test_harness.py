@@ -152,11 +152,27 @@ class TestStreamIO:
             read_stream_jsonl(text)
 
     def test_rounds_the_bulk_read_leaves_to_the_line_reader(self):
-        text = ('{"p": [0.5, "0.25"]}\n{"dists": [[0.2, 0.8], [0.6, 0.4]], "x": 2}\n'
-                '{"p": [true, 0.5], "note": 1}\n')
+        text = ('{"p": [0.5, 0.25], "note": "x"}\n{"dists": [[0.2, 0.8], [0.6, 0.4]], "x": 2}\n'
+                '{"note": 1, "p": [1, 0.5]}\n')
         assert harness._bulk_rounds(text.splitlines()) is None
         np.testing.assert_array_equal(read_stream_jsonl(text).p,
                                       [[0.5, 0.25], [0.8, 0.4], [1.0, 0.5]])
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"p": [true, 0.5]}', "line 2: non-numeric probability True"),
+        ('{"p": ["0.5", 0.5]}', "line 2: non-numeric probability '0.5'"),
+        ('{"dists": [[0.2, 0.8], [0.6, 0.4]], "x": true}',
+         "line 2: full round needs 'dists' and integer 'x'"),
+        ('{"dists": [[0.2, 0.8], [false, 0.4]], "x": 1}', "line 2: non-numeric probability False"),
+        ('{"dists": [[0.2, 0.8], "ab"], "x": 1}',
+         "line 2: malformed 'dists': each distribution must be a list covering symbol x=1"),
+        ('{"p": [1' + "0" * 400 + ', 0.5]}', "line 2: stream probabilities must lie in [0, 1]"),
+    ], ids=["bool-p", "string-p", "bool-x", "bool-dists", "string-dist", "huge-int"])
+    def test_stream_values_must_be_json_numbers(self, tmp_path, capsys, text, error):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"p": [0.5, 0.5]}\n' + text + "\n")
+        assert main(["run", "--stream", str(path), "--learner", "bayes"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_csv_round_trip(self):
         text = "p1,p2\n0.5,0.25\n1.0,0.0\n"

@@ -37,7 +37,7 @@ def test_traced_run_counts_every_layer(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert code == 0
     values = tracing.layer_metrics(tracer)
-    assert values["comparators.fixed_mixture_iters"] == 1
+    assert values["comparators.fixed_mixture_iters"] == 7
     # EG and OGD diverge, so each refits the comparator on its finite rounds
     assert values["comparators.masked_solves"] == 2
     assert values["learners.rounds"] == 600
