@@ -47,9 +47,7 @@ from .learners import (
     WeightState,
     meta_bayes_step,
     ml_rate_next,
-    ml_soft_bayes_step,
     run_learner,
-    soft_bayes_step,
 )
 from .rates import (
     AnytimeRate,

@@ -110,7 +110,9 @@ def best_fixed_mixture(stream: ExpertStream, tol: float = 1e-6,
     subject to sum_i a_i = 1, where U holds the distinct rows and w their
     counts over T; mu is cut once the Newton decrement is at most mu.  Stops
     once the Kuhn-Tucker gap, a bound on the loss above the optimum, is at
-    most ``tol`` nats, or after ``max_iter`` steps.
+    most ``tol`` nats, after ``max_iter`` steps, or when backtracking finds
+    no step of at least 1e-12 that raises the objective (a ``tol`` below the
+    certificate's rounding), the last two with ``converged=False``.
     """
     T = len(stream)
     if T == 0:
@@ -139,7 +141,6 @@ def best_fixed_mixture(stream: ExpertStream, tol: float = 1e-6,
         certified = gap(g)
         if certified <= tol or iterations == max_iter:
             break
-        iterations += 1
         # the KKT system [H 1; 1' 0] [d; nu] = [grad; 0] through H, whose bits,
         # one matrix-vector product per column, hold at any BLAS thread count
         grad = g + mu / a
@@ -153,12 +154,17 @@ def best_fixed_mixture(stream: ExpertStream, tol: float = 1e-6,
         decrement = float(d @ grad)
         # keep each weight above 1% of itself, then halve s until the rise,
         # summed from log1p terms free of cancellation, is at least a quarter
-        # of its linear prediction; a step under 1e-12 is taken as it is
+        # of its linear prediction
         s = 0.99 / np.max(-d / a, initial=0.99)
         Ud = U @ d
         while s >= 1e-12 and (float(w @ np.log1p(s * Ud / A))
                               + mu * float(np.log1p(s * d / a).sum()) < 0.25 * s * decrement):
             s /= 2.0
+        if s < 1e-12:
+            # no step rises: the certificate is down to the rounding of the
+            # objective, so the current one is reported, not converged
+            break
+        iterations += 1
         a = a + s * d
         A = U @ a
         if decrement <= mu:

@@ -1,9 +1,11 @@
 """Sequential learners over expert-probability streams.
 
-Each update rule has one kernel.  The learner classes drive it with a rate
-schedule and exclusive state ownership for harness runs; a rule with an input
-no class takes (a chosen rate pair, per-expert rates, sub-learner predictions)
-also has an exported step function that validates it and calls the kernel.
+Each update rule has one kernel, and its learner class is the one driver of
+it: the class owns the weights and, for soft-Bayes, the rate schedule, which
+any object with ``rate``, ``observe`` and ``applies_correction`` can be.
+``meta_bayes_step`` is the meta learner's posterior over its sub-learners'
+predictions, and ``soft_bayes_sweep`` runs the soft-Bayes kernel over a batch
+of streams at once.
 
 Divergence (the learner assigned probability zero to the realized symbol) is
 reported through the infinite-loss sentinel in the returned outcome, with the
@@ -24,6 +26,7 @@ from .core import (
     project_simplex,
     uniform_weights,
 )
+from .rates import FixedRate
 
 
 @dataclass(slots=True)
@@ -114,40 +117,6 @@ def _soft_bayes_weights(w, q, m, eta_t, eta_next=None, prior=None) -> np.ndarray
     return u
 
 
-def _soft_bayes_cycle(state: WeightState, q: np.ndarray, eta_t: float, next_rate) -> StepOutcome:
-    """The soft-Bayes kernel: M, then ``next_rate(q, M)`` for the rate the
-    prior blend uses (online schedules see the round before they emit
-    eta_{t+1}), then the divergence sentinel or the updated weights."""
-    m = _mixture(state.w, q)
-    eta_next = next_rate(q, m)
-    if m == 0.0:
-        return StepOutcome(0.0, INFINITE_LOSS, eta_t, state.w.copy())
-    u = _soft_bayes_weights(state.w, q, m, eta_t, eta_next, state.prior)
-    return StepOutcome(m, -math.log(m), eta_t, u)
-
-
-def soft_bayes_step(state: WeightState, p, eta_t: float,
-                    eta_next: float | None = None) -> StepOutcome:
-    """One soft-Bayes cycle: mixture prediction, then the multiplicative-
-    additive update w_i <- w_i (1 - eta + eta p_i / M).
-
-    With ``eta_next < eta_t`` the updated weights are additionally blended
-    toward the prior with ratio eta_next/eta_t, which keeps a floor of
-    prior_i (1 - eta_next/eta_t) under every weight.  ``eta_next = eta_t``
-    makes the blend the identity; ``eta_t = 1`` is the exact Bayesian
-    posterior.
-    """
-    if not 0.0 < eta_t <= 1.0:
-        raise ValueError(f"rate {eta_t!r} outside (0, 1]")
-    if eta_next is None:
-        eta_next = eta_t
-    if not 0.0 < eta_next <= eta_t:
-        raise ValueError(f"next rate {eta_next!r} outside (0, eta_t={eta_t!r}]: "
-                         "the correction requires a nonincreasing rate sequence")
-    q = _check_round(state.w, p)
-    return _soft_bayes_cycle(state, q, eta_t, lambda q, m: eta_next)
-
-
 def _eg_cycle(log_w: np.ndarray, q: np.ndarray, eta: float):
     """The EG kernel on log weights; returns ``(M, ln M, new log weights)``,
     with ln M = -inf and the weights unchanged on divergence.
@@ -212,16 +181,6 @@ class MLWeightState:
     V: np.ndarray
     t: int = 1
 
-    @staticmethod
-    def uniform(n: int, rates) -> "MLWeightState":
-        prior = uniform_weights(n)
-        r = np.asarray(rates, dtype=float)
-        if r.shape != prior.shape:
-            raise ValueError("need one rate per expert")
-        if np.any(r <= 0.0) or np.any(r >= 1.0):
-            raise ValueError("per-expert rates must lie in (0, 1)")
-        return MLWeightState(prior.copy(), prior, r.copy(), np.zeros(n), 1)
-
 
 def ml_rate_next(v_prev, n: int):
     """Per-expert rate from the accumulated squared excess ratio.
@@ -238,48 +197,6 @@ def ml_rate_next(v_prev, n: int):
     eta_bar = np.sqrt((ln_n / 2.0) / (ln_n + v))
     eta = eta_bar / (1.0 + eta_bar)
     return float(eta) if np.isscalar(v_prev) or v.ndim == 0 else eta
-
-
-def _check_next_rates(rates: np.ndarray, next_rates) -> np.ndarray:
-    nxt = np.asarray(next_rates, dtype=float)
-    if nxt.shape != rates.shape:
-        raise ValueError("need one next rate per expert")
-    if np.any(nxt <= 0.0) or np.any(nxt > rates):
-        raise ValueError("next rates must lie in (0, current rate] per expert")
-    return nxt
-
-
-def _ml_soft_bayes_cycle(state: MLWeightState, q: np.ndarray,
-                         next_rates) -> tuple[StepOutcome, MLWeightState]:
-    """The per-expert-rate kernel: M and the ratios p_i/M once, then
-    ``next_rates(V)`` with V already advanced, then the update.  A diverged
-    round returns the state it was given."""
-    wr = state.w * state.rates
-    den = float(wr.sum())
-    m = float(np.dot(wr, q)) / den
-    if m == 0.0:
-        return StepOutcome(0.0, INFINITE_LOSS, None, state.w.copy()), state
-    ratio = q / m
-    v_new = state.V + (ratio - 1.0) ** 2
-    nxt = next_rates(v_new)
-    u = state.w * (1.0 - state.rates + state.rates * ratio)
-    blend = nxt / state.rates
-    w_new = u * blend + (1.0 - blend) * state.prior
-    new_state = MLWeightState(w_new, state.prior, nxt.copy(), v_new, state.t + 1)
-    return StepOutcome(m, -math.log(m), None, w_new), new_state
-
-
-def ml_soft_bayes_step(state: MLWeightState, p, next_rates) -> tuple[StepOutcome, MLWeightState]:
-    """One cycle of the per-expert-rate mixture.
-
-    Prediction is the rate-weighted mixture sum(w_i eta_i p_i) / sum(w_i
-    eta_i); each expert then runs the soft-Bayes update and prior blend with
-    its own rate pair.  Returns the outcome and the advanced state (new
-    weights, the supplied next rates, and V incremented by (p_i/M - 1)^2).
-    """
-    q = _check_round(state.w, p)
-    nxt = _check_next_rates(state.rates, next_rates)
-    return _ml_soft_bayes_cycle(state, q, lambda v: nxt)
 
 
 def meta_bayes_step(meta_weights, sub_predictions) -> tuple[float, np.ndarray]:
@@ -331,11 +248,13 @@ def soft_bayes_sweep(batch, schedule):
 
 
 class SoftBayes:
-    """Soft-Bayes learner with a pluggable rate schedule.
+    """Soft-Bayes learner with a pluggable rate schedule: the update
+    w_i <- w_i (1 - eta_t + eta_t p_i / M), exact Bayes at eta_t = 1.
 
     Schedules flagged ``applies_correction`` additionally blend toward the
-    prior with the ratio of consecutive rates; a schedule that emits an
-    increasing rate under that flag aborts the run.
+    prior with the ratio eta_{t+1}/eta_t, which keeps a floor of
+    prior_i (1 - eta_{t+1}/eta_t) under every weight; a schedule that emits
+    an increasing rate under that flag aborts the run.
     """
 
     def __init__(self, n: int, schedule, prior=None, name: str = "soft-bayes"):
@@ -355,33 +274,31 @@ class SoftBayes:
         return self._eta
 
     def step(self, p) -> StepOutcome:
-        state = self.state
-        out = _soft_bayes_cycle(state, _check_round(state.w, p), self._eta, self._next_rate)
-        state.w = out.new_weights
-        state.t += 1
-        return out
-
-    def _next_rate(self, q, m: float) -> float:
-        """Show round t to the schedule, advance to eta_{t+1}, and return the
-        rate the prior blend uses (eta_t itself for plain schedules)."""
-        t, eta_t = self.state.t, self._eta
-        self.schedule.observe(t, q, m)
-        eta_next = self.schedule.rate(t + 1)
-        corrects = self.schedule.applies_correction
+        # the schedule sees round t and its M before it gives eta_{t+1}
+        state, schedule = self.state, self.schedule
+        q = _check_round(state.w, p)
+        m = _mixture(state.w, q)
+        t, eta_t = state.t, self._eta
+        schedule.observe(t, q, m)
+        eta_next = schedule.rate(t + 1)
+        corrects = schedule.applies_correction
         if corrects and eta_next > eta_t and m != 0.0:
             raise RuntimeError(
-                f"schedule {self.schedule} emitted an increasing rate "
+                f"schedule {schedule} emitted an increasing rate "
                 f"({eta_t!r} -> {eta_next!r}) at t={t}")
         self._eta = eta_next
-        return eta_next if corrects else eta_t
+        state.t += 1
+        if m == 0.0:
+            return StepOutcome(0.0, INFINITE_LOSS, eta_t, state.w.copy())
+        state.w = _soft_bayes_weights(state.w, q, m, eta_t,
+                                      eta_next if corrects else eta_t, state.prior)
+        return StepOutcome(m, -math.log(m), eta_t, state.w)
 
 
 class Bayes(SoftBayes):
     """Exact Bayesian mixture: soft-Bayes pinned at rate 1."""
 
     def __init__(self, n: int, prior=None, name: str = "bayes"):
-        from .rates import FixedRate
-
         super().__init__(n, FixedRate(1.0), prior=prior, name=name)
 
 
@@ -451,13 +368,27 @@ class MLSoftBayes:
         return self.state.w
 
     def step(self, p) -> StepOutcome:
+        """Prediction sum(w_i eta_i p_i) / sum(w_i eta_i); each expert then
+        runs the soft-Bayes update and prior blend with its own rate pair,
+        eta_{t+1} taken from V advanced by (p_i/M - 1)^2.  A diverged round
+        leaves the state as it was."""
+        state = self.state
+        q = _check_round(state.w, p)
+        wr = state.w * state.rates
+        m = float(np.dot(wr, q)) / float(wr.sum())
+        if m == 0.0:
+            return StepOutcome(0.0, INFINITE_LOSS, None, state.w.copy())
+        ratio = q / m
+        state.V += (ratio - 1.0) ** 2
         # eta_bar / (1 + eta_bar) can rise by an ulp as V grows, so the
         # rates are clamped to stay nonincreasing
-        state = self.state
-        out, self.state = _ml_soft_bayes_cycle(
-            state, _check_round(state.w, p),
-            lambda v: np.minimum(ml_rate_next(v, self.n), state.rates))
-        return out
+        nxt = np.minimum(ml_rate_next(state.V, self.n), state.rates)
+        u = state.w * (1.0 - state.rates + state.rates * ratio)
+        blend = nxt / state.rates
+        state.w = u * blend + (1.0 - blend) * state.prior
+        state.rates = nxt
+        state.t += 1
+        return StepOutcome(m, -math.log(m), None, state.w)
 
 
 class MetaBayes:
@@ -469,12 +400,9 @@ class MetaBayes:
     """
 
     def __init__(self, n: int, rates, prior=None, name: str = "meta"):
-        rates = [float(r) for r in rates]
+        rates = [FixedRate(float(r)).eta for r in rates]
         if not rates:
             raise ValueError("meta learner needs at least one sub-rate")
-        for r in rates:
-            if not 0.0 < r <= 1.0:
-                raise ValueError(f"fixed rate {r!r} outside (0, 1]")
         w1 = uniform_weights(n) if prior is None else as_simplex(prior)
         self.n = n
         self.name = name

@@ -1,8 +1,10 @@
-"""Each learner class must drive the same kernel as its exported step function.
+"""The learner classes against exact restatements of their updates.
 
-Every round the function and the class start from the same weights, the
-function gets the rates the class used, and prediction, loss and new weights
-must agree bit for bit.
+Soft-Bayes under every schedule, Bayes, ML-soft-Bayes and meta run through
+``run_learner`` and are held, round by round, to the 60-digit ``decimal``
+replays in ``reference.py``: the same diverged rounds, and each finite loss
+within 1e-12 nats.  The meta learner is also held bit for bit to K
+fixed-rate ``SoftBayes`` learners feeding ``meta_bayes_step``.
 """
 
 import math
@@ -10,16 +12,15 @@ import math
 import numpy as np
 import pytest
 
+from reference import meta_losses, ml_soft_bayes_losses, soft_bayes_losses
 from softbayes.generators import adversarial_alternating, random_iid_instance
 from softbayes.learners import (
+    Bayes,
     MLSoftBayes,
     MetaBayes,
-    MLWeightState,
     SoftBayes,
-    WeightState,
     meta_bayes_step,
-    ml_soft_bayes_step,
-    soft_bayes_step,
+    run_learner,
 )
 from softbayes.rates import (
     AnytimeRate,
@@ -33,50 +34,53 @@ from softbayes.rates import (
 STREAMS = {
     "theorem2": lambda: adversarial_alternating(200),
     "iid-n5": lambda: random_iid_instance(5, 300, seed=3),
-}
-
-SCHEDULES = {
-    "anytime": AnytimeRate,
-    "sparse": SparseRate,
-    "shifting": ShiftingRate,
-    "self-confident": SelfConfidentRate,
-    "fixed": lambda n: FixedRate(0.3),
-    "inverse-t": lambda n: InverseT(2.0),
+    # past the N <= 16 scalar branch of the soft-Bayes kernel
+    "iid-n20": lambda: random_iid_instance(20, 300, seed=5),
 }
 
 
-def assert_same(fn_out, cls_out):
-    assert fn_out.prediction == cls_out.prediction
-    assert fn_out.loss == cls_out.loss
-    assert np.array_equal(fn_out.new_weights, cls_out.new_weights)
+def _soft_bayes(schedule):
+    def make(n):
+        return SoftBayes(n, schedule(n))
+    return make
+
+
+def _soft_bayes_exact(p, learner, trace):
+    rates = [*trace.rates.tolist(), learner.current_rate]
+    return soft_bayes_losses(p, rates, learner.schedule.applies_correction)
+
+
+META_RATES = [1.0, 0.5, 0.25]
+
+# name -> (learner factory, exact losses from (rows, learner, trace))
+LEARNERS = {
+    "anytime": (_soft_bayes(AnytimeRate), _soft_bayes_exact),
+    "sparse": (_soft_bayes(SparseRate), _soft_bayes_exact),
+    "shifting": (_soft_bayes(ShiftingRate), _soft_bayes_exact),
+    "self-confident": (_soft_bayes(SelfConfidentRate), _soft_bayes_exact),
+    "fixed": (_soft_bayes(lambda n: FixedRate(0.3)), _soft_bayes_exact),
+    "inverse-t": (_soft_bayes(lambda n: InverseT(2.0)), _soft_bayes_exact),
+    "bayes": (Bayes, _soft_bayes_exact),
+    "ml-soft-bayes": (MLSoftBayes, lambda p, learner, trace: ml_soft_bayes_losses(p)),
+    "meta": (lambda n: MetaBayes(n, META_RATES),
+             lambda p, learner, trace: meta_losses(p, META_RATES)),
+}
 
 
 @pytest.mark.parametrize("stream_name", sorted(STREAMS))
-@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
-def test_soft_bayes(stream_name, schedule):
+@pytest.mark.parametrize("learner_name", sorted(LEARNERS))
+def test_exact_reference(stream_name, learner_name):
     stream = STREAMS[stream_name]()
-    n = stream.n_experts
-    learner = SoftBayes(n, SCHEDULES[schedule](n))
-    corrects = learner.schedule.applies_correction
-    for p in stream:
-        state = WeightState(learner.weights.copy(), learner.state.prior, learner.state.t)
-        eta_t = learner.current_rate
-        cls_out = learner.step(p)
-        fn_out = soft_bayes_step(state, p, eta_t, learner.current_rate if corrects else eta_t)
-        assert_same(fn_out, cls_out)
-
-
-@pytest.mark.parametrize("stream_name", sorted(STREAMS))
-def test_ml_soft_bayes(stream_name):
-    stream = STREAMS[stream_name]()
-    learner = MLSoftBayes(stream.n_experts)
-    for p in stream:
-        s = learner.state
-        state = MLWeightState(s.w.copy(), s.prior, s.rates.copy(), s.V.copy(), s.t)
-        cls_out = learner.step(p)
-        fn_out, fn_state = ml_soft_bayes_step(state, p, learner.state.rates)
-        assert_same(fn_out, cls_out)
-        assert np.array_equal(fn_state.V, learner.state.V)
+    make, exact = LEARNERS[learner_name]
+    learner = make(stream.n_experts)
+    trace = run_learner(learner, stream)
+    want = np.array(exact(stream.p, learner, trace))
+    diverged = np.isinf(trace.losses)
+    np.testing.assert_array_equal(diverged, np.isinf(want))
+    assert np.abs(trace.losses[~diverged] - want[~diverged]).max() <= 1e-12
+    if (stream_name, learner_name) == ("theorem2", "bayes"):
+        # every flip round that the posterior's lost expert gets right
+        assert diverged.sum() == 50
 
 
 META_CASES = {

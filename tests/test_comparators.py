@@ -242,6 +242,16 @@ class TestCertifiedSolve:
         np.testing.assert_array_equal(sol.a, [0.0, 1.0])
         assert sol.iterations == 8 and sol.gap == 0.0 and sol.converged
 
+    def test_tol_below_rounding_stops_at_the_step_floor(self):
+        # the certificate stalls near 4.4e-12 nats, under its own rounding,
+        # where no step of at least 1e-12 raises the objective; each step
+        # then halved down to that floor until max_iter ran out
+        sol = best_fixed_mixture(random_iid_instance(100, 10_000, 2), tol=0.0, max_iter=300)
+        assert sol.iterations < 300 and not sol.converged
+        assert sol.gap <= 1e-11
+        # the loss that a solve certified within 1e-11 nats reaches
+        assert sol.loss == pytest.approx(45934.11659796116, rel=0, abs=1e-9)
+
 
 # solves the N=100 iid stream and one criterion-4 stream (10^4 distinct
 # rows, 18 of 20 weights at 0) and prints each solution's bits

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,15 +14,11 @@ from softbayes.learners import (
     LearnerTrace,
     MetaBayes,
     MLSoftBayes,
-    MLWeightState,
     OnlineGradientDescent,
     SoftBayes,
-    WeightState,
     meta_bayes_step,
     ml_rate_next,
-    ml_soft_bayes_step,
     run_learner,
-    soft_bayes_step,
     soft_bayes_sweep,
 )
 from softbayes.rates import AnytimeRate, FixedRate, InverseT
@@ -31,20 +28,36 @@ def random_stream(rng, T, n, low=0.01):
     return ExpertStream(rng.uniform(low, 1.0, size=(T, n)))
 
 
+class TwoRates:
+    """eta_1, then eta_2 on every later round, with the prior-blend
+    correction: a rate pair of the test's choosing as a schedule."""
+
+    applies_correction = True
+
+    def __init__(self, first, then):
+        self.first, self.then = first, then
+
+    def rate(self, t):
+        return self.first if t == 1 else self.then
+
+    def observe(self, t, p, m):
+        pass
+
+
 class TestSoftBayesStep:
     def test_hand_update(self):
-        out = soft_bayes_step(WeightState.uniform(2), [0.0, 1.0], 0.5)
+        out = SoftBayes(2, FixedRate(0.5)).step([0.0, 1.0])
         assert out.prediction == pytest.approx(0.5)
         np.testing.assert_allclose(out.new_weights, [0.25, 0.75], atol=1e-15)
 
     def test_rate_one_is_posterior(self):
-        out = soft_bayes_step(WeightState.uniform(2), [0.2, 0.6], 1.0)
+        out = SoftBayes(2, FixedRate(1.0)).step([0.2, 0.6])
         assert out.prediction == pytest.approx(0.4)
         np.testing.assert_allclose(out.new_weights, [0.25, 0.75], atol=1e-15)
 
     def test_hand_correction(self):
         # base update to (0.25, 0.75), then blended halfway back to the prior
-        out = soft_bayes_step(WeightState.uniform(2), [0.0, 1.0], 0.5, 0.25)
+        out = SoftBayes(2, TwoRates(0.5, 0.25)).step([0.0, 1.0])
         np.testing.assert_allclose(out.new_weights, [0.375, 0.625], atol=1e-15)
 
     def test_equal_probabilities_leave_weights(self):
@@ -53,23 +66,22 @@ class TestSoftBayesStep:
             w = rng.dirichlet(np.ones(4))
             q = rng.uniform(0.05, 1.0)
             eta = rng.uniform(0.01, 1.0)
-            out = soft_bayes_step(WeightState(w.copy(), w.copy(), 1), np.full(4, q), eta)
+            out = SoftBayes(4, FixedRate(eta), prior=w).step(np.full(4, q))
             np.testing.assert_allclose(out.new_weights, w, atol=1e-12)
 
     def test_divergence_sentinel_keeps_weights(self):
-        state = WeightState(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 1)
-        out = soft_bayes_step(state, [0.0, 1.0], 0.5)
+        learner = SoftBayes(2, FixedRate(0.5), prior=[1.0, 0.0])
+        out = learner.step([0.0, 1.0])
         assert out.diverged and math.isinf(out.loss)
         np.testing.assert_array_equal(out.new_weights, [1.0, 0.0])
-
-    def test_rejects_increasing_rates(self):
-        with pytest.raises(ValueError, match="nonincreasing"):
-            soft_bayes_step(WeightState.uniform(2), [0.5, 0.5], 0.5, 0.6)
+        np.testing.assert_array_equal(learner.weights, [1.0, 0.0])
 
     def test_rejects_rate_out_of_range(self):
         for eta in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                soft_bayes_step(WeightState.uniform(2), [0.5, 0.5], eta)
+            with pytest.raises(ValueError, match="outside"):
+                FixedRate(eta)
+        with pytest.raises(ValueError, match=re.escape("fixed rate 1.5 outside (0, 1]")):
+            MetaBayes(2, [1.5])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
@@ -81,8 +93,7 @@ class TestSoftBayesStep:
         if p.max() == 0.0:
             p[0] = 0.5
         eta = rng.uniform(0.001, 0.999)
-        state = WeightState(w.copy(), w.copy(), 1)
-        out = soft_bayes_step(state, p, eta)
+        out = SoftBayes(n, FixedRate(eta), prior=w).step(p)
         assert abs(out.new_weights.sum() - 1.0) <= 1e-9
         assert np.all(out.new_weights <= (1 - eta) * w + eta + 1e-12)
         assert np.all(out.new_weights >= 0)
@@ -164,35 +175,42 @@ class TestOGDStep:
 
 class TestMLSoftBayes:
     def test_hand_update(self):
-        state = MLWeightState.uniform(2, [0.5, 0.25])
-        out, new_state = ml_soft_bayes_step(state, [0.0, 1.0], [0.5, 0.25])
+        learner = MLSoftBayes(2)
+        learner.state.rates = np.array([0.5, 0.25])
+        out = learner.step([0.0, 1.0])
         assert out.prediction == pytest.approx(1 / 3)
-        np.testing.assert_allclose(out.new_weights, [0.25, 0.75], atol=1e-15)
-        np.testing.assert_allclose(new_state.V, [1.0, 4.0], atol=1e-12)
+        np.testing.assert_allclose(learner.state.V, [1.0, 4.0], atol=1e-12)
+        # base update to (0.25, 0.75), each blended toward the prior by its
+        # own rate ratio
+        np.testing.assert_allclose(learner.state.rates, ml_rate_next(np.array([1.0, 4.0]), 2))
+        blend = learner.state.rates / [0.5, 0.25]
+        np.testing.assert_allclose(out.new_weights, [0.25, 0.75] * blend + (1 - blend) * 0.5,
+                                   atol=1e-15)
 
     def test_equal_probabilities_leave_weights(self):
-        state = MLWeightState.uniform(3, [0.4, 0.3, 0.2])
-        out, _ = ml_soft_bayes_step(state, [0.6, 0.6, 0.6], [0.4, 0.3, 0.2])
+        learner = MLSoftBayes(3)
+        learner.state.rates = np.array([0.4, 0.3, 0.2])
+        out = learner.step([0.6, 0.6, 0.6])
         assert out.prediction == pytest.approx(0.6)
-        np.testing.assert_allclose(out.new_weights, state.prior, atol=1e-15)
+        np.testing.assert_allclose(out.new_weights, learner.state.prior, atol=1e-15)
 
     def test_equal_rates_match_plain_mixture(self):
         rng = np.random.default_rng(5)
         w = rng.dirichlet(np.ones(4))
         p = rng.random(4)
-        state = MLWeightState(w.copy(), w.copy(), np.full(4, 0.3), np.zeros(4), 1)
-        out, _ = ml_soft_bayes_step(state, p, np.full(4, 0.3))
+        learner = MLSoftBayes(4, prior=w)
+        learner.state.rates = np.full(4, 0.3)
+        out = learner.step(p)
         assert out.prediction == pytest.approx(float(w @ p) / float(w.sum()), rel=1e-12)
 
-    def test_constant_rates_stay_on_simplex(self):
-        rng = np.random.default_rng(6)
-        rates = np.array([0.5, 0.3, 0.2])
-        state = MLWeightState.uniform(3, rates)
-        for _ in range(200):
-            p = rng.uniform(0.01, 1.0, 3)
-            _, state = ml_soft_bayes_step(state, p, rates)
-            assert abs(state.w.sum() - 1.0) <= 1e-9
-            assert np.all(state.w > 0)
+    def test_diverged_round_leaves_state(self):
+        learner = MLSoftBayes(2, prior=[1.0, 0.0])
+        before = (learner.state.w.copy(), learner.state.rates.copy(), learner.state.V.copy())
+        out = learner.step([0.0, 1.0])
+        assert out.diverged
+        for kept, now in zip(before, (learner.state.w, learner.state.rates, learner.state.V)):
+            np.testing.assert_array_equal(now, kept)
+        assert learner.state.t == 1
 
     def test_adaptive_learner_weights_positive_and_growth_bounded(self):
         rng = np.random.default_rng(7)
@@ -215,11 +233,6 @@ class TestMLSoftBayes:
             rates.append(learner.state.rates)
         assert np.all(np.diff(rates, axis=0) <= 0.0)
         assert sum(losses) == pytest.approx(4.677, abs=5e-4)
-
-    def test_rejects_increasing_rates(self):
-        state = MLWeightState.uniform(2, [0.3, 0.3])
-        with pytest.raises(ValueError):
-            ml_soft_bayes_step(state, [0.5, 0.5], [0.4, 0.3])
 
 
 class TestMLRateNext:

@@ -41,5 +41,8 @@ def test_traced_run_counts_every_layer(tmp_path, capsys, monkeypatch):
     # EG and OGD diverge, so each refits the comparator on its finite rounds
     assert values["comparators.masked_solves"] == 2
     assert values["learners.rounds"] == 600
+    # the self-confident schedule: rate(1) when the learner is made, then
+    # one observe and one rate(t + 1) per round
+    assert values["rates.calls"] == 401
     for name in ("harness.render_csv_bytes", "harness.ratio_stats_s", "comparators.bound_s"):
         assert values[name] > 0, name
