@@ -39,12 +39,10 @@ from .learners import (
     ExponentiatedGradient,
     LearnerTrace,
     MLSoftBayes,
-    MLWeightState,
     MetaBayes,
     OnlineGradientDescent,
     SoftBayes,
     StepOutcome,
-    WeightState,
     meta_bayes_step,
     ml_rate_next,
     run_learner,
@@ -56,15 +54,10 @@ from .rates import (
     InverseT,
     ScheduleConfig,
     SelfConfidentRate,
-    SelfConfidentStats,
     ShiftingRate,
     SparseRate,
     parse_schedule,
-    rate_anytime,
     rate_offline,
-    rate_self_confident,
-    rate_sparse,
-    rate_shifting,
 )
 
 __version__ = "0.1.0"

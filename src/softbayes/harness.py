@@ -254,6 +254,8 @@ def _fixed_rate_arg(arg: str, kind: str, text: str) -> dict:
         raise ConfigError(f"bad rate for {kind}: {value!r}") from exc
     if not eta > 0.0:
         raise ConfigError(f"{kind} rate must be positive")
+    if math.isinf(eta):
+        raise ConfigError(f"{kind} rate {value.strip()!r} must be finite")
     return {"eta": eta}
 
 

@@ -1,8 +1,11 @@
 """Sequential learners over expert-probability streams.
 
 Each update rule has one kernel, and its learner class is the one driver of
-it: the class owns the weights and, for soft-Bayes, the rate schedule, which
-any object with ``rate``, ``observe`` and ``applies_correction`` can be.
+it.  The class keeps its state as plain attributes: ``weights`` (EG keeps
+``log_w`` and meta its row stack ``w``), the ``prior`` that soft-Bayes and
+ML-soft-Bayes blend toward, ML-soft-Bayes's ``rates`` and ``V``, and for
+soft-Bayes the round ``t`` and the rate schedule, which any object with
+``rate``, ``observe`` and ``applies_correction`` can be.
 ``meta_bayes_step`` is the meta learner's posterior over its sub-learners'
 predictions, and ``soft_bayes_sweep`` runs the soft-Bayes kernel over a batch
 of streams at once.
@@ -30,25 +33,6 @@ from .rates import FixedRate
 
 
 @dataclass(slots=True)
-class WeightState:
-    """Current weights, the prior they started from, and the 1-based round."""
-
-    w: np.ndarray
-    prior: np.ndarray
-    t: int = 1
-
-    @staticmethod
-    def uniform(n: int) -> "WeightState":
-        prior = uniform_weights(n)
-        return WeightState(prior.copy(), prior, 1)
-
-    @staticmethod
-    def from_prior(prior) -> "WeightState":
-        p = as_simplex(prior)
-        return WeightState(p.copy(), p, 1)
-
-
-@dataclass(slots=True)
 class StepOutcome:
     prediction: float
     loss: float
@@ -58,6 +42,11 @@ class StepOutcome:
     @property
     def diverged(self) -> bool:
         return math.isinf(self.loss)
+
+
+def _start_weights(n: int, prior) -> np.ndarray:
+    """The starting weights: uniform, or ``prior`` checked as a simplex."""
+    return uniform_weights(n) if prior is None else as_simplex(prior)
 
 
 def _check_round(w: np.ndarray, p) -> np.ndarray:
@@ -166,22 +155,6 @@ def _ogd_cycle(w: np.ndarray, q: np.ndarray, eta: float) -> StepOutcome:
     return StepOutcome(m, -math.log(m), eta, project_simplex(w + step * q))
 
 
-@dataclass
-class MLWeightState:
-    """State for the per-expert-rate variant.
-
-    ``w`` stays strictly positive but is no longer confined to the simplex
-    once the per-expert rate ratios differ; ``V[i]`` accumulates the squared
-    excess prediction ratio (p_i/M - 1)^2 that drives expert i's rate.
-    """
-
-    w: np.ndarray
-    prior: np.ndarray
-    rates: np.ndarray
-    V: np.ndarray
-    t: int = 1
-
-
 def ml_rate_next(v_prev, n: int):
     """Per-expert rate from the accumulated squared excess ratio.
 
@@ -261,12 +234,10 @@ class SoftBayes:
         self.n = n
         self.name = name
         self.schedule = schedule
-        self.state = WeightState.uniform(n) if prior is None else WeightState.from_prior(prior)
+        self.prior = _start_weights(n, prior)
+        self.weights = self.prior.copy()
+        self.t = 1
         self._eta = schedule.rate(1)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.state.w
 
     @property
     def current_rate(self) -> float:
@@ -275,10 +246,10 @@ class SoftBayes:
 
     def step(self, p) -> StepOutcome:
         # the schedule sees round t and its M before it gives eta_{t+1}
-        state, schedule = self.state, self.schedule
-        q = _check_round(state.w, p)
-        m = _mixture(state.w, q)
-        t, eta_t = state.t, self._eta
+        w, schedule = self.weights, self.schedule
+        q = _check_round(w, p)
+        m = _mixture(w, q)
+        t, eta_t = self.t, self._eta
         schedule.observe(t, q, m)
         eta_next = schedule.rate(t + 1)
         corrects = schedule.applies_correction
@@ -287,12 +258,12 @@ class SoftBayes:
                 f"schedule {schedule} emitted an increasing rate "
                 f"({eta_t!r} -> {eta_next!r}) at t={t}")
         self._eta = eta_next
-        state.t += 1
+        self.t = t + 1
         if m == 0.0:
-            return StepOutcome(0.0, INFINITE_LOSS, eta_t, state.w.copy())
-        state.w = _soft_bayes_weights(state.w, q, m, eta_t,
-                                      eta_next if corrects else eta_t, state.prior)
-        return StepOutcome(m, -math.log(m), eta_t, state.w)
+            return StepOutcome(0.0, INFINITE_LOSS, eta_t, w.copy())
+        self.weights = _soft_bayes_weights(w, q, m, eta_t,
+                                           eta_next if corrects else eta_t, self.prior)
+        return StepOutcome(m, -math.log(m), eta_t, self.weights)
 
 
 class Bayes(SoftBayes):
@@ -307,14 +278,13 @@ class ExponentiatedGradient:
     the huge p/M ratios adversarial streams produce do not overflow."""
 
     def __init__(self, n: int, eta: float, prior=None, name: str = "eg"):
-        if not eta > 0.0:
-            raise ValueError("EG rate must be positive")
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"EG rate {eta!r} must be positive and finite")
         self.n = n
         self.eta = float(eta)
         self.name = name
-        w1 = uniform_weights(n) if prior is None else as_simplex(prior)
         with np.errstate(divide="ignore"):
-            self.log_w = np.log(w1)
+            self.log_w = np.log(_start_weights(n, prior))
 
     @property
     def weights(self) -> np.ndarray:
@@ -331,22 +301,16 @@ class OnlineGradientDescent:
     """Projected online gradient descent on the simplex."""
 
     def __init__(self, n: int, eta: float, prior=None, name: str = "ogd"):
-        if not eta > 0.0:
-            raise ValueError("OGD rate must be positive")
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"OGD rate {eta!r} must be positive and finite")
         self.n = n
         self.eta = float(eta)
         self.name = name
-        self.state = WeightState.uniform(n) if prior is None else WeightState.from_prior(prior)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.state.w
+        self.weights = _start_weights(n, prior)
 
     def step(self, p) -> StepOutcome:
-        state = self.state
-        out = _ogd_cycle(state.w, _check_round(state.w, p), self.eta)
-        state.w = out.new_weights
-        state.t += 1
+        out = _ogd_cycle(self.weights, _check_round(self.weights, p), self.eta)
+        self.weights = out.new_weights
         return out
 
 
@@ -359,36 +323,32 @@ class MLSoftBayes:
             raise ValueError("ml-soft-bayes needs N >= 2")
         self.n = n
         self.name = name
-        w1 = uniform_weights(n) if prior is None else as_simplex(prior)
-        r1 = np.full(n, float(ml_rate_next(0.0, n)))
-        self.state = MLWeightState(w1.copy(), w1, r1, np.zeros(n), 1)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.state.w
+        self.prior = _start_weights(n, prior)
+        self.weights = self.prior.copy()
+        self.rates = np.full(n, float(ml_rate_next(0.0, n)))
+        self.V = np.zeros(n)
 
     def step(self, p) -> StepOutcome:
         """Prediction sum(w_i eta_i p_i) / sum(w_i eta_i); each expert then
         runs the soft-Bayes update and prior blend with its own rate pair,
         eta_{t+1} taken from V advanced by (p_i/M - 1)^2.  A diverged round
         leaves the state as it was."""
-        state = self.state
-        q = _check_round(state.w, p)
-        wr = state.w * state.rates
+        w, rates = self.weights, self.rates
+        q = _check_round(w, p)
+        wr = w * rates
         m = float(np.dot(wr, q)) / float(wr.sum())
         if m == 0.0:
-            return StepOutcome(0.0, INFINITE_LOSS, None, state.w.copy())
+            return StepOutcome(0.0, INFINITE_LOSS, None, w.copy())
         ratio = q / m
-        state.V += (ratio - 1.0) ** 2
+        self.V += (ratio - 1.0) ** 2
         # eta_bar / (1 + eta_bar) can rise by an ulp as V grows, so the
         # rates are clamped to stay nonincreasing
-        nxt = np.minimum(ml_rate_next(state.V, self.n), state.rates)
-        u = state.w * (1.0 - state.rates + state.rates * ratio)
-        blend = nxt / state.rates
-        state.w = u * blend + (1.0 - blend) * state.prior
-        state.rates = nxt
-        state.t += 1
-        return StepOutcome(m, -math.log(m), None, state.w)
+        nxt = np.minimum(ml_rate_next(self.V, self.n), rates)
+        u = w * (1.0 - rates + rates * ratio)
+        blend = nxt / rates
+        self.weights = u * blend + (1.0 - blend) * self.prior
+        self.rates = nxt
+        return StepOutcome(m, -math.log(m), None, self.weights)
 
 
 class MetaBayes:
@@ -403,10 +363,9 @@ class MetaBayes:
         rates = [FixedRate(float(r)).eta for r in rates]
         if not rates:
             raise ValueError("meta learner needs at least one sub-rate")
-        w1 = uniform_weights(n) if prior is None else as_simplex(prior)
         self.n = n
         self.name = name
-        self.w = np.tile(w1, (len(rates), 1))
+        self.w = np.tile(_start_weights(n, prior), (len(rates), 1))
         self.eta = np.array(rates)[:, None]
         self.dead = np.zeros(len(rates), dtype=bool)
         self.u = uniform_weights(len(rates))

@@ -8,8 +8,12 @@ Two families:
   emit a nonincreasing rate sequence and are paired with the rate-ratio
   correction that blends a sliver of the prior back in every round.
 
-A schedule instance is owned by exactly one learner and its ``rate``/
-``observe`` methods are called in round order.
+Each schedule class is the one form of its rate, and keeps the statistics
+its rate reads as its own attributes: ``SparseRate.tracker`` (the best set)
+and ``SelfConfidentRate.C1`` and ``eta_prev``.  A schedule instance is owned
+by exactly one learner and its ``rate``/``observe`` methods are called in
+round order.  ``rate_offline`` is the horizon-tuned constant rate that the
+``thm2`` bound assumes; a caller runs it as a ``FixedRate``.
 """
 
 from __future__ import annotations
@@ -37,63 +41,6 @@ def rate_offline(T: int, N: int, m: int | None = None) -> float:
         raise ValueError(f"m={m} outside [1, N={N}]")
     eta_bar = math.sqrt(math.log(N) / (T * m))
     return eta_bar / (1.0 + eta_bar)
-
-
-def rate_anytime(t: int, N: int) -> float:
-    """sqrt(ln N / (2 N t)); strictly decreasing in t."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    return math.sqrt(math.log(N) / (2.0 * N * t))
-
-
-def rate_sparse(t: int, N: int, m_t: int) -> float:
-    """sqrt(ln N / (2 m_t t)) with m_t the number of ever-best experts."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if not 1 <= m_t <= N:
-        raise ValueError(f"m_t={m_t} outside [1, N={N}]")
-    return math.sqrt(math.log(N) / (2.0 * m_t * t))
-
-
-def rate_shifting(t: int, N: int) -> float:
-    """sqrt(ln N / (2 N t)) * ln(t + 3); at most 3/5 for all N >= 2, t >= 1."""
-    return rate_anytime(t, N) * math.log(t + 3.0)
-
-
-@dataclass
-class SelfConfidentStats:
-    """Running statistic for the self-confident rate.
-
-    ``C1`` accumulates max_i(p_i/M - 1) per round, which is nonnegative
-    because the mixture probability never exceeds the best expert's.
-    """
-
-    C1: float = 0.0
-    eta_prev: float | None = None
-
-
-def rate_self_confident(stats: SelfConfidentStats, N: int, t: int,
-                        eta_max: float = RATE_CAP) -> float:
-    """Data-driven rate sqrt(2 ln N / C1), floored, capped, and ratio-clamped.
-
-    The denominator is floored at ln N (the rate is otherwise undefined at
-    C1 = 0) and the result capped at ``eta_max``.  From the second round on,
-    the next-over-current ratio is clamped to at most sqrt((t-1)/t) so the
-    weight floor enforced by the online correction decays no faster than
-    O(1/t); the clamp also makes the emitted sequence strictly decreasing.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    ln_n = math.log(N)
-    candidate = min(eta_max, math.sqrt(2.0 * ln_n / max(stats.C1, ln_n)))
-    if stats.eta_prev is None or t <= 1:
-        return candidate
-    ratio = min(candidate / stats.eta_prev, math.sqrt((t - 1.0) / t))
-    return stats.eta_prev * ratio
 
 
 @dataclass
@@ -161,8 +108,8 @@ class InverseT(_Schedule):
     applies_correction = False
 
     def __init__(self, c: float):
-        if not c > 0:
-            raise ValueError("inverse-t offset c must be positive")
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"inverse-t offset {c!r} must be positive and finite")
         self.c = float(c)
 
     def rate(self, t: int) -> float:
@@ -172,33 +119,42 @@ class InverseT(_Schedule):
 
 
 class AnytimeRate(_Schedule):
+    """sqrt(ln N / (2 N t)); strictly decreasing in t."""
+
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("anytime schedule needs N >= 2")
         self.n = n
+        self.ln_n = math.log(n)
 
     def rate(self, t: int) -> float:
-        return rate_anytime(t, self.n)
+        if t < 1:
+            raise ValueError("t must be >= 1")
+        return math.sqrt(self.ln_n / (2.0 * self.n * t))
 
 
 class SparseRate(_Schedule):
-    """Anytime rate scaled by the best-set size instead of N."""
+    """sqrt(ln N / (2 m_t t)), the anytime rate with N replaced by m_t, the
+    number of experts best before round t, and capped at ``RATE_CAP``."""
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("sparse schedule needs N >= 2")
-        self.n = n
+        self.ln_n = math.log(n)
         self.tracker = BestSetTracker()
 
     def rate(self, t: int) -> float:
-        return min(rate_sparse(t, self.n, self.tracker.m(t)), RATE_CAP)
+        if t < 1:
+            raise ValueError("t must be >= 1")
+        return min(math.sqrt(self.ln_n / (2.0 * self.tracker.m(t) * t)), RATE_CAP)
 
     def observe(self, t: int, p, m: float) -> None:
         self.tracker.update(p, t)
 
 
 class ShiftingRate(_Schedule):
-    """Anytime rate with a ln(t+3) boost, for piecewise-constant competitors.
+    """sqrt(ln N / (2 N t)) ln(t + 3), the anytime rate with a boost for
+    piecewise-constant competitors; at most 3/5 for all N >= 2, t >= 1.
 
     The rate is strictly decreasing for t >= 1, as the online correction
     requires: d/dt ln(t+3)/sqrt(t) has the sign of 2t/(t+3) - ln(t+3), and
@@ -210,29 +166,50 @@ class ShiftingRate(_Schedule):
         if n < 2:
             raise ValueError("shifting schedule needs N >= 2")
         self.n = n
+        self.ln_n = math.log(n)
 
     def rate(self, t: int) -> float:
-        return rate_shifting(t, self.n)
+        if t < 1:
+            raise ValueError("t must be >= 1")
+        return math.sqrt(self.ln_n / (2.0 * self.n * t)) * math.log(t + 3.0)
 
 
 class SelfConfidentRate(_Schedule):
+    """Data-driven rate sqrt(2 ln N / C1), floored, capped and ratio-clamped.
+
+    ``C1`` accumulates max_i(p_i/M - 1) over the rounds observed, which is
+    nonnegative because the mixture probability never exceeds the best
+    expert's.  The denominator is floored at ln N (the rate is otherwise
+    undefined at C1 = 0) and the result capped at ``eta_max``.  From the
+    second round on, the ratio to ``eta_prev``, the rate last emitted, is
+    clamped to at most sqrt((t-1)/t) so the weight floor enforced by the
+    online correction decays no faster than O(1/t); the clamp also makes the
+    emitted sequence strictly decreasing.
+    """
+
     def __init__(self, n: int, eta_max: float = RATE_CAP):
         if n < 2:
             raise ValueError("self-confident schedule needs N >= 2")
         if not 0.0 < eta_max < 1.0:
             raise ValueError("eta_max must lie in (0, 1)")
-        self.n = n
+        self.ln_n = math.log(n)
         self.eta_max = eta_max
-        self.stats = SelfConfidentStats()
+        self.C1 = 0.0
+        self.eta_prev = None
 
     def rate(self, t: int) -> float:
-        r = rate_self_confident(self.stats, self.n, t, self.eta_max)
-        self.stats.eta_prev = r
+        if t < 1:
+            raise ValueError("t must be >= 1")
+        ln_n = self.ln_n
+        r = min(self.eta_max, math.sqrt(2.0 * ln_n / max(self.C1, ln_n)))
+        if self.eta_prev is not None and t > 1:
+            r = self.eta_prev * min(r / self.eta_prev, math.sqrt((t - 1.0) / t))
+        self.eta_prev = r
         return r
 
     def observe(self, t: int, p, m: float) -> None:
         if m > 0.0:
-            self.stats.C1 += float(np.max(p)) / m - 1.0
+            self.C1 += float(np.max(p)) / m - 1.0
 
 
 # selector kind -> (its parameter: "required", "none" or "optional"; factory(n, param))

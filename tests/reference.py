@@ -1,11 +1,14 @@
-"""The learners' updates restated in 60-digit ``decimal`` arithmetic.
+"""The learners' updates and the online rate schedules restated in 60-digit
+``decimal`` arithmetic.
 
-Each function replays one update rule over a stream's rows and returns the
-per-round losses -ln M as floats, ``math.inf`` on a round whose mixture is
-exactly 0 (the weights are then left as they were).  The stream's values
-enter exactly (``Decimal(float)``) and the uniform prior is 1/N, so the
-float learners can be held to these losses with a bound far below their
-own rounding of a single round.  Standard library only.
+Each ``*_losses`` function replays one update rule over a stream's rows and
+returns the per-round losses -ln M as floats, ``math.inf`` on a round whose
+mixture is exactly 0 (the weights are then left as they were).  Each
+``*_rates`` function returns a schedule's rates eta_1, ..., eta_{T+1} as
+``Decimal``.  The stream's values enter exactly (``Decimal(float)``) and
+the uniform prior is 1/N, so the float learners and schedules can be held to
+these values with a bound far below their own rounding of a single round.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -116,3 +119,115 @@ def meta_losses(p, rates) -> list:
             if mp != 0:
                 u = [uj * mj / mp for uj, mj in zip(u, preds)]
         return losses
+
+
+def eg_losses(p, eta) -> list:
+    """EG from the uniform prior: w_i <- w_i exp(eta p_i / M), normalized."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        rows = _rows(p)
+        n = len(rows[0])
+        e = Decimal(float(eta))
+        w = [Decimal(1) / n] * n
+        losses = []
+        for q in rows:
+            m = _dot(w, q)
+            losses.append(_loss(m))
+            if m == 0:
+                continue
+            w = [wi * (e * qi / m).exp() for wi, qi in zip(w, q)]
+            z = sum(w)
+            w = [wi / z for wi in w]
+        return losses
+
+
+def _project_simplex(u):
+    """Euclidean projection onto the simplex: subtract the threshold
+    (sum of the rho largest entries - 1) / rho, rho the largest j whose
+    j-th largest entry stays above the threshold of the j largest."""
+    total, theta = Decimal(0), Decimal(0)
+    for j, uj in enumerate(sorted(u, reverse=True), 1):
+        total += uj
+        if uj - (total - 1) / j > 0:
+            theta = (total - 1) / j
+    return [max(ui - theta, Decimal(0)) for ui in u]
+
+
+def ogd_losses(p, eta) -> list:
+    """Projected gradient steps from the uniform prior:
+    w <- Pi(w + eta p / M)."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        rows = _rows(p)
+        n = len(rows[0])
+        e = Decimal(float(eta))
+        w = [Decimal(1) / n] * n
+        losses = []
+        for q in rows:
+            m = _dot(w, q)
+            losses.append(_loss(m))
+            if m == 0:
+                continue
+            w = _project_simplex([wi + e * qi / m for wi, qi in zip(w, q)])
+        return losses
+
+
+def anytime_rates(n: int, T: int) -> list:
+    """sqrt(ln N / (2 N t))."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        ln_n = Decimal(n).ln()
+        return [(ln_n / (2 * n * t)).sqrt() for t in range(1, T + 2)]
+
+
+def shifting_rates(n: int, T: int) -> list:
+    """sqrt(ln N / (2 N t)) ln(t + 3)."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return [r * Decimal(t + 3).ln() for t, r in enumerate(anytime_rates(n, T), 1)]
+
+
+def sparse_rates(p) -> list:
+    """min(sqrt(ln N / (2 m_t t)), 1/2), m_t the number of experts (at least
+    one) counted before round t.  A round counts its argmax expert; on a tie
+    nothing new is counted if a tied expert already is, else the lowest
+    tied index is."""
+    rows = p.tolist()
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        ln_n = Decimal(len(rows[0])).ln()
+        counted = set()
+        rates = []
+        for t in range(1, len(rows) + 2):
+            m_t = max(1, len(counted))
+            rates.append(min((ln_n / (2 * m_t * t)).sqrt(), Decimal(1) / 2))
+            if t <= len(rows):
+                q = rows[t - 1]
+                ties = [i for i, x in enumerate(q) if x == max(q)]
+                if counted.isdisjoint(ties):
+                    counted.add(ties[0])
+        return rates
+
+
+def self_confident_rates(p, observed_m, eta_max: float = 0.5) -> list:
+    """min(eta_max, sqrt(2 ln N / max(C1, ln N))), and from t = 2 on at most
+    eta_{t-1} sqrt((t - 1) / t).  C1 sums max_i p_i / M - 1 over the rounds
+    before t whose M, the mixture the learner observed (``observed_m``), is
+    positive."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        rows = _rows(p)
+        ln_n = Decimal(len(rows[0])).ln()
+        cap = Decimal(float(eta_max))
+        c1 = Decimal(0)
+        rates = []
+        for t in range(1, len(rows) + 2):
+            r = min(cap, (2 * ln_n / max(c1, ln_n)).sqrt())
+            if t > 1:
+                r = min(r, rates[-1] * (Decimal(t - 1) / t).sqrt())
+            rates.append(r)
+            if t <= len(rows):
+                m = Decimal(float(observed_m[t - 1]))
+                if m > 0:
+                    c1 += max(rows[t - 1]) / m - 1
+        return rates

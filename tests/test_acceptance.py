@@ -250,7 +250,7 @@ def test_criterion_8_invariant_fuzz():
                 if abs(out.new_weights.sum() - 1.0) > 1e-9:
                     run_failures.append((label, seed, "normalization"))
                     break
-                floor = learner.state.prior * (1.0 - eta_next / eta_t)
+                floor = learner.prior * (1.0 - eta_next / eta_t)
                 if not np.all(out.new_weights >= floor - 1e-12):
                     run_failures.append((label, seed, "restart floor"))
                     break

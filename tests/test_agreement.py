@@ -1,23 +1,38 @@
-"""The learner classes against exact restatements of their updates.
+"""The learner classes and the rate schedules against exact restatements.
 
-Soft-Bayes under every schedule, Bayes, ML-soft-Bayes and meta run through
-``run_learner`` and are held, round by round, to the 60-digit ``decimal``
-replays in ``reference.py``: the same diverged rounds, and each finite loss
-within 1e-12 nats.  The meta learner is also held bit for bit to K
-fixed-rate ``SoftBayes`` learners feeding ``meta_bayes_step``.
+Soft-Bayes under every schedule, Bayes, EG, OGD, ML-soft-Bayes and meta run
+through ``run_learner`` and are held, round by round, to the 60-digit
+``decimal`` replays in ``reference.py``: the same diverged rounds, and each
+finite loss within 1e-12 nats.  Every rate an online schedule emits is held
+to its exact formula within a relative 1e-14.  The meta learner is also
+held bit for bit to K fixed-rate ``SoftBayes`` learners feeding
+``meta_bayes_step``.
 """
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from reference import meta_losses, ml_soft_bayes_losses, soft_bayes_losses
+from reference import (
+    anytime_rates,
+    eg_losses,
+    meta_losses,
+    ml_soft_bayes_losses,
+    ogd_losses,
+    self_confident_rates,
+    shifting_rates,
+    soft_bayes_losses,
+    sparse_rates,
+)
 from softbayes.generators import adversarial_alternating, random_iid_instance
 from softbayes.learners import (
     Bayes,
+    ExponentiatedGradient,
     MLSoftBayes,
     MetaBayes,
+    OnlineGradientDescent,
     SoftBayes,
     meta_bayes_step,
     run_learner,
@@ -64,12 +79,19 @@ LEARNERS = {
     "ml-soft-bayes": (MLSoftBayes, lambda p, learner, trace: ml_soft_bayes_losses(p)),
     "meta": (lambda n: MetaBayes(n, META_RATES),
              lambda p, learner, trace: meta_losses(p, META_RATES)),
+    "eg": (lambda n: ExponentiatedGradient(n, 0.5),
+           lambda p, learner, trace: eg_losses(p, learner.eta)),
+    "ogd": (lambda n: OnlineGradientDescent(n, 0.1),
+            lambda p, learner, trace: ogd_losses(p, learner.eta)),
 }
 
+# EG's exp(eta p_i / M) on the alternating stream leaves Decimal's exponent range
+CASES = [(learner_name, stream_name) for learner_name in sorted(LEARNERS)
+         for stream_name in sorted(STREAMS) if (learner_name, stream_name) != ("eg", "theorem2")]
 
-@pytest.mark.parametrize("stream_name", sorted(STREAMS))
-@pytest.mark.parametrize("learner_name", sorted(LEARNERS))
-def test_exact_reference(stream_name, learner_name):
+
+@pytest.mark.parametrize("learner_name,stream_name", CASES)
+def test_exact_reference(learner_name, stream_name):
     stream = STREAMS[stream_name]()
     make, exact = LEARNERS[learner_name]
     learner = make(stream.n_experts)
@@ -78,9 +100,32 @@ def test_exact_reference(stream_name, learner_name):
     diverged = np.isinf(trace.losses)
     np.testing.assert_array_equal(diverged, np.isinf(want))
     assert np.abs(trace.losses[~diverged] - want[~diverged]).max() <= 1e-12
-    if (stream_name, learner_name) == ("theorem2", "bayes"):
-        # every flip round that the posterior's lost expert gets right
+    if (stream_name, learner_name) in (("theorem2", "bayes"), ("theorem2", "ogd")):
+        # every flip round that the lost expert (posterior) or the vertex
+        # weights (OGD) get wrong
         assert diverged.sum() == 50
+
+
+# schedule -> its exact rates eta_1, ..., eta_{T+1} from the stream's rows
+# and the mixtures M the learner observed
+RATE_REFERENCES = {
+    "anytime": lambda p, observed_m: anytime_rates(p.shape[1], len(p)),
+    "sparse": lambda p, observed_m: sparse_rates(p),
+    "shifting": lambda p, observed_m: shifting_rates(p.shape[1], len(p)),
+    "self-confident": self_confident_rates,
+}
+
+
+@pytest.mark.parametrize("stream_name", sorted(STREAMS))
+@pytest.mark.parametrize("schedule_name", sorted(RATE_REFERENCES))
+def test_exact_rates(schedule_name, stream_name):
+    stream = STREAMS[stream_name]()
+    learner = LEARNERS[schedule_name][0](stream.n_experts)
+    trace = run_learner(learner, stream)
+    got = [*trace.rates.tolist(), learner.current_rate]
+    want = RATE_REFERENCES[schedule_name](stream.p, trace.predictions)
+    assert len(got) == len(want) == len(stream) + 1
+    assert max(abs(Decimal(g) / w - 1) for g, w in zip(got, want)) <= Decimal("1e-14")
 
 
 META_CASES = {

@@ -189,6 +189,7 @@ BAD_SELECTORS = {
     "bayes:x": "error: bayes takes no schedule (it is soft-bayes at rate 1)",
     "eg": "error: eg needs a rate, e.g. eg:fixed=0.5",
     "eg:0.5": "error: eg takes only a fixed rate, e.g. eg:fixed=0.5",
+    "eg:fixed=inf": "error: eg rate 'inf' must be finite",
     "meta": "error: meta needs sub-rates, e.g. meta:rates=1,0.5,0.25",
     "meta:rates=2": "error: meta rates must lie in (0, 1]",
     "meta:rates=a,b": "error: bad meta rates 'a,b'",
@@ -196,11 +197,13 @@ BAD_SELECTORS = {
     "mystery": ("error: unknown learner 'mystery'; "
                 "known: soft-bayes, bayes, eg, ogd, ml-soft-bayes, meta"),
     "ogd:fixed=-1": "error: ogd rate must be positive",
+    "ogd:fixed=inf": "error: ogd rate 'inf' must be finite",
     "soft-bayes:anytime=3": ("error: bad schedule in 'soft-bayes:anytime=3': "
                              "schedule 'anytime' takes no parameter"),
     "soft-bayes:fixed": ("error: bad schedule in 'soft-bayes:fixed': "
                          "schedule 'fixed' needs a parameter, e.g. fixed:0.5"),
     "soft-bayes:fixed=1.5": "error: fixed rate 1.5 outside (0, 1]",
+    "soft-bayes:inverse-t=inf": "error: inverse-t offset inf must be positive and finite",
     "soft-bayes:self-confident=x": ("error: bad schedule in 'soft-bayes:self-confident=x': "
                                     "could not convert string to float: 'x'"),
     "soft-bayes:warp": "error: bad schedule in 'soft-bayes:warp': unknown schedule 'warp'",

@@ -155,6 +155,14 @@ class TestEGStep:
         assert math.isfinite(out.loss) and out.loss == pytest.approx(800.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("cls", [ExponentiatedGradient, OnlineGradientDescent])
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.inf, math.nan])
+def test_gradient_learners_reject_rate_outside_positive_finite(cls, eta):
+    # at rate inf, EG's weights turn NaN and the run reads them as diverged
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        cls(2, eta)
+
+
 class TestOGDStep:
     def test_hand_update(self):
         out = OnlineGradientDescent(2, 0.5).step([0.0, 1.0])
@@ -176,61 +184,60 @@ class TestOGDStep:
 class TestMLSoftBayes:
     def test_hand_update(self):
         learner = MLSoftBayes(2)
-        learner.state.rates = np.array([0.5, 0.25])
+        learner.rates = np.array([0.5, 0.25])
         out = learner.step([0.0, 1.0])
         assert out.prediction == pytest.approx(1 / 3)
-        np.testing.assert_allclose(learner.state.V, [1.0, 4.0], atol=1e-12)
+        np.testing.assert_allclose(learner.V, [1.0, 4.0], atol=1e-12)
         # base update to (0.25, 0.75), each blended toward the prior by its
         # own rate ratio
-        np.testing.assert_allclose(learner.state.rates, ml_rate_next(np.array([1.0, 4.0]), 2))
-        blend = learner.state.rates / [0.5, 0.25]
+        np.testing.assert_allclose(learner.rates, ml_rate_next(np.array([1.0, 4.0]), 2))
+        blend = learner.rates / [0.5, 0.25]
         np.testing.assert_allclose(out.new_weights, [0.25, 0.75] * blend + (1 - blend) * 0.5,
                                    atol=1e-15)
 
     def test_equal_probabilities_leave_weights(self):
         learner = MLSoftBayes(3)
-        learner.state.rates = np.array([0.4, 0.3, 0.2])
+        learner.rates = np.array([0.4, 0.3, 0.2])
         out = learner.step([0.6, 0.6, 0.6])
         assert out.prediction == pytest.approx(0.6)
-        np.testing.assert_allclose(out.new_weights, learner.state.prior, atol=1e-15)
+        np.testing.assert_allclose(out.new_weights, learner.prior, atol=1e-15)
 
     def test_equal_rates_match_plain_mixture(self):
         rng = np.random.default_rng(5)
         w = rng.dirichlet(np.ones(4))
         p = rng.random(4)
         learner = MLSoftBayes(4, prior=w)
-        learner.state.rates = np.full(4, 0.3)
+        learner.rates = np.full(4, 0.3)
         out = learner.step(p)
         assert out.prediction == pytest.approx(float(w @ p) / float(w.sum()), rel=1e-12)
 
     def test_diverged_round_leaves_state(self):
         learner = MLSoftBayes(2, prior=[1.0, 0.0])
-        before = (learner.state.w.copy(), learner.state.rates.copy(), learner.state.V.copy())
+        before = (learner.weights.copy(), learner.rates.copy(), learner.V.copy())
         out = learner.step([0.0, 1.0])
         assert out.diverged
-        for kept, now in zip(before, (learner.state.w, learner.state.rates, learner.state.V)):
+        for kept, now in zip(before, (learner.weights, learner.rates, learner.V)):
             np.testing.assert_array_equal(now, kept)
-        assert learner.state.t == 1
 
     def test_adaptive_learner_weights_positive_and_growth_bounded(self):
         rng = np.random.default_rng(7)
         learner = MLSoftBayes(4)
-        eta1 = learner.state.rates.copy()
+        eta1 = learner.rates.copy()
         for _ in range(500):
             learner.step(rng.uniform(0.01, 1.0, 4))
-            assert np.all(learner.state.w > 0)
+            assert np.all(learner.weights > 0)
         bar = lambda eta: eta / (1 - eta)
-        growth_cap = float(np.sum(learner.state.prior * (1 + np.log(bar(eta1) / bar(learner.state.rates)))))
-        assert learner.state.w.sum() <= growth_cap + 1e-9
+        growth_cap = float(np.sum(learner.prior * (1 + np.log(bar(eta1) / bar(learner.rates)))))
+        assert learner.weights.sum() <= growth_cap + 1e-9
 
     def test_near_tie_rounds_keep_rates_nonincreasing(self):
         # eta_bar / (1 + eta_bar) rose by an ulp here, which aborted the run
         stream = ExpertStream(np.array([[0.1, 0.9]] * 7 + [[0.5, 0.5000001]] * 3))
         learner = MLSoftBayes(2)
-        rates, losses = [learner.state.rates], []
+        rates, losses = [learner.rates], []
         for p in stream:
             losses.append(learner.step(p).loss)
-            rates.append(learner.state.rates)
+            rates.append(learner.rates)
         assert np.all(np.diff(rates, axis=0) <= 0.0)
         assert sum(losses) == pytest.approx(4.677, abs=5e-4)
 
@@ -293,7 +300,7 @@ class TestSoftBayesLearner:
             eta_t = learner.current_rate
             out = learner.step(p)
             eta_next = learner.current_rate
-            floor = learner.state.prior * (1.0 - eta_next / eta_t)
+            floor = learner.prior * (1.0 - eta_next / eta_t)
             assert np.all(out.new_weights >= floor - 1e-12)
             lhs = np.log(1.0 - eta_t + eta_t * p / out.prediction)
             rhs = np.log(out.new_weights / w_pre) + math.log(eta_t / eta_next)
@@ -385,7 +392,7 @@ class TestSubnormalMixture:
         w = np.array([1e-323, 1.0 - 1e-323])
         q = np.array([1.0, 0.0])
         learner = SoftBayes(2, FixedRate(0.25))
-        learner.state.w = w
+        learner.weights = w
         out = learner.step(q)
         assert out.new_weights[0] == pytest.approx(0.25, rel=1e-12)
         assert np.isfinite(out.new_weights).all()
@@ -402,7 +409,7 @@ class TestSubnormalMixture:
         rows = []
         for k, eta in enumerate((1.0, 0.5, 0.25)):
             learner = SoftBayes(n, FixedRate(eta))
-            learner.state.w = meta.w[k].copy()
+            learner.weights = meta.w[k].copy()
             rows.append(learner.step(q).new_weights)
         meta.step(q)
         np.testing.assert_array_equal(meta.w, np.array(rows))

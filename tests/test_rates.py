@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from softbayes.rates import (
+    RATE_CAP,
     AnytimeRate,
     BestSetTracker,
     FixedRate,
     InverseT,
     ScheduleConfig,
     SelfConfidentRate,
-    SelfConfidentStats,
     ShiftingRate,
     SparseRate,
     parse_schedule,
-    rate_anytime,
     rate_offline,
-    rate_self_confident,
-    rate_shifting,
-    rate_sparse,
 )
 
 
@@ -46,47 +42,56 @@ class TestOfflineRate:
 
 class TestAnytimeRate:
     def test_values(self):
-        assert rate_anytime(1, 2) == pytest.approx(0.41628, abs=5e-6)
-        assert rate_anytime(100, 2) == pytest.approx(0.041628, abs=5e-7)
+        sched = AnytimeRate(2)
+        assert sched.rate(1) == pytest.approx(0.41628, abs=5e-6)
+        assert sched.rate(100) == pytest.approx(0.041628, abs=5e-7)
 
     def test_ratio_identity(self):
+        sched = AnytimeRate(5)
         for t in (1, 7, 999):
-            assert rate_anytime(t + 1, 5) / rate_anytime(t, 5) == pytest.approx(
+            assert sched.rate(t + 1) / sched.rate(t) == pytest.approx(
                 math.sqrt(t / (t + 1)), abs=1e-12)
 
     def test_strictly_decreasing(self):
-        rates = [rate_anytime(t, 3) for t in range(1, 500)]
+        sched = AnytimeRate(3)
+        rates = [sched.rate(t) for t in range(1, 500)]
         assert all(b < a for a, b in zip(rates, rates[1:]))
 
 
 class TestSparseRate:
     def test_values(self):
-        # sqrt(ln 10 / 20) evaluated directly
-        assert rate_sparse(5, 10, 2) == pytest.approx(0.3393070212, abs=1e-9)
-        assert rate_sparse(1, 2, 1) == pytest.approx(0.58871, abs=5e-6)
+        # two experts best before round 5: sqrt(ln 10 / 20) evaluated directly
+        sched = SparseRate(10)
+        sched.tracker.first_best.update({0: 1, 3: 2})
+        assert sched.rate(5) == pytest.approx(0.3393070212, abs=1e-9)
+        # the raw sqrt(ln 2 / 2) = 0.58871 at t = 1 is capped
+        assert SparseRate(2).rate(1) == RATE_CAP
 
     def test_full_set_reduces_to_anytime(self):
-        for t in (1, 10, 100):
-            assert rate_sparse(t, 6, 6) == rate_anytime(t, 6)
+        sched = SparseRate(6)
+        sched.tracker.first_best.update({i: 1 for i in range(6)})
+        for t in (2, 10, 100):
+            assert sched.rate(t) == AnytimeRate(6).rate(t)
 
     def test_schedule_caps_inside_unit_interval(self):
         # raw formula exceeds 1 at t=1, m=1 once ln N > 2
-        assert rate_sparse(1, 20, 1) > 1.0
-        sched = SparseRate(20)
-        assert 0.0 < sched.rate(1) < 1.0
+        assert math.sqrt(math.log(20) / 2.0) > 1.0
+        assert SparseRate(20).rate(1) == RATE_CAP
 
 
 class TestShiftingRate:
     def test_values(self):
+        sched = ShiftingRate(2)
         # sqrt(ln 2 / 4) * ln 4 evaluated directly
-        assert rate_shifting(1, 2) == pytest.approx(0.5770828814, abs=1e-9)
+        assert sched.rate(1) == pytest.approx(0.5770828814, abs=1e-9)
         # sqrt(ln 2 / 400) * ln 103 evaluated directly
-        assert rate_shifting(100, 2) == pytest.approx(0.1929332495, abs=1e-9)
+        assert sched.rate(100) == pytest.approx(0.1929332495, abs=1e-9)
 
     def test_at_most_three_fifths(self):
         for n in (2, 3, 10, 1000):
+            sched = ShiftingRate(n)
             for t in (1, 2, 3, 10, 100, 10_000):
-                assert rate_shifting(t, n) <= 0.6
+                assert sched.rate(t) <= 0.6
 
     def test_strictly_decreasing_exhaustive(self):
         t = np.arange(1, 1_000_001)
@@ -94,29 +99,33 @@ class TestShiftingRate:
         assert np.all(np.diff(r) < 0)
 
     def test_emitted_rates_strictly_decrease(self):
-        # ShiftingRate has no non-increase guard; the scalar function it
-        # emits must decrease on its own
+        # ShiftingRate has no non-increase guard; the rates it emits must
+        # decrease on their own
         for n in (2, 10, 1000):
-            r = [rate_shifting(t, n) for t in range(1, 200_002)]
+            sched = ShiftingRate(n)
+            r = [sched.rate(t) for t in range(1, 200_002)]
             assert all(b < a for a, b in zip(r, r[1:]))
 
 
 class TestSelfConfidentRate:
     def test_value(self):
-        stats = SelfConfidentStats(C1=10.0, eta_prev=None)
-        assert rate_self_confident(stats, 2, 1) == pytest.approx(0.37233, abs=5e-6)
+        sched = SelfConfidentRate(2)
+        sched.C1 = 10.0
+        assert sched.rate(1) == pytest.approx(0.37233, abs=5e-6)
 
     def test_zero_stat_clamps_to_cap(self):
-        assert rate_self_confident(SelfConfidentStats(), 2, 1, eta_max=0.5) == 0.5
+        assert SelfConfidentRate(2, eta_max=0.5).rate(1) == 0.5
 
     def test_ratio_clamp(self):
         # raw next/current ratio 0.999 vs sqrt(400/401): the sqrt clamp wins
         eta_prev = 0.3
-        c1 = 2 * math.log(2) / (0.999 * eta_prev) ** 2
-        stats = SelfConfidentStats(C1=c1, eta_prev=eta_prev)
-        got = rate_self_confident(stats, 2, 401, eta_max=0.5)
+        sched = SelfConfidentRate(2, eta_max=0.5)
+        sched.C1 = 2 * math.log(2) / (0.999 * eta_prev) ** 2
+        sched.eta_prev = eta_prev
+        got = sched.rate(401)
         assert got == pytest.approx(eta_prev * math.sqrt(400 / 401), rel=1e-12)
         assert got < eta_prev * 0.999
+        assert sched.eta_prev == got
 
     def test_emitted_sequence_strictly_decreasing(self):
         rng = np.random.default_rng(3)
@@ -137,8 +146,8 @@ class TestSelfConfidentRate:
             p = rng.random(5)
             w = rng.dirichlet(np.ones(5))
             sched.observe(t, p, float(w @ p))
-            assert sched.stats.C1 >= last - 1e-15
-            last = sched.stats.C1
+            assert sched.C1 >= last - 1e-15
+            last = sched.C1
 
 
 class TestBestSetTracker:
@@ -183,6 +192,12 @@ class TestInverseT:
                 eta_t = sched.rate(t)
                 assert eta_t / (1 - eta_t) == pytest.approx(sched.rate(t - 1), rel=1e-14)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_offset_outside_positive_finite(self, c):
+        # c = inf would emit rate 0 in every round
+        with pytest.raises(ValueError, match="inverse-t offset"):
+            InverseT(c)
+
     def test_no_correction(self):
         assert InverseT(2.0).applies_correction is False
         assert FixedRate(0.5).applies_correction is False
@@ -208,6 +223,18 @@ class TestEmittedRanges:
             assert 0.0 < r < 1.0
             assert r <= prev + 1e-15
             prev = r
+
+
+@pytest.mark.parametrize("make", [
+    lambda: InverseT(1.0),
+    lambda: AnytimeRate(2),
+    lambda: SparseRate(2),
+    lambda: ShiftingRate(2),
+    lambda: SelfConfidentRate(2),
+])
+def test_round_zero_rejected(make):
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        make().rate(0)
 
 
 class TestParseSchedule:

@@ -46,3 +46,21 @@ def test_traced_run_counts_every_layer(tmp_path, capsys, monkeypatch):
     assert values["rates.calls"] == 401
     for name in ("harness.render_csv_bytes", "harness.ratio_stats_s", "comparators.bound_s"):
         assert values[name] > 0, name
+
+
+def test_every_schedule_class_counted_once(capsys, monkeypatch):
+    # a schedule class whose rate or observe got wrapped twice (say, one
+    # schedule subclassing another) would count its calls twice
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    selectors = ["soft-bayes:anytime", "soft-bayes:sparse", "soft-bayes:shifting",
+                 "soft-bayes:self-confident", "soft-bayes:fixed=0.5", "soft-bayes:inverse-t=1",
+                 "bayes", "meta:rates=1,0.5"]
+    with tracing.traced(tracer):
+        code = main(["run", "--generator", "theorem2:T=200", "--on-divergence", "continue",
+                     *(arg for s in selectors for arg in ("--learner", s))])
+    capsys.readouterr()
+    assert code == 0
+    # seven soft-Bayes schedules at 1 + 2 x 200 calls each; meta's sub-rates
+    # are checked through FixedRate but never asked for a rate
+    assert tracing.layer_metrics(tracer)["rates.calls"] == 7 * 401
