@@ -567,13 +567,15 @@ class RunArtifact:
     traces: list
     reports: list
     summary: dict
-    csv_text: str
     exit_code: int
 
     def write(self) -> None:
+        """Write the artifacts the config names a path for; the trace CSV is
+        rendered here and only here, so a run that writes none renders none."""
         if self.config.out_csv:
+            text = _csv_table(self.config, self.stream, self.traces)
             with open(self.config.out_csv, "w", encoding="utf-8") as fh:
-                fh.write(self.csv_text)
+                fh.write(text)
         if self.config.out_json:
             with open(self.config.out_json, "w", encoding="utf-8") as fh:
                 json.dump(self.summary, fh, sort_keys=True, indent=2)
@@ -614,7 +616,8 @@ def _csv_table(config: ExperimentConfig, stream: ExpertStream, traces: list) -> 
 
 def run_experiment(config: ExperimentConfig) -> RunArtifact:
     """Execute every learner over the configured stream, fit the comparator,
-    evaluate bounds, and assemble deterministic artifacts.
+    evaluate bounds, and assemble the summary; ``RunArtifact.write`` writes
+    the deterministic artifacts.
 
     The exit code is 1 when any evaluated bound check fails, else 0.
     """
@@ -706,6 +709,5 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         traces=traces,
         reports=reports,
         summary=summary,
-        csv_text=_csv_table(config, stream, traces),
         exit_code=exit_code,
     )

@@ -68,6 +68,24 @@ def _mixture(w: np.ndarray, q: np.ndarray):
     return (w[:, None, :] @ q[..., :, None]).reshape(len(w))
 
 
+def _plain_weights(w, q, m, eta_t) -> np.ndarray:
+    """w_i (1 - eta_t + eta_t q_i / M) in numpy operations, on one weight row
+    or a ``(K, N)`` stack, for an M (each row's) no smaller than the smallest
+    normal float."""
+    u = q * (eta_t / m)
+    u += 1.0 - eta_t
+    u *= w
+    return u
+
+
+def _subnormal_rows(w, q, m, eta_t) -> np.ndarray:
+    """``_plain_weights`` on a ``(K, N)`` stack with a subnormal M in some
+    row; only those rows take the subnormal form of ``_soft_bayes_weights``."""
+    tiny = m < _MIN_NORMAL
+    return np.where(tiny, w * q / m * eta_t + (1.0 - eta_t) * w,
+                    _plain_weights(w, q, np.where(tiny, 1.0, m), eta_t))
+
+
 def _soft_bayes_weights(w, q, m, eta_t, eta_next=None, prior=None) -> np.ndarray:
     """w_i (1 - eta_t + eta_t q_i / M) on one weight row, or on a ``(K, N)``
     stack with ``m`` and ``eta_t`` scalars or ``(K, 1)`` columns; an
@@ -79,26 +97,21 @@ def _soft_bayes_weights(w, q, m, eta_t, eta_next=None, prior=None) -> np.ndarray
     c1 = 1.0 - eta_t
     blend = eta_next is not None and eta_next != eta_t
     if w.ndim == 2 and m.min() < _MIN_NORMAL:
-        # only the stack's subnormal rows take the single-row branch below
-        tiny = m < _MIN_NORMAL
-        return np.where(tiny, w * q / m * eta_t + c1 * w,
-                        _soft_bayes_weights(w, q, np.where(tiny, 1.0, m), eta_t))
+        return _subnormal_rows(w, q, m, eta_t)
     if w.ndim == 1 and m < _MIN_NORMAL:
         u = w * q / m * eta_t + c1 * w
     else:
-        c2 = eta_t / m
         if w.ndim == 1 and w.size <= 16:
             # numpy call overhead dominates at small expert counts; the scalar
             # loop applies the identical per-element operations
+            c2 = eta_t / m
             if blend:
                 ratio = eta_next / eta_t
                 c3 = 1.0 - ratio
                 return np.array([wi * (c1 + c2 * qi) * ratio + c3 * pi
                                  for wi, qi, pi in zip(w.tolist(), q.tolist(), prior.tolist())])
             return np.array([wi * (c1 + c2 * qi) for wi, qi in zip(w.tolist(), q.tolist())])
-        u = q * c2
-        u += c1
-        u *= w
+        u = _plain_weights(w, q, m, eta_t)
     if blend:
         ratio = eta_next / eta_t
         u *= ratio
@@ -210,10 +223,13 @@ def soft_bayes_sweep(batch, schedule):
     for t in range(1, T + 1):
         Q = P[:, t - 1, :]
         m = _mixture(W, Q)
-        if not np.all(m > 0.0):
+        # one reduction of M serves the divergence test and the kernel's
+        # subnormal test
+        lo = m.min()
+        if not lo > 0.0:
             raise ValueError(f"round {t}: a sweep member diverged (mixture hit 0); "
                              "run it through run_learner for divergence handling")
-        W = _soft_bayes_weights(W, Q, m[:, None], eta)
+        W = (_subnormal_rows if lo < _MIN_NORMAL else _plain_weights)(W, Q, m[:, None], eta)
         preds[:, t - 1] = m
         hist[:, t - 1] = W
         eta = schedule.rate(t + 1)
@@ -255,7 +271,7 @@ class SoftBayes:
         corrects = schedule.applies_correction
         if corrects and eta_next > eta_t and m != 0.0:
             raise RuntimeError(
-                f"schedule {schedule} emitted an increasing rate "
+                f"schedule {type(schedule).__name__} emitted an increasing rate "
                 f"({eta_t!r} -> {eta_next!r}) at t={t}")
         self._eta = eta_next
         self.t = t + 1

@@ -292,11 +292,12 @@ class TestRunExperiment:
         sym = int(np.argmax(stream.p[2]))
         assert trace.predictions[2] == pytest.approx(expected[sym], abs=1e-14)
 
-    def test_csv_structure(self):
+    def test_csv_structure(self, tmp_path):
+        out = tmp_path / "trace.csv"
         cfg = ExperimentConfig(generator="theorem2:T=8", learners=("bayes",),
-                               on_divergence="continue")
-        artifact = run_experiment(cfg)
-        lines = artifact.csv_text.strip().split("\n")
+                               on_divergence="continue", out_csv=str(out))
+        run_experiment(cfg).write()
+        lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("learner,t,eta,prediction,loss,cum_loss,w1,w2")
         assert len(lines) == 1 + 8
         cums = [float(l.split(",")[5]) for l in lines[1:]]
@@ -405,10 +406,11 @@ class TestRunExperiment:
         stream = ExpertStream(rng.uniform(0.01, 1.0, size=(2500, 20)))
         path = tmp_path / "wide.jsonl"
         write_stream_jsonl(stream, str(path))
+        out = tmp_path / "trace.csv"
         cfg = ExperimentConfig(stream=str(path), learners=("bayes",),
-                               on_divergence="continue")
-        artifact = run_experiment(cfg)
-        lines = artifact.csv_text.strip().split("\n")[1:]
+                               on_divergence="continue", out_csv=str(out))
+        run_experiment(cfg).write()
+        lines = out.read_text().strip().split("\n")[1:]
         stride = math.ceil(2500 / 1000)
         for i, line in enumerate(lines, 1):
             cells = line.split(",")
@@ -729,6 +731,39 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "soft-bayes:anytime" in out and "eg:fixed=0.5" in out
         assert "comparator" in out
+
+    def test_nothing_renders_unless_a_csv_is_written(self, tmp_path, capsys, monkeypatch):
+        common = ["--generator", "theorem2:T=8", "--learner", "soft-bayes:anytime",
+                  "--learner", "eg:fixed=0.5", "--on-divergence", "continue"]
+        # run writes its summary JSON but no CSV
+        argvs = [["compare", *common],
+                 ["run", *common, "--out-json", str(tmp_path / "summary.json")]]
+        expected = []
+        for argv in argvs:
+            assert main(argv) == 0
+            expected.append(capsys.readouterr().out)
+
+        def no_render(*args):
+            raise AssertionError("the trace CSV was rendered")
+
+        monkeypatch.setattr(harness, "_csv_table", no_render)
+        for argv, out in zip(argvs, expected):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
+
+    def test_compare_writes_the_csv_a_config_file_names(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "generator": "theorem2:T=8", "on_divergence": "continue",
+            "learners": ["soft-bayes:anytime", "eg:fixed=0.5"],
+            "out_csv": str(tmp_path / "compare.csv"),
+        }))
+        assert main(["compare", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg), "--out-csv", str(tmp_path / "run.csv")]) == 0
+        capsys.readouterr()
+        written = (tmp_path / "compare.csv").read_bytes()
+        assert written.startswith(b"learner,t,eta,")
+        assert written == (tmp_path / "run.csv").read_bytes()
 
     def test_config_file_with_prior(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -308,7 +309,7 @@ class TestSoftBayesLearner:
             assert abs(out.new_weights.sum() - 1.0) <= 1e-9
 
     def test_increasing_rate_under_correction_aborts(self):
-        class BadSchedule:
+        class Up:
             applies_correction = True
             observes = False
 
@@ -318,9 +319,11 @@ class TestSoftBayesLearner:
             def observe(self, t, p, m):
                 pass
 
-        learner = SoftBayes(2, BadSchedule())
-        with pytest.raises(RuntimeError, match="increasing rate"):
+        learner = SoftBayes(2, Up())
+        with pytest.raises(RuntimeError) as exc:
             learner.step(np.array([0.2, 0.8]))
+        # the schedule is named by its class, not by a repr with an address
+        assert str(exc.value) == "schedule Up emitted an increasing rate (0.1 -> 0.2) at t=1"
 
     def test_divergence_keeps_state_and_continues(self):
         stream = ExpertStream(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
@@ -436,6 +439,18 @@ class TestSoftBayesSweep:
                     ExpertStream(batch[s]))
                 assert np.array_equal(hist[s], trace.weights)
                 assert np.array_equal(preds[s], trace.predictions)
+
+    def test_bitwise_matches_sequential_learner_through_a_subnormal_round(self):
+        # only the first stream's M goes subnormal, at round 51
+        subnormal = np.concatenate([np.tile([0.0, 1.0], (50, 1)), [[1.0, 1e-320]],
+                                    np.tile([0.5, 0.5], (3, 1))])
+        batch = np.stack([subnormal, np.random.default_rng(5).uniform(0.01, 1.0, (54, 2))])
+        preds, hist = soft_bayes_sweep(batch, FixedRate(1.0))
+        assert preds[0, 50] < sys.float_info.min
+        for s in range(2):
+            trace = run_learner(SoftBayes(2, FixedRate(1.0)), ExpertStream(batch[s]))
+            assert np.array_equal(hist[s], trace.weights)
+            assert np.array_equal(preds[s], trace.predictions)
 
     def test_rejects_correcting_schedules(self):
         with pytest.raises(ValueError, match="plain"):

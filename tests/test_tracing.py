@@ -46,6 +46,24 @@ def test_traced_run_counts_every_layer(tmp_path, capsys, monkeypatch):
     assert values["rates.calls"] == 401
     for name in ("harness.render_csv_bytes", "harness.ratio_stats_s", "comparators.bound_s"):
         assert values[name] > 0, name
+    # the CSV is rendered once, by the write that puts it in its file
+    renders = [span for span in tracer.spans if span.name == "harness.render_csv"]
+    assert len(renders) == 1
+    assert tracer.spans[renders[0].parent].name == "harness.write"
+
+
+def test_traced_compare_renders_no_csv(capsys, monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        code = main(["compare", "--generator", "theorem2:T=200", "--on-divergence", "continue",
+                     "--learner", "eg:fixed=0.5", "--learner", "soft-bayes:anytime"])
+    capsys.readouterr()
+    assert code == 0
+    values = tracing.layer_metrics(tracer)
+    assert values["learners.rounds"] == 400
+    assert values.get("harness.render_csv_bytes", 0) == 0
+    assert values.get("harness.render_csv_s", 0) == 0
 
 
 def test_every_schedule_class_counted_once(capsys, monkeypatch):
