@@ -570,48 +570,63 @@ class RunArtifact:
     exit_code: int
 
     def write(self) -> None:
-        """Write the artifacts the config names a path for; the trace CSV is
-        rendered here and only here, so a run that writes none renders none."""
-        if self.config.out_csv:
-            text = _csv_table(self.config, self.stream, self.traces)
-            with open(self.config.out_csv, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        if self.config.out_json:
-            with open(self.config.out_json, "w", encoding="utf-8") as fh:
+        """Write the artifacts the config names a path for.  The trace CSV
+        is rendered here and only here, so a run that writes none renders
+        none; each block goes to the file as soon as it is rendered, so the
+        whole table is never held at once."""
+        config, stream, traces = self.config, self.stream, self.traces
+        if config.out_csv:
+            with open(config.out_csv, "w", encoding="utf-8") as fh:
+                for k, trace in enumerate(traces):
+                    cum = trace.cumulative_losses
+                    # an empty first trace still has the block with the header
+                    for start in range(0, trace.rounds or int(k == 0), BLOCK_ROWS):
+                        fh.write(_csv_table(config, stream, traces, k, start, cum))
+        if config.out_json:
+            with open(config.out_json, "w", encoding="utf-8") as fh:
                 json.dump(self.summary, fh, sort_keys=True, indent=2)
                 fh.write("\n")
 
 
-def _csv_table(config: ExperimentConfig, stream: ExpertStream, traces: list) -> str:
-    T = len(stream)
-    width = max(t.weights.shape[1] if t.weights.size else 0 for t in traces)
-    stride = 1 if stream.n_experts <= 16 else max(1, math.ceil(T / 1000))
+def _csv_line(cells: list) -> str:
+    """One CSV record, quoted as the csv module quotes it."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
-                    + [f"w{i + 1}" for i in range(width)])
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+def _csv_table(config: ExperimentConfig, stream: ExpertStream, traces: list,
+               k: int, start: int, cum: np.ndarray) -> str:
+    """One block of the trace CSV: the rows of ``traces[k]`` for rounds
+    ``start + 1`` to ``start + BLOCK_ROWS`` (or its last), and before them
+    the header row when this is the first block (``k == start == 0``).
+    ``cum`` is that trace's ``cumulative_losses``, taken once for the trace
+    and sliced here, so every block's sums are those of the whole run."""
+    width = max(t.weights.shape[1] if t.weights.size else 0 for t in traces)
+    stride = 1 if stream.n_experts <= 16 else max(1, math.ceil(len(stream) / 1000))
+    head = ""
+    if k == start == 0:
+        head = _csv_line(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
+                         + [f"w{i + 1}" for i in range(width)])
+    trace = traces[k]
+    n = trace.rounds
+    if start >= n:
+        return head
+    # the name quoted as the csv module would, and a comma
+    prefix = _csv_line([trace.name, ""])[:-1]
     # rate, prediction, loss, cum_loss, weights: losses take the unit
     bits = np.array([False, False, True, True] + [False] * width) & config.bits
-    for trace in traces:
-        # the name quoted as the csv module would, and a comma
-        head = io.StringIO()
-        csv.writer(head, lineterminator="\n").writerow([trace.name, ""])
-        prefix = head.getvalue()[:-1]
-        cum = trace.cumulative_losses
-        n = trace.rounds
-        for start in range(0, n, BLOCK_ROWS):
-            t = np.arange(start + 1, min(start + BLOCK_ROWS, n) + 1)
-            rows = slice(start, t[-1])
-            # a weight snapshot every stride-th round and on the last; NaN
-            # renders every other weight cell empty
-            snapshot = (t % stride == 0) | (t == n)
-            w = np.full((len(t), width), np.nan)
-            w[snapshot, : trace.weights.shape[-1]] = trace.weights[rows][snapshot]
-            block = np.column_stack([trace.rates[rows], trace.predictions[rows],
-                                     trace.losses[rows], cum[rows], w])
-            buf.writelines(f"{prefix}{i},{cells}\n"
-                           for i, cells in zip(t.tolist(), _text_rows(block, bits)))
-    return buf.getvalue()
+    t = np.arange(start + 1, min(start + BLOCK_ROWS, n) + 1)
+    rows = slice(start, t[-1])
+    # a weight snapshot every stride-th round and on the last; NaN renders
+    # every other weight cell empty
+    snapshot = (t % stride == 0) | (t == n)
+    w = np.full((len(t), width), np.nan)
+    w[snapshot, : trace.weights.shape[-1]] = trace.weights[rows][snapshot]
+    block = np.column_stack([trace.rates[rows], trace.predictions[rows],
+                             trace.losses[rows], cum[rows], w])
+    return head + "".join(f"{prefix}{i},{cells}\n"
+                          for i, cells in zip(t.tolist(), _text_rows(block, bits)))
 
 
 def run_experiment(config: ExperimentConfig) -> RunArtifact:

@@ -127,18 +127,17 @@ def _eg_cycle(log_w: np.ndarray, q: np.ndarray, eta: float):
     arguments reach ~1e300; beyond the float range the mass collapses onto
     the offending experts, which is the instability this update genuinely has.
     """
-    with np.errstate(divide="ignore"):
+    # log(0) = -inf, exp overflows to inf, and -inf + inf below is NaN
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_q = np.log(q)
-    z = log_w + log_q
-    top = float(z.max())
-    if math.isinf(top) and top < 0:
-        return 0.0, -math.inf, log_w
-    log_m = top + math.log(float(np.exp(z - top).sum()))
-    with np.errstate(over="ignore"):
+        z = log_w + log_q
+        top = float(z.max())
+        if math.isinf(top) and top < 0:
+            return 0.0, -math.inf, log_w
+        log_m = top + math.log(float(np.exp(z - top).sum()))
         g = eta * np.exp(log_q - log_m)
-    with np.errstate(invalid="ignore"):
         z = log_w + g
-    z[np.isneginf(log_w)] = -np.inf  # zero weight stays zero (-inf + inf above)
+    z[log_w == -math.inf] = -np.inf  # zero weight stays zero (-inf + inf above)
     top = z.max()
     if math.isinf(top) and top > 0:
         hit = np.isposinf(z)
@@ -179,10 +178,15 @@ def ml_rate_next(v_prev, n: int):
     v = np.asarray(v_prev, dtype=float)
     if np.any(v < 0):
         raise ValueError("V must be nonnegative")
-    ln_n = math.log(n)
-    eta_bar = np.sqrt((ln_n / 2.0) / (ln_n + v))
-    eta = eta_bar / (1.0 + eta_bar)
+    eta = _ml_rate(v, math.log(n))
     return float(eta) if np.isscalar(v_prev) or v.ndim == 0 else eta
+
+
+def _ml_rate(v, ln_n: float):
+    """``ml_rate_next``'s formula, unchecked: for callers that hold V >= 0
+    and ln N (N >= 2) themselves."""
+    eta_bar = np.sqrt((ln_n / 2.0) / (ln_n + v))
+    return eta_bar / (1.0 + eta_bar)
 
 
 def meta_bayes_step(meta_weights, sub_predictions) -> tuple[float, np.ndarray]:
@@ -338,10 +342,11 @@ class MLSoftBayes:
         if n < 2:
             raise ValueError("ml-soft-bayes needs N >= 2")
         self.n = n
+        self.ln_n = math.log(n)
         self.name = name
         self.prior = _start_weights(n, prior)
         self.weights = self.prior.copy()
-        self.rates = np.full(n, float(ml_rate_next(0.0, n)))
+        self.rates = np.full(n, float(_ml_rate(0.0, self.ln_n)))
         self.V = np.zeros(n)
 
     def step(self, p) -> StepOutcome:
@@ -359,7 +364,7 @@ class MLSoftBayes:
         self.V += (ratio - 1.0) ** 2
         # eta_bar / (1 + eta_bar) can rise by an ulp as V grows, so the
         # rates are clamped to stay nonincreasing
-        nxt = np.minimum(ml_rate_next(self.V, self.n), rates)
+        nxt = np.minimum(_ml_rate(self.V, self.ln_n), rates)
         u = w * (1.0 - rates + rates * ratio)
         blend = nxt / rates
         self.weights = u * blend + (1.0 - blend) * self.prior

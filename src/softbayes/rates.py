@@ -57,11 +57,9 @@ class BestSetTracker:
 
     def update(self, p, t: int) -> None:
         q = np.asarray(p, dtype=float)
-        ties = np.nonzero(q == q.max())[0]
-        counted = [int(i) for i in ties if int(i) in self.first_best]
-        pick = min(counted) if counted else int(ties[0])
-        if pick not in self.first_best:
-            self.first_best[pick] = t
+        ties = np.flatnonzero(q == q.max()).tolist()
+        if not any(i in self.first_best for i in ties):
+            self.first_best[ties[0]] = t
 
     def members(self, t: int) -> set:
         """The best set at round t: experts first best strictly before t."""

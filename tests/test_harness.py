@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from softbayes.harness import (
     BLOCK_ROWS,
     ConfigError,
     ExperimentConfig,
+    RunArtifact,
     StreamFormatError,
     load_stream,
     parse_comparator,
@@ -492,26 +494,40 @@ def _hand_trace(rng, name, rounds, n):
                         _edgy(rng, rounds), _edgy(rng, (rounds, n)))
 
 
-def _assert_same_csv(config, stream, traces):
+def _write_csv(path, bits, stream, traces):
+    """The trace CSV as ``RunArtifact.write`` puts it in its file."""
+    config = SimpleNamespace(bits=bits, out_csv=str(path), out_json=None)
     with np.errstate(invalid="ignore"):   # cumulative inf + -inf
-        got = harness._csv_table(config, stream, traces).split("\n")
-        want = _reference_csv_table(config, stream, traces).split("\n")
-    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
-    assert bad is None, f"line {bad + 1}: {got[bad]!r} != {want[bad]!r}"
-    assert len(got) == len(want)
+        RunArtifact(config, stream, traces, [], {}, 0).write()
+    return path.read_bytes()
+
+
+def _assert_same_csv(path, bits, stream, traces):
+    got = _write_csv(path, bits, stream, traces)
+    with np.errstate(invalid="ignore"):
+        want = _reference_csv_table(SimpleNamespace(bits=bits), stream, traces).encode()
+    if got != want:
+        got_lines, want_lines = got.split(b"\n"), want.split(b"\n")
+        bad = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+                   min(len(got_lines), len(want_lines)))
+        pytest.fail(f"line {bad + 1}: {got_lines[bad:bad + 1]!r} != {want_lines[bad:bad + 1]!r}")
 
 
 class TestCsvRenderer:
-    """The block renderer against the row-by-row reference, byte for byte."""
+    """The written CSV against the row-by-row reference, byte for byte."""
 
     NAMES = ("soft-bayes", "meta:rates=1,0.5", 'say "hi"', "", "two\nlines")
+
+    @pytest.fixture(autouse=True)
+    def _csv_path(self, tmp_path):
+        self.path = tmp_path / "trace.csv"
 
     def _check(self, T, n, bits, rounds=None, seed=0, names=NAMES):
         rng = np.random.default_rng(seed)
         rounds = rounds or [T] * len(names)
         traces = [_hand_trace(rng, name, r, n) for name, r in zip(names, rounds)]
         stream = ExpertStream(np.full((T, n), 0.5))
-        _assert_same_csv(SimpleNamespace(bits=bits), stream, traces)
+        _assert_same_csv(self.path, bits, stream, traces)
 
     @pytest.mark.parametrize("bits", [False, True])
     @pytest.mark.parametrize("n", [3, 20])
@@ -535,18 +551,64 @@ class TestCsvRenderer:
         monkeypatch.setattr(harness, "BLOCK_ROWS", 16)
         self._check(1500, n, True, rounds=[1500, 37, 0, 16, 1], seed=2)
 
+    def test_an_empty_first_trace_still_writes_the_header(self):
+        self._check(40, 3, False, rounds=[0, 40], names=self.NAMES[:2])
+        self._check(40, 3, False, rounds=[0], names=self.NAMES[:1])
+        assert self.path.read_bytes() == b"learner,t,eta,prediction,loss,cum_loss\n"
+
     def test_narrower_weights_are_padded(self):
         rng = np.random.default_rng(3)
         traces = [_hand_trace(rng, "meta", 40, 2), _hand_trace(rng, "bayes", 40, 5),
                   LearnerTrace("none", np.ones(40), np.ones(40), np.ones(40),
                                np.empty((40, 0)))]
         stream = ExpertStream(np.full((40, 5), 0.5))
-        _assert_same_csv(SimpleNamespace(bits=False), stream, traces)
+        _assert_same_csv(self.path, False, stream, traces)
 
     @pytest.mark.parametrize("bits", [False, True])
     def test_one_value_matches_the_reference(self, bits):
         for value in (None, *EDGE_VALUES, 3, -2.5, 1e300):
             assert harness._fmt(value, bits) == _reference_fmt(value, bits)
+
+    def test_no_render_returns_more_than_one_block(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        rounds = [3 * BLOCK_ROWS + 5, BLOCK_ROWS, 1]
+        traces = [_hand_trace(rng, name, r, 4) for name, r in zip(self.NAMES, rounds)]
+        stream = ExpertStream(np.full((rounds[0], 4), 0.5))
+        blocks = []
+        render = harness._csv_table
+
+        def record(*args):
+            blocks.append(render(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(harness, "_csv_table", record)
+        written = _write_csv(self.path, False, stream, traces)
+        assert written == "".join(blocks).encode()
+        # the header, then each learner's rounds in blocks of BLOCK_ROWS
+        sizes = [len(list(csv.reader(io.StringIO(b)))) for b in blocks]
+        assert sizes == [1 + BLOCK_ROWS] + [BLOCK_ROWS] * 2 + [5, BLOCK_ROWS, 1]
+
+    def test_write_holds_one_block_at_a_time(self):
+        # 3 learners over N = 10 and T = 20000 make a CSV of about 15 MB; a
+        # write that held it whole would peak at twice that or more
+        rng = np.random.default_rng(5)
+        T, n = 20_000, 10
+        traces = [LearnerTrace(name, rng.random(T), rng.random(T), rng.random(T),
+                               rng.dirichlet(np.ones(n), T))
+                  for name in ("soft-bayes", "eg:fixed=0.5", "ml-soft-bayes")]
+        stream = ExpertStream(np.full((T, n), 0.5))
+        config = SimpleNamespace(bits=False, out_csv=str(self.path), out_json=None)
+        artifact = RunArtifact(config, stream, traces, [], {}, 0)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            artifact.write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert self.path.stat().st_size > 10_000_000
+        assert peak - entry < 2_000_000
 
 
 class TestStats:

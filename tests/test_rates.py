@@ -173,6 +173,31 @@ class TestBestSetTracker:
         assert tracker.members(4) == set()
         assert tracker.members(5) == {1}
 
+    @staticmethod
+    def _reference_update(first_best, p, t):
+        """The rule as it was first written: the lowest counted tie, else
+        the lowest tie, enters if it is not counted yet."""
+        q = np.asarray(p, dtype=float)
+        ties = np.nonzero(q == q.max())[0]
+        counted = [int(i) for i in ties if int(i) in first_best]
+        pick = min(counted) if counted else int(ties[0])
+        if pick not in first_best:
+            first_best[pick] = t
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tie_heavy_stream_matches_the_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        tracker = BestSetTracker()
+        # odd seeds start from a tracker with experts already counted
+        if seed % 2:
+            tracker.first_best.update({int(i): 1 for i in rng.choice(5, 2, replace=False)})
+        reference = dict(tracker.first_best)
+        for t, p in enumerate(rng.choice([0.0, 0.5, 1.0], size=(200, 5)), start=2):
+            tracker.update(p, t)
+            self._reference_update(reference, p, t)
+            assert list(tracker.first_best.items()) == list(reference.items())
+        assert all(type(i) is int for i in tracker.first_best)
+
     def test_monotone_growth(self):
         rng = np.random.default_rng(11)
         tracker = BestSetTracker()

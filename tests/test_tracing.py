@@ -46,10 +46,11 @@ def test_traced_run_counts_every_layer(tmp_path, capsys, monkeypatch):
     assert values["rates.calls"] == 401
     for name in ("harness.render_csv_bytes", "harness.ratio_stats_s", "comparators.bound_s"):
         assert values[name] > 0, name
-    # the CSV is rendered once, by the write that puts it in its file
+    # the CSV is rendered block by block, inside the write that puts each
+    # block in its file, and the blocks together are the file
     renders = [span for span in tracer.spans if span.name == "harness.render_csv"]
-    assert len(renders) == 1
-    assert tracer.spans[renders[0].parent].name == "harness.write"
+    assert all(tracer.spans[span.parent].name == "harness.write" for span in renders)
+    assert sum(span.attrs["bytes"] for span in renders) == (tmp_path / "trace.csv").stat().st_size
 
 
 def test_traced_compare_renders_no_csv(capsys, monkeypatch):
