@@ -44,7 +44,6 @@ from .learners import (
     SoftBayes,
     StepOutcome,
     meta_bayes_step,
-    ml_rate_next,
     run_learner,
 )
 from .rates import (

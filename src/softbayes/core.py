@@ -16,6 +16,13 @@ SIMPLEX_ATOL = 1e-9
 
 INFINITE_LOSS = math.inf
 
+# Up to this many experts, a round's elementwise arithmetic runs on Python
+# floats (``row.tolist()``), where numpy's per-call overhead would dominate.
+# Only operations that round identically in both forms move: + - * /, sqrt,
+# comparisons, max/min, sorting and a sequential running sum.  Dot products,
+# ``ndarray.sum``, exp and log keep numpy's own bits and stay numpy calls.
+SCALAR_MAX_N = 16
+
 
 def as_simplex(v) -> np.ndarray:
     """Validate ``v`` as a probability vector, renormalizing float dust.
@@ -111,6 +118,12 @@ def project_simplex(v) -> np.ndarray:
     x = np.asarray(v, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("projection input must be a nonempty vector")
+    if x.size <= SCALAR_MAX_N:
+        xs = x.tolist()
+        # a NaN fails both comparisons
+        if not all(-math.inf < xi < math.inf for xi in xs):
+            raise ValueError("projection input must be finite")
+        return np.array(_project_floats(xs))
     if not np.all(np.isfinite(x)):
         raise ValueError("projection input must be finite")
     u = np.sort(x)[::-1]
@@ -124,3 +137,20 @@ def project_simplex(v) -> np.ndarray:
     rho = int(support[-1])
     lam = (1.0 - css[rho]) / (rho + 1)
     return np.maximum(x + lam, 0.0)
+
+
+def _project_floats(xs: list) -> list:
+    """``project_simplex`` on a list of finite Python floats, operation for
+    operation: the descending sort, the sequential running sum and the
+    support test round as numpy's do."""
+    css = css_rho = 0.0
+    rho = 0
+    for j, uj in enumerate(sorted(xs, reverse=True), 1):
+        css += uj
+        if uj * j > css - 1.0:
+            rho, css_rho = j, css
+    if not rho:
+        top = max(xs)
+        return _project_floats([xi - top for xi in xs])
+    lam = (1.0 - css_rho) / rho
+    return [v if (v := xi + lam) > 0.0 else 0.0 for xi in xs]

@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     INFINITE_LOSS,
+    SCALAR_MAX_N,
     as_simplex,
     project_simplex,
     uniform_weights,
@@ -49,10 +50,10 @@ def _start_weights(n: int, prior) -> np.ndarray:
     return uniform_weights(n) if prior is None else as_simplex(prior)
 
 
-def _check_round(w: np.ndarray, p) -> np.ndarray:
+def _check_round(shape: tuple, p) -> np.ndarray:
     q = np.asarray(p, dtype=float)
-    if q.shape != w.shape:
-        raise ValueError(f"dimension mismatch: weights {w.shape} vs round {q.shape}")
+    if q.shape != shape:
+        raise ValueError(f"dimension mismatch: weights {shape} vs round {q.shape}")
     return q
 
 
@@ -78,39 +79,36 @@ def _plain_weights(w, q, m, eta_t) -> np.ndarray:
     return u
 
 
+def _subnormal_weights(w, q, m, eta_t) -> np.ndarray:
+    """The update for a subnormal M, where eta_t / M can overflow:
+    (1 - eta_t) w_i + eta_t ((w_i q_i) / M), dividing before it scales so
+    that a weight carrying all of M is not rounded away."""
+    return w * q / m * eta_t + (1.0 - eta_t) * w
+
+
 def _subnormal_rows(w, q, m, eta_t) -> np.ndarray:
     """``_plain_weights`` on a ``(K, N)`` stack with a subnormal M in some
-    row; only those rows take the subnormal form of ``_soft_bayes_weights``."""
+    row; only those rows take ``_subnormal_weights``."""
     tiny = m < _MIN_NORMAL
-    return np.where(tiny, w * q / m * eta_t + (1.0 - eta_t) * w,
+    return np.where(tiny, _subnormal_weights(w, q, m, eta_t),
                     _plain_weights(w, q, np.where(tiny, 1.0, m), eta_t))
 
 
-def _soft_bayes_weights(w, q, m, eta_t, eta_next=None, prior=None) -> np.ndarray:
-    """w_i (1 - eta_t + eta_t q_i / M) on one weight row, or on a ``(K, N)``
-    stack with ``m`` and ``eta_t`` scalars or ``(K, 1)`` columns; an
-    ``eta_next`` other than ``eta_t`` then blends toward ``prior``.
-
-    A row whose M is subnormal, where eta_t / M can overflow, is updated as
-    (1 - eta_t) w_i + eta_t ((w_i q_i) / M), dividing before it scales so
-    that a weight carrying all of M is not rounded away."""
-    c1 = 1.0 - eta_t
-    blend = eta_next is not None and eta_next != eta_t
-    if w.ndim == 2 and m.min() < _MIN_NORMAL:
-        return _subnormal_rows(w, q, m, eta_t)
-    if w.ndim == 1 and m < _MIN_NORMAL:
-        u = w * q / m * eta_t + c1 * w
+def _soft_bayes_weights(w, q, m, eta_t, eta_next, prior) -> np.ndarray:
+    """w_i (1 - eta_t + eta_t q_i / M) on one weight row, then blended
+    toward ``prior`` when ``eta_next`` is not ``eta_t``."""
+    blend = eta_next != eta_t
+    if m < _MIN_NORMAL:
+        u = _subnormal_weights(w, q, m, eta_t)
+    elif w.size <= SCALAR_MAX_N:
+        c1, c2 = 1.0 - eta_t, eta_t / m
+        if blend:
+            ratio = eta_next / eta_t
+            c3 = 1.0 - ratio
+            return np.array([wi * (c1 + c2 * qi) * ratio + c3 * pi
+                             for wi, qi, pi in zip(w.tolist(), q.tolist(), prior.tolist())])
+        return np.array([wi * (c1 + c2 * qi) for wi, qi in zip(w.tolist(), q.tolist())])
     else:
-        if w.ndim == 1 and w.size <= 16:
-            # numpy call overhead dominates at small expert counts; the scalar
-            # loop applies the identical per-element operations
-            c2 = eta_t / m
-            if blend:
-                ratio = eta_next / eta_t
-                c3 = 1.0 - ratio
-                return np.array([wi * (c1 + c2 * qi) * ratio + c3 * pi
-                                 for wi, qi, pi in zip(w.tolist(), q.tolist(), prior.tolist())])
-            return np.array([wi * (c1 + c2 * qi) for wi, qi in zip(w.tolist(), q.tolist())])
         u = _plain_weights(w, q, m, eta_t)
     if blend:
         ratio = eta_next / eta_t
@@ -127,19 +125,22 @@ def _eg_cycle(log_w: np.ndarray, q: np.ndarray, eta: float):
     arguments reach ~1e300; beyond the float range the mass collapses onto
     the offending experts, which is the instability this update genuinely has.
     """
+    small = log_w.size <= SCALAR_MAX_N
     # log(0) = -inf, exp overflows to inf, and -inf + inf below is NaN
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_q = np.log(q)
+        # z holds no NaN here, nor below once masked, so Python's max is numpy's
         z = log_w + log_q
-        top = float(z.max())
-        if math.isinf(top) and top < 0:
+        top = max(z.tolist()) if small else float(z.max())
+        if top == -math.inf:
             return 0.0, -math.inf, log_w
         log_m = top + math.log(float(np.exp(z - top).sum()))
         g = eta * np.exp(log_q - log_m)
         z = log_w + g
-    z[log_w == -math.inf] = -np.inf  # zero weight stays zero (-inf + inf above)
-    top = z.max()
-    if math.isinf(top) and top > 0:
+    if not small or -math.inf in log_w.tolist():
+        z[log_w == -math.inf] = -np.inf  # zero weight stays zero (-inf + inf above)
+    top = max(z.tolist()) if small else float(z.max())
+    if top == math.inf:
         hit = np.isposinf(z)
         new_log_w = np.where(hit, -math.log(int(hit.sum())), -np.inf)
     else:
@@ -167,25 +168,14 @@ def _ogd_cycle(w: np.ndarray, q: np.ndarray, eta: float) -> StepOutcome:
     return StepOutcome(m, -math.log(m), eta, project_simplex(w + step * q))
 
 
-def ml_rate_next(v_prev, n: int):
-    """Per-expert rate from the accumulated squared excess ratio.
+def _ml_rate(v, ln_n: float, sqrt=np.sqrt):
+    """ML-soft-Bayes's per-expert rate from the accumulated squared excess
+    ratio V >= 0, in odds form: eta_bar / (1 + eta_bar) with
+    eta_bar = sqrt((ln N / 2) / (ln N + V)), for N >= 2; nonincreasing in V.
 
-    Odds form sqrt((ln N / 2) / (ln N + V)); monotone nonincreasing in V.
-    Accepts a scalar or an array of V values.
-    """
-    if n < 2:
-        raise ValueError("N must be >= 2")
-    v = np.asarray(v_prev, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("V must be nonnegative")
-    eta = _ml_rate(v, math.log(n))
-    return float(eta) if np.isscalar(v_prev) or v.ndim == 0 else eta
-
-
-def _ml_rate(v, ln_n: float):
-    """``ml_rate_next``'s formula, unchecked: for callers that hold V >= 0
-    and ln N (N >= 2) themselves."""
-    eta_bar = np.sqrt((ln_n / 2.0) / (ln_n + v))
+    ``v`` is an array, or one float with ``sqrt=math.sqrt``; both square
+    roots round correctly, so the two give the same bits."""
+    eta_bar = sqrt((ln_n / 2.0) / (ln_n + v))
     return eta_bar / (1.0 + eta_bar)
 
 
@@ -267,7 +257,7 @@ class SoftBayes:
     def step(self, p) -> StepOutcome:
         # the schedule sees round t and its M before it gives eta_{t+1}
         w, schedule = self.weights, self.schedule
-        q = _check_round(w, p)
+        q = _check_round(w.shape, p)
         m = _mixture(w, q)
         t, eta_t = self.t, self._eta
         schedule.observe(t, q, m)
@@ -313,7 +303,7 @@ class ExponentiatedGradient:
     def step(self, p) -> StepOutcome:
         # the prediction may underflow to 0.0 for display while the loss,
         # taken from ln M, stays finite
-        m, log_m, self.log_w = _eg_cycle(self.log_w, _check_round(self.log_w, p), self.eta)
+        m, log_m, self.log_w = _eg_cycle(self.log_w, _check_round(self.log_w.shape, p), self.eta)
         return StepOutcome(m, -log_m, self.eta, self.weights)
 
 
@@ -329,7 +319,7 @@ class OnlineGradientDescent:
         self.weights = _start_weights(n, prior)
 
     def step(self, p) -> StepOutcome:
-        out = _ogd_cycle(self.weights, _check_round(self.weights, p), self.eta)
+        out = _ogd_cycle(self.weights, _check_round(self.weights.shape, p), self.eta)
         self.weights = out.new_weights
         return out
 
@@ -346,7 +336,7 @@ class MLSoftBayes:
         self.name = name
         self.prior = _start_weights(n, prior)
         self.weights = self.prior.copy()
-        self.rates = np.full(n, float(_ml_rate(0.0, self.ln_n)))
+        self.rates = np.full(n, _ml_rate(0.0, self.ln_n, math.sqrt))
         self.V = np.zeros(n)
 
     def step(self, p) -> StepOutcome:
@@ -355,20 +345,36 @@ class MLSoftBayes:
         eta_{t+1} taken from V advanced by (p_i/M - 1)^2.  A diverged round
         leaves the state as it was."""
         w, rates = self.weights, self.rates
-        q = _check_round(w, p)
+        q = _check_round(w.shape, p)
         wr = w * rates
         m = float(np.dot(wr, q)) / float(wr.sum())
         if m == 0.0:
             return StepOutcome(0.0, INFINITE_LOSS, None, w.copy())
-        ratio = q / m
-        self.V += (ratio - 1.0) ** 2
         # eta_bar / (1 + eta_bar) can rise by an ulp as V grows, so the
         # rates are clamped to stay nonincreasing
-        nxt = np.minimum(_ml_rate(self.V, self.ln_n), rates)
-        u = w * (1.0 - rates + rates * ratio)
-        blend = nxt / rates
-        self.weights = u * blend + (1.0 - blend) * self.prior
-        self.rates = nxt
+        if w.size <= SCALAR_MAX_N:
+            ln_n, sqrt, new_w, new_v, new_r = self.ln_n, math.sqrt, [], [], []
+            for wi, ri, qi, vi, pi in zip(w.tolist(), rates.tolist(), q.tolist(),
+                                          self.V.tolist(), self.prior.tolist()):
+                ratio = qi / m
+                d = ratio - 1.0
+                vi += d * d
+                nxt = min(_ml_rate(vi, ln_n, sqrt), ri)
+                # a rate is 0 only once V is inf; numpy's 0 / 0 is then NaN
+                blend = nxt / ri if ri else math.nan
+                new_w.append(wi * (1.0 - ri + ri * ratio) * blend + (1.0 - blend) * pi)
+                new_v.append(vi)
+                new_r.append(nxt)
+            self.weights = np.array(new_w)
+            self.V, self.rates = np.array(new_v), np.array(new_r)
+        else:
+            ratio = q / m
+            self.V += (ratio - 1.0) ** 2
+            nxt = np.minimum(_ml_rate(self.V, self.ln_n), rates)
+            u = w * (1.0 - rates + rates * ratio)
+            blend = nxt / rates
+            self.weights = u * blend + (1.0 - blend) * self.prior
+            self.rates = nxt
         return StepOutcome(m, -math.log(m), None, self.weights)
 
 
@@ -377,7 +383,10 @@ class MetaBayes:
     of a weight stack.
 
     A sub-learner that diverges has its prediction pinned to zero from that
-    round on; the Bayes posterior then removes its meta weight natively.
+    round on; the Bayes posterior then removes its meta weight natively.  Its
+    row leaves the stack ``w`` (and its rate ``eta``), so ``w`` holds the
+    live rows only, those of sub-learners ``rows``; ``sub_dead`` still
+    reports every sub-learner.
     """
 
     def __init__(self, n: int, rates, prior=None, name: str = "meta"):
@@ -388,7 +397,7 @@ class MetaBayes:
         self.name = name
         self.w = np.tile(_start_weights(n, prior), (len(rates), 1))
         self.eta = np.array(rates)[:, None]
-        self.dead = np.zeros(len(rates), dtype=bool)
+        self.rows = np.arange(len(rates))
         self.u = uniform_weights(len(rates))
 
     @property
@@ -398,15 +407,30 @@ class MetaBayes:
 
     @property
     def sub_dead(self) -> list:
-        return self.dead.tolist()
+        dead = [True] * len(self.u)
+        for k in self.rows.tolist():
+            dead[k] = False
+        return dead
 
     def step(self, p) -> StepOutcome:
-        q = _check_round(self.w[0], p)
+        q = _check_round((self.n,), p)
         m = _mixture(self.w, q)
-        # a dead row is stepped at M = 1, which is cheaper than masking it out
-        self.dead |= m == 0.0
-        self.w = _soft_bayes_weights(self.w, q, np.where(self.dead, 1.0, m)[:, None], self.eta)
-        mp, self.u = meta_bayes_step(self.u, np.where(self.dead, 0.0, m))
+        ms = m.tolist()
+        if 0.0 in ms:
+            # a row that dies predicts 0 from here on, and is no longer stepped
+            live = m != 0.0
+            self.rows, self.w, self.eta, m = self.rows[live], self.w[live], self.eta[live], m[live]
+            ms = m.tolist()
+        preds = m
+        if len(ms) < len(self.u):
+            full = [0.0] * len(self.u)
+            for k, mk in zip(self.rows.tolist(), ms):
+                full[k] = mk
+            preds = np.array(full)
+        if ms:
+            kernel = _subnormal_rows if min(ms) < _MIN_NORMAL else _plain_weights
+            self.w = kernel(self.w, q, m[:, None], self.eta)
+        mp, self.u = meta_bayes_step(self.u, preds)
         if mp == 0.0:
             return StepOutcome(0.0, INFINITE_LOSS, None, self.u.copy())
         return StepOutcome(mp, -math.log(mp), None, self.u.copy())

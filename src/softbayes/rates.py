@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import SCALAR_MAX_N
+
 # Keeps every emitted rate strictly inside (0, 1); the sparse formula can
 # otherwise exceed 1 in the first rounds when ln(N) > 2.
 RATE_CAP = 0.5
@@ -57,7 +59,12 @@ class BestSetTracker:
 
     def update(self, p, t: int) -> None:
         q = np.asarray(p, dtype=float)
-        ties = np.flatnonzero(q == q.max()).tolist()
+        if q.size <= SCALAR_MAX_N:
+            row = q.tolist()
+            top = max(row)
+            ties = [i for i, x in enumerate(row) if x == top]
+        else:
+            ties = np.flatnonzero(q == q.max()).tolist()
         if not any(i in self.first_best for i in ties):
             self.first_best[ties[0]] = t
 
@@ -66,7 +73,8 @@ class BestSetTracker:
         return {i for i, s in self.first_best.items() if s < t}
 
     def m(self, t: int) -> int:
-        return max(1, len(self.members(t)))
+        """The size of ``members(t)``, at least 1."""
+        return max(1, len([s for s in self.first_best.values() if s < t]))
 
     @property
     def total_best(self) -> int:
@@ -207,7 +215,9 @@ class SelfConfidentRate(_Schedule):
 
     def observe(self, t: int, p, m: float) -> None:
         if m > 0.0:
-            self.C1 += float(np.max(p)) / m - 1.0
+            q = np.asarray(p, dtype=float)
+            top = max(q.tolist()) if q.size <= SCALAR_MAX_N else float(q.max())
+            self.C1 += top / m - 1.0
 
 
 # selector kind -> (its parameter: "required", "none" or "optional"; factory(n, param))

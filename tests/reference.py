@@ -8,13 +8,16 @@ mixture is exactly 0 (the weights are then left as they were).  Each
 ``Decimal``.  The stream's values enter exactly (``Decimal(float)``) and
 the uniform prior is 1/N, so the float learners and schedules can be held to
 these values with a bound far below their own rounding of a single round.
-Standard library only.
+Standard library only, but for ``project_simplex_numpy``, the float
+projection restated in numpy operations.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+
+import numpy as np
 
 DIGITS = 60
 
@@ -151,6 +154,20 @@ def _project_simplex(u):
         if uj - (total - 1) / j > 0:
             theta = (total - 1) / j
     return [max(ui - theta, Decimal(0)) for ui in u]
+
+
+def project_simplex_numpy(v) -> np.ndarray:
+    """The sort-based projection in numpy operations: the descending sort,
+    ``np.cumsum``'s sequential running sum, the support test, and the shift
+    by the top entry when rounding leaves no support."""
+    x = np.asarray(v, dtype=float)
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u)
+    support = np.nonzero(u * np.arange(1, x.size + 1) > css - 1.0)[0]
+    if not support.size:
+        return project_simplex_numpy(x - u[0])
+    rho = int(support[-1])
+    return np.maximum(x + (1.0 - css[rho]) / (rho + 1), 0.0)
 
 
 def ogd_losses(p, eta) -> list:

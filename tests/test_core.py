@@ -3,12 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import project_simplex_numpy
 from softbayes.core import (
+    SCALAR_MAX_N,
     BadRoundError,
     ExpertStream,
     as_simplex,
     project_simplex,
     uniform_weights,
+)
+
+# entries whose sums over SCALAR_MAX_N + 1 terms stay finite, with the
+# values that exercise ties, signed zeros, subnormals and the 1e300 shift
+PROJECTION_ENTRIES = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e300, -1e300, 1e-320, 5e-324]),
+    st.floats(-1e300, 1e300),
 )
 
 
@@ -66,6 +76,12 @@ class TestProjectSimplex:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             project_simplex([np.inf, 0.0])
+
+    @given(st.lists(PROJECTION_ENTRIES, min_size=1, max_size=SCALAR_MAX_N + 1))
+    @settings(max_examples=400, deadline=None)
+    def test_both_forms_match_the_numpy_restatement_bit_for_bit(self, xs):
+        # up to SCALAR_MAX_N entries the projection runs on Python floats
+        assert project_simplex(xs).tobytes() == project_simplex_numpy(xs).tobytes()
 
     def test_huge_entry_swallowing_the_rest(self):
         # 1e300 - 1 rounds to 1e300, so no entry passes the support test

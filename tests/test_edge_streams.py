@@ -3,17 +3,21 @@
 Each stream drives a mixture prediction M to a subnormal or a tiny normal
 value, where eta/M or p/M overflows the float range.  A run must still end
 in a verdict (exit 0 or 1), and since the suite turns warnings into errors,
-without a RuntimeWarning.
+without a RuntimeWarning.  Streams A-E and G have at most 3 experts, so
+the learners run their Python-float forms on them; each is also run padded
+with zero columns to ``SCALAR_MAX_N + 1`` experts, where the numpy forms run.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from softbayes import core, learners, rates
 from softbayes.cli import main
-from softbayes.core import ExpertStream
-from softbayes.harness import write_stream_jsonl
+from softbayes.core import SCALAR_MAX_N, ExpertStream
+from softbayes.harness import parse_learner, write_stream_jsonl
 
 
 def blocks(*parts):
@@ -31,7 +35,23 @@ STREAMS = {
     # coordinate so that the projection's support test finds nothing
     "D": lambda: blocks((30, [1e-300, 1.0]), (30, [1.0, 1e-300])),
     "E": lambda: blocks((20, [5e-324, 1.0, 0.3]), (20, [1.0, 5e-324, 0.0])),
+    # EG's log weights part by ~750; M = 1e-320 then overflows its step, so
+    # all mass lands on the first expert, which the next rounds miss, and the
+    # overflow at [1e-320, 1] lands on an expert of zero weight
+    "G": lambda: blocks((1500, [0.0, 1.0]), (1, [1.0, 1e-320]), (2, [0.0, 1.0]),
+                        (3, [1e-320, 1.0]), (3, [0.5, 0.5])),
 }
+
+
+def padded(make):
+    """The stream ``make`` builds, with zero columns up to SCALAR_MAX_N + 1."""
+    def build():
+        p = make().p
+        return ExpertStream(np.hstack([p, np.zeros((len(p), SCALAR_MAX_N + 1 - p.shape[1]))]))
+    return build
+
+
+STREAMS.update({f"{name}-wide": padded(make) for name, make in list(STREAMS.items())})
 
 SELECTORS = [
     "soft-bayes:anytime",
@@ -88,3 +108,39 @@ def test_subnormal_mixture_steps_every_round(tmp_path, capsys):
     assert entry["halted_at"] is None and not entry["diverged"]
     assert entry["loss"] == pytest.approx(9217.65, abs=0.005)
     assert entry["bounds"][0]["satisfied"] is True
+
+
+def trace_digest(selector, stream):
+    trace = learners.run_learner(parse_learner(selector).build(stream.n_experts), stream)
+    h = hashlib.sha256()
+    for a in (trace.predictions, trace.losses, trace.rates, trace.weights):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def ties_and_zeros(n):
+    """300 rounds of one-decimal probabilities, a fifth of them zero; the
+    first expert never reads 0, so no round is all zero."""
+    def build():
+        rng = np.random.default_rng(n)
+        p = np.round(rng.uniform(0.0, 1.0, (300, n)), 1)
+        p[rng.random((300, n)) < 0.2] = 0.0
+        p[:, 0] = np.maximum(p[:, 0], 0.1)
+        return ExpertStream(p)
+    return build
+
+
+# the edge streams as they are, where the Python-float forms run, and two
+# streams of ties and zeros up to SCALAR_MAX_N experts
+FORM_STREAMS = {name: make for name, make in STREAMS.items() if not name.endswith("-wide")}
+FORM_STREAMS.update({f"ties-{n}": ties_and_zeros(n) for n in (7, SCALAR_MAX_N)})
+
+
+@pytest.mark.parametrize("selector", SELECTORS)
+@pytest.mark.parametrize("stream", sorted(FORM_STREAMS))
+def test_python_float_forms_match_the_numpy_forms(stream, selector, monkeypatch):
+    data = FORM_STREAMS[stream]()
+    floats = trace_digest(selector, data)
+    for module in (core, learners, rates):
+        monkeypatch.setattr(module, "SCALAR_MAX_N", 0)
+    assert trace_digest(selector, data) == floats

@@ -14,11 +14,15 @@ LAPACK factorization, and ``tests/test_comparators.py`` holds its bits equal
 at one and two OpenBLAS threads.
 """
 
+import functools
 import hashlib
 
 import pytest
 
 from softbayes.cli import main
+from softbayes.generators import parse_generator
+from softbayes.harness import parse_learner
+from softbayes.learners import run_learner
 
 ALL_LEARNERS = (
     "soft-bayes:anytime",
@@ -184,6 +188,35 @@ COMPARE = (
     (483, "2b13e2bd3c5fe9cfe4f57bde99a1bf13b5689f7eb558f789835b440424dfcfaa"),
 )
 
+# (generator, seed, selector) -> sha256 of the continue-mode trace's
+# predictions, losses, rates and weights bytes, at the benchmark's scale: the
+# adversarial-compare learners on theorem2:T=20000, where meta's rate-1 row
+# dies past round 10,000, and the e2e-csv learners on its iid stream
+TRACE_DIGESTS = {
+    ("theorem2:T=20000", 0, "soft-bayes:anytime"):
+        "fc916c22686242b2fe2a0999c9385ab12a17b1df031bd4c2160c7bd691edd164",
+    ("theorem2:T=20000", 0, "soft-bayes:sparse"):
+        "0a79d516d222e5b2033de9bc5bcf317c232e408cbdb303324b3c003e902a7958",
+    ("theorem2:T=20000", 0, "soft-bayes:shifting"):
+        "9457e667d645e25b441cb33ed1045e4e98fb2dc4b3754947041c0675409dfdb7",
+    ("theorem2:T=20000", 0, "soft-bayes:self-confident"):
+        "2a5655b71d1a9f7e8c18645bfca8d45b054217b770832a12c385bbd0829aac3a",
+    ("theorem2:T=20000", 0, "eg:fixed=0.5"):
+        "41614c249c80863fce5d26d6470fa5207bef7802108fd8214fa6a0e433ed5af1",
+    ("theorem2:T=20000", 0, "ogd:fixed=0.1"):
+        "a6c306891c2ee6111d023f039ce07ec2057beb089a7f5e837d039ae96a3bd769",
+    ("theorem2:T=20000", 0, "ml-soft-bayes"):
+        "dc685615ec9cfa688811bac3e6e250409ff0cdab0ad4e0633160d29c268d0023",
+    ("theorem2:T=20000", 0, "meta:rates=1,0.5,0.25"):
+        "920074305acb9f5d8311124f25a1c990cec8e917e58c807b30721b3b428b9fb7",
+    ("iid-mixture:N=10,T=20000", 6, "soft-bayes:anytime"):
+        "af0bce428f17933eda5bb60026ad5b3dca87d5299b269eb841a02f41a171bea9",
+    ("iid-mixture:N=10,T=20000", 6, "eg:fixed=0.5"):
+        "0f8b7945284afc622c500e80c0f269936eec6151b06e630a65084313ecb16a5d",
+    ("iid-mixture:N=10,T=20000", 6, "soft-bayes:self-confident"):
+        "bb78544aa40d53353d6c730e586b0b59446bf7bd9e19deeec9a68fbe1eddf959",
+}
+
 # malformed selector -> the exact stderr line (every one exits with code 2)
 BAD_SELECTORS = {
     "bayes:x": "error: bayes takes no schedule (it is soft-bayes at rate 1)",
@@ -246,6 +279,21 @@ def test_compare_stdout_pinned(capsys):
     code = main(argv)
     assert code == exit_code
     assert _digest(capsys.readouterr().out.encode("utf-8")) == expected
+
+
+@functools.cache
+def _stream(generator, seed):
+    return parse_generator(generator).build(seed)
+
+
+@pytest.mark.parametrize("generator, seed, selector", sorted(TRACE_DIGESTS))
+def test_trace_bits_at_benchmark_scale(generator, seed, selector):
+    stream = _stream(generator, seed)
+    trace = run_learner(parse_learner(selector).build(stream.n_experts), stream, "continue")
+    digest = hashlib.sha256()
+    for values in (trace.predictions, trace.losses, trace.rates, trace.weights):
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == TRACE_DIGESTS[generator, seed, selector]
 
 
 @pytest.mark.parametrize("selector", sorted(BAD_SELECTORS))

@@ -17,8 +17,8 @@ from softbayes.learners import (
     MLSoftBayes,
     OnlineGradientDescent,
     SoftBayes,
+    _ml_rate,
     meta_bayes_step,
-    ml_rate_next,
     run_learner,
     soft_bayes_sweep,
 )
@@ -191,7 +191,8 @@ class TestMLSoftBayes:
         np.testing.assert_allclose(learner.V, [1.0, 4.0], atol=1e-12)
         # base update to (0.25, 0.75), each blended toward the prior by its
         # own rate ratio
-        np.testing.assert_allclose(learner.rates, ml_rate_next(np.array([1.0, 4.0]), 2))
+        # the learner's Python-float rates carry the array formula's bits
+        np.testing.assert_array_equal(learner.rates, _ml_rate(np.array([1.0, 4.0]), math.log(2)))
         blend = learner.rates / [0.5, 0.25]
         np.testing.assert_allclose(out.new_weights, [0.25, 0.75] * blend + (1 - blend) * 0.5,
                                    atol=1e-15)
@@ -243,13 +244,13 @@ class TestMLSoftBayes:
         assert sum(losses) == pytest.approx(4.677, abs=5e-4)
 
 
-class TestMLRateNext:
+class TestMLRate:
     def test_values(self):
-        assert ml_rate_next(0.0, 5) == pytest.approx(0.41421, abs=5e-6)
-        assert ml_rate_next(math.log(7), 7) == pytest.approx(1 / 3, abs=1e-12)
+        np.testing.assert_allclose(MLSoftBayes(5).rates, 0.41421, atol=5e-6)
+        assert _ml_rate(math.log(7), math.log(7)) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_monotone_vanishing(self):
-        vals = [ml_rate_next(v, 3) for v in (0.0, 1.0, 10.0, 1e6, 1e12)]
+        vals = [_ml_rate(v, math.log(3)) for v in (0.0, 1.0, 10.0, 1e6, 1e12)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-5
 
@@ -283,6 +284,8 @@ class TestMetaBayes:
             meta.step(np.array([0.0, 1.0]))
         out = meta.step(np.array([1.0, 0.0]))
         assert meta.sub_dead == [True, False]
+        # the dead row has left the stack
+        assert meta.rows.tolist() == [1] and meta.w.shape == (1, 2)
         assert math.isfinite(out.loss)
         out = meta.step(np.array([0.0, 1.0]))
         assert meta.u[0] == 0.0 and math.isfinite(out.loss)
