@@ -51,16 +51,41 @@ def uniform_weights(n: int) -> np.ndarray:
 
 class BadRoundError(ValueError):
     """A round that breaks the stream's validity rule: ``round`` is its
-    1-based index, ``reason`` what is wrong with it."""
+    1-based index, ``reason`` what is wrong with it; in a batch of streams
+    the message also names the stream, by its index in the batch."""
 
-    def __init__(self, index: int, reason: str):
-        super().__init__(f"round {index}: {reason}")
+    def __init__(self, index: int, reason: str, stream: int | None = None):
+        where = f"round {index}" if stream is None else f"stream {stream}, round {index}"
+        super().__init__(f"{where}: {reason}")
         self.round = index
         self.reason = reason
 
 
-def _first(bad_rounds: np.ndarray) -> int:
-    return int(np.flatnonzero(bad_rounds)[0]) + 1
+def check_rounds(q: np.ndarray) -> None:
+    """Hold a float array of rounds to the stream rule: every entry finite
+    and in [0, 1], and some expert positive in every round.
+
+    ``q`` is one stream, ``(rounds, experts)``, or a batch of them,
+    ``(streams, rounds, experts)``; the first bad round raises
+    ``BadRoundError``, naming its stream in a batch.
+    """
+    if q.shape[-1] < 1:
+        # every round is empty, so the first one is named
+        if q.shape[-2]:
+            raise BadRoundError(1, "stream needs at least one expert", 0 if q.ndim > 2 else None)
+        raise ValueError("stream needs at least one expert")
+    # the first bad round is looked for only once a check has failed
+    if not np.all(np.isfinite(q)):
+        bad, reason = ~np.isfinite(q).all(axis=-1), "non-finite probability"
+    elif np.any(q < 0.0) or np.any(q > 1.0):
+        bad = ((q < 0.0) | (q > 1.0)).any(axis=-1)
+        reason = "stream probabilities must lie in [0, 1]"
+    elif q.shape[-2] and not np.all(q.max(axis=-1) > 0.0):
+        bad, reason = q.max(axis=-1) == 0.0, "no expert has positive probability"
+    else:
+        return
+    *stream, index = np.argwhere(bad)[0].tolist()
+    raise BadRoundError(index + 1, reason, *stream)
 
 
 @dataclass
@@ -74,21 +99,7 @@ class ExpertStream:
         q = np.asarray(self.p, dtype=float)
         if q.ndim != 2:
             raise ValueError("stream must be a (rounds, experts) array")
-        if q.shape[1] < 1:
-            # every round is empty, so the first one is named
-            if q.shape[0]:
-                raise BadRoundError(1, "stream needs at least one expert")
-            raise ValueError("stream needs at least one expert")
-        # the first bad round is looked for only once a check has failed
-        if not np.all(np.isfinite(q)):
-            raise BadRoundError(_first(~np.isfinite(q).all(axis=1)),
-                                "non-finite probability")
-        if np.any(q < 0.0) or np.any(q > 1.0):
-            raise BadRoundError(_first(((q < 0.0) | (q > 1.0)).any(axis=1)),
-                                "stream probabilities must lie in [0, 1]")
-        if q.shape[0] and not np.all(q.max(axis=1) > 0.0):
-            raise BadRoundError(_first(q.max(axis=1) == 0.0),
-                                "no expert has positive probability")
+        check_rounds(q)
         self.p = q
 
     @property

@@ -7,8 +7,8 @@ ML-soft-Bayes blend toward, ML-soft-Bayes's ``rates`` and ``V``, and for
 soft-Bayes the round ``t`` and the rate schedule, which any object with
 ``rate``, ``observe`` and ``applies_correction`` can be.
 ``meta_bayes_step`` is the meta learner's posterior over its sub-learners'
-predictions, and ``soft_bayes_sweep`` runs the soft-Bayes kernel over a batch
-of streams at once.
+predictions, and ``soft_bayes_sweep`` runs the soft-Bayes kernel for several
+plain schedules over a batch of streams at once.
 
 Divergence (the learner assigned probability zero to the realized symbol) is
 reported through the infinite-loss sentinel in the returned outcome, with the
@@ -27,6 +27,7 @@ from .core import (
     INFINITE_LOSS,
     SCALAR_MAX_N,
     as_simplex,
+    check_rounds,
     project_simplex,
     uniform_weights,
 )
@@ -62,16 +63,18 @@ _MIN_NORMAL = sys.float_info.min
 
 
 def _mixture(w: np.ndarray, q: np.ndarray):
-    """M = w . q for one weight row, or per row of a ``(K, N)`` stack; the
-    batched matmul gives each row the bits ``np.dot`` gives it alone."""
+    """M = w . q for one weight row, or per row of a stack (``(K, N)``, or
+    ``(K, S, N)`` against a round's ``(S, N)`` rows, which broadcast without a
+    copy); the batched matmul gives each row the bits ``np.dot`` gives it
+    alone."""
     if w.ndim == 1:
         return float(np.dot(w, q))
-    return (w[:, None, :] @ q[..., :, None]).reshape(len(w))
+    return (w[..., None, :] @ q[..., :, None])[..., 0, 0]
 
 
 def _plain_weights(w, q, m, eta_t) -> np.ndarray:
     """w_i (1 - eta_t + eta_t q_i / M) in numpy operations, on one weight row
-    or a ``(K, N)`` stack, for an M (each row's) no smaller than the smallest
+    or a stack of them, for an M (each row's) no smaller than the smallest
     normal float."""
     u = q * (eta_t / m)
     u += 1.0 - eta_t
@@ -87,8 +90,8 @@ def _subnormal_weights(w, q, m, eta_t) -> np.ndarray:
 
 
 def _subnormal_rows(w, q, m, eta_t) -> np.ndarray:
-    """``_plain_weights`` on a ``(K, N)`` stack with a subnormal M in some
-    row; only those rows take ``_subnormal_weights``."""
+    """``_plain_weights`` on a stack of weight rows with a subnormal M in
+    some row; only those rows take ``_subnormal_weights``."""
     tiny = m < _MIN_NORMAL
     return np.where(tiny, _subnormal_weights(w, q, m, eta_t),
                     _plain_weights(w, q, np.where(tiny, 1.0, m), eta_t))
@@ -194,26 +197,35 @@ def meta_bayes_step(meta_weights, sub_predictions) -> tuple[float, np.ndarray]:
     return mp, u * preds / mp
 
 
-def soft_bayes_sweep(batch, schedule):
-    """Plain-schedule soft-Bayes over a batch of same-shape streams at once.
+def soft_bayes_sweep(batch, schedules):
+    """Plain-schedule soft-Bayes for K schedules over a batch of S same-shape
+    streams, all K x S (schedule, stream) learners in one pass over the rounds.
 
-    ``batch`` is a (streams, rounds, experts) array; ``schedule`` must be one
-    of the plain kinds (fixed, inverse-t), since the online correction is a
-    per-learner affair.  Returns ``(predictions, weights)`` with shapes
-    (S, T) and (S, T, N) (post-update weights).  It runs ``SoftBayes.step``'s
-    kernel on all S rows at once, so seed sweeps don't pay the per-round
-    interpreter cost once per stream.
+    ``batch`` is a (streams, rounds, experts) array, held to the stream rule
+    (a bad round names its stream and round); ``schedules`` is a nonempty
+    sequence of the plain kinds (fixed, inverse-t), since the online
+    correction is a per-learner affair.  Returns ``(predictions, weights)``
+    with shapes (K, S, T) and (K, S, T, N) (post-update weights); member
+    ``[k, s]`` is bit for bit ``SoftBayes(N, schedules[k])`` run over
+    ``batch[s]``.  The weights are one (K, S, N) stack stepped by
+    ``SoftBayes.step``'s kernel, so seed sweeps don't pay the per-round
+    interpreter cost once per learner.
     """
-    if schedule.applies_correction:
+    if not schedules:
+        raise ValueError("a sweep needs at least one schedule")
+    if any(schedule.applies_correction for schedule in schedules):
         raise ValueError("batched sweeps support only plain schedules")
     P = np.asarray(batch, dtype=float)
     if P.ndim != 3:
         raise ValueError("batch must be (streams, rounds, experts)")
-    S, T, N = P.shape
-    W = np.tile(uniform_weights(N), (S, 1))
-    preds = np.empty((S, T))
-    hist = np.empty((S, T, N))
-    eta = schedule.rate(1)
+    if not len(P):
+        raise ValueError("batch holds no streams")
+    check_rounds(P)
+    K, (S, T, N) = len(schedules), P.shape
+    W = np.tile(uniform_weights(N), (K, S, 1))
+    preds = np.empty((K, S, T))
+    hist = np.empty((K, S, T, N))
+    eta = np.array([schedule.rate(1) for schedule in schedules])[:, None, None]
     for t in range(1, T + 1):
         Q = P[:, t - 1, :]
         m = _mixture(W, Q)
@@ -223,10 +235,10 @@ def soft_bayes_sweep(batch, schedule):
         if not lo > 0.0:
             raise ValueError(f"round {t}: a sweep member diverged (mixture hit 0); "
                              "run it through run_learner for divergence handling")
-        W = (_subnormal_rows if lo < _MIN_NORMAL else _plain_weights)(W, Q, m[:, None], eta)
-        preds[:, t - 1] = m
-        hist[:, t - 1] = W
-        eta = schedule.rate(t + 1)
+        W = (_subnormal_rows if lo < _MIN_NORMAL else _plain_weights)(W, Q, m[..., None], eta)
+        preds[:, :, t - 1] = m
+        hist[:, :, t - 1] = W
+        eta = np.array([schedule.rate(t + 1) for schedule in schedules])[:, None, None]
     return preds, hist
 
 

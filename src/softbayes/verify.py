@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comparators import disjoint_closed_form
+from .core import ExpertStream
 from .generators import disjoint_dirac, random_disjoint_symbols, rng_from_seed
 from .learners import SoftBayes, run_learner, soft_bayes_sweep
 from .rates import InverseT
@@ -119,9 +120,9 @@ def disjoint_equivalence_checks(T: int = 1000, n_seeds: int = 20,
     the add-constant estimator exactly, for the three classical choices of c
     (1, N/2, N) and N in {2, 3, 5}.
 
-    The seed sweep runs through the vectorized runner; one member of every
-    (N, c) cell is additionally replayed through the sequential learner and
-    held to the same tolerance.
+    Each N's seed sweep runs all three rates in one pass of the vectorized
+    runner; the sweep's first stream is additionally replayed through the
+    sequential learner at each rate and held to the same tolerance.
     """
     results = []
     for n in (2, 3, 5):
@@ -129,12 +130,13 @@ def disjoint_equivalence_checks(T: int = 1000, n_seeds: int = 20,
                           for s in range(n_seeds)])
         counts = batch.cumsum(axis=1)
         t_col = np.arange(1, T + 1)[:, None]
-        for label, c in (("perks", 1.0), ("kt", n / 2.0), ("laplace", float(n))):
+        cells = (("perks", 1.0), ("kt", n / 2.0), ("laplace", float(n)))
+        _, hists = soft_bayes_sweep(batch, [InverseT(c) for _, c in cells])
+        replayed = ExpertStream(batch[0])
+        for (label, c), hist in zip(cells, hists):
             expected = (counts + c / n) / (t_col + c)
-            _, hist = soft_bayes_sweep(batch, InverseT(c))
             worst = float(np.abs(hist - expected).max())
-            trace = run_learner(SoftBayes(n, InverseT(c)),
-                                disjoint_dirac(random_disjoint_symbols(n, T, 1000 * n), n))
+            trace = run_learner(SoftBayes(n, InverseT(c)), replayed)
             worst = max(worst, float(np.abs(trace.weights - expected[0]).max()))
             # spot-check one round through the closed-form evaluator itself,
             # which must agree exactly

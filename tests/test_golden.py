@@ -1,8 +1,8 @@
 """Golden-byte pins for what the CLI emits.
 
 Each ``run`` case pins the exit code and the sha256 and byte length of
-stdout, the CSV trace and the JSON summary; one ``compare`` case pins its
-stdout; malformed selectors and comparators pin the exit code and the exact
+stdout, the CSV trace and the JSON summary; one ``compare`` case and one
+``verify`` case pin their stdout; malformed selectors and comparators pin the exit code and the exact
 stderr line.  A refactor of the learners, schedules, comparators or bound
 tables must leave every one of these unchanged.
 
@@ -188,6 +188,12 @@ COMPARE = (
     (483, "2b13e2bd3c5fe9cfe4f57bde99a1bf13b5689f7eb558f789835b440424dfcfaa"),
 )
 
+VERIFY = (
+    ["verify", "--samples", "2000"],
+    0,
+    (845, "ae06f27b3a197659fe4ae904fafcfaf4e78e92a87ffbcf5d8202821086348657"),
+)
+
 # (generator, seed, selector) -> sha256 of the continue-mode trace's
 # predictions, losses, rates and weights bytes, at the benchmark's scale: the
 # adversarial-compare learners on theorem2:T=20000, where meta's rate-1 row
@@ -276,6 +282,13 @@ def test_run_artifacts_pinned(name, tmp_path, capsys):
 
 def test_compare_stdout_pinned(capsys):
     argv, exit_code, expected = COMPARE
+    code = main(argv)
+    assert code == exit_code
+    assert _digest(capsys.readouterr().out.encode("utf-8")) == expected
+
+
+def test_verify_stdout_pinned(capsys):
+    argv, exit_code, expected = VERIFY
     code = main(argv)
     assert code == exit_code
     assert _digest(capsys.readouterr().out.encode("utf-8")) == expected

@@ -427,42 +427,73 @@ class TestSubnormalMixture:
 
 
 class TestSoftBayesSweep:
+    @staticmethod
+    def assert_members_match_sequential(batch, kinds):
+        """Every ``[k, s]`` member equals the sequential learner with a fresh
+        ``kinds[k]`` schedule, a ``(class, parameter)`` pair, over stream s,
+        bit for bit."""
+        preds, hist = soft_bayes_sweep(batch, [cls(arg) for cls, arg in kinds])
+        S, T, n = batch.shape
+        assert preds.shape == (len(kinds), S, T)
+        assert hist.shape == (len(kinds), S, T, n)
+        for k, (cls, arg) in enumerate(kinds):
+            for s in range(S):
+                trace = run_learner(SoftBayes(n, cls(arg)), ExpertStream(batch[s]))
+                assert np.array_equal(hist[k, s], trace.weights), (k, s)
+                assert np.array_equal(preds[k, s], trace.predictions), (k, s)
+        return preds
+
     # N = 17 is past the sequential learner's N <= 16 scalar branch
     @pytest.mark.parametrize("n", [2, 5, 17])
     def test_bitwise_matches_sequential_learner(self, n):
-        rng = np.random.default_rng(31)
-        batch = rng.uniform(0.01, 1.0, size=(6, 120, n))
-        for schedule in (FixedRate(0.3), InverseT(2.5)):
-            preds, hist = soft_bayes_sweep(batch, type(schedule)(
-                schedule.eta if isinstance(schedule, FixedRate) else schedule.c))
-            for s in range(batch.shape[0]):
-                trace = run_learner(
-                    SoftBayes(n, type(schedule)(
-                        schedule.eta if isinstance(schedule, FixedRate) else schedule.c)),
-                    ExpertStream(batch[s]))
-                assert np.array_equal(hist[s], trace.weights)
-                assert np.array_equal(preds[s], trace.predictions)
+        batch = np.random.default_rng(31).uniform(0.01, 1.0, size=(6, 120, n))
+        self.assert_members_match_sequential(batch, [
+            (FixedRate, 0.3), (InverseT, 2.5), (FixedRate, 1.0), (InverseT, n / 2.0)])
 
     def test_bitwise_matches_sequential_learner_through_a_subnormal_round(self):
-        # only the first stream's M goes subnormal, at round 51
+        # only member (0, 0) goes subnormal, at round 51: Bayes zeroes expert
+        # 0 on stream 0, which rate 0.5 only halves each round
         subnormal = np.concatenate([np.tile([0.0, 1.0], (50, 1)), [[1.0, 1e-320]],
                                     np.tile([0.5, 0.5], (3, 1))])
         batch = np.stack([subnormal, np.random.default_rng(5).uniform(0.01, 1.0, (54, 2))])
-        preds, hist = soft_bayes_sweep(batch, FixedRate(1.0))
-        assert preds[0, 50] < sys.float_info.min
-        for s in range(2):
-            trace = run_learner(SoftBayes(2, FixedRate(1.0)), ExpertStream(batch[s]))
-            assert np.array_equal(hist[s], trace.weights)
-            assert np.array_equal(preds[s], trace.predictions)
+        preds = self.assert_members_match_sequential(batch, [(FixedRate, 1.0), (FixedRate, 0.5)])
+        assert [(k, s) for k in range(2) for s in range(2)
+                if preds[k, s, 50] < sys.float_info.min] == [(0, 0)]
 
     def test_rejects_correcting_schedules(self):
         with pytest.raises(ValueError, match="plain"):
-            soft_bayes_sweep(np.full((1, 3, 2), 0.5), AnytimeRate(2))
+            soft_bayes_sweep(np.full((1, 3, 2), 0.5), [FixedRate(0.5), AnytimeRate(2)])
+
+    def test_rejects_an_empty_schedule_list(self):
+        with pytest.raises(ValueError, match="at least one schedule"):
+            soft_bayes_sweep(np.full((1, 3, 2), 0.5), [])
+
+    def test_rejects_an_empty_batch(self):
+        with pytest.raises(ValueError, match="no streams"):
+            soft_bayes_sweep(np.empty((0, 3, 2)), [FixedRate(1.0)])
+
+    @staticmethod
+    def batch_with(entry):
+        batch = np.full((3, 4, 2), 0.5)
+        batch[1, 2, 0] = entry
+        return batch
+
+    def test_rejects_an_entry_above_one(self):
+        with pytest.raises(ValueError, match=r"^stream 1, round 3: .*\[0, 1\]$"):
+            soft_bayes_sweep(self.batch_with(3.0), [FixedRate(1.0)])
+
+    def test_rejects_a_negative_entry(self):
+        with pytest.raises(ValueError, match=r"^stream 1, round 3: .*\[0, 1\]$"):
+            soft_bayes_sweep(self.batch_with(-0.2), [FixedRate(1.0)])
+
+    def test_rejects_a_nan_entry(self):
+        with pytest.raises(ValueError, match="^stream 1, round 3: non-finite probability$"):
+            soft_bayes_sweep(self.batch_with(math.nan), [FixedRate(1.0)])
 
     def test_rejects_divergence(self):
         batch = np.array([[[0.0, 1.0], [1.0, 0.0]]])
         with pytest.raises(ValueError, match="diverged"):
-            soft_bayes_sweep(batch, FixedRate(1.0))
+            soft_bayes_sweep(batch, [FixedRate(0.5), FixedRate(1.0)])
 
 
 class TestLearnerTrace:

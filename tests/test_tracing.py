@@ -2,10 +2,10 @@
 
 ``perfbench/tracing.py`` replaces module globals of ``softbayes.harness``
 (``best_fixed_mixture``, ``_masked_comparator_loss``, ``_csv_table``, ...)
-with timing wrappers.  A refactor that stops calling one of those names
-leaves the benchmark running but reading zero for that layer; this test
-runs one small traced operation and checks that every layer it covers
-still counts.
+and ``softbayes.verify`` (``soft_bayes_sweep``, ``run_learner``) with timing
+wrappers.  A refactor that stops calling one of those names leaves the
+benchmark running but reading zero for that layer; each test here runs one
+small traced operation and checks that every layer it covers still counts.
 """
 
 import importlib.util
@@ -83,3 +83,20 @@ def test_every_schedule_class_counted_once(capsys, monkeypatch):
     # seven soft-Bayes schedules at 1 + 2 x 200 calls each; meta's sub-rates
     # are checked through FixedRate but never asked for a rate
     assert tracing.layer_metrics(tracer)["rates.calls"] == 7 * 401
+
+
+def test_traced_verify_counts_sweeps_and_replays(capsys, monkeypatch):
+    # verify's per-layer numbers come only from the sweep and the sequential
+    # replays, wrapped by the names verify calls them by
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        code = main(["verify", "--samples", "2000"])
+    capsys.readouterr()
+    assert code == 0
+    values = tracing.layer_metrics(tracer)
+    # 3 N x 3 rates x (20 swept streams + 1 replay) x 1000 rounds
+    assert values["learners.rounds"] == 189_000
+    # each sweep schedule: 1 + 1000 rates; each replay: 1 + 2 x 1000 calls
+    assert values["rates.calls"] == 9 * 1001 + 9 * 2001
+    assert values["learners.sweep_s"] > 0
