@@ -1,18 +1,22 @@
 """Sequential learners over expert-probability streams.
 
 Each update rule has one kernel, and its learner class is the one driver of
-it.  The class keeps its state as plain attributes: ``weights`` (EG keeps
-``log_w`` and meta its row stack ``w``), the ``prior`` that soft-Bayes and
-ML-soft-Bayes blend toward, ML-soft-Bayes's ``rates`` and ``V``, and for
-soft-Bayes the round ``t`` and the rate schedule, which any object with
-``rate``, ``observe`` and ``applies_correction`` can be.
-``meta_bayes_step`` is the meta learner's posterior over its sub-learners'
-predictions, and ``soft_bayes_sweep`` runs the soft-Bayes kernel for several
-plain schedules over a batch of streams at once.
+it.  Every class owns its round loop: ``step_block(P, halt)`` steps the rows
+of a (rounds, N) block in order, with the state in locals that go back to
+the attributes when the block ends, and returns the trace columns;
+``step(p)`` is its one-row case.  The class keeps its state as plain
+attributes: ``weights`` (EG keeps ``log_w`` and meta its row stack ``w``),
+the ``prior`` that soft-Bayes and ML-soft-Bayes blend toward,
+ML-soft-Bayes's ``rates`` and ``V``, and for soft-Bayes the round ``t`` and
+the rate schedule, which any object with ``rate``, ``observe`` and
+``applies_correction`` can be.  ``meta_bayes_step`` is the meta learner's
+posterior over its sub-learners' predictions, and ``soft_bayes_sweep`` runs
+the soft-Bayes kernel for several plain schedules over a batch of streams at
+once.
 
 Divergence (the learner assigned probability zero to the realized symbol) is
 reported through the infinite-loss sentinel in the returned outcome, with the
-weights left unchanged; whether the run halts there is the harness's call.
+weights left unchanged; whether the run halts there is the caller's call.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -51,11 +56,44 @@ def _start_weights(n: int, prior) -> np.ndarray:
     return uniform_weights(n) if prior is None else as_simplex(prior)
 
 
-def _check_round(shape: tuple, p) -> np.ndarray:
-    q = np.asarray(p, dtype=float)
-    if q.shape != shape:
-        raise ValueError(f"dimension mismatch: weights {shape} vs round {q.shape}")
-    return q
+def _check_rows(shape: tuple, P) -> np.ndarray:
+    """``P`` as a float block of rounds, each of them of the learner's
+    ``shape``."""
+    P = np.asarray(P, dtype=float)
+    if P.shape[1:] != shape:
+        raise ValueError(f"dimension mismatch: weights {shape} vs round {P.shape[1:]}")
+    return P
+
+
+def _columns(preds, losses, rates, weights, halted_at):
+    """A block's trace columns: (predictions, losses, rates, weights, halted_at)."""
+    return np.asarray(preds), np.asarray(losses), np.asarray(rates), np.asarray(weights), halted_at
+
+
+# rows of a block whose Python floats are made at once
+_ROW_CHUNK = 256
+
+
+def _rows(P):
+    """The rows of a block, each paired with its Python floats; the floats
+    are made ``_ROW_CHUNK`` rows at a time, so a long block holds few."""
+    return chain.from_iterable(zip(c, c.tolist()) for c in (
+        P[i:i + _ROW_CHUNK] for i in range(0, len(P), _ROW_CHUNK)))
+
+
+class _Learner:
+    """A learner class's round loop is its ``step_block(P, halt=False)``: it
+    steps the rows of ``P``, a (rounds, N) block, in order, stops after the
+    first diverged round when ``halt`` is set, and returns the trace columns.
+    Its state lives in locals while the block runs and goes back to the
+    attributes when the block ends, also on a halt or a raise."""
+
+    def step(self, p) -> StepOutcome:
+        """One round: the one-row case of ``step_block``."""
+        preds, losses, rates, weights, _ = self.step_block(np.asarray(p, dtype=float)[None])
+        rate = float(rates[0])
+        return StepOutcome(float(preds[0]), float(losses[0]),
+                           None if math.isnan(rate) else rate, weights[0])
 
 
 # the smallest normal float: below it eta / M can overflow
@@ -63,12 +101,10 @@ _MIN_NORMAL = sys.float_info.min
 
 
 def _mixture(w: np.ndarray, q: np.ndarray):
-    """M = w . q for one weight row, or per row of a stack (``(K, N)``, or
-    ``(K, S, N)`` against a round's ``(S, N)`` rows, which broadcast without a
-    copy); the batched matmul gives each row the bits ``np.dot`` gives it
-    alone."""
-    if w.ndim == 1:
-        return float(np.dot(w, q))
+    """M = w . q per row of a weight stack (``(K, N)``, or ``(K, S, N)``
+    against a round's ``(S, N)`` rows, which broadcast without a copy); the
+    batched matmul gives each row the bits ``w.dot(q)``, the M of one weight
+    row, gives it alone."""
     return (w[..., None, :] @ q[..., :, None])[..., 0, 0]
 
 
@@ -98,22 +134,12 @@ def _subnormal_rows(w, q, m, eta_t) -> np.ndarray:
 
 
 def _soft_bayes_weights(w, q, m, eta_t, eta_next, prior) -> np.ndarray:
-    """w_i (1 - eta_t + eta_t q_i / M) on one weight row, then blended
-    toward ``prior`` when ``eta_next`` is not ``eta_t``."""
-    blend = eta_next != eta_t
-    if m < _MIN_NORMAL:
-        u = _subnormal_weights(w, q, m, eta_t)
-    elif w.size <= SCALAR_MAX_N:
-        c1, c2 = 1.0 - eta_t, eta_t / m
-        if blend:
-            ratio = eta_next / eta_t
-            c3 = 1.0 - ratio
-            return np.array([wi * (c1 + c2 * qi) * ratio + c3 * pi
-                             for wi, qi, pi in zip(w.tolist(), q.tolist(), prior.tolist())])
-        return np.array([wi * (c1 + c2 * qi) for wi, qi in zip(w.tolist(), q.tolist())])
-    else:
-        u = _plain_weights(w, q, m, eta_t)
-    if blend:
+    """w_i (1 - eta_t + eta_t q_i / M) on one weight row in numpy
+    operations, then blended toward ``prior`` when ``eta_next`` is not
+    ``eta_t``; ``SoftBayes.step_block`` writes the same arithmetic on Python
+    floats for a normal M and at most ``SCALAR_MAX_N`` experts."""
+    u = (_subnormal_weights if m < _MIN_NORMAL else _plain_weights)(w, q, m, eta_t)
+    if eta_next != eta_t:
         ratio = eta_next / eta_t
         u *= ratio
         u += (1.0 - ratio) * prior
@@ -127,19 +153,19 @@ def _eg_cycle(log_w: np.ndarray, q: np.ndarray, eta: float):
     Log-sum-exp keeps -ln M finite after M underflows and lets exponent
     arguments reach ~1e300; beyond the float range the mass collapses onto
     the offending experts, which is the instability this update genuinely has.
+    log(0) = -inf, exp overflows to inf, and -inf + inf is NaN below, so the
+    caller runs it with numpy's divide, overflow and invalid warnings off.
     """
     small = log_w.size <= SCALAR_MAX_N
-    # log(0) = -inf, exp overflows to inf, and -inf + inf below is NaN
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_q = np.log(q)
-        # z holds no NaN here, nor below once masked, so Python's max is numpy's
-        z = log_w + log_q
-        top = max(z.tolist()) if small else float(z.max())
-        if top == -math.inf:
-            return 0.0, -math.inf, log_w
-        log_m = top + math.log(float(np.exp(z - top).sum()))
-        g = eta * np.exp(log_q - log_m)
-        z = log_w + g
+    log_q = np.log(q)
+    # z holds no NaN here, nor below once masked, so Python's max is numpy's
+    z = log_w + log_q
+    top = max(z.tolist()) if small else float(z.max())
+    if top == -math.inf:
+        return 0.0, -math.inf, log_w
+    log_m = top + math.log(float(np.exp(z - top).sum()))
+    g = eta * np.exp(log_q - log_m)
+    z = log_w + g
     if not small or -math.inf in log_w.tolist():
         z[log_w == -math.inf] = -np.inf  # zero weight stays zero (-inf + inf above)
     top = max(z.tolist()) if small else float(z.max())
@@ -151,24 +177,25 @@ def _eg_cycle(log_w: np.ndarray, q: np.ndarray, eta: float):
     return math.exp(log_m), log_m, new_log_w
 
 
-def _ogd_cycle(w: np.ndarray, q: np.ndarray, eta: float) -> StepOutcome:
-    """The OGD kernel: the projected gradient step w' = Pi(w + eta q / M).
+def _ogd_cycle(w: np.ndarray, q: np.ndarray, eta: float):
+    """The OGD kernel: the projected gradient step w' = Pi(w + eta q / M);
+    returns ``(M, new weights)``, with the weights unchanged when M = 0.
 
     The projection can concentrate all mass on one expert, after which a
     round that expert gets wrong produces the infinite-loss sentinel.  A
     step eta/M that overflows is taken at its limit: all mass on the experts
     with the largest q, split as the projection of their current weights.
     """
-    m = _mixture(w, q)
+    m = float(w.dot(q))
     if m == 0.0:
-        return StepOutcome(0.0, INFINITE_LOSS, eta, w.copy())
+        return 0.0, w
     step = eta / m
     if math.isinf(step):
         top = q == q.max()
         u = np.zeros_like(w)
         u[top] = project_simplex(w[top])
-        return StepOutcome(m, -math.log(m), eta, u)
-    return StepOutcome(m, -math.log(m), eta, project_simplex(w + step * q))
+        return m, u
+    return m, project_simplex(w + step * q)
 
 
 def _ml_rate(v, ln_n: float, sqrt=np.sqrt):
@@ -207,9 +234,9 @@ def soft_bayes_sweep(batch, schedules):
     correction is a per-learner affair.  Returns ``(predictions, weights)``
     with shapes (K, S, T) and (K, S, T, N) (post-update weights); member
     ``[k, s]`` is bit for bit ``SoftBayes(N, schedules[k])`` run over
-    ``batch[s]``.  The weights are one (K, S, N) stack stepped by
-    ``SoftBayes.step``'s kernel, so seed sweeps don't pay the per-round
-    interpreter cost once per learner.
+    ``batch[s]``.  The weights are one (K, S, N) stack stepped by the
+    kernel ``SoftBayes.step_block`` runs, so seed sweeps don't pay the
+    per-round interpreter cost once per learner.
     """
     if not schedules:
         raise ValueError("a sweep needs at least one schedule")
@@ -230,8 +257,8 @@ def soft_bayes_sweep(batch, schedules):
         Q = P[:, t - 1, :]
         m = _mixture(W, Q)
         # one reduction of M serves the divergence test and the kernel's
-        # subnormal test
-        lo = m.min()
+        # subnormal test; check_rounds leaves no NaN for Python's min to miss
+        lo = min(m.ravel().tolist())
         if not lo > 0.0:
             raise ValueError(f"round {t}: a sweep member diverged (mixture hit 0); "
                              "run it through run_learner for divergence handling")
@@ -242,7 +269,7 @@ def soft_bayes_sweep(batch, schedules):
     return preds, hist
 
 
-class SoftBayes:
+class SoftBayes(_Learner):
     """Soft-Bayes learner with a pluggable rate schedule: the update
     w_i <- w_i (1 - eta_t + eta_t p_i / M), exact Bayes at eta_t = 1.
 
@@ -266,26 +293,60 @@ class SoftBayes:
         """The rate the next step will use."""
         return self._eta
 
-    def step(self, p) -> StepOutcome:
-        # the schedule sees round t and its M before it gives eta_{t+1}
-        w, schedule = self.weights, self.schedule
-        q = _check_round(w.shape, p)
-        m = _mixture(w, q)
-        t, eta_t = self.t, self._eta
-        schedule.observe(t, q, m)
-        eta_next = schedule.rate(t + 1)
+    def step_block(self, P, halt: bool = False):
+        """The schedule sees round t and its M before it gives eta_{t+1}, also
+        on a diverged round.  Up to ``SCALAR_MAX_N`` experts the weights are
+        updated on Python floats, and on numpy rows above it or where M is
+        subnormal."""
+        w, prior, schedule = self.weights, self.prior, self.schedule
+        P = _check_rows(w.shape, P)
+        observe, rate = schedule.observe, schedule.rate
         corrects = schedule.applies_correction
-        if corrects and eta_next > eta_t and m != 0.0:
-            raise RuntimeError(
-                f"schedule {type(schedule).__name__} emitted an increasing rate "
-                f"({eta_t!r} -> {eta_next!r}) at t={t}")
-        self._eta = eta_next
-        self.t = t + 1
-        if m == 0.0:
-            return StepOutcome(0.0, INFINITE_LOSS, eta_t, w.copy())
-        self.weights = _soft_bayes_weights(w, q, m, eta_t,
-                                           eta_next if corrects else eta_t, self.prior)
-        return StepOutcome(m, -math.log(m), eta_t, self.weights)
+        t, eta_t = self.t, self._eta
+        # above SCALAR_MAX_N the row's floats (ql) go unused
+        small = w.size <= SCALAR_MAX_N
+        wl, pl = w.tolist(), prior.tolist()
+        preds, losses, rates, hist = [], [], [], []
+        halted_at = None
+        try:
+            for q, ql in _rows(P) if small else zip(P, P):
+                m = float(w.dot(q))
+                observe(t, q, m)
+                eta_next = rate(t + 1)
+                if corrects and eta_next > eta_t and m != 0.0:
+                    raise RuntimeError(
+                        f"schedule {type(schedule).__name__} emitted an increasing rate "
+                        f"({eta_t!r} -> {eta_next!r}) at t={t}")
+                rates.append(eta_t)
+                if m == 0.0:
+                    preds.append(0.0)
+                    losses.append(INFINITE_LOSS)
+                else:
+                    if small and m >= _MIN_NORMAL:
+                        c1, c2 = 1.0 - eta_t, eta_t / m
+                        if corrects and eta_next != eta_t:
+                            ratio = eta_next / eta_t
+                            c3 = 1.0 - ratio
+                            wl = [wi * (c1 + c2 * qi) * ratio + c3 * pi
+                                  for wi, qi, pi in zip(wl, ql, pl)]
+                        else:
+                            wl = [wi * (c1 + c2 * qi) for wi, qi in zip(wl, ql)]
+                        w = np.array(wl)
+                    else:
+                        w = _soft_bayes_weights(w, q, m, eta_t,
+                                                eta_next if corrects else eta_t, prior)
+                        if small:
+                            wl = w.tolist()
+                    preds.append(m)
+                    losses.append(-math.log(m))
+                hist.append(w)
+                t, eta_t = t + 1, eta_next
+                if halt and m == 0.0:
+                    halted_at = len(losses)
+                    break
+        finally:
+            self.weights, self.t, self._eta = w, t, eta_t
+        return _columns(preds, losses, rates, hist, halted_at)
 
 
 class Bayes(SoftBayes):
@@ -295,7 +356,7 @@ class Bayes(SoftBayes):
         super().__init__(n, FixedRate(1.0), prior=prior, name=name)
 
 
-class ExponentiatedGradient:
+class ExponentiatedGradient(_Learner):
     """EG over the linearized loss, with weights kept in the log domain so
     the huge p/M ratios adversarial streams produce do not overflow."""
 
@@ -312,14 +373,31 @@ class ExponentiatedGradient:
     def weights(self) -> np.ndarray:
         return np.exp(self.log_w)
 
-    def step(self, p) -> StepOutcome:
-        # the prediction may underflow to 0.0 for display while the loss,
-        # taken from ln M, stays finite
-        m, log_m, self.log_w = _eg_cycle(self.log_w, _check_round(self.log_w.shape, p), self.eta)
-        return StepOutcome(m, -log_m, self.eta, self.weights)
+    def step_block(self, P, halt: bool = False):
+        """The weights column is the exponent of the log weights, taken once
+        for the block; the kernel's warnings are off for the whole block."""
+        log_w, eta = self.log_w, self.eta
+        P = _check_rows(log_w.shape, P)
+        preds, losses, hist = [], [], []
+        halted_at = None
+        try:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                for q in P:
+                    # the prediction may underflow to 0.0 for display while the
+                    # loss, taken from ln M, stays finite
+                    m, log_m, log_w = _eg_cycle(log_w, q, eta)
+                    preds.append(m)
+                    losses.append(-log_m)
+                    hist.append(log_w)
+                    if halt and log_m == -math.inf:
+                        halted_at = len(losses)
+                        break
+        finally:
+            self.log_w = log_w
+        return _columns(preds, losses, [eta] * len(losses), np.exp(np.asarray(hist)), halted_at)
 
 
-class OnlineGradientDescent:
+class OnlineGradientDescent(_Learner):
     """Projected online gradient descent on the simplex."""
 
     def __init__(self, n: int, eta: float, prior=None, name: str = "ogd"):
@@ -330,13 +408,26 @@ class OnlineGradientDescent:
         self.name = name
         self.weights = _start_weights(n, prior)
 
-    def step(self, p) -> StepOutcome:
-        out = _ogd_cycle(self.weights, _check_round(self.weights.shape, p), self.eta)
-        self.weights = out.new_weights
-        return out
+    def step_block(self, P, halt: bool = False):
+        w, eta = self.weights, self.eta
+        P = _check_rows(w.shape, P)
+        preds, losses, hist = [], [], []
+        halted_at = None
+        try:
+            for q in P:
+                m, w = _ogd_cycle(w, q, eta)
+                preds.append(m)
+                losses.append(-math.log(m) if m != 0.0 else INFINITE_LOSS)
+                hist.append(w)
+                if halt and m == 0.0:
+                    halted_at = len(losses)
+                    break
+        finally:
+            self.weights = w
+        return _columns(preds, losses, [eta] * len(losses), hist, halted_at)
 
 
-class MLSoftBayes:
+class MLSoftBayes(_Learner):
     """Soft-Bayes with one adaptive rate per expert, each driven by that
     expert's accumulated squared excess ratio."""
 
@@ -351,46 +442,67 @@ class MLSoftBayes:
         self.rates = np.full(n, _ml_rate(0.0, self.ln_n, math.sqrt))
         self.V = np.zeros(n)
 
-    def step(self, p) -> StepOutcome:
+    def step_block(self, P, halt: bool = False):
         """Prediction sum(w_i eta_i p_i) / sum(w_i eta_i); each expert then
         runs the soft-Bayes update and prior blend with its own rate pair,
         eta_{t+1} taken from V advanced by (p_i/M - 1)^2.  A diverged round
-        leaves the state as it was."""
-        w, rates = self.weights, self.rates
-        q = _check_round(w.shape, p)
+        leaves the state as it was.  Up to ``SCALAR_MAX_N`` experts the state
+        is carried as Python floats through the block."""
+        w, rates, V, prior, ln_n = self.weights, self.rates, self.V, self.prior, self.ln_n
+        P = _check_rows(w.shape, P)
+        # above SCALAR_MAX_N the row's floats (ql) go unused
+        small = w.size <= SCALAR_MAX_N
+        sqrt = math.sqrt
+        wl, rl, vl, pl = w.tolist(), rates.tolist(), V.tolist(), prior.tolist()
         wr = w * rates
-        m = float(np.dot(wr, q)) / float(wr.sum())
-        if m == 0.0:
-            return StepOutcome(0.0, INFINITE_LOSS, None, w.copy())
-        # eta_bar / (1 + eta_bar) can rise by an ulp as V grows, so the
-        # rates are clamped to stay nonincreasing
-        if w.size <= SCALAR_MAX_N:
-            ln_n, sqrt, new_w, new_v, new_r = self.ln_n, math.sqrt, [], [], []
-            for wi, ri, qi, vi, pi in zip(w.tolist(), rates.tolist(), q.tolist(),
-                                          self.V.tolist(), self.prior.tolist()):
-                ratio = qi / m
-                d = ratio - 1.0
-                vi += d * d
-                nxt = min(_ml_rate(vi, ln_n, sqrt), ri)
-                # a rate is 0 only once V is inf; numpy's 0 / 0 is then NaN
-                blend = nxt / ri if ri else math.nan
-                new_w.append(wi * (1.0 - ri + ri * ratio) * blend + (1.0 - blend) * pi)
-                new_v.append(vi)
-                new_r.append(nxt)
-            self.weights = np.array(new_w)
-            self.V, self.rates = np.array(new_v), np.array(new_r)
-        else:
-            ratio = q / m
-            self.V += (ratio - 1.0) ** 2
-            nxt = np.minimum(_ml_rate(self.V, self.ln_n), rates)
-            u = w * (1.0 - rates + rates * ratio)
-            blend = nxt / rates
-            self.weights = u * blend + (1.0 - blend) * self.prior
-            self.rates = nxt
-        return StepOutcome(m, -math.log(m), None, self.weights)
+        preds, losses, hist = [], [], []
+        halted_at = None
+        try:
+            for q, ql in _rows(P) if small else zip(P, P):
+                m = float(wr.dot(q)) / float(wr.sum())
+                if m == 0.0:
+                    preds.append(0.0)
+                    losses.append(INFINITE_LOSS)
+                else:
+                    # eta_bar / (1 + eta_bar) can rise by an ulp as V grows,
+                    # so the rates are clamped to stay nonincreasing
+                    if small:
+                        new_w, new_v, new_r, new_wr = [], [], [], []
+                        for wi, ri, qi, vi, pi in zip(wl, rl, ql, vl, pl):
+                            ratio = qi / m
+                            d = ratio - 1.0
+                            vi += d * d
+                            nxt = min(_ml_rate(vi, ln_n, sqrt), ri)
+                            # a rate is 0 only once V is inf; numpy's 0 / 0 is then NaN
+                            blend = nxt / ri if ri else math.nan
+                            wi = wi * (1.0 - ri + ri * ratio) * blend + (1.0 - blend) * pi
+                            new_w.append(wi)
+                            new_v.append(vi)
+                            new_r.append(nxt)
+                            new_wr.append(wi * nxt)
+                        wl, vl, rl, wr = new_w, new_v, new_r, np.array(new_wr)
+                    else:
+                        ratio = q / m
+                        V += (ratio - 1.0) ** 2
+                        nxt = np.minimum(_ml_rate(V, ln_n), rates)
+                        u = w * (1.0 - rates + rates * ratio)
+                        blend = nxt / rates
+                        w = u * blend + (1.0 - blend) * prior
+                        rates, wr = nxt, w * nxt
+                    preds.append(m)
+                    losses.append(-math.log(m))
+                hist.append(wl if small else w)
+                if halt and m == 0.0:
+                    halted_at = len(losses)
+                    break
+        finally:
+            if small:
+                w, rates, V = np.array(wl), np.array(rl), np.array(vl)
+            self.weights, self.rates, self.V = w, rates, V
+        return _columns(preds, losses, [math.nan] * len(losses), hist, halted_at)
 
 
-class MetaBayes:
+class MetaBayes(_Learner):
     """Bayesian mixture over fixed-rate soft-Bayes sub-learners, one row each
     of a weight stack.
 
@@ -424,28 +536,41 @@ class MetaBayes:
             dead[k] = False
         return dead
 
-    def step(self, p) -> StepOutcome:
-        q = _check_round((self.n,), p)
-        m = _mixture(self.w, q)
-        ms = m.tolist()
-        if 0.0 in ms:
-            # a row that dies predicts 0 from here on, and is no longer stepped
-            live = m != 0.0
-            self.rows, self.w, self.eta, m = self.rows[live], self.w[live], self.eta[live], m[live]
-            ms = m.tolist()
-        preds = m
-        if len(ms) < len(self.u):
-            full = [0.0] * len(self.u)
-            for k, mk in zip(self.rows.tolist(), ms):
-                full[k] = mk
-            preds = np.array(full)
-        if ms:
-            kernel = _subnormal_rows if min(ms) < _MIN_NORMAL else _plain_weights
-            self.w = kernel(self.w, q, m[:, None], self.eta)
-        mp, self.u = meta_bayes_step(self.u, preds)
-        if mp == 0.0:
-            return StepOutcome(0.0, INFINITE_LOSS, None, self.u.copy())
-        return StepOutcome(mp, -math.log(mp), None, self.u.copy())
+    def step_block(self, P, halt: bool = False):
+        """The weights column holds the meta weights."""
+        w, eta, rows, u = self.w, self.eta, self.rows, self.u
+        P = _check_rows((self.n,), P)
+        k_all = len(u)
+        preds, losses, hist = [], [], []
+        halted_at = None
+        try:
+            for q in P:
+                m = _mixture(w, q)
+                ms = m.tolist()
+                if 0.0 in ms:
+                    # a row that dies predicts 0 from here on, and is no longer stepped
+                    live = m != 0.0
+                    rows, w, eta, m = rows[live], w[live], eta[live], m[live]
+                    ms = m.tolist()
+                sub = m
+                if len(ms) < k_all:
+                    full = [0.0] * k_all
+                    for k, mk in zip(rows.tolist(), ms):
+                        full[k] = mk
+                    sub = np.array(full)
+                if ms:
+                    kernel = _subnormal_rows if min(ms) < _MIN_NORMAL else _plain_weights
+                    w = kernel(w, q, m[:, None], eta)
+                mp, u = meta_bayes_step(u, sub)
+                preds.append(mp)
+                losses.append(-math.log(mp) if mp != 0.0 else INFINITE_LOSS)
+                hist.append(u)
+                if halt and mp == 0.0:
+                    halted_at = len(losses)
+                    break
+        finally:
+            self.w, self.eta, self.rows, self.u = w, eta, rows, u
+        return _columns(preds, losses, [math.nan] * len(losses), hist, halted_at)
 
 
 @dataclass
@@ -486,7 +611,8 @@ class LearnerTrace:
 
 
 def run_learner(learner, stream, on_divergence: str = "continue") -> LearnerTrace:
-    """Drive a learner over a stream, recording every round's outcome.
+    """Run a learner over a stream, recording every round's outcome: one
+    ``step_block`` over the stream's rows.
 
     ``on_divergence="halt"`` stops at the first infinite loss, leaving a
     partial trace; ``"continue"`` keeps stepping (the learner's weights are
@@ -494,24 +620,5 @@ def run_learner(learner, stream, on_divergence: str = "continue") -> LearnerTrac
     """
     if on_divergence not in ("halt", "continue"):
         raise ValueError(f"unknown divergence policy {on_divergence!r}")
-    halt = on_divergence == "halt"
-    preds, losses, rates, weights = [], [], [], []
-    halted_at = None
-    step = learner.step
-    for p in stream:
-        out = step(p)
-        preds.append(out.prediction)
-        losses.append(out.loss)
-        rates.append(math.nan if out.rate_used is None else out.rate_used)
-        weights.append(out.new_weights)
-        if halt and math.isinf(out.loss):
-            halted_at = len(losses)
-            break
-    return LearnerTrace(
-        name=getattr(learner, "name", type(learner).__name__),
-        predictions=np.asarray(preds),
-        losses=np.asarray(losses),
-        rates=np.asarray(rates),
-        weights=np.asarray(weights),
-        halted_at=halted_at,
-    )
+    columns = learner.step_block(getattr(stream, "p", stream), on_divergence == "halt")
+    return LearnerTrace(getattr(learner, "name", type(learner).__name__), *columns)

@@ -56,6 +56,9 @@ class BestSetTracker:
     """
 
     first_best: dict = field(default_factory=dict)
+    # (the latest first-best round, the set's size) as update() last left
+    # them: past that round, while the set is that size, m(t) needs no scan
+    _last: tuple = field(default=(0, 0), init=False, repr=False, compare=False)
 
     def update(self, p, t: int) -> None:
         q = np.asarray(p, dtype=float)
@@ -67,6 +70,7 @@ class BestSetTracker:
             ties = np.flatnonzero(q == q.max()).tolist()
         if not any(i in self.first_best for i in ties):
             self.first_best[ties[0]] = t
+            self._last = (max(self.first_best.values()), len(self.first_best))
 
     def members(self, t: int) -> set:
         """The best set at round t: experts first best strictly before t."""
@@ -74,6 +78,9 @@ class BestSetTracker:
 
     def m(self, t: int) -> int:
         """The size of ``members(t)``, at least 1."""
+        last, size = self._last
+        if t > last and len(self.first_best) == size:
+            return max(1, size)
         return max(1, len([s for s in self.first_best.values() if s < t]))
 
     @property

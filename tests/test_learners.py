@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from softbayes.core import ExpertStream
 from softbayes.generators import adversarial_alternating
+from softbayes.harness import parse_learner
 from softbayes.learners import (
     Bayes,
     ExponentiatedGradient,
@@ -23,6 +24,7 @@ from softbayes.learners import (
     soft_bayes_sweep,
 )
 from softbayes.rates import AnytimeRate, FixedRate, InverseT
+from test_edge_streams import STREAMS as EDGE_STREAMS
 
 
 def random_stream(rng, T, n, low=0.01):
@@ -512,3 +514,100 @@ class TestLearnerTrace:
         assert trace.finite_loss == 3.0
         assert trace.diverged
         assert math.isinf(trace.total_loss)
+
+
+# every LEARNER_KINDS selector: soft-Bayes under each schedule, then the
+# other learner kinds
+BLOCK_SELECTORS = [
+    "soft-bayes:anytime", "soft-bayes:sparse", "soft-bayes:shifting",
+    "soft-bayes:self-confident", "soft-bayes:fixed=0.5", "soft-bayes:inverse-t=1",
+    "bayes", "eg:fixed=0.5", "ogd:fixed=0.1", "ml-soft-bayes", "meta:rates=1,0.5,0.25",
+]
+BLOCK_STREAMS = {**{name: EDGE_STREAMS[name] for name in sorted(EDGE_STREAMS)},
+                 "theorem2": lambda: adversarial_alternating(200)}
+
+
+def stepped_trace(learner, stream, halt):
+    """The trace of per-round ``step`` calls, recorded as ``run_learner``
+    records a block."""
+    preds, losses, rates, weights = [], [], [], []
+    halted_at = None
+    for p in stream:
+        out = learner.step(p)
+        preds.append(out.prediction)
+        losses.append(out.loss)
+        rates.append(math.nan if out.rate_used is None else out.rate_used)
+        weights.append(out.new_weights)
+        if halt and out.diverged:
+            halted_at = len(losses)
+            break
+    return LearnerTrace(learner.name, np.asarray(preds), np.asarray(losses), np.asarray(rates),
+                        np.asarray(weights), halted_at)
+
+
+def bits(value):
+    a = np.asarray(value)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def learner_state(learner):
+    """Every attribute a learner steps, as bits; a schedule by its own
+    attributes (the sparse tracker compares by its best set)."""
+    state = {name: bits(getattr(learner, name))
+             for name in ("weights", "log_w", "t", "current_rate", "rates", "V", "w", "rows",
+                          "u", "eta")
+             if hasattr(learner, name)}
+    if hasattr(learner, "schedule"):
+        state["schedule"] = vars(learner.schedule)
+    return state
+
+
+@pytest.mark.parametrize("policy", ["halt", "continue"])
+@pytest.mark.parametrize("selector", BLOCK_SELECTORS)
+@pytest.mark.parametrize("stream_name", sorted(BLOCK_STREAMS))
+def test_block_and_one_row_forms_agree(stream_name, selector, policy):
+    stream = BLOCK_STREAMS[stream_name]()
+    block = parse_learner(selector).build(stream.n_experts)
+    rows = parse_learner(selector).build(stream.n_experts)
+    got = run_learner(block, stream, policy)
+    want = stepped_trace(rows, stream, policy == "halt")
+    for column in ("predictions", "losses", "rates", "weights"):
+        assert bits(getattr(got, column)) == bits(getattr(want, column)), column
+    assert got.halted_at == want.halted_at
+    assert learner_state(block) == learner_state(rows)
+
+
+class RisesAt:
+    """1/(t + 1), then a rise to 0.9 at round ``k``, with the prior-blend
+    correction; logs every call it gets."""
+
+    applies_correction = True
+
+    def __init__(self, k):
+        self.k, self.calls = k, []
+
+    def rate(self, t):
+        self.calls.append(("rate", t))
+        return 0.9 if t >= self.k else 1.0 / (t + 1)
+
+    def observe(self, t, p, m):
+        self.calls.append(("observe", t, m))
+
+
+def test_block_and_one_row_forms_agree_on_a_rising_rate():
+    stream = random_stream(np.random.default_rng(8), 12, 3)
+    block, rows = SoftBayes(3, RisesAt(6)), SoftBayes(3, RisesAt(6))
+    with pytest.raises(RuntimeError) as raised:
+        run_learner(block, stream)
+    with pytest.raises(RuntimeError) as stepped:
+        for p in stream:
+            rows.step(p)
+    assert str(raised.value) == str(stepped.value) == (
+        "schedule RisesAt emitted an increasing rate (0.16666666666666666 -> 0.9) at t=5")
+    # rounds 1-4 stepped; round 5 was observed and asked eta_6, then refused
+    assert block.t == rows.t == 5
+    assert block.schedule.calls == rows.schedule.calls
+    assert [call[:2] for call in block.schedule.calls[-2:]] == [("observe", 5), ("rate", 6)]
+    assert learner_state(block) == learner_state(rows)
+    np.testing.assert_array_equal(block.weights, run_learner(
+        SoftBayes(3, RisesAt(6)), ExpertStream(stream.p[:4])).weights[-1])

@@ -167,6 +167,18 @@ class TestBestSetTracker:
     def test_m_starts_at_one(self):
         assert BestSetTracker().m(1) == 1
 
+    def test_m_counts_the_members_before_and_after_the_last_new_best(self):
+        tracker = BestSetTracker()
+        for t, p in enumerate([[0.9, 0.1, 0.0], [0.9, 0.1, 0.0], [0.1, 0.9, 0.0],
+                               [0.0, 0.1, 0.9]], start=1):
+            tracker.update(p, t)
+        assert tracker.first_best == {0: 1, 1: 3, 2: 4}
+        assert [tracker.m(t) for t in range(1, 7)] == [1, 1, 1, 2, 3, 3]
+        # a set changed by hand is still counted as members() reads it
+        tracker.first_best[3] = 9
+        assert [tracker.m(t) for t in range(1, 12)] == [
+            max(1, len(tracker.members(t))) for t in range(1, 12)]
+
     def test_member_enters_strictly_after_first_best(self):
         tracker = BestSetTracker()
         tracker.update([0.1, 0.9], 4)

@@ -100,3 +100,25 @@ def test_traced_verify_counts_sweeps_and_replays(capsys, monkeypatch):
     # each sweep schedule: 1 + 1000 rates; each replay: 1 + 2 x 1000 calls
     assert values["rates.calls"] == 9 * 1001 + 9 * 2001
     assert values["learners.sweep_s"] > 0
+
+
+def test_traced_compare_sees_every_learner(capsys, monkeypatch):
+    # each learner steps its stream in one call of run_learner, which the
+    # tracer wraps; the schedules' rate and observe are still counted one by
+    # one through their class-level wrappers
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    selectors = ["soft-bayes:anytime", "soft-bayes:sparse", "soft-bayes:shifting",
+                 "soft-bayes:self-confident", "eg:fixed=0.5", "ogd:fixed=0.1",
+                 "ml-soft-bayes", "meta:rates=1,0.5,0.25"]
+    with tracing.traced(tracer):
+        code = main(["compare", "--generator", "theorem2:T=200", "--on-divergence", "continue",
+                     *(arg for s in selectors for arg in ("--learner", s))])
+    capsys.readouterr()
+    assert code == 0
+    values = tracing.layer_metrics(tracer)
+    assert values["learners.rounds"] == 1600
+    # four online schedules at 1 + 2 x 200 calls each
+    assert values["rates.calls"] == 4 * 401
+    for selector in selectors:
+        assert values[tracing.selector_metric(selector)] > 0, selector
