@@ -24,6 +24,7 @@ from softbayes.learners import (
     soft_bayes_sweep,
 )
 from softbayes.rates import AnytimeRate, FixedRate, InverseT
+from test_edge_streams import SELECTORS as EDGE_SELECTORS
 from test_edge_streams import STREAMS as EDGE_STREAMS
 
 
@@ -516,15 +517,9 @@ class TestLearnerTrace:
         assert math.isinf(trace.total_loss)
 
 
-# every LEARNER_KINDS selector: soft-Bayes under each schedule, then the
-# other learner kinds
-BLOCK_SELECTORS = [
-    "soft-bayes:anytime", "soft-bayes:sparse", "soft-bayes:shifting",
-    "soft-bayes:self-confident", "soft-bayes:fixed=0.5", "soft-bayes:inverse-t=1",
-    "bayes", "eg:fixed=0.5", "ogd:fixed=0.1", "ml-soft-bayes", "meta:rates=1,0.5,0.25",
-]
-BLOCK_STREAMS = {**{name: EDGE_STREAMS[name] for name in sorted(EDGE_STREAMS)},
-                 "theorem2": lambda: adversarial_alternating(200)}
+# every LEARNER_KINDS selector (soft-Bayes under each schedule) on the edge
+# streams, as they are and padded past SCALAR_MAX_N, and on theorem2
+BLOCK_STREAMS = {**EDGE_STREAMS, "theorem2": lambda: adversarial_alternating(200)}
 
 
 def stepped_trace(learner, stream, halt):
@@ -563,7 +558,7 @@ def learner_state(learner):
 
 
 @pytest.mark.parametrize("policy", ["halt", "continue"])
-@pytest.mark.parametrize("selector", BLOCK_SELECTORS)
+@pytest.mark.parametrize("selector", EDGE_SELECTORS)
 @pytest.mark.parametrize("stream_name", sorted(BLOCK_STREAMS))
 def test_block_and_one_row_forms_agree(stream_name, selector, policy):
     stream = BLOCK_STREAMS[stream_name]()
