@@ -54,13 +54,11 @@ def main():
     args = parser.parse_args()
     T, eta = args.T, args.eta
 
-    eg = ExponentiatedGradient(2, eta, name=f"eg eta={eta}")
     stream = adversarial_constant(T)
-    for t, p in enumerate(stream, 1):
-        eg.step(p)
-        if t == T // 2:
-            print(f"EG weight on the always-wrong expert after {t} rounds: "
-                  f"{eg.weights[0]:.3e} (<= exp(-{eta * t:.0f}) = {math.exp(-eta * t):.3e})")
+    t = T // 2
+    w = run_learner(ExponentiatedGradient(2, eta), stream).weights[t - 1, 0]
+    print(f"EG weight on the always-wrong expert after {t} rounds: "
+          f"{w:.3e} (<= exp(-{eta * t:.0f}) = {math.exp(-eta * t):.3e})")
 
     show("constant stream", stream, [
         ExponentiatedGradient(2, eta, name=f"eg eta={eta}"),

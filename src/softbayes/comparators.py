@@ -324,12 +324,17 @@ BOUND_VARIANTS = {
     "single-expert": (("eta", "prior_entry"), _bound_single_expert),
 }
 
+# the least value of each count a bound takes: T rounds, N experts, m experts
+# ever best (also at most N) and K comparator segments
+_COUNT_FLOORS = {"T": 1, "N": 2, "m": 1, "K": 1}
+
 
 def theoretical_bound(variant: str, **params) -> float:
     """Evaluate a closed-form regret guarantee.
 
     ``variant`` is one of ``BOUND_VARIANTS``; every listed parameter must be
-    supplied (extras are rejected, to catch typos)."""
+    supplied (extras are rejected, to catch typos), and a count outside the
+    bound's domain is rejected too."""
     key = variant.replace("-", "_") if variant != "single-expert" else variant
     if key not in BOUND_VARIANTS:
         known = ", ".join(sorted(BOUND_VARIANTS))
@@ -341,6 +346,13 @@ def theoretical_bound(variant: str, **params) -> float:
     extra = [k for k in params if k not in required]
     if extra:
         raise ValueError(f"bound {variant!r} got unexpected parameters: {', '.join(extra)}")
+    for count, least in _COUNT_FLOORS.items():
+        if count in params and not params[count] >= least:
+            raise ValueError(f"bound {variant!r} needs {count} >= {least}, "
+                             f"got {params[count]!r}")
+    if "m" in params and params["m"] > params["N"]:
+        raise ValueError(f"bound {variant!r} needs m <= N, got m={params['m']!r} "
+                         f"with N={params['N']!r}")
     return float(fn(**params))
 
 

@@ -1,10 +1,9 @@
 """Sequential learners over expert-probability streams.
 
 Each update rule has one kernel, and its learner class is the one driver of
-it.  Every class owns its round loop: ``step_block(P, halt)`` steps the rows
-of a (rounds, N) block in order, with the state in locals that go back to
-the attributes when the block ends, and returns the trace columns;
-``step(p)`` is its one-row case.  The class keeps its state as plain
+it.  One round loop, ``_Learner.step_block(P, halt)``, steps every class
+through its ``_rounds(P)`` generator, which keeps only the class's update;
+``step(p)`` is the loop's one-row case.  The class keeps its state as plain
 attributes: ``weights`` (EG keeps ``log_w`` and meta its row stack ``w``),
 the ``prior`` that soft-Bayes and ML-soft-Bayes blend toward,
 ML-soft-Bayes's ``rates`` and ``V``, and for soft-Bayes the round ``t`` and
@@ -52,22 +51,19 @@ class StepOutcome:
 
 
 def _start_weights(n: int, prior) -> np.ndarray:
-    """The starting weights: uniform, or ``prior`` checked as a simplex."""
-    return uniform_weights(n) if prior is None else as_simplex(prior)
+    """The starting weights: uniform, or ``prior`` checked as a simplex over
+    the ``n`` experts."""
+    if prior is None:
+        return uniform_weights(n)
+    w = as_simplex(prior)
+    if w.size != n:
+        raise ValueError(f"prior has {w.size} entries, expected one for each of {n} experts")
+    return w
 
 
-def _check_rows(shape: tuple, P) -> np.ndarray:
-    """``P`` as a float block of rounds, each of them of the learner's
-    ``shape``."""
-    P = np.asarray(P, dtype=float)
-    if P.shape[1:] != shape:
-        raise ValueError(f"dimension mismatch: weights {shape} vs round {P.shape[1:]}")
-    return P
-
-
-def _columns(preds, losses, rates, weights, halted_at):
-    """A block's trace columns: (predictions, losses, rates, weights, halted_at)."""
-    return np.asarray(preds), np.asarray(losses), np.asarray(rates), np.asarray(weights), halted_at
+def _loss(m: float) -> float:
+    """The round's loss -ln M, or the infinite-loss sentinel where M = 0."""
+    return -math.log(m) if m != 0.0 else INFINITE_LOSS
 
 
 # rows of a block whose Python floats are made at once
@@ -82,11 +78,40 @@ def _rows(P):
 
 
 class _Learner:
-    """A learner class's round loop is its ``step_block(P, halt=False)``: it
-    steps the rows of ``P``, a (rounds, N) block, in order, stops after the
-    first diverged round when ``halt`` is set, and returns the trace columns.
-    Its state lives in locals while the block runs and goes back to the
-    attributes when the block ends, also on a halt or a raise."""
+    """Every learner's round loop is ``step_block(P, halt=False)``: it steps
+    the rows of ``P``, a (rounds, N) block, through the class's ``_rounds(P)``,
+    stops after the first infinite loss when ``halt`` is set, and returns the
+    trace columns ``(predictions, losses, rates, weights, halted_at)``.
+
+    ``_rounds`` keeps the state in locals, yields each round's
+    ``(prediction, loss, rate, weights)`` after its update, and writes the
+    state back in its ``finally``, which the loop's ``close`` runs also on a
+    halt or a raise."""
+
+    def step_block(self, P, halt: bool = False):
+        P = np.asarray(P, dtype=float)
+        if P.shape[1:] != (self.n,):
+            raise ValueError(f"dimension mismatch: weights {(self.n,)} vs round {P.shape[1:]}")
+        preds, losses, rates, weights = [], [], [], []
+        halted_at = None
+        rounds = self._rounds(P)
+        try:
+            for m, loss, rate, w in rounds:
+                preds.append(m)
+                losses.append(loss)
+                rates.append(rate)
+                weights.append(w)
+                if halt and loss == INFINITE_LOSS:
+                    halted_at = len(losses)
+                    break
+        finally:
+            rounds.close()
+        return (np.asarray(preds), np.asarray(losses), np.asarray(rates),
+                self._weights_column(weights), halted_at)
+
+    def _weights_column(self, weights) -> np.ndarray:
+        """The trace's weights column from the rows ``_rounds`` yielded."""
+        return np.asarray(weights)
 
     def step(self, p) -> StepOutcome:
         """One round: the one-row case of ``step_block``."""
@@ -136,7 +161,7 @@ def _subnormal_rows(w, q, m, eta_t) -> np.ndarray:
 def _soft_bayes_weights(w, q, m, eta_t, eta_next, prior) -> np.ndarray:
     """w_i (1 - eta_t + eta_t q_i / M) on one weight row in numpy
     operations, then blended toward ``prior`` when ``eta_next`` is not
-    ``eta_t``; ``SoftBayes.step_block`` writes the same arithmetic on Python
+    ``eta_t``; ``SoftBayes._rounds`` writes the same arithmetic on Python
     floats for a normal M and at most ``SCALAR_MAX_N`` experts."""
     u = (_subnormal_weights if m < _MIN_NORMAL else _plain_weights)(w, q, m, eta_t)
     if eta_next != eta_t:
@@ -235,7 +260,7 @@ def soft_bayes_sweep(batch, schedules):
     with shapes (K, S, T) and (K, S, T, N) (post-update weights); member
     ``[k, s]`` is bit for bit ``SoftBayes(N, schedules[k])`` run over
     ``batch[s]``.  The weights are one (K, S, N) stack stepped by the
-    kernel ``SoftBayes.step_block`` runs, so seed sweeps don't pay the
+    kernel ``SoftBayes._rounds`` runs, so seed sweeps don't pay the
     per-round interpreter cost once per learner.
     """
     if not schedules:
@@ -293,21 +318,18 @@ class SoftBayes(_Learner):
         """The rate the next step will use."""
         return self._eta
 
-    def step_block(self, P, halt: bool = False):
+    def _rounds(self, P):
         """The schedule sees round t and its M before it gives eta_{t+1}, also
         on a diverged round.  Up to ``SCALAR_MAX_N`` experts the weights are
         updated on Python floats, and on numpy rows above it or where M is
         subnormal."""
         w, prior, schedule = self.weights, self.prior, self.schedule
-        P = _check_rows(w.shape, P)
         observe, rate = schedule.observe, schedule.rate
         corrects = schedule.applies_correction
         t, eta_t = self.t, self._eta
         # above SCALAR_MAX_N the row's floats (ql) go unused
-        small = w.size <= SCALAR_MAX_N
+        small = self.n <= SCALAR_MAX_N
         wl, pl = w.tolist(), prior.tolist()
-        preds, losses, rates, hist = [], [], [], []
-        halted_at = None
         try:
             for q, ql in _rows(P) if small else zip(P, P):
                 m = float(w.dot(q))
@@ -317,11 +339,7 @@ class SoftBayes(_Learner):
                     raise RuntimeError(
                         f"schedule {type(schedule).__name__} emitted an increasing rate "
                         f"({eta_t!r} -> {eta_next!r}) at t={t}")
-                rates.append(eta_t)
-                if m == 0.0:
-                    preds.append(0.0)
-                    losses.append(INFINITE_LOSS)
-                else:
+                if m != 0.0:
                     if small and m >= _MIN_NORMAL:
                         c1, c2 = 1.0 - eta_t, eta_t / m
                         if corrects and eta_next != eta_t:
@@ -337,16 +355,10 @@ class SoftBayes(_Learner):
                                                 eta_next if corrects else eta_t, prior)
                         if small:
                             wl = w.tolist()
-                    preds.append(m)
-                    losses.append(-math.log(m))
-                hist.append(w)
-                t, eta_t = t + 1, eta_next
-                if halt and m == 0.0:
-                    halted_at = len(losses)
-                    break
+                rate_used, t, eta_t = eta_t, t + 1, eta_next
+                yield m, _loss(m), rate_used, w
         finally:
             self.weights, self.t, self._eta = w, t, eta_t
-        return _columns(preds, losses, rates, hist, halted_at)
 
 
 class Bayes(SoftBayes):
@@ -373,28 +385,23 @@ class ExponentiatedGradient(_Learner):
     def weights(self) -> np.ndarray:
         return np.exp(self.log_w)
 
-    def step_block(self, P, halt: bool = False):
-        """The weights column is the exponent of the log weights, taken once
-        for the block; the kernel's warnings are off for the whole block."""
+    def _rounds(self, P):
+        """The rounds yield log weights; the kernel's warnings are off for the
+        whole block."""
         log_w, eta = self.log_w, self.eta
-        P = _check_rows(log_w.shape, P)
-        preds, losses, hist = [], [], []
-        halted_at = None
         try:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 for q in P:
                     # the prediction may underflow to 0.0 for display while the
                     # loss, taken from ln M, stays finite
                     m, log_m, log_w = _eg_cycle(log_w, q, eta)
-                    preds.append(m)
-                    losses.append(-log_m)
-                    hist.append(log_w)
-                    if halt and log_m == -math.inf:
-                        halted_at = len(losses)
-                        break
+                    yield m, -log_m, eta, log_w
         finally:
             self.log_w = log_w
-        return _columns(preds, losses, [eta] * len(losses), np.exp(np.asarray(hist)), halted_at)
+
+    def _weights_column(self, weights) -> np.ndarray:
+        """The exponent of the log weights, taken once for the block."""
+        return np.exp(np.asarray(weights))
 
 
 class OnlineGradientDescent(_Learner):
@@ -408,23 +415,14 @@ class OnlineGradientDescent(_Learner):
         self.name = name
         self.weights = _start_weights(n, prior)
 
-    def step_block(self, P, halt: bool = False):
+    def _rounds(self, P):
         w, eta = self.weights, self.eta
-        P = _check_rows(w.shape, P)
-        preds, losses, hist = [], [], []
-        halted_at = None
         try:
             for q in P:
                 m, w = _ogd_cycle(w, q, eta)
-                preds.append(m)
-                losses.append(-math.log(m) if m != 0.0 else INFINITE_LOSS)
-                hist.append(w)
-                if halt and m == 0.0:
-                    halted_at = len(losses)
-                    break
+                yield m, _loss(m), eta, w
         finally:
             self.weights = w
-        return _columns(preds, losses, [eta] * len(losses), hist, halted_at)
 
 
 class MLSoftBayes(_Learner):
@@ -442,28 +440,22 @@ class MLSoftBayes(_Learner):
         self.rates = np.full(n, _ml_rate(0.0, self.ln_n, math.sqrt))
         self.V = np.zeros(n)
 
-    def step_block(self, P, halt: bool = False):
+    def _rounds(self, P):
         """Prediction sum(w_i eta_i p_i) / sum(w_i eta_i); each expert then
         runs the soft-Bayes update and prior blend with its own rate pair,
         eta_{t+1} taken from V advanced by (p_i/M - 1)^2.  A diverged round
         leaves the state as it was.  Up to ``SCALAR_MAX_N`` experts the state
         is carried as Python floats through the block."""
         w, rates, V, prior, ln_n = self.weights, self.rates, self.V, self.prior, self.ln_n
-        P = _check_rows(w.shape, P)
         # above SCALAR_MAX_N the row's floats (ql) go unused
-        small = w.size <= SCALAR_MAX_N
+        small = self.n <= SCALAR_MAX_N
         sqrt = math.sqrt
         wl, rl, vl, pl = w.tolist(), rates.tolist(), V.tolist(), prior.tolist()
         wr = w * rates
-        preds, losses, hist = [], [], []
-        halted_at = None
         try:
             for q, ql in _rows(P) if small else zip(P, P):
                 m = float(wr.dot(q)) / float(wr.sum())
-                if m == 0.0:
-                    preds.append(0.0)
-                    losses.append(INFINITE_LOSS)
-                else:
+                if m != 0.0:
                     # eta_bar / (1 + eta_bar) can rise by an ulp as V grows,
                     # so the rates are clamped to stay nonincreasing
                     if small:
@@ -489,17 +481,11 @@ class MLSoftBayes(_Learner):
                         blend = nxt / rates
                         w = u * blend + (1.0 - blend) * prior
                         rates, wr = nxt, w * nxt
-                    preds.append(m)
-                    losses.append(-math.log(m))
-                hist.append(wl if small else w)
-                if halt and m == 0.0:
-                    halted_at = len(losses)
-                    break
+                yield m, _loss(m), math.nan, wl if small else w
         finally:
             if small:
                 w, rates, V = np.array(wl), np.array(rl), np.array(vl)
             self.weights, self.rates, self.V = w, rates, V
-        return _columns(preds, losses, [math.nan] * len(losses), hist, halted_at)
 
 
 class MetaBayes(_Learner):
@@ -536,13 +522,10 @@ class MetaBayes(_Learner):
             dead[k] = False
         return dead
 
-    def step_block(self, P, halt: bool = False):
-        """The weights column holds the meta weights."""
+    def _rounds(self, P):
+        """The rounds yield the meta weights."""
         w, eta, rows, u = self.w, self.eta, self.rows, self.u
-        P = _check_rows((self.n,), P)
         k_all = len(u)
-        preds, losses, hist = [], [], []
-        halted_at = None
         try:
             for q in P:
                 m = _mixture(w, q)
@@ -562,15 +545,9 @@ class MetaBayes(_Learner):
                     kernel = _subnormal_rows if min(ms) < _MIN_NORMAL else _plain_weights
                     w = kernel(w, q, m[:, None], eta)
                 mp, u = meta_bayes_step(u, sub)
-                preds.append(mp)
-                losses.append(-math.log(mp) if mp != 0.0 else INFINITE_LOSS)
-                hist.append(u)
-                if halt and mp == 0.0:
-                    halted_at = len(losses)
-                    break
+                yield mp, _loss(mp), math.nan, u
         finally:
             self.w, self.eta, self.rows, self.u = w, eta, rows, u
-        return _columns(preds, losses, [math.nan] * len(losses), hist, halted_at)
 
 
 @dataclass

@@ -30,6 +30,7 @@ from softbayes.harness import (
     write_stream_jsonl,
 )
 from softbayes.learners import LearnerTrace
+from test_edge_streams import SELECTORS as EDGE_SELECTORS
 
 
 class TestParseLearner:
@@ -723,6 +724,24 @@ class TestCLI:
         assert main(argv) == 2
         assert "must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant, params, message", [
+        ("thm7", ["T=10", "N=1", "K=1"], "needs N >= 2, got 1"),
+        ("thm5", ["T=10", "N=1"], "needs N >= 2, got 1"),
+        ("thm2", ["T=10", "N=3", "m=0", "eta=0.5"], "needs m >= 1, got 0"),
+        ("thm6", ["T=10", "N=3", "m=0"], "needs m >= 1, got 0"),
+        ("thm2", ["T=10", "N=3", "m=7", "eta=0.5"], "needs m <= N, got m=7 with N=3"),
+        ("thm5", ["T=0", "N=3"], "needs T >= 1, got 0"),
+        ("thm7", ["T=10", "N=3", "K=0"], "needs K >= 1, got 0"),
+    ])
+    def test_bound_rejects_counts_outside_its_domain(self, capsys, variant, params, message):
+        argv = ["bound", "--variant", variant]
+        for param in params:
+            argv += ["-p", param]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: bound {variant!r} {message}\n"
+
     @pytest.mark.parametrize("command, generator, key", [
         ("gen", "theorem2:T=10.5", "T"),
         ("gen", "iid-mixture:N=2.7,T=100", "N"),
@@ -846,6 +865,17 @@ class TestCLI:
         }))
         with pytest.raises(ConfigError, match="learner objects"):
             ExperimentConfig.from_json_file(str(cfg_path))
+
+    @pytest.mark.parametrize("selector", EDGE_SELECTORS)
+    def test_config_file_prior_of_the_wrong_length_exits_2(self, tmp_path, capsys, selector):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "generator": "theorem2:T=10",
+            "learners": [{"spec": selector, "prior": [0.2, 0.3, 0.5]}],
+        }))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: prior has 3 entries, expected one for each of 2 experts\n")
 
     def test_gen_and_run_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -148,6 +148,16 @@ class TestEGStep:
         out = ExponentiatedGradient(2, 0.5, prior=[1.0, 0.0]).step([0.0, 1.0])
         assert out.diverged
 
+    def test_halt_reads_the_loss_not_an_underflowed_prediction(self):
+        # after 2000 rounds the first weight is about exp(-1000): the next
+        # round's M underflows to 0.0 for display, but its loss is finite
+        stream = ExpertStream(np.array([[0.0, 1.0]] * 2000 + [[1.0, 0.0]] + [[0.5, 0.5]] * 2))
+        trace = run_learner(ExponentiatedGradient(2, 0.5), stream, on_divergence="halt")
+        assert trace.halted_at is None and trace.rounds == 2003
+        assert trace.predictions[2000] == 0.0
+        assert trace.losses[2000] == pytest.approx(1000.901, abs=5e-4)
+        assert np.isfinite(trace.losses).all()
+
     def test_log_domain_learner_survives_overflow_ratios(self):
         # drive a weight below the linear floating range: the log-domain
         # learner keeps a finite loss where linear weights would flush to 0
@@ -367,6 +377,19 @@ class TestSoftBayesLearner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             SoftBayes(2, FixedRate(0.5)).step([0.1, 0.2, 0.7])
+
+    @pytest.mark.parametrize("make", [
+        lambda prior: SoftBayes(3, FixedRate(0.5), prior=prior),
+        lambda prior: Bayes(3, prior=prior),
+        lambda prior: ExponentiatedGradient(3, 0.5, prior=prior),
+        lambda prior: OnlineGradientDescent(3, 0.1, prior=prior),
+        lambda prior: MLSoftBayes(3, prior=prior),
+        lambda prior: MetaBayes(3, [1.0, 0.5], prior=prior),
+    ])
+    def test_prior_of_the_wrong_length(self, make):
+        with pytest.raises(ValueError, match=re.escape(
+                "prior has 2 entries, expected one for each of 3 experts")):
+            make([0.5, 0.5])
 
     def test_halt_policy_truncates(self):
         stream = ExpertStream(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
