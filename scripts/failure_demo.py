@@ -53,6 +53,10 @@ def main():
     parser.add_argument("--eta", type=float, default=0.5, help="EG/OGD rate")
     args = parser.parse_args()
     T, eta = args.T, args.eta
+    if T < 2 or T % 2:
+        parser.error(f"argument --T: must be even and at least 2, got {T}")
+    if not 0.0 < eta < math.inf:
+        parser.error(f"argument --eta: must be positive and finite, got {eta!r}")
 
     stream = adversarial_constant(T)
     t = T // 2

@@ -30,6 +30,11 @@ def main():
     parser.add_argument("--T", type=int, default=2000, help="rounds")
     parser.add_argument("--seeds", type=int, default=10, help="stream count")
     args = parser.parse_args()
+    # N >= 2 and T >= 2 are where every bound in the table is defined
+    for name, least in (("n", 2), ("T", 2), ("seeds", 1)):
+        if getattr(args, name) < least:
+            parser.error(f"argument --{name}: must be at least {least}, "
+                         f"got {getattr(args, name)}")
     n, T = args.n, args.T
 
     streams = [random_iid_instance(n, T, seed) for seed in range(args.seeds)]

@@ -9,12 +9,10 @@ and a CLI harness that ties them together.
 from .comparators import (
     MixtureSolution,
     RegretReport,
-    SegmentSpec,
     best_fixed_mixture,
     best_single_expert,
     disjoint_closed_form,
     regret_report,
-    shifting_best,
     theoretical_bound,
 )
 from .core import (

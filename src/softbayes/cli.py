@@ -44,6 +44,17 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="report losses in bits instead of nats")
 
 
+def _samples(text: str) -> int:
+    """``verify --samples``: at least 4, one per reverse-Jensen width."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 4:
+        raise argparse.ArgumentTypeError(f"must be at least 4, got {n}")
+    return n
+
+
 def _config_from_args(args) -> ExperimentConfig:
     overrides = dict(
         stream=args.stream,
@@ -149,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(fn=_cmd_bound)
 
     p_verify = sub.add_parser("verify", help="run the built-in verification suites")
-    p_verify.add_argument("--samples", type=int, default=100_000)
+    p_verify.add_argument("--samples", type=_samples, default=100_000)
     p_verify.add_argument("--seed", type=int, default=2024)
     p_verify.set_defaults(fn=_cmd_verify)
 

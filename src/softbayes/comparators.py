@@ -1,6 +1,9 @@
 """Regret accounting: hindsight competitors, guarantee evaluation, and the
 disjoint-support closed form.
 
+The best fixed mixture and the best single expert are each fitted to one
+stream; the harness fits a comparator one segment's rows at a time.
+
 The best fixed mixture is found by a log-barrier Newton method (Boyd &
 Vandenberghe 2004, ch. 11) over the distinct rows weighted by their counts.
 It stops on Cover's (1984) Kuhn-Tucker bound on the distance to the
@@ -41,42 +44,6 @@ class RegretReport:
     regret: float
     bound: float | None = None
     bound_satisfied: bool | None = None
-
-
-@dataclass(frozen=True)
-class SegmentSpec:
-    """Segment boundaries t_1 = 1 < t_2 < ... (1-based round indices);
-    segment k runs from t_k through t_{k+1} - 1, the last through T."""
-
-    boundaries: tuple
-
-    def __post_init__(self):
-        b = tuple(int(t) for t in self.boundaries)
-        if not b or b[0] != 1:
-            raise ValueError("boundaries must start at round 1")
-        if any(y <= x for x, y in zip(b, b[1:])):
-            raise ValueError("boundaries must be strictly increasing")
-        object.__setattr__(self, "boundaries", b)
-
-    @property
-    def k(self) -> int:
-        return len(self.boundaries)
-
-    def segments(self, T: int) -> list:
-        """Inclusive 1-based (start, end) pairs covering rounds 1..T."""
-        if self.boundaries[-1] > T:
-            raise ValueError(f"boundary {self.boundaries[-1]} beyond horizon {T}")
-        ends = list(self.boundaries[1:]) + [T + 1]
-        return [(s, e - 1) for s, e in zip(self.boundaries, ends)]
-
-    def rows(self, stream: ExpertStream, mask=None):
-        """Each segment's rows as a stream, in segment order.  Under a boolean
-        ``mask`` over the rounds only the rows where it is true count, and a
-        segment without any is skipped."""
-        for s, e in self.segments(len(stream)):
-            p = stream.p[s - 1 : e] if mask is None else stream.p[s - 1 : e][mask[s - 1 : e]]
-            if len(p):   # only a mask can empty a segment
-                yield ExpertStream(p)
 
 
 def _folded_rows(p: np.ndarray):
@@ -188,27 +155,13 @@ def single_expert_losses(stream: ExpertStream) -> np.ndarray:
     """Cumulative loss of each vertex competitor; infinite where an expert
     assigned zero at some round."""
     with np.errstate(divide="ignore"):
-        losses = -np.log(stream.p).sum(axis=0)
-    return losses
+        return -np.log(stream.p).sum(axis=0)
 
 
 def best_single_expert(stream: ExpertStream) -> tuple[int, float]:
     losses = single_expert_losses(stream)
     i = int(np.argmin(losses))
     return i, float(losses[i]) + 0.0
-
-
-@dataclass
-class ShiftingSolution:
-    per_segment: list
-    total_loss: float
-
-
-def shifting_best(stream: ExpertStream, segments: SegmentSpec) -> ShiftingSolution:
-    """Best piecewise-constant competitor: independent fixed-mixture fits per
-    segment, losses summed."""
-    sols = [best_fixed_mixture(rows) for rows in segments.rows(stream)]
-    return ShiftingSolution(sols, float(sum(s.loss for s in sols)))
 
 
 def regret_report(trace, comparator_loss: float, bound: float | None = None,
@@ -220,10 +173,7 @@ def regret_report(trace, comparator_loss: float, bound: float | None = None,
     (the caller is responsible for excluding the same rounds from the
     comparator).
     """
-    if exclude_diverged:
-        learner_loss = trace.finite_loss
-    else:
-        learner_loss = trace.total_loss
+    learner_loss = trace.finite_loss if exclude_diverged else trace.total_loss
     if math.isinf(learner_loss) and math.isfinite(comparator_loss):
         regret = INFINITE_LOSS
     else:

@@ -31,7 +31,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .comparators import (
-    SegmentSpec,
     best_fixed_mixture,
     best_single_expert,
     regret_report,
@@ -303,56 +302,101 @@ def parse_learner(text: str) -> LearnerSpec:
 # -------------------------------------------------------------- comparator
 
 @dataclass(frozen=True)
-class ComparatorSpec(SegmentSpec):
-    """A comparator over segments starting at ``boundaries`` (1-based); the
-    fixed mixture and the single best expert are one segment from round 1."""
+class ComparatorSpec:
+    """A comparator of ``kind`` over segments starting at ``boundaries``,
+    t_1 = 1 < t_2 < ... (1-based rounds): segment k runs from t_k through
+    t_{k+1} - 1, the last through T; the default is one segment."""
 
     kind: str
+    boundaries: tuple = (1,)
+
+    def __post_init__(self):
+        b = tuple(int(t) for t in self.boundaries)
+        if not b or b[0] != 1:
+            raise ValueError("boundaries must start at round 1")
+        if any(y <= x for x, y in zip(b, b[1:])):
+            raise ValueError("boundaries must be strictly increasing")
+        object.__setattr__(self, "boundaries", b)
+
+    @property
+    def k(self) -> int:
+        return len(self.boundaries)
+
+    def segments(self, T: int) -> list:
+        """Inclusive 1-based (start, end) pairs covering rounds 1..T."""
+        if self.boundaries[-1] > T:
+            raise ValueError(f"boundary {self.boundaries[-1]} beyond horizon {T}")
+        return list(zip(self.boundaries, [t - 1 for t in self.boundaries[1:]] + [T]))
+
+    def rows(self, stream: ExpertStream, mask=None):
+        """Each segment's rows as a stream, in segment order.  Under a boolean
+        ``mask`` over the rounds only the rows where it is true count, and a
+        segment without any is skipped."""
+        for s, e in self.segments(len(stream)):
+            p = stream.p[s - 1 : e] if mask is None else stream.p[s - 1 : e][mask[s - 1 : e]]
+            if len(p):   # only a mask can empty a segment
+                yield ExpertStream(p)
+
+
+def _mixture_fit(rows: ExpertStream, bits: bool):
+    s = best_fixed_mixture(rows)
+    return s.loss, {"weights": [float(v) for v in s.a], "iterations": s.iterations,
+                    "gap": _scale(s.gap, bits), "converged": s.converged}
+
+
+def _vertex_fit(rows: ExpertStream, bits: bool):
+    i, loss = best_single_expert(rows)
+    return loss, {"expert": i + 1}
+
+
+# comparator kind -> (takes boundaries, per-segment fit (rows, bits) -> (loss
+# in nats, detail)); a fit calls its solver by the name this module holds
+COMPARATOR_KINDS = {
+    "fixed-mixture": (False, _mixture_fit),
+    "single-best": (False, _vertex_fit),
+    "shifting": (True, _mixture_fit),
+}
 
 
 def parse_comparator(text: str) -> ComparatorSpec:
-    spec = text.strip().lower()
-    if spec in ("fixed-mixture", "single-best"):
-        return ComparatorSpec((1,), spec)
-    if spec.startswith("shifting"):
-        _, sep, arg = spec.partition("=")
-        if not sep or not arg:
-            raise ConfigError("shifting comparator needs boundaries, e.g. shifting=51,101")
-        try:
-            extra = tuple(int(v) for v in arg.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad shifting boundaries {arg!r}") from exc
-        try:
-            return ComparatorSpec((1,) + extra, "shifting")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown comparator {text!r}; "
-                      "known: fixed-mixture, single-best, shifting=t2,t3,...")
+    kind, sep, arg = text.strip().lower().partition("=")
+    kind = kind.strip()
+    if kind not in COMPARATOR_KINDS or (sep and not COMPARATOR_KINDS[kind][0]):
+        known = ", ".join(f"{k}=t2,t3,..." if takes else k
+                          for k, (takes, _) in COMPARATOR_KINDS.items())
+        raise ConfigError(f"unknown comparator {text!r}; known: {known}")
+    if not COMPARATOR_KINDS[kind][0]:
+        return ComparatorSpec(kind)
+    if not arg:
+        raise ConfigError(f"{kind} comparator needs boundaries, e.g. {kind}=51,101")
+    try:
+        extra = tuple(int(v) for v in arg.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} boundaries {arg!r}") from exc
+    try:
+        return ComparatorSpec(kind, (1,) + extra)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream, bits: bool):
-    """Solve the configured comparator; returns (loss, detail dict), the
-    detail's segment losses in the configured unit."""
-    if cmp_spec.kind == "single-best":
-        i, loss = best_single_expert(stream)
-        return loss, {"kind": "single-best", "expert": i + 1}
-    fits = [best_fixed_mixture(rows) for rows in cmp_spec.rows(stream)]
-    segments = [{"weights": [float(v) for v in s.a], "loss": _scale(s.loss, bits),
-                 "iterations": s.iterations, "gap": _scale(s.gap, bits),
-                 "converged": s.converged} for s in fits]
-    if cmp_spec.k == 1:
-        detail = segments[0]   # its "loss" is replaced by the reported one
-    else:
-        detail = {"boundaries": list(cmp_spec.boundaries), "per_segment": segments}
-    return float(sum(s.loss for s in fits)), {"kind": cmp_spec.kind, **detail}
+def _comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream, bits: bool,
+                     mask=None):
+    """Fit the comparator segment by segment over the rounds ``mask`` keeps
+    (all of them when None); returns (loss, detail dict), the detail's
+    losses in the configured unit."""
+    fit = COMPARATOR_KINDS[cmp_spec.kind][1]
+    fits = [fit(rows, bits) for rows in cmp_spec.rows(stream, mask)]
+    loss = float(sum(segment_loss for segment_loss, _ in fits))
+    segments = [{**detail, "loss": _scale(segment_loss, bits)} for segment_loss, detail in fits]
+    detail = (segments[0] if cmp_spec.k == 1 and segments else   # a mask can leave none
+              {"boundaries": list(cmp_spec.boundaries), "per_segment": segments})
+    return loss, {"kind": cmp_spec.kind, **detail, "loss": _scale(loss, bits)}
 
 
 def _masked_comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream,
                             mask: np.ndarray) -> float:
     """Comparator loss over the non-diverged rounds only (continue mode)."""
-    if cmp_spec.kind == "single-best":
-        return best_single_expert(ExpertStream(stream.p[mask]))[1]
-    return float(sum(best_fixed_mixture(rows).loss for rows in cmp_spec.rows(stream, mask)))
+    return _comparator_loss(cmp_spec, stream, False, mask)[0]
 
 
 # ------------------------------------------------------------------ bounds
@@ -700,7 +744,6 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
 
     exit_code = int(any(row["satisfied"] is False
                         for entry in learner_summaries for row in entry["bounds"]))
-    detail["loss"] = _scale(comparator_loss, config.bits)
     summary = {
         "config": {
             "stream": config.stream,
@@ -718,11 +761,4 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         "learners": learner_summaries,
         "exit_code": exit_code,
     }
-    return RunArtifact(
-        config=config,
-        stream=stream,
-        traces=traces,
-        reports=reports,
-        summary=summary,
-        exit_code=exit_code,
-    )
+    return RunArtifact(config, stream, traces, reports, summary, exit_code)

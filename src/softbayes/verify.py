@@ -49,6 +49,8 @@ def _sample_positive(rng, size):
 
 def scalar_inequality_checks(samples: int = 100_000, seed: int = 2024) -> list:
     """Fuzz the scalar log inequalities the regret analysis rests on."""
+    if samples < 2:
+        raise ValueError(f"scalar checks need at least 2 samples, got {samples}")
     rng = rng_from_seed(seed)
     results = []
 
@@ -103,6 +105,8 @@ def _jensen_batch(rng, samples: int, n: int, half_rate: bool):
 def reverse_jensen_checks(samples: int = 100_000, seed: int = 7) -> list:
     """Fuzz the two reverse-Jensen mixture inequalities (the full-range
     log-tail form and the half-range linear-tail form)."""
+    if samples < 4:
+        raise ValueError(f"reverse-Jensen checks need at least 4 samples, got {samples}")
     rng = rng_from_seed(seed)
     results = []
     for half_rate, label in ((False, "reverse-jensen-log-tail"),

@@ -12,9 +12,7 @@ import pytest
 
 from softbayes.cli import main
 from softbayes.comparators import (
-    SegmentSpec,
     best_fixed_mixture,
-    shifting_best,
     single_expert_losses,
     theoretical_bound,
 )
@@ -27,7 +25,7 @@ from softbayes.generators import (
     rng_from_seed,
     with_flip_round,
 )
-from softbayes.harness import stream_best_count
+from softbayes.harness import _comparator_loss, parse_comparator, stream_best_count
 from softbayes.learners import (
     ExponentiatedGradient,
     OnlineGradientDescent,
@@ -139,7 +137,7 @@ def test_criterion_5_shifting_bound():
     t0 = time.perf_counter()
     T, n, K = 5000, 5, 3
     bound = theoretical_bound("thm7", T=T, N=n, K=K)
-    boundaries = SegmentSpec((1, 1668, 3335))
+    segments = parse_comparator("shifting=1668,3335")
     mixes = ([0.7, 0.1, 0.1, 0.05, 0.05],
              [0.05, 0.7, 0.1, 0.1, 0.05],
              [0.05, 0.05, 0.1, 0.1, 0.7])
@@ -152,7 +150,7 @@ def test_criterion_5_shifting_bound():
                  for k, a in enumerate(mixes)]
         stream = parts[0].concat(parts[1]).concat(parts[2])
         trace = run_learner(SoftBayes(n, ShiftingRate(n)), stream)
-        r = trace.total_loss - shifting_best(stream, boundaries).total_loss
+        r = trace.total_loss - _comparator_loss(segments, stream, False)[0]
         worst_ratio = max(worst_ratio, r / bound)
         if not r <= bound + SLACK:
             failures.append((seed, r, bound))

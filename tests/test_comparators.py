@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 
 from softbayes.comparators import (
-    SegmentSpec,
     best_fixed_mixture,
     best_single_expert,
     disjoint_closed_form,
     regret_report,
-    shifting_best,
     single_expert_losses,
     theoretical_bound,
 )
@@ -281,48 +279,6 @@ def test_same_bits_at_any_blas_thread_count():
         outputs.append(result.stdout.splitlines())
     assert len(outputs[0]) == 2
     assert outputs[0] == outputs[1]
-
-
-class TestShiftingBest:
-    def test_degenerate_segmentation_matches_global(self):
-        rng = np.random.default_rng(12)
-        stream = ExpertStream(rng.uniform(0.05, 1.0, size=(30, 3)))
-        whole = best_fixed_mixture(stream)
-        seg = shifting_best(stream, SegmentSpec((1,)))
-        assert seg.total_loss == pytest.approx(whole.loss, abs=1e-12)
-
-    def test_perfect_split(self):
-        p = np.zeros((100, 2))
-        p[:50, 0] = 1.0
-        p[50:, 1] = 1.0
-        stream = ExpertStream(p)
-        seg = shifting_best(stream, SegmentSpec((1, 51)))
-        assert seg.total_loss == pytest.approx(0.0, abs=1e-12)
-        single = best_fixed_mixture(stream)
-        np.testing.assert_allclose(single.a, [0.5, 0.5], atol=1e-9)
-        assert single.loss == pytest.approx(100 * math.log(2), abs=1e-8)
-
-    def test_segment_rows_in_order_and_masked(self):
-        stream = ExpertStream(np.linspace(0.1, 1.0, 12).reshape(6, 2))
-        spec = SegmentSpec((1, 3, 5))
-        np.testing.assert_array_equal(
-            np.concatenate([rows.p for rows in spec.rows(stream)]), stream.p)
-        assert [len(rows) for rows in spec.rows(stream)] == [2, 2, 2]
-        # the middle segment has no unmasked round and is skipped
-        mask = np.array([True, False, False, False, True, True])
-        masked = list(spec.rows(stream, mask))
-        assert [len(rows) for rows in masked] == [1, 2]
-        np.testing.assert_array_equal(masked[0].p, stream.p[:1])
-        np.testing.assert_array_equal(masked[1].p, stream.p[4:])
-
-    def test_boundary_validation(self):
-        with pytest.raises(ValueError):
-            SegmentSpec((2, 5))
-        with pytest.raises(ValueError):
-            SegmentSpec((1, 5, 5))
-        stream = ExpertStream(np.full((4, 2), 0.5))
-        with pytest.raises(ValueError):
-            shifting_best(stream, SegmentSpec((1, 9)))
 
 
 class TestRegretReport:

@@ -257,6 +257,11 @@ BAD_COMPARATORS = {
     "shifting=5,5": "error: boundaries must be strictly increasing",
     "shifting=a": "error: bad shifting boundaries 'a'",
     "shifting=500": "error: boundary 500 beyond horizon 200",
+    # a kind is a whole table key, not a prefix of the text
+    "shiftingX=3": ("error: unknown comparator 'shiftingX=3'; "
+                    "known: fixed-mixture, single-best, shifting=t2,t3,..."),
+    "shifting-best=3": ("error: unknown comparator 'shifting-best=3'; "
+                        "known: fixed-mixture, single-best, shifting=t2,t3,..."),
 }
 
 

@@ -11,10 +11,13 @@ import pytest
 
 from softbayes import harness
 from softbayes.cli import main
+from softbayes.comparators import best_fixed_mixture, best_single_expert
 from softbayes.core import ExpertStream
-from softbayes.generators import adversarial_constant, with_flip_round
+from softbayes.generators import adversarial_constant, random_iid_instance, with_flip_round
 from softbayes.harness import (
     BLOCK_ROWS,
+    COMPARATOR_KINDS,
+    ComparatorSpec,
     ConfigError,
     ExperimentConfig,
     RunArtifact,
@@ -75,11 +78,96 @@ class TestParseComparator:
         spec = parse_comparator("shifting=51,101")
         assert spec.boundaries == (1, 51, 101)
         assert spec.k == 3
+        assert parse_comparator(" Shifting = 51,101 ") == spec
+        assert parse_comparator("single-best") == ComparatorSpec("single-best")
 
     def test_errors(self):
-        for bad in ("median", "shifting", "shifting=", "shifting=5,5"):
+        for bad in ("median", "shifting", "shifting=", "shifting=5,5", "shiftingX=3",
+                    "shifting-best=3", "shifting:51", "fixed-mixture=3", "single-best=1"):
             with pytest.raises(ConfigError):
                 parse_comparator(bad)
+
+
+class TestComparatorFit:
+    """``_comparator_loss`` is the one fit: each segment of
+    ``ComparatorSpec.rows`` by its kind's fit, over the whole stream or over
+    the rounds a continue-mode mask keeps."""
+
+    def test_degenerate_segmentation_matches_global(self):
+        rng = np.random.default_rng(12)
+        stream = ExpertStream(rng.uniform(0.05, 1.0, size=(30, 3)))
+        whole = best_fixed_mixture(stream)
+        for spec in (ComparatorSpec("fixed-mixture"), ComparatorSpec("shifting", (1,))):
+            assert harness._comparator_loss(spec, stream, False)[0] == whole.loss
+
+    def test_perfect_split(self):
+        p = np.zeros((100, 2))
+        p[:50, 0] = 1.0
+        p[50:, 1] = 1.0
+        stream = ExpertStream(p)
+        loss, detail = harness._comparator_loss(ComparatorSpec("shifting", (1, 51)), stream, False)
+        assert loss == pytest.approx(0.0, abs=1e-12)
+        assert [s["loss"] for s in detail["per_segment"]] == pytest.approx([0.0, 0.0], abs=1e-12)
+        single = best_fixed_mixture(stream)
+        np.testing.assert_allclose(single.a, [0.5, 0.5], atol=1e-9)
+        assert single.loss == pytest.approx(100 * math.log(2), abs=1e-8)
+
+    def test_segment_rows_in_order_and_masked(self):
+        stream = ExpertStream(np.linspace(0.1, 1.0, 12).reshape(6, 2))
+        spec = ComparatorSpec("shifting", (1, 3, 5))
+        np.testing.assert_array_equal(
+            np.concatenate([rows.p for rows in spec.rows(stream)]), stream.p)
+        assert [len(rows) for rows in spec.rows(stream)] == [2, 2, 2]
+        # the middle segment has no unmasked round and is skipped
+        mask = np.array([True, False, False, False, True, True])
+        masked = list(spec.rows(stream, mask))
+        assert [len(rows) for rows in masked] == [1, 2]
+        np.testing.assert_array_equal(masked[0].p, stream.p[:1])
+        np.testing.assert_array_equal(masked[1].p, stream.p[4:])
+        # the masked fit is the kept segments' fits, summed in segment order
+        first, last = (ExpertStream(stream.p[:1]), ExpertStream(stream.p[4:]))
+        assert harness._masked_comparator_loss(spec, stream, mask) == (
+            best_fixed_mixture(first).loss + best_fixed_mixture(last).loss)
+        vertex = ComparatorSpec("single-best", (1, 3, 5))
+        assert harness._masked_comparator_loss(vertex, stream, mask) == (
+            best_single_expert(first)[1] + best_single_expert(last)[1])
+        # a mask that keeps no round leaves no segment, and so no loss
+        for kind in COMPARATOR_KINDS:
+            none = np.zeros(6, dtype=bool)
+            assert harness._masked_comparator_loss(ComparatorSpec(kind), stream, none) == 0.0
+
+    def test_boundary_validation(self):
+        with pytest.raises(ValueError):
+            ComparatorSpec("shifting", (2, 5))
+        with pytest.raises(ValueError):
+            ComparatorSpec("shifting", (1, 5, 5))
+        stream = ExpertStream(np.full((4, 2), 0.5))
+        with pytest.raises(ValueError):
+            harness._comparator_loss(ComparatorSpec("shifting", (1, 9)), stream, False)
+
+    @pytest.mark.parametrize("kind", sorted(COMPARATOR_KINDS))
+    def test_all_true_mask_is_the_full_fit(self, kind):
+        # an iid stream with every loss finite, and one where every expert
+        # assigns zero somewhere, so every vertex loss is infinite
+        for stream in (random_iid_instance(4, 300, 3), with_flip_round(adversarial_constant(299))):
+            spec = ComparatorSpec(kind, (1, 101, 201) if COMPARATOR_KINDS[kind][0] else (1,))
+            full = harness._comparator_loss(spec, stream, False)[0]
+            masked = harness._masked_comparator_loss(spec, stream, np.ones(len(stream), bool))
+            assert np.float64(masked).tobytes() == np.float64(full).tobytes()
+
+    @pytest.mark.parametrize("kind, solver", [("fixed-mixture", "best_fixed_mixture"),
+                                              ("single-best", "best_single_expert"),
+                                              ("shifting", "best_fixed_mixture")])
+    def test_fit_calls_its_solver_through_the_module(self, kind, solver, monkeypatch):
+        # the benchmark's tracer times a solve by replacing the module's name
+        calls = []
+        original = getattr(harness, solver)
+        monkeypatch.setattr(harness, solver, lambda rows: calls.append(len(rows)) or original(rows))
+        spec = ComparatorSpec(kind, (1, 101) if COMPARATOR_KINDS[kind][0] else (1,))
+        stream = random_iid_instance(3, 200, 1)
+        harness._comparator_loss(spec, stream, False)
+        harness._masked_comparator_loss(spec, stream, np.arange(200) % 2 == 0)
+        assert calls == ([100, 100, 50, 50] if spec.k == 2 else [200, 100])
 
 
 class TestStreamIO:

@@ -1,3 +1,5 @@
+import pytest
+
 from softbayes import verify
 from softbayes.cli import main
 from softbayes.verify import (
@@ -37,6 +39,28 @@ def test_closed_form_mismatch_is_a_failed_check(monkeypatch):
 def test_check_line_format():
     results = scalar_inequality_checks(samples=1000, seed=3)
     assert results[0].line().startswith("[PASS]")
+
+
+@pytest.mark.parametrize("suite, least", [(scalar_inequality_checks, 2),
+                                          (reverse_jensen_checks, 4)])
+def test_too_few_samples_rejected(suite, least):
+    # below the least, some check would draw no sample and pass on -inf
+    for samples in (least - 1, 0, -4):
+        with pytest.raises(ValueError, match=f"at least {least} samples, got {samples}"):
+            suite(samples=samples)
+    results = suite(samples=least)
+    assert all(r.passed and "-inf" not in r.detail for r in results), [r.line() for r in results]
+
+
+@pytest.mark.parametrize("samples", ["0", "1", "3", "-4"])
+def test_cli_verify_rejects_too_few_samples(samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--samples", samples])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"softbayes verify: error: argument --samples: must be at least 4, got {int(samples)}"]
 
 
 def test_cli_verify_passes_every_check(capsys):
