@@ -40,8 +40,6 @@ from .learners import (
     MetaBayes,
     OnlineGradientDescent,
     SoftBayes,
-    StepOutcome,
-    meta_bayes_step,
     run_learner,
 )
 from .rates import (

@@ -303,6 +303,9 @@ def theoretical_bound(variant: str, **params) -> float:
     if "m" in params and params["m"] > params["N"]:
         raise ValueError(f"bound {variant!r} needs m <= N, got m={params['m']!r} "
                          f"with N={params['N']!r}")
+    if "K" in params and params["K"] > params["T"]:
+        raise ValueError(f"bound {variant!r} needs K <= T, got K={params['K']!r} "
+                         f"with T={params['T']!r}")
     return float(fn(**params))
 
 

@@ -113,15 +113,26 @@ class ExpertStream:
         return iter(self.p)
 
     def slice(self, start: int, stop: int) -> "ExpertStream":
-        """Sub-stream of rounds ``start..stop`` inclusive, 1-based."""
+        """Sub-stream of rounds ``start..stop`` inclusive, 1-based: a view of
+        ``p``, not a copy."""
         if not (1 <= start <= stop <= len(self)):
             raise ValueError(f"invalid round range [{start}, {stop}] for T={len(self)}")
-        return ExpertStream(self.p[start - 1 : stop].copy())
+        return unchecked_stream(self.p[start - 1 : stop])
 
     def concat(self, other: "ExpertStream") -> "ExpertStream":
         if other.n_experts != self.n_experts:
             raise ValueError("cannot concatenate streams with different expert counts")
         return ExpertStream(np.concatenate([self.p, other.p]))
+
+
+def unchecked_stream(p: np.ndarray) -> ExpertStream:
+    """A stream over ``p`` as it is, with no copy and no check: ``p`` holds
+    rows of a stream that passed the stream rule, and any subset of them
+    passes it again, since the rule is per row.  Its reader must not write
+    to ``p``."""
+    stream = object.__new__(ExpertStream)
+    stream.p = p
+    return stream
 
 
 def project_simplex(v) -> np.ndarray:

@@ -36,7 +36,7 @@ from .comparators import (
     regret_report,
     theoretical_bound,
 )
-from .core import BadRoundError, ExpertStream
+from .core import BadRoundError, ExpertStream, unchecked_stream
 from .generators import RNG_NAME, parse_generator
 from .learners import (
     Bayes,
@@ -311,11 +311,16 @@ class ComparatorSpec:
     boundaries: tuple = (1,)
 
     def __post_init__(self):
+        if self.kind not in COMPARATOR_KINDS:
+            raise ValueError(f"unknown comparator kind {self.kind!r}; "
+                             f"known: {', '.join(COMPARATOR_KINDS)}")
         b = tuple(int(t) for t in self.boundaries)
         if not b or b[0] != 1:
             raise ValueError("boundaries must start at round 1")
         if any(y <= x for x, y in zip(b, b[1:])):
             raise ValueError("boundaries must be strictly increasing")
+        if len(b) > 1 and not COMPARATOR_KINDS[self.kind][0]:
+            raise ValueError(f"comparator {self.kind!r} takes no boundaries, got {b!r}")
         object.__setattr__(self, "boundaries", b)
 
     @property
@@ -331,11 +336,12 @@ class ComparatorSpec:
     def rows(self, stream: ExpertStream, mask=None):
         """Each segment's rows as a stream, in segment order.  Under a boolean
         ``mask`` over the rounds only the rows where it is true count, and a
-        segment without any is skipped."""
+        segment without any is skipped.  The rows are those of ``stream``,
+        which passed the stream rule, so they are not checked again."""
         for s, e in self.segments(len(stream)):
             p = stream.p[s - 1 : e] if mask is None else stream.p[s - 1 : e][mask[s - 1 : e]]
             if len(p):   # only a mask can empty a segment
-                yield ExpertStream(p)
+                yield unchecked_stream(p)
 
 
 def _mixture_fit(rows: ExpertStream, bits: bool):

@@ -3,19 +3,18 @@
 Each update rule has one kernel, and its learner class is the one driver of
 it.  One round loop, ``_Learner.step_block(P, halt)``, steps every class
 through its ``_rounds(P)`` generator, which keeps only the class's update;
-``step(p)`` is the loop's one-row case.  The class keeps its state as plain
-attributes: ``weights`` (EG keeps ``log_w`` and meta its row stack ``w``),
-the ``prior`` that soft-Bayes and ML-soft-Bayes blend toward,
-ML-soft-Bayes's ``rates`` and ``V``, and for soft-Bayes the round ``t`` and
-the rate schedule, which any object with ``rate``, ``observe`` and
-``applies_correction`` can be.  ``meta_bayes_step`` is the meta learner's
-posterior over its sub-learners' predictions, and ``soft_bayes_sweep`` runs
-the soft-Bayes kernel for several plain schedules over a batch of streams at
-once.
+``run_learner`` is one call of it.  The class keeps its state as plain
+attributes: ``weights`` (EG keeps ``log_w`` and meta its row stack ``w`` and
+posterior ``u``), the ``prior`` that soft-Bayes and ML-soft-Bayes blend
+toward, ML-soft-Bayes's ``rates`` and ``V``, and for soft-Bayes the round
+``t``, the ``current_rate`` and the rate schedule, which any object with
+``rate``, ``observe`` and ``applies_correction`` can be.
+``soft_bayes_sweep`` runs the soft-Bayes kernel for several plain schedules
+over a batch of streams at once.
 
 Divergence (the learner assigned probability zero to the realized symbol) is
-reported through the infinite-loss sentinel in the returned outcome, with the
-weights left unchanged; whether the run halts there is the caller's call.
+reported through the infinite-loss sentinel in the round's loss column, with
+the weights left unchanged; whether the run halts there is the caller's call.
 """
 
 from __future__ import annotations
@@ -30,24 +29,13 @@ import numpy as np
 from .core import (
     INFINITE_LOSS,
     SCALAR_MAX_N,
+    ExpertStream,
     as_simplex,
     check_rounds,
     project_simplex,
     uniform_weights,
 )
 from .rates import FixedRate
-
-
-@dataclass(slots=True)
-class StepOutcome:
-    prediction: float
-    loss: float
-    rate_used: float | None
-    new_weights: np.ndarray
-
-    @property
-    def diverged(self) -> bool:
-        return math.isinf(self.loss)
 
 
 def _start_weights(n: int, prior) -> np.ndarray:
@@ -86,7 +74,11 @@ class _Learner:
     ``_rounds`` keeps the state in locals, yields each round's
     ``(prediction, loss, rate, weights)`` after its update, and writes the
     state back in its ``finally``, which the loop's ``close`` runs also on a
-    halt or a raise."""
+    halt or a raise; so a block may be cut anywhere, and stepping its parts
+    in turn gives the trace and state of the whole.
+
+    ``step_block`` trusts its rows: it checks only their width, not the
+    stream rule, which ``run_learner`` holds a raw array to."""
 
     def step_block(self, P, halt: bool = False):
         P = np.asarray(P, dtype=float)
@@ -112,13 +104,6 @@ class _Learner:
     def _weights_column(self, weights) -> np.ndarray:
         """The trace's weights column from the rows ``_rounds`` yielded."""
         return np.asarray(weights)
-
-    def step(self, p) -> StepOutcome:
-        """One round: the one-row case of ``step_block``."""
-        preds, losses, rates, weights, _ = self.step_block(np.asarray(p, dtype=float)[None])
-        rate = float(rates[0])
-        return StepOutcome(float(preds[0]), float(losses[0]),
-                           None if math.isnan(rate) else rate, weights[0])
 
 
 # the smallest normal float: below it eta / M can overflow
@@ -234,21 +219,6 @@ def _ml_rate(v, ln_n: float, sqrt=np.sqrt):
     return eta_bar / (1.0 + eta_bar)
 
 
-def meta_bayes_step(meta_weights, sub_predictions) -> tuple[float, np.ndarray]:
-    """Bayesian mixture step over sub-learner predictions: the meta
-    prediction is sum_k u_k M_k and the posterior is u_k proportional to
-    u_k M_k.  Returns prediction 0 with weights unchanged when every
-    weighted sub-prediction is zero (the divergence sentinel case)."""
-    u = np.asarray(meta_weights, dtype=float)
-    preds = np.asarray(sub_predictions, dtype=float)
-    if u.shape != preds.shape:
-        raise ValueError("dimension mismatch between meta weights and predictions")
-    mp = float(np.dot(u, preds))
-    if mp == 0.0:
-        return 0.0, u.copy()
-    return mp, u * preds / mp
-
-
 def soft_bayes_sweep(batch, schedules):
     """Plain-schedule soft-Bayes for K schedules over a batch of S same-shape
     streams, all K x S (schedule, stream) learners in one pass over the rounds.
@@ -311,12 +281,8 @@ class SoftBayes(_Learner):
         self.prior = _start_weights(n, prior)
         self.weights = self.prior.copy()
         self.t = 1
-        self._eta = schedule.rate(1)
-
-    @property
-    def current_rate(self) -> float:
-        """The rate the next step will use."""
-        return self._eta
+        # the rate the next round will use
+        self.current_rate = schedule.rate(1)
 
     def _rounds(self, P):
         """The schedule sees round t and its M before it gives eta_{t+1}, also
@@ -326,7 +292,7 @@ class SoftBayes(_Learner):
         w, prior, schedule = self.weights, self.prior, self.schedule
         observe, rate = schedule.observe, schedule.rate
         corrects = schedule.applies_correction
-        t, eta_t = self.t, self._eta
+        t, eta_t = self.t, self.current_rate
         # above SCALAR_MAX_N the row's floats (ql) go unused
         small = self.n <= SCALAR_MAX_N
         wl, pl = w.tolist(), prior.tolist()
@@ -358,7 +324,7 @@ class SoftBayes(_Learner):
                 rate_used, t, eta_t = eta_t, t + 1, eta_next
                 yield m, _loss(m), rate_used, w
         finally:
-            self.weights, self.t, self._eta = w, t, eta_t
+            self.weights, self.t, self.current_rate = w, t, eta_t
 
 
 class Bayes(SoftBayes):
@@ -544,7 +510,11 @@ class MetaBayes(_Learner):
                 if ms:
                     kernel = _subnormal_rows if min(ms) < _MIN_NORMAL else _plain_weights
                     w = kernel(w, q, m[:, None], eta)
-                mp, u = meta_bayes_step(u, sub)
+                # the meta prediction sum_k u_k M_k, and the Bayes posterior
+                # u_k M_k / mp; where mp = 0 the round diverged and u stays
+                mp = float(np.dot(u, sub))
+                if mp != 0.0:
+                    u = u * sub / mp
                 yield mp, _loss(mp), math.nan, u
         finally:
             self.w, self.eta, self.rows, self.u = w, eta, rows, u
@@ -589,7 +559,8 @@ class LearnerTrace:
 
 def run_learner(learner, stream, on_divergence: str = "continue") -> LearnerTrace:
     """Run a learner over a stream, recording every round's outcome: one
-    ``step_block`` over the stream's rows.
+    ``step_block`` over the stream's rows.  Rows that are not an
+    ``ExpertStream`` are made one first, so they are held to the stream rule.
 
     ``on_divergence="halt"`` stops at the first infinite loss, leaving a
     partial trace; ``"continue"`` keeps stepping (the learner's weights are
@@ -597,5 +568,7 @@ def run_learner(learner, stream, on_divergence: str = "continue") -> LearnerTrac
     """
     if on_divergence not in ("halt", "continue"):
         raise ValueError(f"unknown divergence policy {on_divergence!r}")
-    columns = learner.step_block(getattr(stream, "p", stream), on_divergence == "halt")
+    if not isinstance(stream, ExpertStream):
+        stream = ExpertStream(stream)
+    columns = learner.step_block(stream.p, on_divergence == "halt")
     return LearnerTrace(getattr(learner, "name", type(learner).__name__), *columns)

@@ -164,12 +164,8 @@ def test_criterion_5_shifting_bound():
 def test_criterion_6_eg_ogd_failure():
     t0 = time.perf_counter()
     # EG's wrong-expert weight collapses exponentially on the constant stream
-    eg = ExponentiatedGradient(2, eta=0.5)
-    w_a_51 = None
-    for t, p in enumerate(adversarial_constant(100), 1):
-        eg.step(p)
-        if t == 50:
-            w_a_51 = float(eg.weights[0])
+    eg = run_learner(ExponentiatedGradient(2, eta=0.5), adversarial_constant(100))
+    w_a_51 = float(eg.weights[49, 0])
     eg_decay_ok = w_a_51 <= math.exp(-25)
 
     # on the alternating stream EG blows up past the bound soft-Bayes meets
@@ -243,17 +239,18 @@ def test_criterion_8_invariant_fuzz():
             for row in P:
                 w_pre = learner.weights
                 eta_t = learner.current_rate
-                out = learner.step(row)
+                # one-row blocks, so the state is read after every round
+                (m,), _, _, (w,), _ = learner.step_block(row[None])
                 eta_next = learner.current_rate
-                if abs(out.new_weights.sum() - 1.0) > 1e-9:
+                if abs(w.sum() - 1.0) > 1e-9:
                     run_failures.append((label, seed, "normalization"))
                     break
                 floor = learner.prior * (1.0 - eta_next / eta_t)
-                if not np.all(out.new_weights >= floor - 1e-12):
+                if not np.all(w >= floor - 1e-12):
                     run_failures.append((label, seed, "restart floor"))
                     break
-                lhs = np.log(1.0 - eta_t + eta_t * row / out.prediction)
-                rhs = np.log(out.new_weights / w_pre) + math.log(eta_t / eta_next)
+                lhs = np.log(1.0 - eta_t + eta_t * row / m)
+                rhs = np.log(w / w_pre) + math.log(eta_t / eta_next)
                 if not np.all(lhs <= rhs + 1e-10):
                     run_failures.append((label, seed, "telescoping"))
                     break

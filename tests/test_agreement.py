@@ -5,8 +5,8 @@ through ``run_learner`` and are held, round by round, to the 60-digit
 ``decimal`` replays in ``reference.py``: the same diverged rounds, and each
 finite loss within 1e-12 nats.  Every rate an online schedule emits is held
 to its exact formula within a relative 1e-14.  The meta learner is also
-held bit for bit to K fixed-rate ``SoftBayes`` learners feeding
-``meta_bayes_step``.
+held bit for bit to the Bayes posterior over K fixed-rate ``SoftBayes``
+learners' predictions, restated here.
 """
 
 import math
@@ -34,7 +34,6 @@ from softbayes.learners import (
     MetaBayes,
     OnlineGradientDescent,
     SoftBayes,
-    meta_bayes_step,
     run_learner,
 )
 from softbayes.rates import (
@@ -147,29 +146,33 @@ def same(a, b):
 
 @pytest.mark.parametrize("case", sorted(META_CASES))
 def test_meta_bayes(case):
-    """The meta learner against K fixed-rate soft-Bayes learners feeding
-    ``meta_bayes_step``, a diverged one pinned at prediction 0.0."""
+    """The meta learner against the Bayes posterior restated over K
+    fixed-rate soft-Bayes learners' predictions: each is the prediction
+    column of a halted ``run_learner``, pinned at 0.0 after the round its
+    learner diverged on.  The meta learner steps one-row blocks, so its
+    state is read after every round."""
     make_stream, prior = META_CASES[case]
     stream = make_stream()
-    n = stream.n_experts
+    n, T = stream.n_experts, len(stream)
     rates = [1.0, 0.5, 0.25]
     learner = MetaBayes(n, rates, prior=prior)
-    subs = [SoftBayes(n, FixedRate(r), prior=prior) for r in rates]
-    dead = [False] * len(rates)
+    subs = np.zeros((T, len(rates)))
+    died = []
+    for k, r in enumerate(rates):
+        trace = run_learner(SoftBayes(n, FixedRate(r), prior=prior), stream, "halt")
+        subs[: trace.rounds, k] = trace.predictions
+        died.append(trace.halted_at or T + 1)
     u = learner.weights.copy()
     with np.errstate(all="ignore"):
-        for p in stream:
-            preds = np.zeros(len(rates))
-            for k, sub in enumerate(subs):
-                if not dead[k]:
-                    out = sub.step(p)
-                    preds[k], dead[k] = out.prediction, out.diverged
-            mp, u = meta_bayes_step(u, preds)
-            cls_out = learner.step(p)
-            assert same(cls_out.prediction, mp)
-            assert same(cls_out.loss, math.inf if mp == 0.0 else -math.log(mp))
-            assert np.array_equal(cls_out.new_weights, u, equal_nan=True)
+        for t, (p, preds) in enumerate(zip(stream.p, subs), 1):
+            mp = float(np.dot(u, preds))
+            if mp != 0.0:
+                u = u * preds / mp
+            pred, loss, _, weights, _ = learner.step_block(p[None])
+            assert same(pred[0], mp)
+            assert same(loss[0], math.inf if mp == 0.0 else -math.log(mp))
+            assert np.array_equal(weights[0], u, equal_nan=True)
             assert np.array_equal(learner.weights, u, equal_nan=True)
-            assert learner.sub_dead == dead
+            assert learner.sub_dead == [t >= d for d in died]
     if case == "theorem2":
-        assert dead == [True, False, False]
+        assert learner.sub_dead == [True, False, False]

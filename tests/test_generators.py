@@ -51,11 +51,8 @@ class TestAdversarialConstant:
         assert sol.loss == pytest.approx(0.0, abs=1e-12)
 
     def test_ogd_collapses_within_three_rounds(self):
-        learner = OnlineGradientDescent(2, eta=0.5)
-        stream = adversarial_constant(3)
-        for p in stream:
-            out = learner.step(p)
-        np.testing.assert_allclose(out.new_weights, [0.0, 1.0], atol=1e-12)
+        trace = run_learner(OnlineGradientDescent(2, eta=0.5), adversarial_constant(3))
+        np.testing.assert_allclose(trace.weights[-1], [0.0, 1.0], atol=1e-12)
 
     def test_flip_round_diverges_ogd(self):
         stream = with_flip_round(adversarial_constant(10))
@@ -65,13 +62,9 @@ class TestAdversarialConstant:
         assert math.isinf(trace.losses[-1])
 
     def test_eg_first_weight_decays_exponentially(self):
-        learner = ExponentiatedGradient(2, eta=0.5)
-        stream = adversarial_constant(100)
-        for t, p in enumerate(stream, 1):
-            learner.step(p)
-            if t == 50:
-                # after 50 rounds the wrong expert's weight is <= exp(-25)
-                assert learner.weights[0] <= 1.4e-11
+        trace = run_learner(ExponentiatedGradient(2, eta=0.5), adversarial_constant(100))
+        # after 50 rounds the wrong expert's weight is <= exp(-25)
+        assert trace.weights[49, 0] <= 1.4e-11
 
 
 class TestDisjointDirac:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from softbayes import harness
+from softbayes import core, harness
 from softbayes.cli import main
 from softbayes.comparators import best_fixed_mixture, best_single_expert
 from softbayes.core import ExpertStream
@@ -32,7 +32,7 @@ from softbayes.harness import (
     stream_best_count,
     write_stream_jsonl,
 )
-from softbayes.learners import LearnerTrace
+from softbayes.learners import LearnerTrace, OnlineGradientDescent, SoftBayes, run_learner
 from test_edge_streams import SELECTORS as EDGE_SELECTORS
 
 
@@ -67,8 +67,8 @@ class TestParseLearner:
                      "eg:fixed=0.5", "ogd:fixed=0.1", "ml-soft-bayes",
                      "meta:rates=1,0.5"):
             learner = parse_learner(text).build(4)
-            out = learner.step(np.array([0.3, 0.5, 0.2, 0.9]))
-            assert math.isfinite(out.loss)
+            trace = run_learner(learner, [[0.3, 0.5, 0.2, 0.9]])
+            assert math.isfinite(trace.losses[0])
 
 
 class TestParseComparator:
@@ -128,9 +128,9 @@ class TestComparatorFit:
         first, last = (ExpertStream(stream.p[:1]), ExpertStream(stream.p[4:]))
         assert harness._masked_comparator_loss(spec, stream, mask) == (
             best_fixed_mixture(first).loss + best_fixed_mixture(last).loss)
-        vertex = ComparatorSpec("single-best", (1, 3, 5))
+        vertex = ComparatorSpec("single-best")
         assert harness._masked_comparator_loss(vertex, stream, mask) == (
-            best_single_expert(first)[1] + best_single_expert(last)[1])
+            best_single_expert(ExpertStream(stream.p[mask]))[1])
         # a mask that keeps no round leaves no segment, and so no loss
         for kind in COMPARATOR_KINDS:
             none = np.zeros(6, dtype=bool)
@@ -144,6 +144,45 @@ class TestComparatorFit:
         stream = ExpertStream(np.full((4, 2), 0.5))
         with pytest.raises(ValueError):
             harness._comparator_loss(ComparatorSpec("shifting", (1, 9)), stream, False)
+
+    def test_spec_holds_to_the_kind_table(self):
+        with pytest.raises(ValueError, match="^unknown comparator kind 'bogus'; known: "
+                                             "fixed-mixture, single-best, shifting$"):
+            ComparatorSpec("bogus")
+        # a kind that takes no boundaries is one segment, which thm7 reads as K
+        for kind in ("single-best", "fixed-mixture"):
+            with pytest.raises(ValueError, match=rf"^comparator '{kind}' takes no boundaries"):
+                ComparatorSpec(kind, (1, 50))
+            assert ComparatorSpec(kind, (1,)).k == 1
+
+    def test_segment_fits_check_no_row_again(self, monkeypatch):
+        # every segment's rows are the run's stream's, which passed the
+        # stream rule once when it was built
+        inside, checked, masks = [0], [], []
+        check, fit = core.check_rounds, harness._comparator_loss
+
+        def counted_check(q):
+            if inside[0]:
+                checked.append(q.shape)
+            return check(q)
+
+        def traced_fit(cmp_spec, stream, bits, mask=None):
+            inside[0] += 1
+            masks.append(mask is not None)
+            try:
+                return fit(cmp_spec, stream, bits, mask)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(core, "check_rounds", counted_check)
+        monkeypatch.setattr(harness, "_comparator_loss", traced_fit)
+        cfg = ExperimentConfig(generator="theorem2:T=200", comparator="shifting=51,151",
+                               learners=("soft-bayes:anytime", "eg:fixed=0.5", "ogd:fixed=0.5"),
+                               on_divergence="continue")
+        artifact = run_experiment(cfg)
+        assert [entry["excluded_rounds"] > 0 for entry in artifact.summary["learners"]] == [
+            False, True, True]
+        assert masks == [False, True, True] and checked == []
 
     @pytest.mark.parametrize("kind", sorted(COMPARATOR_KINDS))
     def test_all_true_mask_is_the_full_fit(self, kind):
@@ -403,8 +442,6 @@ class TestRunExperiment:
         artifact = run_experiment(cfg)
         assert not artifact.traces[0].diverged  # constant stream alone is safe
         stream = with_flip_round(adversarial_constant(10))
-        from softbayes.learners import OnlineGradientDescent, run_learner
-
         trace = run_learner(OnlineGradientDescent(2, 0.5), stream, "halt")
         assert trace.halted_at == 11
 
@@ -704,11 +741,9 @@ class TestStats:
     def test_ratio_stats_and_best_count(self):
         rng = np.random.default_rng(15)
         stream = ExpertStream(rng.uniform(0.1, 1.0, size=(50, 3)))
-        from softbayes.learners import SoftBayes
         from softbayes.rates import AnytimeRate
 
-        trace = __import__("softbayes.learners", fromlist=["run_learner"]).run_learner(
-            SoftBayes(3, AnytimeRate(3)), stream)
+        trace = run_learner(SoftBayes(3, AnytimeRate(3)), stream)
         stats = ratio_stats(trace, stream)
         ratios = stream.p / trace.predictions[:, None]
         assert stats["c1"] == pytest.approx(float((ratios - 1).max(axis=1).sum()))
@@ -820,6 +855,7 @@ class TestCLI:
         ("thm2", ["T=10", "N=3", "m=7", "eta=0.5"], "needs m <= N, got m=7 with N=3"),
         ("thm5", ["T=0", "N=3"], "needs T >= 1, got 0"),
         ("thm7", ["T=10", "N=3", "K=0"], "needs K >= 1, got 0"),
+        ("thm7", ["T=10", "N=2", "K=11"], "needs K <= T, got K=11 with T=10"),
     ])
     def test_bound_rejects_counts_outside_its_domain(self, capsys, variant, params, message):
         argv = ["bound", "--variant", variant]

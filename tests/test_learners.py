@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softbayes.core import ExpertStream
+from softbayes.core import BadRoundError, ExpertStream
 from softbayes.generators import adversarial_alternating
-from softbayes.harness import parse_learner
+from softbayes.harness import LEARNER_KINDS, parse_learner
 from softbayes.learners import (
     Bayes,
     ExponentiatedGradient,
@@ -19,7 +19,6 @@ from softbayes.learners import (
     OnlineGradientDescent,
     SoftBayes,
     _ml_rate,
-    meta_bayes_step,
     run_learner,
     soft_bayes_sweep,
 )
@@ -30,6 +29,11 @@ from test_edge_streams import STREAMS as EDGE_STREAMS
 
 def random_stream(rng, T, n, low=0.01):
     return ExpertStream(rng.uniform(low, 1.0, size=(T, n)))
+
+
+def one_round(learner, p):
+    """The trace of one round: ``run_learner`` over the one-row stream ``p``."""
+    return run_learner(learner, [p])
 
 
 class TwoRates:
@@ -50,19 +54,19 @@ class TwoRates:
 
 class TestSoftBayesStep:
     def test_hand_update(self):
-        out = SoftBayes(2, FixedRate(0.5)).step([0.0, 1.0])
-        assert out.prediction == pytest.approx(0.5)
-        np.testing.assert_allclose(out.new_weights, [0.25, 0.75], atol=1e-15)
+        out = one_round(SoftBayes(2, FixedRate(0.5)), [0.0, 1.0])
+        assert out.predictions[0] == pytest.approx(0.5)
+        np.testing.assert_allclose(out.weights[0], [0.25, 0.75], atol=1e-15)
 
     def test_rate_one_is_posterior(self):
-        out = SoftBayes(2, FixedRate(1.0)).step([0.2, 0.6])
-        assert out.prediction == pytest.approx(0.4)
-        np.testing.assert_allclose(out.new_weights, [0.25, 0.75], atol=1e-15)
+        out = one_round(SoftBayes(2, FixedRate(1.0)), [0.2, 0.6])
+        assert out.predictions[0] == pytest.approx(0.4)
+        np.testing.assert_allclose(out.weights[0], [0.25, 0.75], atol=1e-15)
 
     def test_hand_correction(self):
         # base update to (0.25, 0.75), then blended halfway back to the prior
-        out = SoftBayes(2, TwoRates(0.5, 0.25)).step([0.0, 1.0])
-        np.testing.assert_allclose(out.new_weights, [0.375, 0.625], atol=1e-15)
+        out = one_round(SoftBayes(2, TwoRates(0.5, 0.25)), [0.0, 1.0])
+        np.testing.assert_allclose(out.weights[0], [0.375, 0.625], atol=1e-15)
 
     def test_equal_probabilities_leave_weights(self):
         rng = np.random.default_rng(0)
@@ -70,14 +74,14 @@ class TestSoftBayesStep:
             w = rng.dirichlet(np.ones(4))
             q = rng.uniform(0.05, 1.0)
             eta = rng.uniform(0.01, 1.0)
-            out = SoftBayes(4, FixedRate(eta), prior=w).step(np.full(4, q))
-            np.testing.assert_allclose(out.new_weights, w, atol=1e-12)
+            out = one_round(SoftBayes(4, FixedRate(eta), prior=w), np.full(4, q))
+            np.testing.assert_allclose(out.weights[0], w, atol=1e-12)
 
     def test_divergence_sentinel_keeps_weights(self):
         learner = SoftBayes(2, FixedRate(0.5), prior=[1.0, 0.0])
-        out = learner.step([0.0, 1.0])
-        assert out.diverged and math.isinf(out.loss)
-        np.testing.assert_array_equal(out.new_weights, [1.0, 0.0])
+        out = one_round(learner, [0.0, 1.0])
+        assert out.diverged and math.isinf(out.losses[0])
+        np.testing.assert_array_equal(out.weights[0], [1.0, 0.0])
         np.testing.assert_array_equal(learner.weights, [1.0, 0.0])
 
     def test_rejects_rate_out_of_range(self):
@@ -97,55 +101,52 @@ class TestSoftBayesStep:
         if p.max() == 0.0:
             p[0] = 0.5
         eta = rng.uniform(0.001, 0.999)
-        out = SoftBayes(n, FixedRate(eta), prior=w).step(p)
-        assert abs(out.new_weights.sum() - 1.0) <= 1e-9
-        assert np.all(out.new_weights <= (1 - eta) * w + eta + 1e-12)
-        assert np.all(out.new_weights >= 0)
+        new = one_round(SoftBayes(n, FixedRate(eta), prior=w), p).weights[0]
+        assert abs(new.sum() - 1.0) <= 1e-9
+        assert np.all(new <= (1 - eta) * w + eta + 1e-12)
+        assert np.all(new >= 0)
 
 
 class TestBayesStep:
     def test_posterior(self):
-        out = Bayes(2).step([0.2, 0.6])
-        np.testing.assert_allclose(out.new_weights, [0.25, 0.75], atol=1e-15)
+        out = one_round(Bayes(2), [0.2, 0.6])
+        np.testing.assert_allclose(out.weights[0], [0.25, 0.75], atol=1e-15)
 
     def test_equal_likelihoods(self):
-        out = Bayes(2).step([0.7, 0.7])
-        np.testing.assert_allclose(out.new_weights, [0.5, 0.5], atol=1e-15)
+        out = one_round(Bayes(2), [0.7, 0.7])
+        np.testing.assert_allclose(out.weights[0], [0.5, 0.5], atol=1e-15)
 
     def test_zero_weight_stays_zero(self):
-        out = Bayes(2, prior=[1.0, 0.0]).step([0.3, 0.9])
-        np.testing.assert_allclose(out.new_weights, [1.0, 0.0], atol=1e-15)
+        out = one_round(Bayes(2, prior=[1.0, 0.0]), [0.3, 0.9])
+        np.testing.assert_allclose(out.weights[0], [1.0, 0.0], atol=1e-15)
 
     def test_bit_identical_to_rate_one_soft_bayes(self):
         rng = np.random.default_rng(42)
         stream = random_stream(rng, 200, 4)
-        lsb = SoftBayes(4, FixedRate(1.0))
-        lb = Bayes(4)
-        for p in stream:
-            a = lsb.step(p)
-            b = lb.step(p)
-            assert a.prediction == b.prediction
-            assert np.array_equal(a.new_weights, b.new_weights)
+        a = run_learner(SoftBayes(4, FixedRate(1.0)), stream)
+        b = run_learner(Bayes(4), stream)
+        assert np.array_equal(a.predictions, b.predictions)
+        assert np.array_equal(a.weights, b.weights)
 
 
 class TestEGStep:
     def test_hand_update(self):
-        out = ExponentiatedGradient(2, 0.5).step([0.0, 1.0])
-        assert out.prediction == pytest.approx(0.5)
-        np.testing.assert_allclose(out.new_weights, [0.26894, 0.73106], atol=5e-6)
+        out = one_round(ExponentiatedGradient(2, 0.5), [0.0, 1.0])
+        assert out.predictions[0] == pytest.approx(0.5)
+        np.testing.assert_allclose(out.weights[0], [0.26894, 0.73106], atol=5e-6)
 
     def test_equal_probabilities_leave_weights(self):
         w = np.array([0.3, 0.7])
-        out = ExponentiatedGradient(2, 1.0, prior=w).step([0.4, 0.4])
-        np.testing.assert_allclose(out.new_weights, w, atol=1e-12)
+        out = one_round(ExponentiatedGradient(2, 1.0, prior=w), [0.4, 0.4])
+        np.testing.assert_allclose(out.weights[0], w, atol=1e-12)
 
     def test_weight_collapse_under_huge_ratio(self):
         w = np.array([1e-12, 1 - 1e-12])
-        out = ExponentiatedGradient(2, 1.0, prior=w).step([1.0, 0.0])
-        assert out.new_weights[0] == pytest.approx(1.0, abs=1e-12)
+        out = one_round(ExponentiatedGradient(2, 1.0, prior=w), [1.0, 0.0])
+        assert out.weights[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_divergence(self):
-        out = ExponentiatedGradient(2, 0.5, prior=[1.0, 0.0]).step([0.0, 1.0])
+        out = one_round(ExponentiatedGradient(2, 0.5, prior=[1.0, 0.0]), [0.0, 1.0])
         assert out.diverged
 
     def test_halt_reads_the_loss_not_an_underflowed_prediction(self):
@@ -164,9 +165,10 @@ class TestEGStep:
         learner = ExponentiatedGradient(2, eta=0.5)
         learner.log_w = np.array([math.log(0.5), math.log(0.5)])
         learner.log_w = np.array([-800.0, math.log1p(-math.exp(-800.0))])
-        out = learner.step(np.array([1.0, 0.0]))
-        assert out.prediction == 0.0  # underflowed for display
-        assert math.isfinite(out.loss) and out.loss == pytest.approx(800.0, rel=1e-12)
+        out = one_round(learner, [1.0, 0.0])
+        assert out.predictions[0] == 0.0  # underflowed for display
+        loss = out.losses[0]
+        assert math.isfinite(loss) and loss == pytest.approx(800.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("cls", [ExponentiatedGradient, OnlineGradientDescent])
@@ -179,43 +181,43 @@ def test_gradient_learners_reject_rate_outside_positive_finite(cls, eta):
 
 class TestOGDStep:
     def test_hand_update(self):
-        out = OnlineGradientDescent(2, 0.5).step([0.0, 1.0])
-        assert out.prediction == pytest.approx(0.5)
+        out = one_round(OnlineGradientDescent(2, 0.5), [0.0, 1.0])
+        assert out.predictions[0] == pytest.approx(0.5)
         # pre-projection point is (0.5, 1.5); the grid oracle projects it to
         # (0, 1): all mass onto the expert that was right
-        np.testing.assert_allclose(out.new_weights, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(out.weights[0], [0.0, 1.0], atol=1e-12)
 
     def test_uniform_shift_removed_by_projection(self):
         w = np.array([0.2, 0.3, 0.5])
-        out = OnlineGradientDescent(3, 0.7, prior=w).step([0.6, 0.6, 0.6])
-        np.testing.assert_allclose(out.new_weights, w, atol=1e-12)
+        out = one_round(OnlineGradientDescent(3, 0.7, prior=w), [0.6, 0.6, 0.6])
+        np.testing.assert_allclose(out.weights[0], w, atol=1e-12)
 
     def test_divergence(self):
-        out = OnlineGradientDescent(2, 0.5, prior=[1.0, 0.0]).step([0.0, 1.0])
-        assert out.diverged and math.isinf(out.loss)
+        out = one_round(OnlineGradientDescent(2, 0.5, prior=[1.0, 0.0]), [0.0, 1.0])
+        assert out.diverged and math.isinf(out.losses[0])
 
 
 class TestMLSoftBayes:
     def test_hand_update(self):
         learner = MLSoftBayes(2)
         learner.rates = np.array([0.5, 0.25])
-        out = learner.step([0.0, 1.0])
-        assert out.prediction == pytest.approx(1 / 3)
+        out = one_round(learner, [0.0, 1.0])
+        assert out.predictions[0] == pytest.approx(1 / 3)
         np.testing.assert_allclose(learner.V, [1.0, 4.0], atol=1e-12)
         # base update to (0.25, 0.75), each blended toward the prior by its
         # own rate ratio
         # the learner's Python-float rates carry the array formula's bits
         np.testing.assert_array_equal(learner.rates, _ml_rate(np.array([1.0, 4.0]), math.log(2)))
         blend = learner.rates / [0.5, 0.25]
-        np.testing.assert_allclose(out.new_weights, [0.25, 0.75] * blend + (1 - blend) * 0.5,
+        np.testing.assert_allclose(out.weights[0], [0.25, 0.75] * blend + (1 - blend) * 0.5,
                                    atol=1e-15)
 
     def test_equal_probabilities_leave_weights(self):
         learner = MLSoftBayes(3)
         learner.rates = np.array([0.4, 0.3, 0.2])
-        out = learner.step([0.6, 0.6, 0.6])
-        assert out.prediction == pytest.approx(0.6)
-        np.testing.assert_allclose(out.new_weights, learner.prior, atol=1e-15)
+        out = one_round(learner, [0.6, 0.6, 0.6])
+        assert out.predictions[0] == pytest.approx(0.6)
+        np.testing.assert_allclose(out.weights[0], learner.prior, atol=1e-15)
 
     def test_equal_rates_match_plain_mixture(self):
         rng = np.random.default_rng(5)
@@ -223,13 +225,13 @@ class TestMLSoftBayes:
         p = rng.random(4)
         learner = MLSoftBayes(4, prior=w)
         learner.rates = np.full(4, 0.3)
-        out = learner.step(p)
-        assert out.prediction == pytest.approx(float(w @ p) / float(w.sum()), rel=1e-12)
+        out = one_round(learner, p)
+        assert out.predictions[0] == pytest.approx(float(w @ p) / float(w.sum()), rel=1e-12)
 
     def test_diverged_round_leaves_state(self):
         learner = MLSoftBayes(2, prior=[1.0, 0.0])
         before = (learner.weights.copy(), learner.rates.copy(), learner.V.copy())
-        out = learner.step([0.0, 1.0])
+        out = one_round(learner, [0.0, 1.0])
         assert out.diverged
         for kept, now in zip(before, (learner.weights, learner.rates, learner.V)):
             np.testing.assert_array_equal(now, kept)
@@ -239,7 +241,7 @@ class TestMLSoftBayes:
         learner = MLSoftBayes(4)
         eta1 = learner.rates.copy()
         for _ in range(500):
-            learner.step(rng.uniform(0.01, 1.0, 4))
+            one_round(learner, rng.uniform(0.01, 1.0, 4))
             assert np.all(learner.weights > 0)
         bar = lambda eta: eta / (1 - eta)
         growth_cap = float(np.sum(learner.prior * (1 + np.log(bar(eta1) / bar(learner.rates)))))
@@ -251,7 +253,7 @@ class TestMLSoftBayes:
         learner = MLSoftBayes(2)
         rates, losses = [learner.rates], []
         for p in stream:
-            losses.append(learner.step(p).loss)
+            losses.append(one_round(learner, p).losses[0])
             rates.append(learner.rates)
         assert np.all(np.diff(rates, axis=0) <= 0.0)
         assert sum(losses) == pytest.approx(4.677, abs=5e-4)
@@ -269,39 +271,55 @@ class TestMLRate:
 
 
 class TestMetaBayes:
+    """The posterior by hand, on two-round streams with sub-rates 1 and 0.5.
+    Round 1 on [1, 0] moves the rate-1 sub-learner to [1, 0] and the rate-0.5
+    one to [0.75, 0.25]; both predict 0.5, so the meta weights stay uniform.
+    On [0.6, 0.2] they then predict 0.6 and 0.5, and on [0.4, 0.4] both 0.4."""
+
+    @staticmethod
+    def second_round(u, row):
+        """Round 2, on ``row``, from the meta weights ``u``."""
+        meta = MetaBayes(2, [1.0, 0.5])
+        one_round(meta, [1.0, 0.0])
+        meta.u = np.array(u)
+        out = one_round(meta, row)
+        return out.predictions[0], out.weights[0]
+
     def test_hand_update(self):
-        pred, u = meta_bayes_step([0.5, 0.5], [0.5, 0.25])
-        assert pred == pytest.approx(0.375)
-        np.testing.assert_allclose(u, [2 / 3, 1 / 3], atol=1e-15)
+        pred, u = self.second_round([0.5, 0.5], [0.6, 0.2])
+        assert pred == pytest.approx(0.55)
+        np.testing.assert_allclose(u, [6 / 11, 5 / 11], atol=1e-15)
 
     def test_equal_predictions_leave_weights(self):
-        pred, u = meta_bayes_step([0.3, 0.7], [0.4, 0.4])
+        pred, u = self.second_round([0.3, 0.7], [0.4, 0.4])
         assert pred == pytest.approx(0.4)
         np.testing.assert_allclose(u, [0.3, 0.7], atol=1e-15)
 
     def test_dirac_meta_weight(self):
-        pred, u = meta_bayes_step([1.0, 0.0], [0.6, 0.1])
+        pred, u = self.second_round([1.0, 0.0], [0.6, 0.2])
         assert pred == pytest.approx(0.6)
         np.testing.assert_allclose(u, [1.0, 0.0], atol=1e-15)
 
     def test_all_zero_predictions_signal_divergence(self):
-        pred, u = meta_bayes_step([0.5, 0.5], [0.0, 0.0])
-        assert pred == 0.0
-        np.testing.assert_allclose(u, [0.5, 0.5])
+        # both sub-learners move all mass to expert 2, which round 2 misses
+        meta = MetaBayes(2, [1.0, 1.0])
+        out = run_learner(meta, [[0.0, 1.0], [1.0, 0.0]])
+        assert out.predictions[1] == 0.0 and math.isinf(out.losses[1])
+        np.testing.assert_array_equal(out.weights[1], [0.5, 0.5])
+        assert meta.sub_dead == [True, True]
 
     def test_diverged_sub_learner_is_pinned_to_zero(self):
         # the rate-1 sub-learner concentrates on expert 2, then diverges on
         # the flip round; the meta mixture keeps going on the low-rate sub
         meta = MetaBayes(2, rates=[1.0, 0.25])
-        for _ in range(5):
-            meta.step(np.array([0.0, 1.0]))
-        out = meta.step(np.array([1.0, 0.0]))
+        run_learner(meta, [[0.0, 1.0]] * 5)
+        out = one_round(meta, [1.0, 0.0])
         assert meta.sub_dead == [True, False]
         # the dead row has left the stack
         assert meta.rows.tolist() == [1] and meta.w.shape == (1, 2)
-        assert math.isfinite(out.loss)
-        out = meta.step(np.array([0.0, 1.0]))
-        assert meta.u[0] == 0.0 and math.isfinite(out.loss)
+        assert math.isfinite(out.losses[0])
+        out = one_round(meta, [0.0, 1.0])
+        assert meta.u[0] == 0.0 and math.isfinite(out.losses[0])
 
 
 class TestSoftBayesLearner:
@@ -315,14 +333,15 @@ class TestSoftBayesLearner:
                 p[0] = 1.0
             w_pre = learner.weights.copy()
             eta_t = learner.current_rate
-            out = learner.step(p)
+            out = one_round(learner, p)
+            new = out.weights[0]
             eta_next = learner.current_rate
             floor = learner.prior * (1.0 - eta_next / eta_t)
-            assert np.all(out.new_weights >= floor - 1e-12)
-            lhs = np.log(1.0 - eta_t + eta_t * p / out.prediction)
-            rhs = np.log(out.new_weights / w_pre) + math.log(eta_t / eta_next)
+            assert np.all(new >= floor - 1e-12)
+            lhs = np.log(1.0 - eta_t + eta_t * p / out.predictions[0])
+            rhs = np.log(new / w_pre) + math.log(eta_t / eta_next)
             assert np.all(lhs <= rhs + 1e-10)
-            assert abs(out.new_weights.sum() - 1.0) <= 1e-9
+            assert abs(new.sum() - 1.0) <= 1e-9
 
     def test_increasing_rate_under_correction_aborts(self):
         class Up:
@@ -337,7 +356,7 @@ class TestSoftBayesLearner:
 
         learner = SoftBayes(2, Up())
         with pytest.raises(RuntimeError) as exc:
-            learner.step(np.array([0.2, 0.8]))
+            one_round(learner, [0.2, 0.8])
         # the schedule is named by its class, not by a repr with an address
         assert str(exc.value) == "schedule Up emitted an increasing rate (0.1 -> 0.2) at t=1"
 
@@ -351,17 +370,17 @@ class TestSoftBayesLearner:
         assert trace.rounds == 3
 
     def test_prediction_is_the_weighted_mixture(self):
-        assert SoftBayes(2, FixedRate(0.5)).step([0.2, 0.6]).prediction == pytest.approx(
-            0.4, abs=1e-15)
-        assert SoftBayes(2, FixedRate(0.5)).step([0.7, 0.7]).prediction == pytest.approx(
-            0.7, abs=1e-15)
+        out = one_round(SoftBayes(2, FixedRate(0.5)), [0.2, 0.6])
+        assert out.predictions[0] == pytest.approx(0.4, abs=1e-15)
+        out = one_round(SoftBayes(2, FixedRate(0.5)), [0.7, 0.7])
+        assert out.predictions[0] == pytest.approx(0.7, abs=1e-15)
         for q, r in [(0.0, 1.0), (0.3, 0.9), (1.0, 0.0)]:
-            out = SoftBayes(2, FixedRate(0.5), prior=[1.0, 0.0]).step([q, r])
-            assert out.prediction == pytest.approx(q, abs=1e-15)
+            out = one_round(SoftBayes(2, FixedRate(0.5), prior=[1.0, 0.0]), [q, r])
+            assert out.predictions[0] == pytest.approx(q, abs=1e-15)
 
     def test_loss_is_negative_log_prediction(self):
-        assert SoftBayes(2, FixedRate(0.5)).step([1.0, 1.0]).loss == 0.0
-        assert SoftBayes(2, FixedRate(0.5)).step([0.5, 0.5]).loss == pytest.approx(
+        assert one_round(SoftBayes(2, FixedRate(0.5)), [1.0, 1.0]).losses[0] == 0.0
+        assert one_round(SoftBayes(2, FixedRate(0.5)), [0.5, 0.5]).losses[0] == pytest.approx(
             math.log(2), abs=1e-15)
 
     @given(st.integers(2, 6), st.integers(0, 10_000))
@@ -370,13 +389,13 @@ class TestSoftBayesLearner:
         rng = np.random.default_rng(seed)
         w = rng.dirichlet(np.ones(n))
         p = rng.random(n)
-        m = SoftBayes(n, FixedRate(0.5), prior=w).step(p).prediction
+        m = one_round(SoftBayes(n, FixedRate(0.5), prior=w), p).predictions[0]
         assert p.min() - 1e-12 <= m <= p.max() + 1e-12
         assert np.all(m >= w * p - 1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            SoftBayes(2, FixedRate(0.5)).step([0.1, 0.2, 0.7])
+            one_round(SoftBayes(2, FixedRate(0.5)), [0.1, 0.2, 0.7])
 
     @pytest.mark.parametrize("make", [
         lambda prior: SoftBayes(3, FixedRate(0.5), prior=prior),
@@ -425,9 +444,9 @@ class TestSubnormalMixture:
         q = np.array([1.0, 0.0])
         learner = SoftBayes(2, FixedRate(0.25))
         learner.weights = w
-        out = learner.step(q)
-        assert out.new_weights[0] == pytest.approx(0.25, rel=1e-12)
-        assert np.isfinite(out.new_weights).all()
+        new = one_round(learner, q).weights[0]
+        assert new[0] == pytest.approx(0.25, rel=1e-12)
+        assert np.isfinite(new).all()
 
     @pytest.mark.parametrize("n", [2, 17])
     def test_stack_rows_match_single_rows(self, n):
@@ -442,8 +461,8 @@ class TestSubnormalMixture:
         for k, eta in enumerate((1.0, 0.5, 0.25)):
             learner = SoftBayes(n, FixedRate(eta))
             learner.weights = meta.w[k].copy()
-            rows.append(learner.step(q).new_weights)
-        meta.step(q)
+            rows.append(one_round(learner, q).weights[0])
+        one_round(meta, q)
         np.testing.assert_array_equal(meta.w, np.array(rows))
 
     def test_meta_loses_only_the_round_every_row_misses(self):
@@ -545,22 +564,25 @@ class TestLearnerTrace:
 BLOCK_STREAMS = {**EDGE_STREAMS, "theorem2": lambda: adversarial_alternating(200)}
 
 
-def stepped_trace(learner, stream, halt):
-    """The trace of per-round ``step`` calls, recorded as ``run_learner``
-    records a block."""
-    preds, losses, rates, weights = [], [], [], []
-    halted_at = None
-    for p in stream:
-        out = learner.step(p)
-        preds.append(out.prediction)
-        losses.append(out.loss)
-        rates.append(math.nan if out.rate_used is None else out.rate_used)
-        weights.append(out.new_weights)
-        if halt and out.diverged:
-            halted_at = len(losses)
+def partitioned_trace(learner, stream, halt, cuts):
+    """The trace of ``step_block`` over the blocks of rows between
+    consecutive ``cuts`` (0 and T among them), one call each, recorded as
+    ``run_learner`` records one block; a halt ends it."""
+    parts, halted_at = [], None
+    for start, stop in zip(cuts, cuts[1:]):
+        *columns, halted = learner.step_block(stream.p[start:stop], halt)
+        parts.append(columns)
+        if halted is not None:
+            halted_at = start + halted
             break
-    return LearnerTrace(learner.name, np.asarray(preds), np.asarray(losses), np.asarray(rates),
-                        np.asarray(weights), halted_at)
+    return LearnerTrace(learner.name, *(np.concatenate(c) for c in zip(*parts)), halted_at)
+
+
+def partitions(T):
+    """One-row blocks, and a seeded random partition of the T rows."""
+    rng = np.random.default_rng(T)
+    inner = np.sort(rng.choice(np.arange(1, T), size=rng.integers(1, T), replace=False))
+    return {"one-row": list(range(T + 1)), "random": [0, *inner.tolist(), T]}
 
 
 def bits(value):
@@ -584,15 +606,33 @@ def learner_state(learner):
 @pytest.mark.parametrize("selector", EDGE_SELECTORS)
 @pytest.mark.parametrize("stream_name", sorted(BLOCK_STREAMS))
 def test_block_and_one_row_forms_agree(stream_name, selector, policy):
+    """``step_block`` over any partition of the rows gives the one block's
+    trace and state bit for bit: each part's state is written back, and the
+    next part starts from it."""
     stream = BLOCK_STREAMS[stream_name]()
     block = parse_learner(selector).build(stream.n_experts)
-    rows = parse_learner(selector).build(stream.n_experts)
-    got = run_learner(block, stream, policy)
-    want = stepped_trace(rows, stream, policy == "halt")
-    for column in ("predictions", "losses", "rates", "weights"):
-        assert bits(getattr(got, column)) == bits(getattr(want, column)), column
-    assert got.halted_at == want.halted_at
-    assert learner_state(block) == learner_state(rows)
+    want = run_learner(block, stream, policy)
+    for name, cuts in partitions(len(stream)).items():
+        parts = parse_learner(selector).build(stream.n_experts)
+        got = partitioned_trace(parts, stream, policy == "halt", cuts)
+        for column in ("predictions", "losses", "rates", "weights"):
+            assert bits(getattr(got, column)) == bits(getattr(want, column)), (name, column)
+        assert got.halted_at == want.halted_at, name
+        assert learner_state(parts) == learner_state(block), name
+
+
+@pytest.mark.parametrize("row", [[-0.5, 0.9], [1.5, 0.2], [math.nan, 0.2]])
+@pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
+def test_run_learner_holds_raw_rows_to_the_stream_rule(kind, row):
+    # the learners read no row's values for the rule: a raw array went
+    # through unchecked, to weights off the simplex or a finite loss
+    selector = next(s for s in EDGE_SELECTORS if parse_learner(s).kind == kind)
+    learner = parse_learner(selector).build(2)
+    before = learner_state(learner)
+    with pytest.raises(BadRoundError) as raised:
+        run_learner(learner, np.array([row]))
+    assert raised.value.round == 1
+    assert learner_state(learner) == before
 
 
 class RisesAt:
@@ -618,8 +658,7 @@ def test_block_and_one_row_forms_agree_on_a_rising_rate():
     with pytest.raises(RuntimeError) as raised:
         run_learner(block, stream)
     with pytest.raises(RuntimeError) as stepped:
-        for p in stream:
-            rows.step(p)
+        partitioned_trace(rows, stream, False, range(len(stream) + 1))
     assert str(raised.value) == str(stepped.value) == (
         "schedule RisesAt emitted an increasing rate (0.16666666666666666 -> 0.9) at t=5")
     # rounds 1-4 stepped; round 5 was observed and asked eta_6, then refused
