@@ -141,11 +141,7 @@ def project_simplex(v) -> np.ndarray:
     if x.ndim != 1 or x.size == 0:
         raise ValueError("projection input must be a nonempty vector")
     if x.size <= SCALAR_MAX_N:
-        xs = x.tolist()
-        # a NaN fails both comparisons
-        if not all(-math.inf < xi < math.inf for xi in xs):
-            raise ValueError("projection input must be finite")
-        return np.array(_project_floats(xs))
+        return project_floats(x.tolist())
     if not np.all(np.isfinite(x)):
         raise ValueError("projection input must be finite")
     u = np.sort(x)[::-1]
@@ -159,6 +155,15 @@ def project_simplex(v) -> np.ndarray:
     rho = int(support[-1])
     lam = (1.0 - css[rho]) / (rho + 1)
     return np.maximum(x + lam, 0.0)
+
+
+def project_floats(xs: list) -> np.ndarray:
+    """``project_simplex`` on a nonempty list of Python floats, the form it
+    takes up to ``SCALAR_MAX_N`` entries."""
+    # a NaN fails both comparisons
+    if not all(-math.inf < xi < math.inf for xi in xs):
+        raise ValueError("projection input must be finite")
+    return np.array(_project_floats(xs))
 
 
 def _project_floats(xs: list) -> list:

@@ -159,6 +159,15 @@ def read_stream_jsonl(text: str) -> ExpertStream:
     return _stream(p, lambda r: [i for i, line in enumerate(lines, 1) if line.strip()][r - 1])
 
 
+def _csv_float(cell: str) -> float:
+    """A CSV cell as a float: what ``float()`` takes but for digit-group
+    underscores and non-ASCII characters (digits of other scripts, no-break
+    spaces), which a JSONL stream's numbers do not have either."""
+    if "_" in cell or not cell.isascii():
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
+
+
 def read_stream_csv(text: str) -> ExpertStream:
     reader = csv.reader(io.StringIO(text))
     rows = [(reader.line_num, row) for row in reader if row]
@@ -166,7 +175,7 @@ def read_stream_csv(text: str) -> ExpertStream:
         raise StreamFormatError("CSV stream needs a header row plus at least one round")
     header = rows[0][1]
     try:
-        [float(cell) for cell in header]
+        [_csv_float(cell) for cell in header]
     except ValueError:
         pass
     else:
@@ -176,7 +185,7 @@ def read_stream_csv(text: str) -> ExpertStream:
         if len(row) != len(header):
             raise StreamFormatError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
         try:
-            rounds.append([float(cell) for cell in row])
+            rounds.append([_csv_float(cell) for cell in row])
         except ValueError as exc:
             raise StreamFormatError(f"line {lineno}: non-numeric probability: {exc}") from exc
     return _stream(np.asarray(rounds, dtype=float), lambda r: rows[r][0])

@@ -32,6 +32,7 @@ from .core import (
     ExpertStream,
     as_simplex,
     check_rounds,
+    project_floats,
     project_simplex,
     uniform_weights,
 )
@@ -78,31 +79,61 @@ class _Learner:
     in turn gives the trace and state of the whole.
 
     ``step_block`` trusts its rows: it checks only their width, not the
-    stream rule, which ``run_learner`` holds a raw array to."""
+    stream rule, which ``run_learner`` holds a raw array to.
+
+    The rounds are kept as yielded for ``_ROW_CHUNK`` rounds at a time, then
+    written into columns allocated once for the block, so the block's
+    transient memory is one chunk; a halted block returns copies of the rows
+    it stepped."""
 
     def step_block(self, P, halt: bool = False):
         P = np.asarray(P, dtype=float)
         if P.shape[1:] != (self.n,):
             raise ValueError(f"dimension mismatch: weights {(self.n,)} vs round {P.shape[1:]}")
-        preds, losses, rates, weights = [], [], [], []
+        T = len(P)
+        chunk = preds, losses, rates, weights = [], [], [], []
+        # the weights column takes its row shape from the first chunk
+        columns = [np.empty(T), np.empty(T), np.empty(T), None]
+        done = 0
+
+        def record():
+            nonlocal done
+            rows = slice(done, done + len(losses))
+            for column, kept in zip(columns, chunk[:3]):
+                column[rows] = kept
+            w = self._weights_column(weights)
+            if columns[3] is None:
+                columns[3] = np.empty((T, *w.shape[1:]))
+            columns[3][rows] = w
+            done = rows.stop
+            for kept in chunk:
+                kept.clear()
+
         halted_at = None
         rounds = self._rounds(P)
         try:
             for m, loss, rate, w in rounds:
+                if len(losses) == _ROW_CHUNK:
+                    record()
                 preds.append(m)
                 losses.append(loss)
                 rates.append(rate)
                 weights.append(w)
                 if halt and loss == INFINITE_LOSS:
-                    halted_at = len(losses)
+                    halted_at = done + len(losses)
                     break
         finally:
             rounds.close()
-        return (np.asarray(preds), np.asarray(losses), np.asarray(rates),
-                self._weights_column(weights), halted_at)
+        # a full chunk is written when the next round arrives, so the last
+        # chunk is empty only in a block of no rounds
+        record()
+        if done < T:
+            columns = [column[:done].copy() for column in columns]
+        return (*columns, halted_at)
 
     def _weights_column(self, weights) -> np.ndarray:
-        """The trace's weights column from the rows ``_rounds`` yielded."""
+        """The weights column's rows for one chunk of the rows ``_rounds``
+        yielded."""
         return np.asarray(weights)
 
 
@@ -205,6 +236,9 @@ def _ogd_cycle(w: np.ndarray, q: np.ndarray, eta: float):
         u = np.zeros_like(w)
         u[top] = project_simplex(w[top])
         return m, u
+    if w.size <= SCALAR_MAX_N:
+        # w_i + step q_i rounds twice on Python floats, as in numpy
+        return m, project_floats([wi + step * qi for wi, qi in zip(w.tolist(), q.tolist())])
     return m, project_simplex(w + step * q)
 
 
@@ -366,7 +400,7 @@ class ExponentiatedGradient(_Learner):
             self.log_w = log_w
 
     def _weights_column(self, weights) -> np.ndarray:
-        """The exponent of the log weights, taken once for the block."""
+        """The exponent of the log weights, taken once for each chunk."""
         return np.exp(np.asarray(weights))
 
 

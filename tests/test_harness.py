@@ -317,6 +317,20 @@ class TestStreamIO:
         with pytest.raises(StreamFormatError, match="line 3"):
             read_stream_csv("p1,p2\n0.5,0.5\n0.5,oops\n")
 
+    @pytest.mark.parametrize("cell", ["0.2_5", "\u0660.\u0665", "\u00a00.5"],
+                             ids=["underscore", "arabic-indic", "nbsp"])
+    def test_csv_cells_take_no_underscore_or_non_ascii(self, tmp_path, capsys, cell):
+        # float() reads these as 0.25 and 0.5; the same cell in JSONL exits 2
+        path = tmp_path / "s.csv"
+        path.write_text(f"p1,p2\n0.5,0.5\n0.5,{cell}\n", encoding="utf-8")
+        assert main(["run", "--stream", str(path), "--learner", "bayes"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 3: non-numeric probability: could not convert string to float: {cell!r}\n")
+
+    def test_csv_cells_keep_spaces_signs_and_exponents(self):
+        stream = read_stream_csv("p1,p2\n 0.5 ,+0.25\n1E-1,2.5e-1\n")
+        np.testing.assert_array_equal(stream.p, [[0.5, 0.25], [0.1, 0.25]])
+
     @pytest.mark.parametrize("name, text, error", [
         ("s.jsonl", '{"p": [0.5, 0.5]}\n{"p": [0.2, 0.8]}\n{"p": [1.5, 0.2]}\n',
          "line 3: stream probabilities must lie in [0, 1]"),

@@ -1,13 +1,15 @@
 import math
 import re
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softbayes.core import BadRoundError, ExpertStream
+from softbayes.core import SCALAR_MAX_N, BadRoundError, ExpertStream
 from softbayes.generators import adversarial_alternating
 from softbayes.harness import LEARNER_KINDS, parse_learner
 from softbayes.learners import (
@@ -25,6 +27,7 @@ from softbayes.learners import (
 from softbayes.rates import AnytimeRate, FixedRate, InverseT
 from test_edge_streams import SELECTORS as EDGE_SELECTORS
 from test_edge_streams import STREAMS as EDGE_STREAMS
+from test_edge_streams import blocks
 
 
 def random_stream(rng, T, n, low=0.01):
@@ -559,9 +562,26 @@ class TestLearnerTrace:
         assert math.isinf(trace.total_loss)
 
 
+def halts_at(k):
+    """512 rows, two whole ``_ROW_CHUNK``s, where Bayes and OGD put all their
+    weight on the second expert by round ``k``, which then reads 0; the run
+    goes on at [0.5, 0.5]."""
+    return lambda: blocks((k - 1, [0.0, 1.0]), (1, [1.0, 0.0]), (512 - k, [0.5, 0.5]))
+
+
 # every LEARNER_KINDS selector (soft-Bayes under each schedule) on the edge
-# streams, as they are and padded past SCALAR_MAX_N, and on theorem2
-BLOCK_STREAMS = {**EDGE_STREAMS, "theorem2": lambda: adversarial_alternating(200)}
+# streams, as they are and padded past SCALAR_MAX_N, on theorem2, and on
+# streams that halt on the last and on the first row of a ``_ROW_CHUNK``
+BLOCK_STREAMS = {**EDGE_STREAMS, "theorem2": lambda: adversarial_alternating(200),
+                 "halt-256": halts_at(256), "halt-257": halts_at(257)}
+
+
+@pytest.mark.parametrize("k", [256, 257])
+@pytest.mark.parametrize("selector", ["bayes", "ogd:fixed=0.1"])
+def test_chunk_edge_streams_halt_on_their_round(selector, k):
+    stream = BLOCK_STREAMS[f"halt-{k}"]()
+    trace = run_learner(parse_learner(selector).build(2), stream, "halt")
+    assert trace.halted_at == trace.rounds == k
 
 
 def partitioned_trace(learner, stream, halt, cuts):
@@ -579,10 +599,13 @@ def partitioned_trace(learner, stream, halt, cuts):
 
 
 def partitions(T):
-    """One-row blocks, and a seeded random partition of the T rows."""
+    """One-row blocks, cuts on both sides of the first ``_ROW_CHUNK`` edge
+    and on the second, and a seeded random partition of the T rows."""
     rng = np.random.default_rng(T)
     inner = np.sort(rng.choice(np.arange(1, T), size=rng.integers(1, T), replace=False))
-    return {"one-row": list(range(T + 1)), "random": [0, *inner.tolist(), T]}
+    edges = [cut for cut in (255, 256, 257, 512) if cut < T]
+    return {"one-row": list(range(T + 1)), "chunk-edges": [0, *edges, T],
+            "random": [0, *inner.tolist(), T]}
 
 
 def bits(value):
@@ -621,6 +644,42 @@ def test_block_and_one_row_forms_agree(stream_name, selector, policy):
         assert learner_state(parts) == learner_state(block), name
 
 
+def trace_columns(trace):
+    return trace.predictions, trace.losses, trace.rates, trace.weights
+
+
+@pytest.mark.parametrize("n", [2, SCALAR_MAX_N + 1])
+@pytest.mark.parametrize("selector", EDGE_SELECTORS)
+def test_a_run_holds_its_trace_columns_and_one_chunk(selector, n):
+    # the rounds' Python floats and weight rows are written into the columns
+    # a _ROW_CHUNK at a time, not kept until the block ends
+    stream = random_stream(np.random.default_rng(n), 20_000, n)
+    learner = parse_learner(selector).build(n)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trace = run_learner(learner, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.rounds == 20_000
+    assert peak - entry <= sum(column.nbytes for column in trace_columns(trace)) + 512 * 1024
+
+
+@pytest.mark.parametrize("n", [2, SCALAR_MAX_N + 1])
+@pytest.mark.parametrize("selector", EDGE_SELECTORS)
+def test_a_halted_run_owns_only_the_rows_it_stepped(selector, n):
+    # on the prior's one expert until round 5 reads it 0: every learner halts there
+    first = np.eye(n)[0]
+    stream = blocks((4, first), (1, 1.0 - first), (19_995, first))
+    learner = replace(parse_learner(selector), prior=tuple(first.tolist())).build(n)
+    trace = run_learner(learner, stream, "halt")
+    assert trace.halted_at == 5
+    for column in trace_columns(trace):
+        assert len(column) == 5 and column.flags.owndata
+
+
 @pytest.mark.parametrize("row", [[-0.5, 0.9], [1.5, 0.2], [math.nan, 0.2]])
 @pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
 def test_run_learner_holds_raw_rows_to_the_stream_rule(kind, row):
@@ -653,18 +712,19 @@ class RisesAt:
 
 
 def test_block_and_one_row_forms_agree_on_a_rising_rate():
-    stream = random_stream(np.random.default_rng(8), 12, 3)
-    block, rows = SoftBayes(3, RisesAt(6)), SoftBayes(3, RisesAt(6))
+    # the raise comes after the block has written its first chunk of rows
+    stream = random_stream(np.random.default_rng(8), 300, 3)
+    block, rows = SoftBayes(3, RisesAt(260)), SoftBayes(3, RisesAt(260))
     with pytest.raises(RuntimeError) as raised:
         run_learner(block, stream)
     with pytest.raises(RuntimeError) as stepped:
         partitioned_trace(rows, stream, False, range(len(stream) + 1))
     assert str(raised.value) == str(stepped.value) == (
-        "schedule RisesAt emitted an increasing rate (0.16666666666666666 -> 0.9) at t=5")
-    # rounds 1-4 stepped; round 5 was observed and asked eta_6, then refused
-    assert block.t == rows.t == 5
+        "schedule RisesAt emitted an increasing rate (0.0038461538461538464 -> 0.9) at t=259")
+    # rounds 1-258 stepped; round 259 was observed and asked eta_260, then refused
+    assert block.t == rows.t == 259
     assert block.schedule.calls == rows.schedule.calls
-    assert [call[:2] for call in block.schedule.calls[-2:]] == [("observe", 5), ("rate", 6)]
+    assert [call[:2] for call in block.schedule.calls[-2:]] == [("observe", 259), ("rate", 260)]
     assert learner_state(block) == learner_state(rows)
     np.testing.assert_array_equal(block.weights, run_learner(
-        SoftBayes(3, RisesAt(6)), ExpertStream(stream.p[:4])).weights[-1])
+        SoftBayes(3, RisesAt(260)), ExpertStream(stream.p[:258])).weights[-1])
