@@ -16,7 +16,7 @@ Three adversarial settings with two disjoint Dirac experts:
 import argparse
 import math
 
-from softbayes.comparators import best_fixed_mixture, theoretical_bound
+from softbayes.comparators import best_fixed_mixture, regret_report, theoretical_bound
 from softbayes.generators import (
     adversarial_alternating,
     adversarial_constant,
@@ -41,7 +41,7 @@ def show(title, stream, learners, policy="continue"):
     print(f"{'learner':<22} {'loss':>12} {'regret':>12}  notes")
     for learner in learners:
         trace = run_learner(learner, stream, policy)
-        regret = trace.total_loss - comparator if math.isfinite(trace.total_loss) else math.inf
+        regret = regret_report(trace, comparator).regret
         note = "diverged" if trace.diverged else ""
         print(f"{learner.name:<22} {fmt(trace.total_loss):>12} {fmt(regret):>12}  {note}")
     return comparator

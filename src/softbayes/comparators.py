@@ -275,16 +275,18 @@ BOUND_VARIANTS = {
 }
 
 # the least value of each count a bound takes: T rounds, N experts, m experts
-# ever best (also at most N) and K comparator segments
-_COUNT_FLOORS = {"T": 1, "N": 2, "m": 1, "K": 1}
+# ever best (also at most N) and K comparator segments; and of each
+# self-confident constant c1, c2 and vmax, none negative by its definition
+# (inf passes, as ratio_stats can give it; NaN fails)
+_FLOORS = {"T": 1, "N": 2, "m": 1, "K": 1, "c1": 0, "c2": 0, "vmax": 0}
 
 
 def theoretical_bound(variant: str, **params) -> float:
     """Evaluate a closed-form regret guarantee.
 
     ``variant`` is one of ``BOUND_VARIANTS``; every listed parameter must be
-    supplied (extras are rejected, to catch typos), and a count outside the
-    bound's domain is rejected too."""
+    supplied (extras are rejected, to catch typos), and a count, constant or
+    rate outside the bound's domain is rejected too."""
     key = variant.replace("-", "_") if variant != "single-expert" else variant
     if key not in BOUND_VARIANTS:
         known = ", ".join(sorted(BOUND_VARIANTS))
@@ -296,10 +298,13 @@ def theoretical_bound(variant: str, **params) -> float:
     extra = [k for k in params if k not in required]
     if extra:
         raise ValueError(f"bound {variant!r} got unexpected parameters: {', '.join(extra)}")
-    for count, least in _COUNT_FLOORS.items():
-        if count in params and not params[count] >= least:
-            raise ValueError(f"bound {variant!r} needs {count} >= {least}, "
-                             f"got {params[count]!r}")
+    for name, least in _FLOORS.items():
+        if name in params and not params[name] >= least:
+            raise ValueError(f"bound {variant!r} needs {name} >= {least}, "
+                             f"got {params[name]!r}")
+    # thm2 and thm3 hold their rate to (0, 1) through _eta_bar
+    if key == "thm4" and not 0.0 < params["eta"] < 1.0:
+        raise ValueError(f"bound {variant!r} needs 0 < eta < 1, got {params['eta']!r}")
     if "m" in params and params["m"] > params["N"]:
         raise ValueError(f"bound {variant!r} needs m <= N, got m={params['m']!r} "
                          f"with N={params['N']!r}")

@@ -18,7 +18,10 @@ RNG_NAME = "philox"
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(int(seed)))
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def adversarial_alternating(T: int) -> ExpertStream:

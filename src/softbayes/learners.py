@@ -4,13 +4,14 @@ Each update rule has one kernel, and its learner class is the one driver of
 it.  One round loop, ``_Learner.step_block(P, halt)``, steps every class
 through its ``_rounds(P)`` generator, which keeps only the class's update;
 ``run_learner`` is one call of it.  The class keeps its state as plain
-attributes: ``weights`` (EG keeps ``log_w`` and meta its row stack ``w`` and
-posterior ``u``), the ``prior`` that soft-Bayes and ML-soft-Bayes blend
-toward, ML-soft-Bayes's ``rates`` and ``V``, and for soft-Bayes the round
-``t``, the ``current_rate`` and the rate schedule, which any object with
-``rate``, ``observe`` and ``applies_correction`` can be.
-``soft_bayes_sweep`` runs the soft-Bayes kernel for several plain schedules
-over a batch of streams at once.
+attributes: ``weights`` (EG keeps ``log_w``, and meta its posterior ``u``
+over its ``SoftBayes`` sub-learners ``subs``), the ``prior`` that
+soft-Bayes and ML-soft-Bayes blend toward, ML-soft-Bayes's ``rates`` and
+``V``, and for soft-Bayes the round ``t``, the ``current_rate`` and the rate
+schedule, which any object with ``rate``, ``observe`` and
+``applies_correction`` can be.  ``soft_bayes_sweep`` runs the soft-Bayes
+kernel for several plain schedules over a batch of streams at once, as one
+stack of weight rows.
 
 Divergence (the learner assigned probability zero to the realized symbol) is
 reported through the infinite-loss sentinel in the round's loss column, with
@@ -149,42 +150,22 @@ def _mixture(w: np.ndarray, q: np.ndarray):
     return (w[..., None, :] @ q[..., :, None])[..., 0, 0]
 
 
-def _plain_weights(w, q, m, eta_t) -> np.ndarray:
-    """w_i (1 - eta_t + eta_t q_i / M) in numpy operations, on one weight row
-    or a stack of them, for an M (each row's) no smaller than the smallest
-    normal float."""
-    u = q * (eta_t / m)
-    u += 1.0 - eta_t
+def _soft_bayes_rows(w, q, m, eta, least) -> np.ndarray:
+    """w_i (1 - eta + eta q_i / M) in numpy operations, on one weight row or
+    a stack of them (``m`` and ``eta`` one per row); ``least`` is the
+    smallest M.  Where M is subnormal, eta / M can overflow, so those rows
+    divide before they scale, (1 - eta) w_i + eta ((w_i q_i) / M), and a
+    weight carrying all of M is not rounded away; ``SoftBayes._rounds``
+    writes the same arithmetic on Python floats for a normal M and at most
+    ``SCALAR_MAX_N`` experts."""
+    if least < _MIN_NORMAL:
+        tiny = m < _MIN_NORMAL
+        divided = w * q / m * eta + (1.0 - eta) * w
+        m = np.where(tiny, 1.0, m)
+    u = q * (eta / m)
+    u += 1.0 - eta
     u *= w
-    return u
-
-
-def _subnormal_weights(w, q, m, eta_t) -> np.ndarray:
-    """The update for a subnormal M, where eta_t / M can overflow:
-    (1 - eta_t) w_i + eta_t ((w_i q_i) / M), dividing before it scales so
-    that a weight carrying all of M is not rounded away."""
-    return w * q / m * eta_t + (1.0 - eta_t) * w
-
-
-def _subnormal_rows(w, q, m, eta_t) -> np.ndarray:
-    """``_plain_weights`` on a stack of weight rows with a subnormal M in
-    some row; only those rows take ``_subnormal_weights``."""
-    tiny = m < _MIN_NORMAL
-    return np.where(tiny, _subnormal_weights(w, q, m, eta_t),
-                    _plain_weights(w, q, np.where(tiny, 1.0, m), eta_t))
-
-
-def _soft_bayes_weights(w, q, m, eta_t, eta_next, prior) -> np.ndarray:
-    """w_i (1 - eta_t + eta_t q_i / M) on one weight row in numpy
-    operations, then blended toward ``prior`` when ``eta_next`` is not
-    ``eta_t``; ``SoftBayes._rounds`` writes the same arithmetic on Python
-    floats for a normal M and at most ``SCALAR_MAX_N`` experts."""
-    u = (_subnormal_weights if m < _MIN_NORMAL else _plain_weights)(w, q, m, eta_t)
-    if eta_next != eta_t:
-        ratio = eta_next / eta_t
-        u *= ratio
-        u += (1.0 - ratio) * prior
-    return u
+    return u if least >= _MIN_NORMAL else np.where(tiny, divided, u)
 
 
 def _eg_cycle(log_w: np.ndarray, q: np.ndarray, eta: float):
@@ -291,7 +272,7 @@ def soft_bayes_sweep(batch, schedules):
         if not lo > 0.0:
             raise ValueError(f"round {t}: a sweep member diverged (mixture hit 0); "
                              "run it through run_learner for divergence handling")
-        W = (_subnormal_rows if lo < _MIN_NORMAL else _plain_weights)(W, Q, m[..., None], eta)
+        W = _soft_bayes_rows(W, Q, m[..., None], eta, lo)
         preds[:, :, t - 1] = m
         hist[:, :, t - 1] = W
         eta = np.array([schedule.rate(t + 1) for schedule in schedules])[:, None, None]
@@ -351,8 +332,11 @@ class SoftBayes(_Learner):
                             wl = [wi * (c1 + c2 * qi) for wi, qi in zip(wl, ql)]
                         w = np.array(wl)
                     else:
-                        w = _soft_bayes_weights(w, q, m, eta_t,
-                                                eta_next if corrects else eta_t, prior)
+                        w = _soft_bayes_rows(w, q, m, eta_t, m)
+                        if corrects and eta_next != eta_t:
+                            ratio = eta_next / eta_t
+                            w *= ratio
+                            w += (1.0 - ratio) * prior
                         if small:
                             wl = w.tolist()
                 rate_used, t, eta_t = eta_t, t + 1, eta_next
@@ -489,69 +473,53 @@ class MLSoftBayes(_Learner):
 
 
 class MetaBayes(_Learner):
-    """Bayesian mixture over fixed-rate soft-Bayes sub-learners, one row each
-    of a weight stack.
+    """Bayesian mixture over fixed-rate ``SoftBayes`` sub-learners ``subs``.
 
     A sub-learner that diverges has its prediction pinned to zero from that
-    round on; the Bayes posterior then removes its meta weight natively.  Its
-    row leaves the stack ``w`` (and its rate ``eta``), so ``w`` holds the
-    live rows only, those of sub-learners ``rows``; ``sub_dead`` still
-    reports every sub-learner.
+    round on; the Bayes posterior then removes its meta weight natively.  It
+    is no longer stepped, and ``sub_dead`` records it.
     """
 
     def __init__(self, n: int, rates, prior=None, name: str = "meta"):
-        rates = [FixedRate(float(r)).eta for r in rates]
-        if not rates:
+        schedules = [FixedRate(float(r)) for r in rates]
+        if not schedules:
             raise ValueError("meta learner needs at least one sub-rate")
         self.n = n
         self.name = name
-        self.w = np.tile(_start_weights(n, prior), (len(rates), 1))
-        self.eta = np.array(rates)[:, None]
-        self.rows = np.arange(len(rates))
-        self.u = uniform_weights(len(rates))
+        self.subs = [SoftBayes(n, schedule, prior) for schedule in schedules]
+        self.sub_dead = [False] * len(schedules)
+        self.u = uniform_weights(len(schedules))
 
     @property
     def weights(self) -> np.ndarray:
         """Meta weights over the sub-learners (not over the experts)."""
         return self.u
 
-    @property
-    def sub_dead(self) -> list:
-        dead = [True] * len(self.u)
-        for k in self.rows.tolist():
-            dead[k] = False
-        return dead
-
     def _rounds(self, P):
-        """The rounds yield the meta weights."""
-        w, eta, rows, u = self.w, self.eta, self.rows, self.u
-        k_all = len(u)
+        """Each live sub-learner's own rounds, stepped in lockstep; one whose
+        M is 0 is closed on that round.  The rounds yield the meta weights."""
+        u, dead = self.u, list(self.sub_dead)
+        live = {k: sub._rounds(P) for k, sub in enumerate(self.subs) if not dead[k]}
+        ms = [0.0] * len(dead)
         try:
-            for q in P:
-                m = _mixture(w, q)
-                ms = m.tolist()
-                if 0.0 in ms:
-                    # a row that dies predicts 0 from here on, and is no longer stepped
-                    live = m != 0.0
-                    rows, w, eta, m = rows[live], w[live], eta[live], m[live]
-                    ms = m.tolist()
-                sub = m
-                if len(ms) < k_all:
-                    full = [0.0] * k_all
-                    for k, mk in zip(rows.tolist(), ms):
-                        full[k] = mk
-                    sub = np.array(full)
-                if ms:
-                    kernel = _subnormal_rows if min(ms) < _MIN_NORMAL else _plain_weights
-                    w = kernel(w, q, m[:, None], eta)
+            for _ in range(len(P)):
+                for k in tuple(live):
+                    ms[k] = m = next(live[k])[0]
+                    if m == 0.0:
+                        # a sub-learner that dies predicts 0 from here on
+                        live.pop(k).close()
+                        dead[k] = True
                 # the meta prediction sum_k u_k M_k, and the Bayes posterior
                 # u_k M_k / mp; where mp = 0 the round diverged and u stays
+                sub = np.array(ms)
                 mp = float(np.dot(u, sub))
                 if mp != 0.0:
                     u = u * sub / mp
                 yield mp, _loss(mp), math.nan, u
         finally:
-            self.w, self.eta, self.rows, self.u = w, eta, rows, u
+            for rounds in live.values():
+                rounds.close()
+            self.u, self.sub_dead = u, dead
 
 
 @dataclass

@@ -870,6 +870,16 @@ class TestCLI:
         ("thm5", ["T=0", "N=3"], "needs T >= 1, got 0"),
         ("thm7", ["T=10", "N=3", "K=0"], "needs K >= 1, got 0"),
         ("thm7", ["T=10", "N=2", "K=11"], "needs K <= T, got K=11 with T=10"),
+        ("thm4", ["T=10", "N=2", "eta=0", "c1=5"], "needs 0 < eta < 1, got 0.0"),
+        ("thm4", ["T=10", "N=2", "eta=-1", "c1=5"], "needs 0 < eta < 1, got -1.0"),
+        ("thm4", ["T=10", "N=2", "eta=nan", "c1=5"], "needs 0 < eta < 1, got nan"),
+        ("thm4", ["T=10", "N=2", "eta=5", "c1=5"], "needs 0 < eta < 1, got 5.0"),
+        ("thm4", ["T=10", "N=2", "eta=0.5", "c1=-5"], "needs c1 >= 0, got -5.0"),
+        ("thm4", ["T=10", "N=2", "eta=0.5", "c1=nan"], "needs c1 >= 0, got nan"),
+        ("thm4_tuned", ["T=10", "N=2", "c1=-5"], "needs c1 >= 0, got -5.0"),
+        ("thm3_max", ["T=10", "N=2", "eta=0.5", "c2=-1"], "needs c2 >= 0, got -1.0"),
+        ("thm3_tuned", ["T=10", "N=2", "c2=-3"], "needs c2 >= 0, got -3.0"),
+        ("thm3_cumulative", ["N=2", "eta=0.5", "vmax=-100"], "needs vmax >= 0, got -100.0"),
     ])
     def test_bound_rejects_counts_outside_its_domain(self, capsys, variant, params, message):
         argv = ["bound", "--variant", variant]
@@ -879,6 +889,31 @@ class TestCLI:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: bound {variant!r} {message}\n"
+
+    @pytest.mark.parametrize("variant, params", [
+        ("thm3_cumulative", ["N=2", "eta=0.5", "vmax=inf"]),
+        ("thm4", ["T=10", "N=2", "eta=0.5", "c1=inf"]),
+    ])
+    def test_bound_takes_an_infinite_constant(self, capsys, variant, params):
+        # a run's self-confident statistics can be inf, and the bound with them
+        argv = ["bound", "--variant", variant]
+        for param in params:
+            argv += ["-p", param]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "inf\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--generator", "iid-mixture:N=2,T=5", "--learner", "bayes"],
+        ["gen", "--generator", "iid-mixture:N=2,T=5", "--out", "s.jsonl"],
+        ["verify"],
+    ])
+    def test_negative_seed_names_itself(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--seed", "-1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: seed must be a non-negative integer, got -1\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command, generator, key", [
         ("gen", "theorem2:T=10.5", "T"),

@@ -318,11 +318,13 @@ class TestMetaBayes:
         run_learner(meta, [[0.0, 1.0]] * 5)
         out = one_round(meta, [1.0, 0.0])
         assert meta.sub_dead == [True, False]
-        # the dead row has left the stack
-        assert meta.rows.tolist() == [1] and meta.w.shape == (1, 2)
         assert math.isfinite(out.losses[0])
         out = one_round(meta, [0.0, 1.0])
         assert meta.u[0] == 0.0 and math.isfinite(out.losses[0])
+        # the dead sub-learner stopped on round 6: its weights and round stay
+        dead = meta.subs[0]
+        np.testing.assert_array_equal(dead.weights, [0.0, 1.0])
+        assert dead.t == 7 and meta.subs[1].t == 8
 
 
 class TestSoftBayesLearner:
@@ -451,23 +453,6 @@ class TestSubnormalMixture:
         assert new[0] == pytest.approx(0.25, rel=1e-12)
         assert np.isfinite(new).all()
 
-    @pytest.mark.parametrize("n", [2, 17])
-    def test_stack_rows_match_single_rows(self, n):
-        w = np.zeros(n)
-        w[1] = 1.0
-        q = np.zeros(n)
-        q[0], q[1] = 1.0, 1e-320
-        meta = MetaBayes(n, [1.0, 0.5, 0.25])
-        meta.w = np.tile(w, (3, 1))
-        meta.w[2] = np.full(n, 1.0 / n)
-        rows = []
-        for k, eta in enumerate((1.0, 0.5, 0.25)):
-            learner = SoftBayes(n, FixedRate(eta))
-            learner.weights = meta.w[k].copy()
-            rows.append(one_round(learner, q).weights[0])
-        one_round(meta, q)
-        np.testing.assert_array_equal(meta.w, np.array(rows))
-
     def test_meta_loses_only_the_round_every_row_misses(self):
         trace = run_learner(MetaBayes(2, [1.0, 0.5, 0.25]), adversarial_alternating(20_000))
         assert int((~np.isfinite(trace.losses)).sum()) == 1
@@ -507,6 +492,21 @@ class TestSoftBayesSweep:
         preds = self.assert_members_match_sequential(batch, [(FixedRate, 1.0), (FixedRate, 0.5)])
         assert [(k, s) for k in range(2) for s in range(2)
                 if preds[k, s, 50] < sys.float_info.min] == [(0, 0)]
+
+    # N = 17 is past the sequential learner's N <= 16 scalar branch
+    @pytest.mark.parametrize("n", [2, 17])
+    def test_subnormal_and_normal_members_in_one_round(self, n):
+        # round 1 puts all of the Bayes member's weight on expert 1, which
+        # reads 1 until round 51 reads it 1e-320: that member divides first
+        # there, while the lower rates keep a normal M and the plain form in
+        # the same stack, on weights and a row of random values
+        stream = np.random.default_rng(n).uniform(0.01, 1.0, (54, n))
+        stream[:51, 1] = 1.0
+        stream[0] = np.eye(n)[1]
+        stream[50, 1] = 1e-320
+        preds = self.assert_members_match_sequential(
+            stream[None], [(FixedRate, 1.0), (FixedRate, 0.5), (FixedRate, 0.25)])
+        assert (preds[:, 0, 50] < sys.float_info.min).tolist() == [True, False, False]
 
     def test_rejects_correcting_schedules(self):
         with pytest.raises(ValueError, match="plain"):
@@ -615,13 +615,15 @@ def bits(value):
 
 def learner_state(learner):
     """Every attribute a learner steps, as bits; a schedule by its own
-    attributes (the sparse tracker compares by its best set)."""
+    attributes (the sparse tracker compares by its best set), and meta's
+    sub-learners by their own state."""
     state = {name: bits(getattr(learner, name))
-             for name in ("weights", "log_w", "t", "current_rate", "rates", "V", "w", "rows",
-                          "u", "eta")
+             for name in ("weights", "log_w", "t", "current_rate", "rates", "V", "u", "sub_dead")
              if hasattr(learner, name)}
     if hasattr(learner, "schedule"):
         state["schedule"] = vars(learner.schedule)
+    if hasattr(learner, "subs"):
+        state["subs"] = [learner_state(sub) for sub in learner.subs]
     return state
 
 

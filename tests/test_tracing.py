@@ -80,9 +80,10 @@ def test_every_schedule_class_counted_once(capsys, monkeypatch):
                      *(arg for s in selectors for arg in ("--learner", s))])
     capsys.readouterr()
     assert code == 0
-    # seven soft-Bayes schedules at 1 + 2 x 200 calls each; meta's sub-rates
-    # are checked through FixedRate but never asked for a rate
-    assert tracing.layer_metrics(tracer)["rates.calls"] == 7 * 401
+    # seven soft-Bayes schedules at 1 + 2 x 200 calls each, and meta's two
+    # sub-learners: the rate-0.5 one the same, the rate-1 one stepped to the
+    # round 102 it dies on
+    assert tracing.layer_metrics(tracer)["rates.calls"] == 8 * 401 + 1 + 2 * 102
 
 
 def test_traced_verify_counts_sweeps_and_replays(capsys, monkeypatch):
@@ -118,7 +119,9 @@ def test_traced_compare_sees_every_learner(capsys, monkeypatch):
     assert code == 0
     values = tracing.layer_metrics(tracer)
     assert values["learners.rounds"] == 1600
-    # four online schedules at 1 + 2 x 200 calls each
-    assert values["rates.calls"] == 4 * 401
+    # four online schedules and meta's rate-0.5 and 0.25 sub-learners at
+    # 1 + 2 x 200 calls each, and its rate-1 one stepped to the round 102 it
+    # dies on
+    assert values["rates.calls"] == 6 * 401 + 1 + 2 * 102
     for selector in selectors:
         assert values[tracing.selector_metric(selector)] > 0, selector
