@@ -40,7 +40,8 @@ def show(title, stream, learners, policy="continue"):
     print(f"\n== {title} (T={len(stream)}, comparator loss {comparator:.3f}) ==")
     print(f"{'learner':<22} {'loss':>12} {'regret':>12}  notes")
     for learner in learners:
-        trace = run_learner(learner, stream, policy)
+        # only the losses are read, so the trace keeps only the last weight row
+        trace = run_learner(learner, stream, policy, every=len(stream))
         regret = regret_report(trace, comparator).regret
         note = "diverged" if trace.diverged else ""
         print(f"{learner.name:<22} {fmt(trace.total_loss):>12} {fmt(regret):>12}  {note}")

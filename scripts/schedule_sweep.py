@@ -56,7 +56,8 @@ def main():
     for label, (make, bound) in schedules.items():
         regrets = []
         for stream, comp in zip(streams, comparators):
-            trace = run_learner(SoftBayes(n, make()), stream)
+            # only the loss is read, so the trace keeps only the last weight row
+            trace = run_learner(SoftBayes(n, make()), stream, every=len(stream))
             regrets.append(trace.total_loss - comp)
         regrets = np.asarray(regrets)
         btxt = f"{bound:12.2f}" if bound is not None else f"{'-':>12}"

@@ -185,8 +185,6 @@ def regret_report(trace, comparator_loss: float, bound: float | None = None,
 
 
 def _eta_bar(eta: float) -> float:
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"rate {eta!r} outside (0, 1)")
     return eta / (1.0 - eta)
 
 
@@ -253,10 +251,6 @@ def _bound_thm7(T, N, K):
 
 
 def _bound_single_expert(eta, prior_entry):
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("rate must lie in (0, 1]")
-    if not 0.0 < prior_entry <= 1.0:
-        raise ValueError("prior entry must lie in (0, 1]")
     return math.log(1.0 / prior_entry) / eta
 
 BOUND_VARIANTS = {
@@ -302,9 +296,14 @@ def theoretical_bound(variant: str, **params) -> float:
         if name in params and not params[name] >= least:
             raise ValueError(f"bound {variant!r} needs {name} >= {least}, "
                              f"got {params[name]!r}")
-    # thm2 and thm3 hold their rate to (0, 1) through _eta_bar
-    if key == "thm4" and not 0.0 < params["eta"] < 1.0:
-        raise ValueError(f"bound {variant!r} needs 0 < eta < 1, got {params['eta']!r}")
+    # a rate or prior entry lies in (0, 1), and for the single-expert bound
+    # in (0, 1]: it takes the Bayes rate and a prior on one expert
+    closed = key == "single-expert"
+    for name in ("eta", "prior_entry"):
+        if name in params and not (0.0 < params[name] <= 1.0 if closed
+                                   else 0.0 < params[name] < 1.0):
+            raise ValueError(f"bound {variant!r} needs 0 < {name} {'<=' if closed else '<'} 1, "
+                             f"got {params[name]!r}")
     if "m" in params and params["m"] > params["N"]:
         raise ValueError(f"bound {variant!r} needs m <= N, got m={params['m']!r} "
                          f"with N={params['N']!r}")

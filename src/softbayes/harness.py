@@ -388,6 +388,10 @@ def parse_comparator(text: str) -> ComparatorSpec:
         extra = tuple(int(v) for v in arg.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad {kind} boundaries {arg!r}") from exc
+    # round 1 starts the first segment, so a boundary names a later round
+    for t in extra:
+        if t <= 1:
+            raise ConfigError(f"{kind} boundary {t} must be a round after 1")
     try:
         return ComparatorSpec(kind, (1,) + extra)
     except ValueError as exc:
@@ -654,20 +658,38 @@ def _csv_line(cells: list) -> str:
     return buf.getvalue()
 
 
+def _weight_stride(config: ExperimentConfig, stream: ExpertStream) -> int:
+    """The stride of the weight rows a run keeps, which is the stride the
+    trace CSV prints them at (and on each trace's last round): every round
+    up to 16 experts and every ceil(T/1000)-th above it; with no CSV named,
+    the last round only."""
+    T = len(stream)
+    if not config.out_csv:
+        return max(1, T)
+    return 1 if stream.n_experts <= 16 else max(1, math.ceil(T / 1000))
+
+
 def _csv_table(config: ExperimentConfig, stream: ExpertStream, traces: list,
                k: int, start: int, cum: np.ndarray) -> str:
     """One block of the trace CSV: the rows of ``traces[k]`` for rounds
     ``start + 1`` to ``start + BLOCK_ROWS`` (or its last), and before them
     the header row when this is the first block (``k == start == 0``).
     ``cum`` is that trace's ``cumulative_losses``, taken once for the trace
-    and sliced here, so every block's sums are those of the whole run."""
+    and sliced here, so every block's sums are those of the whole run.
+
+    A trace must keep its weights at the stride the CSV prints them at; one
+    run for another config (a config changed after the run, say) is refused,
+    as its rows would print under the wrong rounds."""
     width = max(t.weights.shape[1] if t.weights.size else 0 for t in traces)
-    stride = 1 if stream.n_experts <= 16 else max(1, math.ceil(len(stream) / 1000))
+    stride = _weight_stride(config, stream)
     head = ""
     if k == start == 0:
         head = _csv_line(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
                          + [f"w{i + 1}" for i in range(width)])
     trace = traces[k]
+    if trace.every != stride:
+        raise ValueError(f"trace {trace.name!r} keeps its weights at stride {trace.every}, "
+                         f"but the CSV prints them at stride {stride}")
     n = trace.rounds
     if start >= n:
         return head
@@ -677,11 +699,12 @@ def _csv_table(config: ExperimentConfig, stream: ExpertStream, traces: list,
     bits = np.array([False, False, True, True] + [False] * width) & config.bits
     t = np.arange(start + 1, min(start + BLOCK_ROWS, n) + 1)
     rows = slice(start, t[-1])
-    # a weight snapshot every stride-th round and on the last; NaN renders
-    # every other weight cell empty
+    # a weight snapshot every stride-th round and on the last, the rounds
+    # whose rows the trace kept (round r in row (r - 1) // stride); NaN
+    # renders every other weight cell empty
     snapshot = (t % stride == 0) | (t == n)
     w = np.full((len(t), width), np.nan)
-    w[snapshot, : trace.weights.shape[-1]] = trace.weights[rows][snapshot]
+    w[snapshot, : trace.weights.shape[-1]] = trace.weights[(t[snapshot] - 1) // stride]
     block = np.column_stack([trace.rates[rows], trace.predictions[rows],
                              trace.losses[rows], cum[rows], w])
     return head + "".join(f"{prefix}{i},{cells}\n"
@@ -706,6 +729,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
 
     names = set()
     traces = []
+    every = _weight_stride(config, stream)
     for spec in config.learner_specs:
         learner = spec.build(stream.n_experts)
         name = spec.text
@@ -713,7 +737,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
             name += "'"
         names.add(name)
         learner.name = name
-        traces.append(run_learner(learner, stream, config.on_divergence))
+        traces.append(run_learner(learner, stream, config.on_divergence, every))
 
     comparator_loss, detail = _comparator_loss(cmp_spec, stream, config.bits)
     m_best = functools.cache(lambda: stream_best_count(stream))

@@ -1,7 +1,7 @@
 """Sequential learners over expert-probability streams.
 
 Each update rule has one kernel, and its learner class is the one driver of
-it.  One round loop, ``_Learner.step_block(P, halt)``, steps every class
+it.  One round loop, ``_Learner.step_block(P, halt, every)``, steps every class
 through its ``_rounds(P)`` generator, which keeps only the class's update;
 ``run_learner`` is one call of it.  The class keeps its state as plain
 attributes: ``weights`` (EG keeps ``log_w``, and meta its posterior ``u``
@@ -68,10 +68,13 @@ def _rows(P):
 
 
 class _Learner:
-    """Every learner's round loop is ``step_block(P, halt=False)``: it steps
-    the rows of ``P``, a (rounds, N) block, through the class's ``_rounds(P)``,
-    stops after the first infinite loss when ``halt`` is set, and returns the
-    trace columns ``(predictions, losses, rates, weights, halted_at)``.
+    """Every learner's round loop is ``step_block(P, halt=False, every=1)``:
+    it steps the rows of ``P``, a (rounds, N) block, through the class's
+    ``_rounds(P)``, stops after the first infinite loss when ``halt`` is set,
+    and returns the trace columns ``(predictions, losses, rates, weights,
+    halted_at)``.  The weights column keeps the rows of block rounds
+    ``every``, 2 ``every``, ... and of the last round stepped; the other
+    columns keep every round.
 
     ``_rounds`` keeps the state in locals, yields each round's
     ``(prediction, loss, rate, weights)`` after its update, and writes the
@@ -85,30 +88,38 @@ class _Learner:
     The rounds are kept as yielded for ``_ROW_CHUNK`` rounds at a time, then
     written into columns allocated once for the block, so the block's
     transient memory is one chunk; a halted block returns copies of the rows
-    it stepped."""
+    it kept."""
 
-    def step_block(self, P, halt: bool = False):
+    def step_block(self, P, halt: bool = False, every: int = 1):
         P = np.asarray(P, dtype=float)
         if P.shape[1:] != (self.n,):
             raise ValueError(f"dimension mismatch: weights {(self.n,)} vs round {P.shape[1:]}")
+        if every < 1:
+            raise ValueError(f"weight stride {every!r} must be at least 1")
         T = len(P)
         chunk = preds, losses, rates, weights = [], [], [], []
-        # the weights column takes its row shape from the first chunk
+        # the weights column takes its row shape from the first row it keeps
         columns = [np.empty(T), np.empty(T), np.empty(T), None]
-        done = 0
+        done = kept = 0
 
-        def record():
-            nonlocal done
+        def record(last=False):
+            nonlocal done, kept
             rows = slice(done, done + len(losses))
-            for column, kept in zip(columns, chunk[:3]):
-                column[rows] = kept
-            w = self._weights_column(weights)
-            if columns[3] is None:
-                columns[3] = np.empty((T, *w.shape[1:]))
-            columns[3][rows] = w
+            for column, values in zip(columns, chunk[:3]):
+                column[rows] = values
+            # the chunk's rounds that are multiples of every, and the block's last
+            keep = weights[(every - 1 - done) % every::every]
             done = rows.stop
-            for kept in chunk:
-                kept.clear()
+            if last and done % every:
+                keep.append(weights[-1])
+            if keep:
+                w = self._weights_column(keep)
+                if columns[3] is None:
+                    columns[3] = np.empty((-(-T // every), *w.shape[1:]))
+                columns[3][kept:kept + len(w)] = w
+                kept += len(w)
+            for values in chunk:
+                values.clear()
 
         halted_at = None
         rounds = self._rounds(P)
@@ -127,14 +138,16 @@ class _Learner:
             rounds.close()
         # a full chunk is written when the next round arrives, so the last
         # chunk is empty only in a block of no rounds
-        record()
+        record(last=True)
+        if columns[3] is None:   # a block of no rounds keeps no weight row
+            columns[3] = self._weights_column([])
         if done < T:
-            columns = [column[:done].copy() for column in columns]
+            columns = [column[:n].copy() for column, n in zip(columns, (done, done, done, kept))]
         return (*columns, halted_at)
 
     def _weights_column(self, weights) -> np.ndarray:
-        """The weights column's rows for one chunk of the rows ``_rounds``
-        yielded."""
+        """The weights column's rows for the rows of one chunk that it keeps,
+        as ``_rounds`` yielded them."""
         return np.asarray(weights)
 
 
@@ -384,7 +397,8 @@ class ExponentiatedGradient(_Learner):
             self.log_w = log_w
 
     def _weights_column(self, weights) -> np.ndarray:
-        """The exponent of the log weights, taken once for each chunk."""
+        """The exponent of the log weights the column keeps, taken once for
+        each chunk."""
         return np.exp(np.asarray(weights))
 
 
@@ -524,7 +538,9 @@ class MetaBayes(_Learner):
 
 @dataclass
 class LearnerTrace:
-    """Per-round record of one learner's run over a stream."""
+    """Per-round record of one learner's run over a stream: the predictions,
+    losses and rates of every round, and the weights of the rounds that
+    ``weight_rounds`` names."""
 
     name: str
     predictions: np.ndarray
@@ -532,10 +548,18 @@ class LearnerTrace:
     rates: np.ndarray
     weights: np.ndarray
     halted_at: int | None = None
+    every: int = 1
 
     @property
     def rounds(self) -> int:
         return len(self.losses)
+
+    @property
+    def weight_rounds(self) -> np.ndarray:
+        """The 1-based round of each row of ``weights``: rounds ``every``,
+        2 ``every``, ... and the last, which may lie off that stride."""
+        r = np.arange(self.every, self.rounds + 1, self.every)
+        return r if self.rounds % self.every == 0 else np.append(r, self.rounds)
 
     @property
     def diverged(self) -> bool:
@@ -559,10 +583,14 @@ class LearnerTrace:
         return np.isfinite(self.losses)
 
 
-def run_learner(learner, stream, on_divergence: str = "continue") -> LearnerTrace:
+def run_learner(learner, stream, on_divergence: str = "continue",
+                every: int = 1) -> LearnerTrace:
     """Run a learner over a stream, recording every round's outcome: one
     ``step_block`` over the stream's rows.  Rows that are not an
     ``ExpertStream`` are made one first, so they are held to the stream rule.
+
+    The trace keeps the weights of rounds ``every``, 2 ``every``, ... and of
+    the last round stepped; ``every=len(stream)`` keeps only the last.
 
     ``on_divergence="halt"`` stops at the first infinite loss, leaving a
     partial trace; ``"continue"`` keeps stepping (the learner's weights are
@@ -572,5 +600,6 @@ def run_learner(learner, stream, on_divergence: str = "continue") -> LearnerTrac
         raise ValueError(f"unknown divergence policy {on_divergence!r}")
     if not isinstance(stream, ExpertStream):
         stream = ExpertStream(stream)
-    columns = learner.step_block(stream.p, on_divergence == "halt")
-    return LearnerTrace(getattr(learner, "name", type(learner).__name__), *columns)
+    columns = learner.step_block(stream.p, on_divergence == "halt", every)
+    return LearnerTrace(getattr(learner, "name", type(learner).__name__), *columns,
+                        every=every)

@@ -255,6 +255,9 @@ BAD_COMPARATORS = {
     "shifting": "error: shifting comparator needs boundaries, e.g. shifting=51,101",
     "shifting=": "error: shifting comparator needs boundaries, e.g. shifting=51,101",
     "shifting=5,5": "error: boundaries must be strictly increasing",
+    "shifting=1": "error: shifting boundary 1 must be a round after 1",
+    "shifting=0": "error: shifting boundary 0 must be a round after 1",
+    "shifting=-3": "error: shifting boundary -3 must be a round after 1",
     "shifting=a": "error: bad shifting boundaries 'a'",
     "shifting=500": "error: boundary 500 beyond horizon 200",
     # a kind is a whole table key, not a prefix of the text

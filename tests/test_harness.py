@@ -13,7 +13,12 @@ from softbayes import core, harness
 from softbayes.cli import main
 from softbayes.comparators import best_fixed_mixture, best_single_expert
 from softbayes.core import ExpertStream
-from softbayes.generators import adversarial_constant, random_iid_instance, with_flip_round
+from softbayes.generators import (
+    adversarial_constant,
+    parse_generator,
+    random_iid_instance,
+    with_flip_round,
+)
 from softbayes.harness import (
     BLOCK_ROWS,
     COMPARATOR_KINDS,
@@ -590,11 +595,26 @@ def _reference_fmt(value, bits=False):
     return repr(v)
 
 
+def _reference_stride(stream):
+    """Every round's weights up to 16 experts, every ceil(T/1000)-th above."""
+    return 1 if stream.n_experts <= 16 else max(1, math.ceil(len(stream) / 1000))
+
+
+def _strided(trace, every):
+    """A trace that holds every round's weights, as a run at weight stride
+    ``every`` keeps it: only the rows of rounds every, 2 every, ... and the
+    last."""
+    n = trace.rounds
+    rows = [t - 1 for t in range(1, n + 1) if t % every == 0 or t == n]
+    return LearnerTrace(trace.name, trace.predictions, trace.losses, trace.rates,
+                        trace.weights[rows], trace.halted_at, every)
+
+
 def _reference_csv_table(config, stream, traces):
-    """The row-by-row CSV renderer the block renderer replaced."""
-    T = len(stream)
+    """The row-by-row CSV renderer the block renderer replaced, on traces
+    that hold every round's weights."""
     width = max(t.weights.shape[1] if t.weights.size else 0 for t in traces)
-    stride = 1 if stream.n_experts <= 16 else max(1, math.ceil(T / 1000))
+    stride = _reference_stride(stream)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
@@ -643,7 +663,10 @@ def _write_csv(path, bits, stream, traces):
 
 
 def _assert_same_csv(path, bits, stream, traces):
-    got = _write_csv(path, bits, stream, traces)
+    """The CSV written from ``traces`` as a run keeps them, against the
+    reference rendered from every round's weights."""
+    got = _write_csv(path, bits, stream, [_strided(t, _reference_stride(stream))
+                                          for t in traces])
     with np.errstate(invalid="ignore"):
         want = _reference_csv_table(SimpleNamespace(bits=bits), stream, traces).encode()
     if got != want:
@@ -880,6 +903,14 @@ class TestCLI:
         ("thm3_max", ["T=10", "N=2", "eta=0.5", "c2=-1"], "needs c2 >= 0, got -1.0"),
         ("thm3_tuned", ["T=10", "N=2", "c2=-3"], "needs c2 >= 0, got -3.0"),
         ("thm3_cumulative", ["N=2", "eta=0.5", "vmax=-100"], "needs vmax >= 0, got -100.0"),
+        ("thm2", ["T=10", "N=2", "m=1", "eta=0"], "needs 0 < eta < 1, got 0.0"),
+        ("thm2", ["T=10", "N=2", "m=1", "eta=1"], "needs 0 < eta < 1, got 1.0"),
+        ("thm3_cumulative", ["N=2", "eta=0", "vmax=1"], "needs 0 < eta < 1, got 0.0"),
+        ("thm3_max", ["T=10", "N=2", "eta=nan", "c2=1"], "needs 0 < eta < 1, got nan"),
+        ("single-expert", ["eta=0", "prior_entry=0.5"], "needs 0 < eta <= 1, got 0.0"),
+        ("single-expert", ["eta=1.5", "prior_entry=0.5"], "needs 0 < eta <= 1, got 1.5"),
+        ("single-expert", ["eta=1", "prior_entry=0"], "needs 0 < prior_entry <= 1, got 0.0"),
+        ("single-expert", ["eta=1", "prior_entry=2"], "needs 0 < prior_entry <= 1, got 2.0"),
     ])
     def test_bound_rejects_counts_outside_its_domain(self, capsys, variant, params, message):
         argv = ["bound", "--variant", variant]
@@ -1018,6 +1049,46 @@ class TestCLI:
         written = (tmp_path / "compare.csv").read_bytes()
         assert written.startswith(b"learner,t,eta,")
         assert written == (tmp_path / "run.csv").read_bytes()
+
+    def test_compare_writes_the_strided_csv_a_config_file_names(self, tmp_path, capsys):
+        # 20 experts over 2011 rounds: weights every 3rd round and on the
+        # last, 2011, off the stride; Bayes on expert 1 alone halts on round
+        # 1000, where that expert reads 0, off the stride too
+        p = parse_generator("iid-mixture:N=20,T=2011").build(4).p.copy()
+        p[999, 0] = 0.0
+        write_stream_jsonl(ExpertStream(p), str(tmp_path / "s.jsonl"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "stream": str(tmp_path / "s.jsonl"), "on_divergence": "halt",
+            "learners": ["soft-bayes:anytime", {"spec": "bayes", "prior": [1] + [0] * 19},
+                         "eg:fixed=0.5", "meta:rates=1,0.5"],
+            "out_csv": str(tmp_path / "compare.csv"), "out_json": str(tmp_path / "s.json"),
+        }))
+        assert main(["compare", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg), "--out-csv", str(tmp_path / "run.csv")]) == 0
+        capsys.readouterr()
+        halted = [entry["halted_at"] for entry in json.loads((tmp_path / "s.json").read_text())[
+            "learners"]]
+        assert halted == [None, 1000, None, None]
+        written = (tmp_path / "compare.csv").read_bytes()
+        weights = [row[6:] for row in csv.reader(io.StringIO(written.decode()))][1:]
+        assert [t for t, row in enumerate(weights[:2011], 1) if any(row)] == [
+            *range(3, 2011, 3), 2011]
+        assert written == (tmp_path / "run.csv").read_bytes()
+
+    @pytest.mark.parametrize("generator, T, stride", [
+        ("theorem2:T=8", 8, 1), ("iid-mixture:N=20,T=2011", 2011, 3)])
+    def test_a_csv_named_after_the_run_is_refused(self, tmp_path, generator, T, stride):
+        # a run that named no CSV kept only its last weight row; printing it
+        # at the CSV's stride would put that row under the wrong rounds
+        artifact = run_experiment(ExperimentConfig(generator=generator, seed=4,
+                                                   learners=("soft-bayes:anytime",)))
+        assert artifact.traces[0].weight_rounds.tolist() == [T]
+        artifact.config.out_csv = str(tmp_path / "late.csv")
+        with pytest.raises(ValueError) as refused:
+            artifact.write()
+        assert str(refused.value) == (f"trace 'soft-bayes:anytime' keeps its weights at stride "
+                                      f"{T}, but the CSV prints them at stride {stride}")
 
     def test_config_file_with_prior(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -13,6 +13,7 @@ from softbayes.core import SCALAR_MAX_N, BadRoundError, ExpertStream
 from softbayes.generators import adversarial_alternating
 from softbayes.harness import LEARNER_KINDS, parse_learner
 from softbayes.learners import (
+    _ROW_CHUNK,
     Bayes,
     ExponentiatedGradient,
     LearnerTrace,
@@ -27,7 +28,7 @@ from softbayes.learners import (
 from softbayes.rates import AnytimeRate, FixedRate, InverseT
 from test_edge_streams import SELECTORS as EDGE_SELECTORS
 from test_edge_streams import STREAMS as EDGE_STREAMS
-from test_edge_streams import blocks
+from test_edge_streams import blocks, padded
 
 
 def random_stream(rng, T, n, low=0.01):
@@ -680,6 +681,49 @@ def test_a_halted_run_owns_only_the_rows_it_stepped(selector, n):
     assert trace.halted_at == 5
     for column in trace_columns(trace):
         assert len(column) == 5 and column.flags.owndata
+
+
+@pytest.mark.parametrize("policy", ["halt", "continue"])
+@pytest.mark.parametrize("n", [2, SCALAR_MAX_N + 1])
+@pytest.mark.parametrize("selector", EDGE_SELECTORS)
+def test_a_stride_keeps_the_rows_of_its_rounds(selector, n, policy):
+    # halt-257 ends off the stride of 3, on round 257 (Bayes, OGD) or 512;
+    # the random stream ends on it, on round 600; every chunk starts at
+    # another offset from the stride
+    for make in (halts_at(257), lambda: random_stream(np.random.default_rng(n), 600, 2)):
+        stream = (make if n == 2 else padded(make))()
+        want = run_learner(parse_learner(selector).build(n), stream, policy)
+        for every in (3, len(stream)):
+            got = run_learner(parse_learner(selector).build(n), stream, policy, every)
+            rounds = [t for t in range(1, want.rounds + 1) if t % every == 0 or t == want.rounds]
+            assert got.every == every
+            assert got.weight_rounds.tolist() == rounds
+            assert bits(got.weights) == bits(want.weights[np.array(rounds) - 1]), every
+            for column in ("predictions", "losses", "rates"):
+                assert bits(getattr(got, column)) == bits(getattr(want, column)), column
+            assert got.halted_at == want.halted_at
+
+
+@pytest.mark.parametrize("n", [2, 64])
+@pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
+def test_a_run_that_keeps_the_last_row_holds_three_columns_and_one_chunk(kind, n):
+    # no T x N weights column: what a run holds beside its predictions,
+    # losses and rates is one _ROW_CHUNK of rounds, each at most 1 KiB up to
+    # 64 experts (a weight row, three floats and their list slots)
+    T = 20_000
+    stream = random_stream(np.random.default_rng(n), T, n)
+    selector = next(s for s in EDGE_SELECTORS if parse_learner(s).kind == kind)
+    learner = parse_learner(selector).build(n)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trace = run_learner(learner, stream, every=T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.weight_rounds.tolist() == [T]
+    assert peak - entry <= 3 * T * 8 + _ROW_CHUNK * 1024
 
 
 @pytest.mark.parametrize("row", [[-0.5, 0.9], [1.5, 0.2], [math.nan, 0.2]])

@@ -19,7 +19,7 @@ SCRIPTS = {
                         "5353f4674516cfa0f0d9aa33c58b8f56c06cbd4041d81c589dd230a98cc1dd2a"),
     "schedule_sweep.py": (["--n", "3", "--T", "200", "--seeds", "2"],
                           "schedule          mean regret   max regret        bound  max/bound",
-                          None),
+                          "e002ed813e821f6d9a13ee09cc9dbe0eea251f91fcd116f2a6c2057e6bf4f9b1"),
 }
 
 
