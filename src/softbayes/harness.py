@@ -599,13 +599,15 @@ def _text_rows(block: np.ndarray, bits=False) -> list:
     ``repr``, after converting to bits where ``bits`` (one flag, or one per
     column) asks.  Infinities stay infinite in either unit.
 
-    One ``repr`` of the whole block does the formatting: a list's ``repr``
-    joins its floats' ``repr`` texts with ``", "``, and no float's text but
-    NaN's contains ``nan``."""
+    The block crosses to Python floats once, and each row is the ``repr``
+    of its floats joined by commas; no float's text but NaN's contains
+    ``nan``, so only a block that holds a NaN is searched for it."""
     if np.any(bits):
         block = np.where(bits, block / LN2, block)
-    text = repr(block.tolist())[2:-2]
-    return text.replace(", ", ",").replace("nan", "").split("],[")
+    rows = [",".join(map(repr, row)) for row in block.tolist()]
+    if np.isnan(block).any():
+        rows = [row.replace("nan", "") for row in rows]
+    return rows
 
 
 def _fmt(value: float | None, bits: bool = False) -> str:
@@ -636,9 +638,19 @@ class RunArtifact:
         """Write the artifacts the config names a path for.  The trace CSV
         is rendered here and only here, so a run that writes none renders
         none; each block goes to the file as soon as it is rendered, so the
-        whole table is never held at once."""
+        whole table is never held at once.
+
+        A trace must keep its weights at the stride the CSV prints them at;
+        one run for another config (a config changed after the run, say) is
+        refused before any file is opened, as its rows would print under the
+        wrong rounds."""
         config, stream, traces = self.config, self.stream, self.traces
         if config.out_csv:
+            stride = _weight_stride(config, stream)
+            for trace in traces:
+                if trace.every != stride:
+                    raise ValueError(f"trace {trace.name!r} keeps its weights at stride "
+                                     f"{trace.every}, but the CSV prints them at stride {stride}")
             with open(config.out_csv, "w", encoding="utf-8") as fh:
                 for k, trace in enumerate(traces):
                     cum = trace.cumulative_losses
@@ -676,10 +688,8 @@ def _csv_table(config: ExperimentConfig, stream: ExpertStream, traces: list,
     the header row when this is the first block (``k == start == 0``).
     ``cum`` is that trace's ``cumulative_losses``, taken once for the trace
     and sliced here, so every block's sums are those of the whole run.
-
-    A trace must keep its weights at the stride the CSV prints them at; one
-    run for another config (a config changed after the run, say) is refused,
-    as its rows would print under the wrong rounds."""
+    The trace keeps its weights at the stride the CSV prints them at, which
+    ``RunArtifact.write`` checks first."""
     width = max(t.weights.shape[1] if t.weights.size else 0 for t in traces)
     stride = _weight_stride(config, stream)
     head = ""
@@ -687,9 +697,6 @@ def _csv_table(config: ExperimentConfig, stream: ExpertStream, traces: list,
         head = _csv_line(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
                          + [f"w{i + 1}" for i in range(width)])
     trace = traces[k]
-    if trace.every != stride:
-        raise ValueError(f"trace {trace.name!r} keeps its weights at stride {trace.every}, "
-                         f"but the CSV prints them at stride {stride}")
     n = trace.rounds
     if start >= n:
         return head

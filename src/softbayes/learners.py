@@ -314,20 +314,21 @@ class SoftBayes(_Learner):
 
     def _rounds(self, P):
         """The schedule sees round t and its M before it gives eta_{t+1}, also
-        on a diverged round.  Up to ``SCALAR_MAX_N`` experts the weights are
-        updated on Python floats, and on numpy rows above it or where M is
-        subnormal."""
+        on a diverged round, as the row's Python floats up to
+        ``SCALAR_MAX_N`` experts and as its numpy row above.  Up to
+        ``SCALAR_MAX_N`` experts the weights are updated on Python floats,
+        and on numpy rows above it or where M is subnormal."""
         w, prior, schedule = self.weights, self.prior, self.schedule
         observe, rate = schedule.observe, schedule.rate
         corrects = schedule.applies_correction
         t, eta_t = self.t, self.current_rate
-        # above SCALAR_MAX_N the row's floats (ql) go unused
+        # above SCALAR_MAX_N the row's floats (ql) are its numpy row
         small = self.n <= SCALAR_MAX_N
         wl, pl = w.tolist(), prior.tolist()
         try:
             for q, ql in _rows(P) if small else zip(P, P):
                 m = float(w.dot(q))
-                observe(t, q, m)
+                observe(t, ql, m)
                 eta_next = rate(t + 1)
                 if corrects and eta_next > eta_t and m != 0.0:
                     raise RuntimeError(
@@ -513,6 +514,7 @@ class MetaBayes(_Learner):
         """Each live sub-learner's own rounds, stepped in lockstep; one whose
         M is 0 is closed on that round.  The rounds yield the meta weights."""
         u, dead = self.u, list(self.sub_dead)
+        ul = u.tolist()
         live = {k: sub._rounds(P) for k, sub in enumerate(self.subs) if not dead[k]}
         ms = [0.0] * len(dead)
         try:
@@ -523,12 +525,13 @@ class MetaBayes(_Learner):
                         # a sub-learner that dies predicts 0 from here on
                         live.pop(k).close()
                         dead[k] = True
-                # the meta prediction sum_k u_k M_k, and the Bayes posterior
-                # u_k M_k / mp; where mp = 0 the round diverged and u stays
-                sub = np.array(ms)
-                mp = float(np.dot(u, sub))
+                # the meta prediction sum_k u_k M_k, one numpy dot, and the
+                # Bayes posterior u_k M_k / mp on Python floats; where mp = 0
+                # the round diverged and u stays
+                mp = float(u.dot(ms))
                 if mp != 0.0:
-                    u = u * sub / mp
+                    ul = [uk * mk / mp for uk, mk in zip(ul, ms)]
+                    u = np.array(ul)
                 yield mp, _loss(mp), math.nan, u
         finally:
             for rounds in live.values():

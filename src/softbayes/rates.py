@@ -12,8 +12,13 @@ Each schedule class is the one form of its rate, and keeps the statistics
 its rate reads as its own attributes: ``SparseRate.tracker`` (the best set)
 and ``SelfConfidentRate.C1`` and ``eta_prev``.  A schedule instance is owned
 by exactly one learner and its ``rate``/``observe`` methods are called in
-round order.  ``rate_offline`` is the horizon-tuned constant rate that the
-``thm2`` bound assumes; a caller runs it as a ``FixedRate``.
+round order.  ``observe(t, p, M)`` is shown round t's row ``p`` as the
+learner holds it, a list of Python floats up to ``core.SCALAR_MAX_N``
+experts and the numpy row above it, and keeps no reference to it; the
+schedules here take a list as given and convert any other row (a test's,
+or ``stream_best_count``'s) once.  ``rate_offline`` is the horizon-tuned
+constant rate that the ``thm2`` bound assumes; a caller runs it as a
+``FixedRate``.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .core import SCALAR_MAX_N
 
 # Keeps every emitted rate strictly inside (0, 1); the sparse formula can
 # otherwise exceed 1 in the first rounds when ln(N) > 2.
@@ -61,16 +64,25 @@ class BestSetTracker:
     _last: tuple = field(default=(0, 0), init=False, repr=False, compare=False)
 
     def update(self, p, t: int) -> None:
-        q = np.asarray(p, dtype=float)
-        if q.size <= SCALAR_MAX_N:
-            row = q.tolist()
-            top = max(row)
-            ties = [i for i, x in enumerate(row) if x == top]
+        """Count round ``t``'s row ``p``: a list of floats as given, any
+        other row as one numpy array."""
+        best = self.first_best
+        # where the lowest of the tied experts is counted, by the tie rule
+        # nothing changes
+        if isinstance(p, list):
+            top = max(p)
+            if p.index(top) in best:
+                return
+            ties = [i for i, x in enumerate(p) if x == top]
         else:
-            ties = np.flatnonzero(q == q.max()).tolist()
-        if not any(i in self.first_best for i in ties):
-            self.first_best[ties[0]] = t
-            self._last = (max(self.first_best.values()), len(self.first_best))
+            q = np.asarray(p, dtype=float)
+            first = int(q.argmax())
+            if first in best:
+                return
+            ties = np.flatnonzero(q == q[first]).tolist()
+        if not any(i in best for i in ties):
+            best[ties[0]] = t
+            self._last = (max(best.values()), len(best))
 
     def members(self, t: int) -> set:
         """The best set at round t: experts first best strictly before t."""
@@ -204,7 +216,7 @@ class SelfConfidentRate(_Schedule):
         if n < 2:
             raise ValueError("self-confident schedule needs N >= 2")
         if not 0.0 < eta_max < 1.0:
-            raise ValueError("eta_max must lie in (0, 1)")
+            raise ValueError(f"self-confident eta_max {eta_max!r} outside (0, 1)")
         self.ln_n = math.log(n)
         self.eta_max = eta_max
         self.C1 = 0.0
@@ -222,8 +234,7 @@ class SelfConfidentRate(_Schedule):
 
     def observe(self, t: int, p, m: float) -> None:
         if m > 0.0:
-            q = np.asarray(p, dtype=float)
-            top = max(q.tolist()) if q.size <= SCALAR_MAX_N else float(q.max())
+            top = max(p) if isinstance(p, list) else float(np.asarray(p, dtype=float).max())
             self.C1 += top / m - 1.0
 
 

@@ -243,6 +243,8 @@ BAD_SELECTORS = {
                          "schedule 'fixed' needs a parameter, e.g. fixed:0.5"),
     "soft-bayes:fixed=1.5": "error: fixed rate 1.5 outside (0, 1]",
     "soft-bayes:inverse-t=inf": "error: inverse-t offset inf must be positive and finite",
+    "soft-bayes:self-confident=2": "error: self-confident eta_max 2.0 outside (0, 1)",
+    "soft-bayes:self-confident=nan": "error: self-confident eta_max nan outside (0, 1)",
     "soft-bayes:self-confident=x": ("error: bad schedule in 'soft-bayes:self-confident=x': "
                                     "could not convert string to float: 'x'"),
     "soft-bayes:warp": "error: bad schedule in 'soft-bayes:warp': unknown schedule 'warp'",

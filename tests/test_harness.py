@@ -732,6 +732,29 @@ class TestCsvRenderer:
         for value in (None, *EDGE_VALUES, 3, -2.5, 1e300):
             assert harness._fmt(value, bits) == _reference_fmt(value, bits)
 
+    @staticmethod
+    def _whole_block_rule(block, bits):
+        """The block rule as first written: one ``repr`` of the whole
+        block, its outer brackets cut, its ``", "`` separators made commas,
+        every ``nan`` emptied, then split into rows at ``"],["``."""
+        if np.any(bits):
+            block = np.where(bits, block / math.log(2.0), block)
+        text = repr(block.tolist())[2:-2]
+        return text.replace(", ", ",").replace("nan", "").split("],[")
+
+    @pytest.mark.parametrize("bits", [False, True, [False, True, True, False, True]])
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_a_block_renders_as_the_whole_block_rule(self, bits, with_nan):
+        edges = [math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+        rng = np.random.default_rng(int(with_nan))
+        block = rng.choice(edges + [math.nan] * with_nan, size=(300, 5))
+        block[0] = edges[:5]
+        if with_nan:
+            block[1, 2] = math.nan
+        assert np.isnan(block).any() == with_nan
+        bits = np.array(bits)
+        assert harness._text_rows(block, bits) == self._whole_block_rule(block, bits)
+
     def test_no_render_returns_more_than_one_block(self, monkeypatch):
         rng = np.random.default_rng(4)
         rounds = [3 * BLOCK_ROWS + 5, BLOCK_ROWS, 1]
@@ -1089,6 +1112,18 @@ class TestCLI:
             artifact.write()
         assert str(refused.value) == (f"trace 'soft-bayes:anytime' keeps its weights at stride "
                                       f"{T}, but the CSV prints them at stride {stride}")
+
+    def test_a_refused_csv_leaves_the_files_it_names_as_they_were(self, tmp_path):
+        artifact = run_experiment(ExperimentConfig(generator="theorem2:T=8", seed=4,
+                                                   learners=("bayes",)))
+        csv_path, json_path = tmp_path / "prior.csv", tmp_path / "prior.json"
+        csv_path.write_bytes(b"learner,t\nkept,1\n")
+        json_path.write_bytes(b'{"kept": true}\n')
+        artifact.config.out_csv, artifact.config.out_json = str(csv_path), str(json_path)
+        with pytest.raises(ValueError, match="keeps its weights at stride 8"):
+            artifact.write()
+        assert csv_path.read_bytes() == b"learner,t\nkept,1\n"
+        assert json_path.read_bytes() == b'{"kept": true}\n'
 
     def test_config_file_with_prior(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

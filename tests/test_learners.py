@@ -757,6 +757,29 @@ class RisesAt:
         self.calls.append(("observe", t, m))
 
 
+class RecordsRows(FixedRate):
+    """Rate 0.5; keeps every row it is shown."""
+
+    def __init__(self):
+        super().__init__(0.5)
+        self.rows = []
+
+    def observe(self, t, p, m):
+        self.rows.append(p)
+
+
+@pytest.mark.parametrize("n", [2, SCALAR_MAX_N, SCALAR_MAX_N + 1])
+def test_the_schedule_sees_each_row_in_the_form_the_learner_holds(n):
+    # the row's Python floats up to SCALAR_MAX_N experts, its numpy row above
+    stream = random_stream(np.random.default_rng(n), _ROW_CHUNK + 44, n)
+    schedule = RecordsRows()
+    run_learner(SoftBayes(n, schedule), stream)
+    assert len(schedule.rows) == len(stream)
+    kind = list if n <= SCALAR_MAX_N else np.ndarray
+    assert all(type(row) is kind for row in schedule.rows)
+    assert [list(row) for row in schedule.rows] == stream.p.tolist()
+
+
 def test_block_and_one_row_forms_agree_on_a_rising_rate():
     # the raise comes after the block has written its first chunk of rows
     stream = random_stream(np.random.default_rng(8), 300, 3)

@@ -221,6 +221,27 @@ class TestBestSetTracker:
         assert sizes[-1] <= 6
 
 
+@pytest.mark.parametrize("n", [2, 7, 16, 17])
+def test_a_list_row_and_a_numpy_row_leave_the_same_statistics(n):
+    # observe(t, p, M) takes the row as a list of floats or as a numpy row;
+    # on tie-heavy rows with signed zeros both leave every statistic alike
+    rng = np.random.default_rng(n)
+    P = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=(400, n))
+    M = P.mean(axis=1)
+    as_list = SparseRate(n), SelfConfidentRate(n)
+    as_array = SparseRate(n), SelfConfidentRate(n)
+    for t, (p, m) in enumerate(zip(P, M.tolist()), start=1):
+        for sched in as_list:
+            sched.observe(t, p.tolist(), m)
+        for sched in as_array:
+            sched.observe(t, p, m)
+    (sparse, confident), (sparse_np, confident_np) = as_list, as_array
+    assert list(sparse.tracker.first_best.items()) == list(sparse_np.tracker.first_best.items())
+    assert sparse.tracker._last == sparse_np.tracker._last
+    assert len(sparse.tracker.first_best) > 1
+    assert confident.C1 == confident_np.C1 > 0.0
+
+
 class TestInverseT:
     def test_rate_identity(self):
         for c in (1.0, 1.5, 3.0):
