@@ -137,7 +137,10 @@ GENERATOR_KINDS = {
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Parsed generator selector; ``build(seed)`` materializes the stream."""
+    """Parsed generator selector; ``build(seed)`` materializes the stream.
+
+    A parameter is a number, or its text as a selector spells it, which is
+    read once the kind and the keys are known to be good."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -151,6 +154,20 @@ class GeneratorSpec:
             if key not in takes:
                 raise ValueError(f"generator {self.kind!r} has no parameter {key!r}; "
                                  f"it takes {', '.join(takes)}")
+        object.__setattr__(self, "params", {k: self._number(k, v) if isinstance(v, str) else v
+                                            for k, v in self.params.items()})
+
+    def _number(self, key, text: str):
+        """A parameter's text as an int, or as a float where it has a point
+        or an exponent; digit-group underscores and non-ASCII digits are
+        refused, as the CSV stream reader refuses them."""
+        if "_" not in text and text.isascii():
+            try:
+                return float(text) if "." in text or "e" in text.lower() else int(text)
+            except ValueError:
+                pass
+        raise ValueError(f"generator {self.kind!r} parameter {key} must be an integer, "
+                         f"got {text.strip()!r}")
 
     def _int(self, key):
         v = self.params.get(key)
@@ -160,6 +177,10 @@ class GeneratorSpec:
         if isinstance(v, float) and not v.is_integer():
             raise ValueError(f"generator {self.kind!r} parameter {key} must be an integer, "
                              f"got {v!r}")
+        # every count a generator takes (rounds, experts, symbols) is positive
+        if v < 1:
+            raise ValueError(f"generator {self.kind!r} parameter {key} must be at least 1, "
+                             f"got {int(v)}")
         return int(v)
 
     def build(self, seed: int | None = None) -> ExpertStream:
@@ -181,11 +202,15 @@ def parse_generator(text: str) -> GeneratorSpec:
     ``iid-mixture:N=10,T=10000[,alphabet=12]``."""
     head, _, rest = text.strip().partition(":")
     kind = head.strip().lower().replace("-", "_")
-    params = {}
-    if rest.strip():
-        for item in rest.split(","):
-            k, sep, v = item.partition("=")
-            if not sep:
-                raise ValueError(f"malformed generator parameter {item!r}")
-            params[k.strip()] = float(v) if "." in v or "e" in v.lower() else int(v)
-    return GeneratorSpec(kind, params)
+    items = []
+    for item in rest.split(",") if rest.strip() else ():
+        k, sep, v = item.partition("=")
+        if not sep:
+            raise ValueError(f"malformed generator parameter {item!r}")
+        items.append((k.strip(), v))
+    spec = GeneratorSpec(kind, dict(items))
+    keys = [k for k, _ in items]
+    for k in keys:
+        if keys.count(k) > 1:
+            raise ValueError(f"generator {kind!r} parameter {k} is given twice")
+    return spec

@@ -536,6 +536,9 @@ class ExperimentConfig:
             raise ConfigError("exactly one of a stream file or a generator is required")
         if self.on_divergence not in ("halt", "continue"):
             raise ConfigError(f"unknown divergence policy {self.on_divergence!r}")
+        # a seed the generators would refuse is refused before a run records it
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         # fail fast on unparsable selectors
         self.learner_specs = [self._learner_spec(entry) for entry in self.learners]
         self.comparator_spec = parse_comparator(self.comparator)

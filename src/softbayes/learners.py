@@ -2,8 +2,9 @@
 
 Each update rule has one kernel, and its learner class is the one driver of
 it.  One round loop, ``_Learner.step_block(P, halt, every)``, steps every class
-through its ``_rounds(P)`` generator, which keeps only the class's update;
-``run_learner`` is one call of it.  The class keeps its state as plain
+through its ``_rounds(P)`` generator, which keeps only the class's update,
+handing it at most ``_ROW_CHUNK`` rows a call; ``run_learner`` is one call
+of it.  The class keeps its state as plain
 attributes: ``weights`` (EG keeps ``log_w``, and meta its posterior ``u``
 over its ``SoftBayes`` sub-learners ``subs``), the ``prior`` that
 soft-Bayes and ML-soft-Bayes blend toward, ML-soft-Bayes's ``rates`` and
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -56,25 +57,24 @@ def _loss(m: float) -> float:
     return -math.log(m) if m != 0.0 else INFINITE_LOSS
 
 
-# rows of a block whose Python floats are made at once
+# the most rows one ``_rounds`` call is handed
 _ROW_CHUNK = 256
-
-
-def _rows(P):
-    """The rows of a block, each paired with its Python floats; the floats
-    are made ``_ROW_CHUNK`` rows at a time, so a long block holds few."""
-    return chain.from_iterable(zip(c, c.tolist()) for c in (
-        P[i:i + _ROW_CHUNK] for i in range(0, len(P), _ROW_CHUNK)))
 
 
 class _Learner:
     """Every learner's round loop is ``step_block(P, halt=False, every=1)``:
     it steps the rows of ``P``, a (rounds, N) block, through the class's
-    ``_rounds(P)``, stops after the first infinite loss when ``halt`` is set,
+    ``_rounds``, stops after the first infinite loss when ``halt`` is set,
     and returns the trace columns ``(predictions, losses, rates, weights,
     halted_at)``.  The weights column keeps the rows of block rounds
-    ``every``, 2 ``every``, ... and of the last round stepped; the other
-    columns keep every round.
+    ``every``, 2 ``every``, ... and of the last round stepped, each shaped
+    like ``weights``; the other columns keep every round.
+
+    The loop hands ``_rounds`` at most ``_ROW_CHUNK`` rows at a time, writes
+    the rounds that chunk yields into columns allocated once for the block,
+    and releases them before it makes the next chunk, so the block's
+    transient memory is one chunk; a halted block returns copies of the rows
+    it stepped.
 
     ``_rounds`` keeps the state in locals, yields each round's
     ``(prediction, loss, rate, weights)`` after its update, and writes the
@@ -83,12 +83,7 @@ class _Learner:
     in turn gives the trace and state of the whole.
 
     ``step_block`` trusts its rows: it checks only their width, not the
-    stream rule, which ``run_learner`` holds a raw array to.
-
-    The rounds are kept as yielded for ``_ROW_CHUNK`` rounds at a time, then
-    written into columns allocated once for the block, so the block's
-    transient memory is one chunk; a halted block returns copies of the rows
-    it kept."""
+    stream rule, which ``run_learner`` holds a raw array to."""
 
     def step_block(self, P, halt: bool = False, every: int = 1):
         P = np.asarray(P, dtype=float)
@@ -97,50 +92,29 @@ class _Learner:
         if every < 1:
             raise ValueError(f"weight stride {every!r} must be at least 1")
         T = len(P)
-        chunk = preds, losses, rates, weights = [], [], [], []
-        # the weights column takes its row shape from the first row it keeps
-        columns = [np.empty(T), np.empty(T), np.empty(T), None]
+        preds, losses, rates = np.empty(T), np.empty(T), np.empty(T)
+        weights = np.empty((-(-T // every), *np.shape(self.weights)))
         done = kept = 0
-
-        def record(last=False):
-            nonlocal done, kept
-            rows = slice(done, done + len(losses))
-            for column, values in zip(columns, chunk[:3]):
-                column[rows] = values
-            # the chunk's rounds that are multiples of every, and the block's last
-            keep = weights[(every - 1 - done) % every::every]
-            done = rows.stop
-            if last and done % every:
-                keep.append(weights[-1])
-            if keep:
-                w = self._weights_column(keep)
-                if columns[3] is None:
-                    columns[3] = np.empty((-(-T // every), *w.shape[1:]))
-                columns[3][kept:kept + len(w)] = w
-                kept += len(w)
-            for values in chunk:
-                values.clear()
-
         halted_at = None
-        rounds = self._rounds(P)
-        try:
-            for m, loss, rate, w in rounds:
-                if len(losses) == _ROW_CHUNK:
-                    record()
-                preds.append(m)
-                losses.append(loss)
-                rates.append(rate)
-                weights.append(w)
-                if halt and loss == INFINITE_LOSS:
-                    halted_at = done + len(losses)
-                    break
-        finally:
-            rounds.close()
-        # a full chunk is written when the next round arrives, so the last
-        # chunk is empty only in a block of no rounds
-        record(last=True)
-        if columns[3] is None:   # a block of no rounds keeps no weight row
-            columns[3] = self._weights_column([])
+        while done < T and halted_at is None:
+            chunk = []
+            with closing(self._rounds(P[done:done + _ROW_CHUNK])) as rounds:
+                for row in rounds:
+                    chunk.append(row)
+                    if halt and row[1] == INFINITE_LOSS:
+                        halted_at = done + len(chunk)
+                        break
+            stop = done + len(chunk)
+            preds[done:stop], losses[done:stop], rates[done:stop], w = zip(*chunk)
+            # the chunk's rounds that are multiples of every, and the block's last
+            w = w[(every - 1 - done) % every::every] + (
+                w[-1:] if (stop == T or halted_at is not None) and stop % every else ())
+            if w:
+                weights[kept:kept + len(w)] = self._weights_column(w)
+                kept += len(w)
+            done = stop
+            del chunk, w   # released before the next chunk is made
+        columns = preds, losses, rates, weights
         if done < T:
             columns = [column[:n].copy() for column, n in zip(columns, (done, done, done, kept))]
         return (*columns, halted_at)
@@ -326,7 +300,7 @@ class SoftBayes(_Learner):
         small = self.n <= SCALAR_MAX_N
         wl, pl = w.tolist(), prior.tolist()
         try:
-            for q, ql in _rows(P) if small else zip(P, P):
+            for q, ql in zip(P, P.tolist() if small else P):
                 m = float(w.dot(q))
                 observe(t, ql, m)
                 eta_next = rate(t + 1)
@@ -452,7 +426,7 @@ class MLSoftBayes(_Learner):
         wl, rl, vl, pl = w.tolist(), rates.tolist(), V.tolist(), prior.tolist()
         wr = w * rates
         try:
-            for q, ql in _rows(P) if small else zip(P, P):
+            for q, ql in zip(P, P.tolist() if small else P):
                 m = float(wr.dot(q)) / float(wr.sum())
                 if m != 0.0:
                     # eta_bar / (1 + eta_bar) can rise by an ulp as V grows,

@@ -250,6 +250,21 @@ BAD_SELECTORS = {
     "soft-bayes:warp": "error: bad schedule in 'soft-bayes:warp': unknown schedule 'warp'",
 }
 
+# malformed or out-of-range generator for `gen --seed 1` -> the exact stderr line
+BAD_GENERATORS = {
+    "disjoint-dirac:N=-2,T=5": "error: generator 'disjoint_dirac' parameter N must be at least 1, got -2",
+    "disjoint-dirac:N=0,T=5": "error: generator 'disjoint_dirac' parameter N must be at least 1, got 0",
+    "iid-mixture:N=3,T=5,alphabet=-1": ("error: generator 'iid_mixture' parameter alphabet "
+                                        "must be at least 1, got -1"),
+    "iid-mixture:N=3,T=5,alphabet=0": ("error: generator 'iid_mixture' parameter alphabet "
+                                       "must be at least 1, got 0"),
+    "theorem2:T=": "error: generator 'theorem2' parameter T must be an integer, got ''",
+    "theorem2:T=10,T=20": "error: generator 'theorem2' parameter T is given twice",
+    # the CSV stream reader refuses digit-group underscores too
+    "theorem2:T=1_0": "error: generator 'theorem2' parameter T must be an integer, got '1_0'",
+    "theorem2:T=abc": "error: generator 'theorem2' parameter T must be an integer, got 'abc'",
+}
+
 # malformed or out-of-range comparator on theorem2:T=200 -> the exact stderr line
 BAD_COMPARATORS = {
     "median": ("error: unknown comparator 'median'; "
@@ -326,6 +341,17 @@ def test_malformed_selector_message_pinned(selector, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == BAD_SELECTORS[selector] + "\n"
+
+
+@pytest.mark.parametrize("generator", sorted(BAD_GENERATORS))
+def test_malformed_generator_message_pinned(generator, tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    code = main(["gen", "--generator", generator, "--seed", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == BAD_GENERATORS[generator] + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("comparator", sorted(BAD_COMPARATORS))

@@ -969,6 +969,25 @@ class TestCLI:
         assert out.err == "error: seed must be a non-negative integer, got -1\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_seed_is_refused_where_no_generator_reads_it(self, tmp_path, monkeypatch,
+                                                                   capsys, from_config):
+        # theorem2 takes no seed, so only the config can refuse it
+        monkeypatch.chdir(tmp_path)
+        if from_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"generator": "theorem2:T=4", "learners": ["soft-bayes"],
+                                       "seed": -1, "out_json": "s.json"}))
+            argv = ["run", "--config", str(cfg)]
+        else:
+            argv = ["run", "--generator", "theorem2:T=4", "--seed", "-1",
+                    "--learner", "soft-bayes", "--out-json", "s.json"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "s.json").exists()
+
     @pytest.mark.parametrize("command, generator, key", [
         ("gen", "theorem2:T=10.5", "T"),
         ("gen", "iid-mixture:N=2.7,T=100", "N"),

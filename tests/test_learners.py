@@ -726,6 +726,25 @@ def test_a_run_that_keeps_the_last_row_holds_three_columns_and_one_chunk(kind, n
     assert peak - entry <= 3 * T * 8 + _ROW_CHUNK * 1024
 
 
+@pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
+def test_an_empty_block_keeps_a_weights_column_of_no_rows(kind):
+    # the weights column is (rows, W) for every block, W the experts or
+    # meta's sub-learners, so a block of no rounds concatenates with others
+    n = 3
+    selector = next(s for s in EDGE_SELECTORS if parse_learner(s).kind == kind)
+    learner = parse_learner(selector).build(n)
+    width = len(learner.subs) if kind == "meta" else n
+    before = learner_state(learner)
+    *columns, weights, halted_at = learner.step_block(np.empty((0, n)), halt=True)
+    assert [column.shape for column in columns] == [(0,)] * 3
+    assert weights.shape == (0, width)
+    assert halted_at is None
+    trace = run_learner(learner, ExpertStream(np.empty((0, n))), every=5)
+    assert trace.rounds == 0 and trace.weights.shape == (0, width)
+    assert trace.weight_rounds.tolist() == []
+    assert learner_state(learner) == before
+
+
 @pytest.mark.parametrize("row", [[-0.5, 0.9], [1.5, 0.2], [math.nan, 0.2]])
 @pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
 def test_run_learner_holds_raw_rows_to_the_stream_rule(kind, row):
