@@ -16,11 +16,15 @@ SIMPLEX_ATOL = 1e-9
 
 INFINITE_LOSS = math.inf
 
-# Up to this many experts, a round's elementwise arithmetic runs on Python
-# floats (``row.tolist()``), where numpy's per-call overhead would dominate.
-# Only operations that round identically in both forms move: + - * /, sqrt,
-# comparisons, max/min, sorting and a sequential running sum.  Dot products,
-# ``ndarray.sum``, exp and log keep numpy's own bits and stay numpy calls.
+# Up to this many experts, a round's arithmetic runs on Python floats
+# (``row.tolist()``), where numpy's per-call overhead would dominate; above
+# it the same operations run as numpy calls.  Both forms take IEEE basic
+# operations (+ - * /, sqrt, comparisons, max/min, sorting) in one order the
+# code fixes: every sum over the experts is added left to right, a Python
+# loop here and a product array with ``np.add.accumulate`` there, never
+# ``np.dot`` or ``ndarray.sum``, whose order depends on the BLAS kernel or
+# the SIMD path.  Elementary functions (exp, log) come from libm through
+# ``math``.
 SCALAR_MAX_N = 16
 
 
@@ -141,7 +145,7 @@ def project_simplex(v) -> np.ndarray:
     if x.ndim != 1 or x.size == 0:
         raise ValueError("projection input must be a nonempty vector")
     if x.size <= SCALAR_MAX_N:
-        return project_floats(x.tolist())
+        return np.array(project_floats(x.tolist()))
     if not np.all(np.isfinite(x)):
         raise ValueError("projection input must be finite")
     u = np.sort(x)[::-1]
@@ -157,13 +161,13 @@ def project_simplex(v) -> np.ndarray:
     return np.maximum(x + lam, 0.0)
 
 
-def project_floats(xs: list) -> np.ndarray:
-    """``project_simplex`` on a nonempty list of Python floats, the form it
-    takes up to ``SCALAR_MAX_N`` entries."""
+def project_floats(xs: list) -> list:
+    """``project_simplex`` on a nonempty list of Python floats, as a list: the
+    form it takes up to ``SCALAR_MAX_N`` entries."""
     # a NaN fails both comparisons
     if not all(-math.inf < xi < math.inf for xi in xs):
         raise ValueError("projection input must be finite")
-    return np.array(_project_floats(xs))
+    return _project_floats(xs)
 
 
 def _project_floats(xs: list) -> list:

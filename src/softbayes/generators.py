@@ -128,7 +128,7 @@ def _iid_mixture_stream(spec: "GeneratorSpec", seed: int | None) -> ExpertStream
 
 # generator kind -> (the parameters it takes, builder (spec, seed) -> stream)
 GENERATOR_KINDS = {
-    "theorem2": (("T",), lambda spec, seed: adversarial_alternating(spec._int("T"))),
+    "theorem2": (("T",), lambda spec, seed: adversarial_alternating(spec._even("T"))),
     "theorem2_constant": (("T",), lambda spec, seed: adversarial_constant(spec._int("T"))),
     "disjoint_dirac": (("N", "T"), _disjoint_dirac_stream),
     "iid_mixture": (("N", "T", "alphabet"), _iid_mixture_stream),
@@ -182,6 +182,13 @@ class GeneratorSpec:
             raise ValueError(f"generator {self.kind!r} parameter {key} must be at least 1, "
                              f"got {int(v)}")
         return int(v)
+
+    def _even(self, key):
+        v = self._int(key)
+        if v % 2:
+            raise ValueError(f"generator {self.kind!r} parameter {key} must be even and "
+                             f"at least 2, got {v}")
+        return v
 
     def build(self, seed: int | None = None) -> ExpertStream:
         return GENERATOR_KINDS[self.kind][1](self, seed)

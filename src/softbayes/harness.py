@@ -405,7 +405,10 @@ def _comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream, bits: bool,
     losses in the configured unit."""
     fit = COMPARATOR_KINDS[cmp_spec.kind][1]
     fits = [fit(rows, bits) for rows in cmp_spec.rows(stream, mask)]
-    loss = float(sum(segment_loss for segment_loss, _ in fits))
+    # added left to right: from Python 3.12, sum() of floats is compensated
+    loss = 0.0
+    for segment_loss, _ in fits:
+        loss += segment_loss
     segments = [{**detail, "loss": _scale(segment_loss, bits)} for segment_loss, detail in fits]
     detail = (segments[0] if cmp_spec.k == 1 and segments else   # a mask can leave none
               {"boundaries": list(cmp_spec.boundaries), "per_segment": segments})
@@ -470,13 +473,15 @@ class _BoundInput(NamedTuple):
 def _constant_or_tuned(variant: str, tuned: str, params=lambda b: {},
                        constant_params=lambda b: {}):
     """A bound stated for a constant rate in (0, 1), falling back to its
-    tuned form when the learner's schedule is not constant."""
+    tuned form, with a note that says why, when the learner's schedule is
+    not constant or its constant rate (Bayes's 1.0, say) lies outside."""
     def bound(b: _BoundInput):
         extra = params(b)
         if b.eta is not None and 0.0 < b.eta < 1.0:
             return theoretical_bound(variant, T=b.T, N=b.N, eta=b.eta,
                                      **constant_params(b), **extra), None
-        return theoretical_bound(tuned, T=b.T, N=b.N, **extra), "tuned form (no constant rate)"
+        why = "no constant rate" if b.eta is None else f"constant rate {b.eta!r} outside (0, 1)"
+        return theoretical_bound(tuned, T=b.T, N=b.N, **extra), f"tuned form ({why})"
     return bound
 
 

@@ -14,6 +14,14 @@ schedule, which any object with ``rate``, ``observe`` and
 kernel for several plain schedules over a batch of streams at once, as one
 stack of weight rows.
 
+Every sum over the experts (soft-Bayes's M, meta's sum_k u_k M_k,
+ML-soft-Bayes's two sums, OGD's w . q and EG's log-sum-exp) is added left
+to right: up to ``SCALAR_MAX_N`` experts in a loop on the row's Python
+floats, above it and in the sweep as ``_mixture``'s product array and
+running sum.  No ``np.dot``, matmul or ``ndarray.sum`` reaches a trace, and
+exp and log are libm's, so a trace's bits do not depend on the BLAS kernel
+or numpy's SIMD path.
+
 Divergence (the learner assigned probability zero to the realized symbol) is
 reported through the infinite-loss sentinel in the round's loss column, with
 the weights left unchanged; whether the run halts there is the caller's call.
@@ -55,6 +63,14 @@ def _start_weights(n: int, prior) -> np.ndarray:
 def _loss(m: float) -> float:
     """The round's loss -ln M, or the infinite-loss sentinel where M = 0."""
     return -math.log(m) if m != 0.0 else INFINITE_LOSS
+
+
+def _exp(x: float) -> float:
+    """e^x, inf past the float range (where ``math.exp`` raises)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # the most rows one ``_rounds`` call is handed
@@ -129,12 +145,14 @@ class _Learner:
 _MIN_NORMAL = sys.float_info.min
 
 
-def _mixture(w: np.ndarray, q: np.ndarray):
-    """M = w . q per row of a weight stack (``(K, N)``, or ``(K, S, N)``
-    against a round's ``(S, N)`` rows, which broadcast without a copy); the
-    batched matmul gives each row the bits ``w.dot(q)``, the M of one weight
-    row, gives it alone."""
-    return (w[..., None, :] @ q[..., :, None])[..., 0, 0]
+def _mixture(w: np.ndarray, q) -> np.ndarray:
+    """M = w_1 q_1 + ... + w_N q_N, added left to right, per row of a weight
+    stack (``(K, N)``, or ``(K, S, N)`` against a round's ``(S, N)`` rows,
+    which broadcast) or for one weight row: one product array, then a
+    running sum along the experts (``np.add.accumulate``), the order of the
+    Python-float loop ``m += w_i q_i`` and one that no BLAS kernel or SIMD
+    path changes."""
+    return np.add.accumulate(w * q, axis=-1)[..., -1]
 
 
 def _soft_bayes_rows(w, q, m, eta, least) -> np.ndarray:
@@ -155,58 +173,36 @@ def _soft_bayes_rows(w, q, m, eta, least) -> np.ndarray:
     return u if least >= _MIN_NORMAL else np.where(tiny, divided, u)
 
 
-def _eg_cycle(log_w: np.ndarray, q: np.ndarray, eta: float):
-    """The EG kernel on log weights; returns ``(M, ln M, new log weights)``,
-    with ln M = -inf and the weights unchanged on divergence.
-
-    Log-sum-exp keeps -ln M finite after M underflows and lets exponent
-    arguments reach ~1e300; beyond the float range the mass collapses onto
-    the offending experts, which is the instability this update genuinely has.
-    log(0) = -inf, exp overflows to inf, and -inf + inf is NaN below, so the
-    caller runs it with numpy's divide, overflow and invalid warnings off.
-    """
-    small = log_w.size <= SCALAR_MAX_N
-    log_q = np.log(q)
-    # z holds no NaN here, nor below once masked, so Python's max is numpy's
-    z = log_w + log_q
-    top = max(z.tolist()) if small else float(z.max())
-    if top == -math.inf:
-        return 0.0, -math.inf, log_w
-    log_m = top + math.log(float(np.exp(z - top).sum()))
-    g = eta * np.exp(log_q - log_m)
-    z = log_w + g
-    if not small or -math.inf in log_w.tolist():
-        z[log_w == -math.inf] = -np.inf  # zero weight stays zero (-inf + inf above)
-    top = max(z.tolist()) if small else float(z.max())
-    if top == math.inf:
-        hit = np.isposinf(z)
-        new_log_w = np.where(hit, -math.log(int(hit.sum())), -np.inf)
-    else:
-        new_log_w = z - (top + math.log(float(np.exp(z - top).sum())))
-    return math.exp(log_m), log_m, new_log_w
-
-
-def _ogd_cycle(w: np.ndarray, q: np.ndarray, eta: float):
+def _ogd_cycle(w, q, eta: float):
     """The OGD kernel: the projected gradient step w' = Pi(w + eta q / M);
     returns ``(M, new weights)``, with the weights unchanged when M = 0.
+    ``w`` and ``q`` are lists of Python floats (up to ``SCALAR_MAX_N``
+    experts; the new weights are a list) or numpy rows.
 
     The projection can concentrate all mass on one expert, after which a
     round that expert gets wrong produces the infinite-loss sentinel.  A
     step eta/M that overflows is taken at its limit: all mass on the experts
     with the largest q, split as the projection of their current weights.
     """
-    m = float(w.dot(q))
+    floats = isinstance(w, list)
+    if floats:
+        m = 0.0
+        for wi, qi in zip(w, q):
+            m += wi * qi
+    else:
+        m = float(_mixture(w, q))
     if m == 0.0:
         return 0.0, w
     step = eta / m
     if math.isinf(step):
-        top = q == q.max()
-        u = np.zeros_like(w)
-        u[top] = project_simplex(w[top])
-        return m, u
-    if w.size <= SCALAR_MAX_N:
+        wa, qa = np.asarray(w), np.asarray(q)
+        top = qa == qa.max()
+        u = np.zeros_like(wa)
+        u[top] = project_simplex(wa[top])
+        return m, u.tolist() if floats else u
+    if floats:
         # w_i + step q_i rounds twice on Python floats, as in numpy
-        return m, project_floats([wi + step * qi for wi, qi in zip(w.tolist(), q.tolist())])
+        return m, project_floats([wi + step * qi for wi, qi in zip(w, q)])
     return m, project_simplex(w + step * q)
 
 
@@ -249,20 +245,20 @@ def soft_bayes_sweep(batch, schedules):
     W = np.tile(uniform_weights(N), (K, S, 1))
     preds = np.empty((K, S, T))
     hist = np.empty((K, S, T, N))
-    eta = np.array([schedule.rate(1) for schedule in schedules])[:, None, None]
-    for t in range(1, T + 1):
-        Q = P[:, t - 1, :]
+    # the plain schedules read no round, so every rate is known up front
+    etas = np.array([[schedule.rate(t) for schedule in schedules] for t in range(1, T + 1)])
+    for t in range(T):
+        Q = P[:, t, :]
         m = _mixture(W, Q)
         # one reduction of M serves the divergence test and the kernel's
         # subnormal test; check_rounds leaves no NaN for Python's min to miss
         lo = min(m.ravel().tolist())
         if not lo > 0.0:
-            raise ValueError(f"round {t}: a sweep member diverged (mixture hit 0); "
+            raise ValueError(f"round {t + 1}: a sweep member diverged (mixture hit 0); "
                              "run it through run_learner for divergence handling")
-        W = _soft_bayes_rows(W, Q, m[..., None], eta, lo)
-        preds[:, :, t - 1] = m
-        hist[:, :, t - 1] = W
-        eta = np.array([schedule.rate(t + 1) for schedule in schedules])[:, None, None]
+        W = _soft_bayes_rows(W, Q, m[..., None], etas[t, :, None, None], lo)
+        preds[:, :, t] = m
+        hist[:, :, t] = W
     return preds, hist
 
 
@@ -290,19 +286,25 @@ class SoftBayes(_Learner):
         """The schedule sees round t and its M before it gives eta_{t+1}, also
         on a diverged round, as the row's Python floats up to
         ``SCALAR_MAX_N`` experts and as its numpy row above.  Up to
-        ``SCALAR_MAX_N`` experts the weights are updated on Python floats,
-        and on numpy rows above it or where M is subnormal."""
+        ``SCALAR_MAX_N`` experts M and the weights are computed on Python
+        floats and the rounds yield the weights as a list; above it, or
+        where M is subnormal, on numpy rows."""
         w, prior, schedule = self.weights, self.prior, self.schedule
         observe, rate = schedule.observe, schedule.rate
         corrects = schedule.applies_correction
         t, eta_t = self.t, self.current_rate
-        # above SCALAR_MAX_N the row's floats (ql) are its numpy row
+        # above SCALAR_MAX_N the row (q) is numpy's, and w the weights
         small = self.n <= SCALAR_MAX_N
         wl, pl = w.tolist(), prior.tolist()
         try:
-            for q, ql in zip(P, P.tolist() if small else P):
-                m = float(w.dot(q))
-                observe(t, ql, m)
+            for q in P.tolist() if small else P:
+                if small:
+                    m = 0.0
+                    for wi, qi in zip(wl, q):
+                        m += wi * qi
+                else:
+                    m = float(_mixture(w, q))
+                observe(t, q, m)
                 eta_next = rate(t + 1)
                 if corrects and eta_next > eta_t and m != 0.0:
                     raise RuntimeError(
@@ -315,11 +317,12 @@ class SoftBayes(_Learner):
                             ratio = eta_next / eta_t
                             c3 = 1.0 - ratio
                             wl = [wi * (c1 + c2 * qi) * ratio + c3 * pi
-                                  for wi, qi, pi in zip(wl, ql, pl)]
+                                  for wi, qi, pi in zip(wl, q, pl)]
                         else:
-                            wl = [wi * (c1 + c2 * qi) for wi, qi in zip(wl, ql)]
-                        w = np.array(wl)
+                            wl = [wi * (c1 + c2 * qi) for wi, qi in zip(wl, q)]
                     else:
+                        if small:
+                            w, q = np.array(wl), np.array(q)
                         w = _soft_bayes_rows(w, q, m, eta_t, m)
                         if corrects and eta_next != eta_t:
                             ratio = eta_next / eta_t
@@ -328,9 +331,9 @@ class SoftBayes(_Learner):
                         if small:
                             wl = w.tolist()
                 rate_used, t, eta_t = eta_t, t + 1, eta_next
-                yield m, _loss(m), rate_used, w
+                yield m, _loss(m), rate_used, wl if small else w
         finally:
-            self.weights, self.t, self.current_rate = w, t, eta_t
+            self.weights, self.t, self.current_rate = np.array(wl) if small else w, t, eta_t
 
 
 class Bayes(SoftBayes):
@@ -350,31 +353,65 @@ class ExponentiatedGradient(_Learner):
         self.n = n
         self.eta = float(eta)
         self.name = name
-        with np.errstate(divide="ignore"):
-            self.log_w = np.log(_start_weights(n, prior))
+        self.log_w = np.array([math.log(x) if x > 0.0 else -math.inf
+                               for x in _start_weights(n, prior).tolist()])
 
     @property
     def weights(self) -> np.ndarray:
-        return np.exp(self.log_w)
+        return np.array([math.exp(x) for x in self.log_w.tolist()])
 
     def _rounds(self, P):
-        """The rounds yield log weights; the kernel's warnings are off for the
-        whole block."""
-        log_w, eta = self.log_w, self.eta
+        """EG's round on Python floats at every width: ln M by log-sum-exp,
+        each sum added left to right, with ln M = -inf and the log weights
+        unchanged on divergence.
+
+        Log-sum-exp keeps -ln M finite after M underflows and lets exponent
+        arguments reach ~1e300; beyond the float range the mass collapses
+        onto the offending experts, which is the instability this update
+        genuinely has.  A zero weight stays zero.  The rounds yield the log
+        weights, as a list up to ``SCALAR_MAX_N`` experts and as a numpy row
+        above, so a chunk of them holds one float per weight."""
+        log_w, eta = self.log_w.tolist(), self.eta
+        exp, log, inf = math.exp, math.log, math.inf
+        small = self.n <= SCALAR_MAX_N
         try:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                for q in P:
-                    # the prediction may underflow to 0.0 for display while the
-                    # loss, taken from ln M, stays finite
-                    m, log_m, log_w = _eg_cycle(log_w, q, eta)
-                    yield m, -log_m, eta, log_w
+            for q in P.tolist() if small else map(np.ndarray.tolist, P):
+                log_q = [log(qi) if qi > 0.0 else -inf for qi in q]
+                z = [lw + lq for lw, lq in zip(log_w, log_q)]
+                top = max(z)
+                if top == -inf:
+                    # M = 0: the round diverged
+                    m, loss = 0.0, inf
+                else:
+                    s = 0.0
+                    for zi in z:
+                        s += exp(zi - top)
+                    log_m = top + log(s)
+                    try:
+                        g = [eta * exp(lq - log_m) for lq in log_q]
+                    except OverflowError:
+                        g = [eta * _exp(lq - log_m) for lq in log_q]
+                    z = [lw + gi if lw != -inf else lw for lw, gi in zip(log_w, g)]
+                    top = max(z)
+                    if top == inf:
+                        hit = -log(z.count(inf))
+                        log_w = [hit if zi == inf else -inf for zi in z]
+                    else:
+                        s = 0.0
+                        for zi in z:
+                            s += exp(zi - top)
+                        shift = top + log(s)
+                        log_w = [zi - shift for zi in z]
+                    # the prediction may underflow to 0.0 for display while
+                    # the loss, taken from ln M, stays finite
+                    m, loss = exp(log_m), -log_m
+                yield m, loss, eta, log_w if small else np.array(log_w)
         finally:
-            self.log_w = log_w
+            self.log_w = np.array(log_w)
 
     def _weights_column(self, weights) -> np.ndarray:
-        """The exponent of the log weights the column keeps, taken once for
-        each chunk."""
-        return np.exp(np.asarray(weights))
+        """The exponent of the log weights the column keeps."""
+        return np.array([list(map(math.exp, row)) for row in weights])
 
 
 class OnlineGradientDescent(_Learner):
@@ -389,13 +426,17 @@ class OnlineGradientDescent(_Learner):
         self.weights = _start_weights(n, prior)
 
     def _rounds(self, P):
-        w, eta = self.weights, self.eta
+        """Up to ``SCALAR_MAX_N`` experts the kernel runs on the rows' Python
+        floats, and the rounds yield the weights as a list."""
+        eta = self.eta
+        small = self.n <= SCALAR_MAX_N
+        w = self.weights.tolist() if small else self.weights
         try:
-            for q in P:
+            for q in P.tolist() if small else P:
                 m, w = _ogd_cycle(w, q, eta)
                 yield m, _loss(m), eta, w
         finally:
-            self.weights = w
+            self.weights = np.array(w) if small else w
 
 
 class MLSoftBayes(_Learner):
@@ -414,26 +455,35 @@ class MLSoftBayes(_Learner):
         self.V = np.zeros(n)
 
     def _rounds(self, P):
-        """Prediction sum(w_i eta_i p_i) / sum(w_i eta_i); each expert then
-        runs the soft-Bayes update and prior blend with its own rate pair,
-        eta_{t+1} taken from V advanced by (p_i/M - 1)^2.  A diverged round
-        leaves the state as it was.  Up to ``SCALAR_MAX_N`` experts the state
-        is carried as Python floats through the block."""
+        """Prediction sum(w_i eta_i p_i) / sum(w_i eta_i), both sums added
+        left to right; each expert then runs the soft-Bayes update and prior
+        blend with its own rate pair, eta_{t+1} taken from V advanced by
+        (p_i/M - 1)^2.  A diverged round leaves the state as it was.  Up to
+        ``SCALAR_MAX_N`` experts the state is carried as Python floats
+        through the block."""
         w, rates, V, prior, ln_n = self.weights, self.rates, self.V, self.prior, self.ln_n
-        # above SCALAR_MAX_N the row's floats (ql) go unused
+        # above SCALAR_MAX_N the lists go unused, and the row (q) is numpy's
         small = self.n <= SCALAR_MAX_N
         sqrt = math.sqrt
         wl, rl, vl, pl = w.tolist(), rates.tolist(), V.tolist(), prior.tolist()
         wr = w * rates
+        wrl = wr.tolist()
         try:
-            for q, ql in zip(P, P.tolist() if small else P):
-                m = float(wr.dot(q)) / float(wr.sum())
+            for q in P.tolist() if small else P:
+                if small:
+                    num = den = 0.0
+                    for wri, qi in zip(wrl, q):
+                        num += wri * qi
+                        den += wri
+                    m = num / den
+                else:
+                    m = float(_mixture(wr, q)) / float(np.add.accumulate(wr)[-1])
                 if m != 0.0:
                     # eta_bar / (1 + eta_bar) can rise by an ulp as V grows,
                     # so the rates are clamped to stay nonincreasing
                     if small:
                         new_w, new_v, new_r, new_wr = [], [], [], []
-                        for wi, ri, qi, vi, pi in zip(wl, rl, ql, vl, pl):
+                        for wi, ri, qi, vi, pi in zip(wl, rl, q, vl, pl):
                             ratio = qi / m
                             d = ratio - 1.0
                             vi += d * d
@@ -445,7 +495,7 @@ class MLSoftBayes(_Learner):
                             new_v.append(vi)
                             new_r.append(nxt)
                             new_wr.append(wi * nxt)
-                        wl, vl, rl, wr = new_w, new_v, new_r, np.array(new_wr)
+                        wl, vl, rl, wrl = new_w, new_v, new_r, new_wr
                     else:
                         ratio = q / m
                         V += (ratio - 1.0) ** 2
@@ -486,9 +536,9 @@ class MetaBayes(_Learner):
 
     def _rounds(self, P):
         """Each live sub-learner's own rounds, stepped in lockstep; one whose
-        M is 0 is closed on that round.  The rounds yield the meta weights."""
-        u, dead = self.u, list(self.sub_dead)
-        ul = u.tolist()
+        M is 0 is closed on that round.  The rounds yield the meta weights,
+        as a list."""
+        ul, dead = self.u.tolist(), list(self.sub_dead)
         live = {k: sub._rounds(P) for k, sub in enumerate(self.subs) if not dead[k]}
         ms = [0.0] * len(dead)
         try:
@@ -499,18 +549,19 @@ class MetaBayes(_Learner):
                         # a sub-learner that dies predicts 0 from here on
                         live.pop(k).close()
                         dead[k] = True
-                # the meta prediction sum_k u_k M_k, one numpy dot, and the
-                # Bayes posterior u_k M_k / mp on Python floats; where mp = 0
-                # the round diverged and u stays
-                mp = float(u.dot(ms))
+                # the meta prediction sum_k u_k M_k, added left to right, and
+                # the Bayes posterior u_k M_k / mp; where mp = 0 the round
+                # diverged and u stays
+                mp = 0.0
+                for uk, mk in zip(ul, ms):
+                    mp += uk * mk
                 if mp != 0.0:
                     ul = [uk * mk / mp for uk, mk in zip(ul, ms)]
-                    u = np.array(ul)
-                yield mp, _loss(mp), math.nan, u
+                yield mp, _loss(mp), math.nan, ul
         finally:
             for rounds in live.values():
                 rounds.close()
-            self.u, self.sub_dead = u, dead
+            self.u, self.sub_dead = np.array(ul), dead
 
 
 @dataclass

@@ -6,7 +6,7 @@ through ``run_learner`` and are held, round by round, to the 60-digit
 finite loss within 1e-12 nats.  Every rate an online schedule emits is held
 to its exact formula within a relative 1e-14.  The meta learner is also
 held bit for bit to the Bayes posterior over K fixed-rate ``SoftBayes``
-learners' predictions, restated here.
+learners' predictions, restated here with its sum added left to right.
 """
 
 import math
@@ -149,8 +149,9 @@ def test_meta_bayes(case):
     """The meta learner against the Bayes posterior restated over K
     fixed-rate soft-Bayes learners' predictions: each is the prediction
     column of a halted ``run_learner``, pinned at 0.0 after the round its
-    learner diverged on.  The meta learner steps one-row blocks, so its
-    state is read after every round."""
+    learner diverged on, and the prediction sum_k u_k M_k is added left to
+    right.  The meta learner steps one-row blocks, so its state is read
+    after every round."""
     make_stream, prior = META_CASES[case]
     stream = make_stream()
     n, T = stream.n_experts, len(stream)
@@ -165,7 +166,9 @@ def test_meta_bayes(case):
     u = learner.weights.copy()
     with np.errstate(all="ignore"):
         for t, (p, preds) in enumerate(zip(stream.p, subs), 1):
-            mp = float(np.dot(u, preds))
+            mp = 0.0
+            for uk, mk in zip(u.tolist(), preds.tolist()):
+                mp += uk * mk
             if mp != 0.0:
                 u = u * preds / mp
             pred, loss, _, weights, _ = learner.step_block(p[None])

@@ -6,9 +6,12 @@ stdout, the CSV trace and the JSON summary; one ``compare`` case and one
 stderr line.  A refactor of the learners, schedules, comparators or bound
 tables must leave every one of these unchanged.
 
-The digests were recorded with Python 3.11.7 and numpy 2.4.6.  Floats are
-rendered with ``repr``, so a numpy build whose kernels round differently
-(another BLAS dot, say) may legitimately move them.  The BLAS thread count
+The digests were recorded with Python 3.11.7, numpy 2.4.6 and glibc 2.36.
+Floats are rendered with ``repr``.  The learners' traces and the CSVs do not
+depend on the BLAS kernel or numpy's SIMD path (``test_host_paths.py``
+holds them on other ones), but another libm's ``exp`` or ``log`` may
+legitimately move them, and another BLAS may move the comparator loss in
+stdout and the JSON.  The BLAS thread count
 must not move them: the comparator solve uses no BLAS matrix product and no
 LAPACK factorization, and ``tests/test_comparators.py`` holds its bits equal
 at one and two OpenBLAS threads.
@@ -61,9 +64,9 @@ RUNS = {
          *_learners(ALL_LEARNERS), *_bounds(ALL_BOUNDS)],
         1,
         {
-            "stdout": (4919, "5e9ce2d9228a673ef5b76e5b452c76aa21b2d361a7b6919f62891cb32c82df1c"),
-            "csv": (373796, "d12b1afa0b8ee4aae5341998eec95b5ff6562f6e5b015e4d3f39fa908c024432"),
-            "json": (14720, "ef51cb0f74b4193b87b0546f54dcf229e5a0586bbcbc2d84b911092d4f6152cc"),
+            "stdout": (4966, "bf3bea05c2d9e2fe38fc865434a4e4fc02df3fc99eeb4df9822fe5dc4ba8a352"),
+            "csv": (373774, "934feb8008935c8edea01785ba129e3fb373e9d3475148c7c73a8edc9414f8b4"),
+            "json": (14767, "8d8bea9ae47048d34c1a4a6b9c6ca4e7d5524f09e02a6fb1b635366df849337c"),
         },
     ),
     # N <= 16: the scalar update path, a weight snapshot every round
@@ -72,9 +75,9 @@ RUNS = {
          *_learners(ALL_LEARNERS), *_bounds(("thm2", "thm4", "thm5"))],
         0,
         {
-            "stdout": (2643, "4a33738d96fad79a1197119c42e82a66327466dcb718778a34071483e84738ef"),
-            "csv": (1203773, "85bdfff17776f6e2bb6ae100403e76c5ac96cb7a958dc9c07771da20ce4578f6"),
-            "json": (9010, "7f6527703c707af161e792f3a5d8feaff28cd3ea8211dd2247ae00f643f6701f"),
+            "stdout": (2674, "66ab380fe9b0fb5fb60dc63dc59dab4791987e04a2a24f729ec15c935ff3443a"),
+            "csv": (1203992, "8e917cf40a745c12d54bc39cc90899afc6b7590e0a9d458eb24875cf3575c4b9"),
+            "json": (9041, "249f597b41a5f8cbeafa98d9d0299b48d2c52e896e3b96b3a726b9c14e5b2363"),
         },
     ),
     # N > 16: the numpy update path, a weight snapshot every third round
@@ -84,9 +87,9 @@ RUNS = {
          *_learners(ALL_LEARNERS), *_bounds(("thm2", "thm4", "thm5"))],
         1,
         {
-            "stdout": (2639, "630494716d55f2cc18cca25346c6e3c0d7ec8bc4eae02654c2e954e8aa0993e3"),
-            "csv": (6093117, "e2fc7a6ff4b1160867502a7c611b982e5579c17abea3ad3ee6577a95cb016a31"),
-            "json": (9302, "5389912184bb07087276f8675e3c222ba5420b9e5acf3acc1475969c8aca6195"),
+            "stdout": (2672, "f69fbfc9cd6118afd657a80a030183618e76418365e95d25dbc53c08587d38ca"),
+            "csv": (6092571, "83926f85cb0dac400e08e6e65d35ac146838424f26dac361b356e7d8d8bd6e64"),
+            "json": (9335, "18738ad9fdf3648c43f5d1753a4f4e29f53a084dd2373b252b0d50f05af376e7"),
         },
     ),
     # no comparator, divergence policy or unit flag: the config defaults apply
@@ -106,7 +109,7 @@ RUNS = {
         1,
         {
             "stdout": (932, "9d3dda66045506f8bd05631e9a1a13995531bad5a32152313785cb4ec4d1cf8e"),
-            "csv": (109731, "adf87e33df60b0021f1572c66d9bcacf9f8d12e24dd2d1d4edee081b22d48fd5"),
+            "csv": (109699, "562bf1423a6f10849fe38f05de5be192d36a7bd6c373b23238739acdcb45a569"),
             "json": (4357, "87cec5db362f6a56de7ef561b6ab9a782e880eef82c0f630a7870c089c299b4c"),
         },
     ),
@@ -116,7 +119,7 @@ RUNS = {
         1,
         {
             "stdout": (834, "5aad38a04e5a356cc5f2a0076337a807378bc6cbbbb492783bd73c0a01b913d2"),
-            "csv": (97909, "805bdc1800443cf5895ad0c2ae73495bb3b3190efa375f30282d3ac74d25aa73"),
+            "csv": (97877, "5c75c0a9ae066943efcd3b13b74787866d6c4d41aec9b27915bc85e628b98fd9"),
             "json": (4293, "2dcb5b4a979036ed157174442438822c8933fc684388782c49b4b69b93daf8cd"),
         },
     ),
@@ -127,7 +130,7 @@ RUNS = {
         1,
         {
             "stdout": (685, "45ba642738043ae84d751d6551149959878366f2e34e61719f883a2385cdf741"),
-            "csv": (109731, "adf87e33df60b0021f1572c66d9bcacf9f8d12e24dd2d1d4edee081b22d48fd5"),
+            "csv": (109699, "562bf1423a6f10849fe38f05de5be192d36a7bd6c373b23238739acdcb45a569"),
             "json": (3672, "29b869b3c75a98a07756549e2ade6301daf388cc9f1bf88fce5d02c225e51c05"),
         },
     ),
@@ -137,7 +140,7 @@ RUNS = {
         1,
         {
             "stdout": (873, "b82a101a86811b729e7a4a998ec6acbac40b3fea38ebca08a45080573f55719e"),
-            "csv": (108045, "2f8efc851481065839e668db61b8bb74a1323a1d7df361e05efa22c824503c73"),
+            "csv": (108014, "926dc917d120e930b0bf0c322922e29eeae3d6f6e8c2e14c4148eb3ee0b99bfe"),
             "json": (4149, "1c662372f2cb2f000d4d98c3819a3b865c54e5d2a626d107a13bb1ad6fa92627"),
         },
     ),
@@ -147,7 +150,7 @@ RUNS = {
         0,
         {
             "stdout": (737, "f77dd18955a4a18e99e6d0233607e4b9f22bb741cae4274483ac540b933b783f"),
-            "csv": (109731, "adf87e33df60b0021f1572c66d9bcacf9f8d12e24dd2d1d4edee081b22d48fd5"),
+            "csv": (109699, "562bf1423a6f10849fe38f05de5be192d36a7bd6c373b23238739acdcb45a569"),
             "json": (3098, "0e86d2ca80c9ea7409d68ae9af363419db57174d236ba18b5db50808143bc555"),
         },
     ),
@@ -160,9 +163,9 @@ RUNS = {
          *_learners(("meta:rates=1,0.5", "ogd:fixed=0.1", "bayes", "eg:fixed=0.5"))],
         0,
         {
-            "stdout": (268, "b778cd1ffc021cad4ae48f58d1e49f7e348259d5588c2337a5a1bb8854635e51"),
-            "csv": (4240189, "dd4bb0080199a1eaa2e434edf8054afdcd379140e9976a0794121ea21edca941"),
-            "json": (2349, "74cddcd2ff05010c9beefc1693f4e636e22d4ac85403e63a31dcc1941086e320"),
+            "stdout": (268, "0c6dee73eb3c367e9098194bc924fc049c47fd9d1448a16b603b46b31af6e2c6"),
+            "csv": (4240155, "ef4d1f5b4e3d1b4292cd38c5463bd5fe1e5416cd6b9809bf011bdfbab0c91a13"),
+            "json": (2349, "5afe1d6d7507f0d152a0c86e73c54cfa619364e513aca7f9ccf593312e1226ab"),
         },
     ),
     # every expert assigns 0 somewhere: the single best loses inf, and the
@@ -172,9 +175,9 @@ RUNS = {
          *_bounds(("single-expert", "thm2", "thm5"))],
         0,
         {
-            "stdout": (1590, "98b9d0e35f03a6f187fbf4aaa086e5398933b7508789bff51dbd628d775047b7"),
-            "csv": (96223, "b1ae3647ed5f65be605bb7cb4fd892d95c5bd81ca639d291a22308e4fd6f9610"),
-            "json": (5126, "6c0cc7fc93d1727e44a6d89b35da3169f7e29c497608203e9f85367d7ecb8046"),
+            "stdout": (1606, "64ad0c33abd01a17aea678d65f35aa341e10465cf0b1a50ba6fba4697206db20"),
+            "csv": (96192, "36fe738a767949b217a26f3fdbbdbdd96b684eeecebc37e65caa38360f268465"),
+            "json": (5142, "106de48ea8abe2bf969ef7619cc7ed766f46ac7906fc5cf3dead22c756f8ccae"),
         },
     ),
 }
@@ -185,7 +188,7 @@ COMPARE = (
                  "ml-soft-bayes", "meta:rates=1,0.5,0.25")),
      "--bound", "thm5"],
     0,
-    (483, "2b13e2bd3c5fe9cfe4f57bde99a1bf13b5689f7eb558f789835b440424dfcfaa"),
+    (483, "c1a0085c563c8eac34796b84c0ce382a583887028b811931f15be067ba703867"),
 )
 
 VERIFY = (
@@ -195,9 +198,10 @@ VERIFY = (
 )
 
 # (generator, seed, selector) -> sha256 of the continue-mode trace's
-# predictions, losses, rates and weights bytes, at the benchmark's scale: the
+# predictions, losses, rates and weights bytes: at the benchmark's scale, the
 # adversarial-compare learners on theorem2:T=20000, where meta's rate-1 row
-# dies past round 10,000, and the e2e-csv learners on its iid stream
+# dies past round 10,000, and the e2e-csv learners on its iid stream; and
+# every learner kind past SCALAR_MAX_N, where the numpy forms run
 TRACE_DIGESTS = {
     ("theorem2:T=20000", 0, "soft-bayes:anytime"):
         "fc916c22686242b2fe2a0999c9385ab12a17b1df031bd4c2160c7bd691edd164",
@@ -208,19 +212,31 @@ TRACE_DIGESTS = {
     ("theorem2:T=20000", 0, "soft-bayes:self-confident"):
         "2a5655b71d1a9f7e8c18645bfca8d45b054217b770832a12c385bbd0829aac3a",
     ("theorem2:T=20000", 0, "eg:fixed=0.5"):
-        "41614c249c80863fce5d26d6470fa5207bef7802108fd8214fa6a0e433ed5af1",
+        "d71905d6772abfd5ebc337c1dd37624e9186fe45fd10ec75c68df9a2a9430919",
     ("theorem2:T=20000", 0, "ogd:fixed=0.1"):
         "a6c306891c2ee6111d023f039ce07ec2057beb089a7f5e837d039ae96a3bd769",
     ("theorem2:T=20000", 0, "ml-soft-bayes"):
         "dc685615ec9cfa688811bac3e6e250409ff0cdab0ad4e0633160d29c268d0023",
     ("theorem2:T=20000", 0, "meta:rates=1,0.5,0.25"):
-        "920074305acb9f5d8311124f25a1c990cec8e917e58c807b30721b3b428b9fb7",
+        "46b34e42fd2c975fa9ab9d0a35d5e8a649966c802313458e1663f967fc22f58d",
     ("iid-mixture:N=10,T=20000", 6, "soft-bayes:anytime"):
-        "af0bce428f17933eda5bb60026ad5b3dca87d5299b269eb841a02f41a171bea9",
+        "6d732eb9aec4c91af55f9a47ee94a31faeaec565ae2ca0faec05d0cf616abb2f",
     ("iid-mixture:N=10,T=20000", 6, "eg:fixed=0.5"):
-        "0f8b7945284afc622c500e80c0f269936eec6151b06e630a65084313ecb16a5d",
+        "63a268312f1e37b2d85bc759fd873c7a589eb8221998fcd3255520768826b40e",
     ("iid-mixture:N=10,T=20000", 6, "soft-bayes:self-confident"):
-        "bb78544aa40d53353d6c730e586b0b59446bf7bd9e19deeec9a68fbe1eddf959",
+        "2a6fe06adeb041d9ed60ff7a4951a701258e3f5f6c4c2207a9aeffd6c44d8943",
+    ("iid-mixture:N=20,T=5000", 7, "soft-bayes:anytime"):
+        "a9905e7bcf863d0499d41fecec69c9e34fea21f7838f605a54b6bd4b90e361af",
+    ("iid-mixture:N=20,T=5000", 7, "bayes"):
+        "bd5702f3bb468ca04c372d0ca05cb4d7567283e1081c0adf8988cb68a5b59077",
+    ("iid-mixture:N=20,T=5000", 7, "eg:fixed=0.5"):
+        "f65eba05e22e1282635e3f065e1bbdd503f340d93d374e7feee3dfdd30e2b199",
+    ("iid-mixture:N=20,T=5000", 7, "ogd:fixed=0.1"):
+        "ff4ef76dadf1acf036e3d2159036d190517b642bd144d6af1538d76e5a6e60c6",
+    ("iid-mixture:N=20,T=5000", 7, "ml-soft-bayes"):
+        "5e025021951dc756dd9c94eb8958b3f44a9160a78eb1ece15c4978134895a612",
+    ("iid-mixture:N=20,T=5000", 7, "meta:rates=1,0.5,0.25"):
+        "2d332e647324ee9b88f7fa30ad00a7634ebf5998b8d17b5b5776fc8dd4a6b5e7",
 }
 
 # malformed selector -> the exact stderr line (every one exits with code 2)
@@ -259,6 +275,8 @@ BAD_GENERATORS = {
     "iid-mixture:N=3,T=5,alphabet=0": ("error: generator 'iid_mixture' parameter alphabet "
                                        "must be at least 1, got 0"),
     "theorem2:T=": "error: generator 'theorem2' parameter T must be an integer, got ''",
+    "theorem2:T=1": "error: generator 'theorem2' parameter T must be even and at least 2, got 1",
+    "theorem2:T=3": "error: generator 'theorem2' parameter T must be even and at least 2, got 3",
     "theorem2:T=10,T=20": "error: generator 'theorem2' parameter T is given twice",
     # the CSV stream reader refuses digit-group underscores too
     "theorem2:T=1_0": "error: generator 'theorem2' parameter T must be an integer, got '1_0'",
@@ -324,14 +342,19 @@ def _stream(generator, seed):
     return parse_generator(generator).build(seed)
 
 
-@pytest.mark.parametrize("generator, seed, selector", sorted(TRACE_DIGESTS))
-def test_trace_bits_at_benchmark_scale(generator, seed, selector):
+def trace_digest(generator, seed, selector):
+    """The ``TRACE_DIGESTS`` digest of one case, as this process computes it."""
     stream = _stream(generator, seed)
     trace = run_learner(parse_learner(selector).build(stream.n_experts), stream, "continue")
     digest = hashlib.sha256()
     for values in (trace.predictions, trace.losses, trace.rates, trace.weights):
         digest.update(values.tobytes())
-    assert digest.hexdigest() == TRACE_DIGESTS[generator, seed, selector]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("generator, seed, selector", sorted(TRACE_DIGESTS))
+def test_trace_bits_at_benchmark_scale(generator, seed, selector):
+    assert trace_digest(generator, seed, selector) == TRACE_DIGESTS[generator, seed, selector]
 
 
 @pytest.mark.parametrize("selector", sorted(BAD_SELECTORS))

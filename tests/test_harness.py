@@ -141,6 +141,17 @@ class TestComparatorFit:
             none = np.zeros(6, dtype=bool)
             assert harness._masked_comparator_loss(ComparatorSpec(kind), stream, none) == 0.0
 
+    def test_segment_losses_are_added_left_to_right(self, monkeypatch):
+        # (1 + 1e-16) + 1e-16 rounds to 1 at each step, while a compensated
+        # sum (math.fsum, or sum() from Python 3.12) gives the float above 1
+        losses = [1.0, 1e-16, 1e-16]
+        assert math.fsum(losses) > 1.0
+        fits = iter(losses)
+        monkeypatch.setitem(COMPARATOR_KINDS, "shifting", (True, lambda rows, bits: (next(fits), {})))
+        stream = ExpertStream(np.full((3, 2), 0.5))
+        loss, detail = harness._comparator_loss(ComparatorSpec("shifting", (1, 2, 3)), stream, False)
+        assert loss == 1.0 and detail["loss"] == 1.0
+
     def test_boundary_validation(self):
         with pytest.raises(ValueError):
             ComparatorSpec("shifting", (2, 5))

@@ -98,8 +98,9 @@ def test_traced_verify_counts_sweeps_and_replays(capsys, monkeypatch):
     values = tracing.layer_metrics(tracer)
     # 3 N x 3 rates x (20 swept streams + 1 replay) x 1000 rounds
     assert values["learners.rounds"] == 189_000
-    # each sweep schedule: 1 + 1000 rates; each replay: 1 + 2 x 1000 calls
-    assert values["rates.calls"] == 9 * 1001 + 9 * 2001
+    # each sweep schedule: its 1000 rates, read before the rounds; each
+    # replay: 1 + 2 x 1000 calls
+    assert values["rates.calls"] == 9 * 1000 + 9 * 2001
     assert values["learners.sweep_s"] > 0
 
 
