@@ -16,15 +16,14 @@ SIMPLEX_ATOL = 1e-9
 
 INFINITE_LOSS = math.inf
 
-# Up to this many experts, a round's arithmetic runs on Python floats
-# (``row.tolist()``), where numpy's per-call overhead would dominate; above
-# it the same operations run as numpy calls.  Both forms take IEEE basic
-# operations (+ - * /, sqrt, comparisons, max/min, sorting) in one order the
-# code fixes: every sum over the experts is added left to right, a Python
-# loop here and a product array with ``np.add.accumulate`` there, never
-# ``np.dot`` or ``ndarray.sum``, whose order depends on the BLAS kernel or
-# the SIMD path.  Elementary functions (exp, log) come from libm through
-# ``math``.
+# Up to this many experts, a learner reads a chunk of rows as Python floats
+# at once (``rows.tolist()``) and yields its weight rows as the lists it
+# makes; above it, it reads one row at a time and yields numpy rows, so that
+# a chunk of rounds holds one float per weight.  It changes no bit: every
+# learner round is one form on Python floats, IEEE basic operations
+# (+ - * /, sqrt, comparisons, max/min, sorting) in one order the code
+# fixes, every sum over the experts added left to right, and exp and log
+# from libm through ``math``.
 SCALAR_MAX_N = 16
 
 
@@ -140,30 +139,16 @@ def unchecked_stream(p: np.ndarray) -> ExpertStream:
 
 
 def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
+    """Euclidean projection onto the probability simplex (sort-based):
+    ``project_floats`` on a nonempty vector."""
     x = np.asarray(v, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("projection input must be a nonempty vector")
-    if x.size <= SCALAR_MAX_N:
-        return np.array(project_floats(x.tolist()))
-    if not np.all(np.isfinite(x)):
-        raise ValueError("projection input must be finite")
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, x.size + 1)
-    support = np.nonzero(u * j > css - 1.0)[0]
-    if not support.size:
-        # rounding swallowed the 1 beside a huge top entry; shifting every
-        # entry by the max leaves the projection unchanged
-        return project_simplex(x - u[0])
-    rho = int(support[-1])
-    lam = (1.0 - css[rho]) / (rho + 1)
-    return np.maximum(x + lam, 0.0)
+    return np.array(project_floats(x.tolist()))
 
 
 def project_floats(xs: list) -> list:
-    """``project_simplex`` on a nonempty list of Python floats, as a list: the
-    form it takes up to ``SCALAR_MAX_N`` entries."""
+    """The projection of a nonempty list of Python floats, as a list."""
     # a NaN fails both comparisons
     if not all(-math.inf < xi < math.inf for xi in xs):
         raise ValueError("projection input must be finite")
@@ -171,9 +156,9 @@ def project_floats(xs: list) -> list:
 
 
 def _project_floats(xs: list) -> list:
-    """``project_simplex`` on a list of finite Python floats, operation for
-    operation: the descending sort, the sequential running sum and the
-    support test round as numpy's do."""
+    """The projection of a list of finite Python floats: the descending
+    sort, a running sum added left to right, and the largest j whose sorted
+    entry passes u_j j > sum_{i <= j} u_i - 1 gives the shift."""
     css = css_rho = 0.0
     rho = 0
     for j, uj in enumerate(sorted(xs, reverse=True), 1):
@@ -181,6 +166,8 @@ def _project_floats(xs: list) -> list:
         if uj * j > css - 1.0:
             rho, css_rho = j, css
     if not rho:
+        # rounding swallowed the 1 beside a huge top entry; shifting every
+        # entry by the max leaves the projection unchanged
         top = max(xs)
         return _project_floats([xi - top for xi in xs])
     lam = (1.0 - css_rho) / rho

@@ -82,6 +82,9 @@ def iid_mixture(a, expert_dists, T: int, seed: int) -> ExpertStream:
     dists = np.asarray(expert_dists, dtype=float)
     if dists.ndim != 2 or dists.shape[0] != weights.size:
         raise ValueError("expert_dists must be one distribution row per expert")
+    # NaN fails no comparison, so it is refused before them
+    if not np.all(np.isfinite(dists)):
+        raise ValueError("distributions must be finite")
     if np.any(dists < 0):
         raise ValueError("distributions must be nonnegative")
     sums = dists.sum(axis=1)
@@ -128,7 +131,7 @@ def _iid_mixture_stream(spec: "GeneratorSpec", seed: int | None) -> ExpertStream
 
 # generator kind -> (the parameters it takes, builder (spec, seed) -> stream)
 GENERATOR_KINDS = {
-    "theorem2": (("T",), lambda spec, seed: adversarial_alternating(spec._even("T"))),
+    "theorem2": (("T",), lambda spec, seed: adversarial_alternating(spec._int("T", even=True))),
     "theorem2_constant": (("T",), lambda spec, seed: adversarial_constant(spec._int("T"))),
     "disjoint_dirac": (("N", "T"), _disjoint_dirac_stream),
     "iid_mixture": (("N", "T", "alphabet"), _iid_mixture_stream),
@@ -169,7 +172,7 @@ class GeneratorSpec:
         raise ValueError(f"generator {self.kind!r} parameter {key} must be an integer, "
                          f"got {text.strip()!r}")
 
-    def _int(self, key):
+    def _int(self, key, even: bool = False):
         v = self.params.get(key)
         if v is None:
             raise ValueError(f"generator {self.kind!r} needs parameter {key}")
@@ -177,18 +180,15 @@ class GeneratorSpec:
         if isinstance(v, float) and not v.is_integer():
             raise ValueError(f"generator {self.kind!r} parameter {key} must be an integer, "
                              f"got {v!r}")
-        # every count a generator takes (rounds, experts, symbols) is positive
+        # every count a generator takes (rounds, experts, symbols) is
+        # positive, and an even one at least 2
+        if even and (v < 2 or v % 2):
+            raise ValueError(f"generator {self.kind!r} parameter {key} must be even and "
+                             f"at least 2, got {int(v)}")
         if v < 1:
             raise ValueError(f"generator {self.kind!r} parameter {key} must be at least 1, "
                              f"got {int(v)}")
         return int(v)
-
-    def _even(self, key):
-        v = self._int(key)
-        if v % 2:
-            raise ValueError(f"generator {self.kind!r} parameter {key} must be even and "
-                             f"at least 2, got {v}")
-        return v
 
     def build(self, seed: int | None = None) -> ExpertStream:
         return GENERATOR_KINDS[self.kind][1](self, seed)

@@ -425,11 +425,10 @@ def _masked_comparator_loss(cmp_spec: ComparatorSpec, stream: ExpertStream,
 
 def ratio_stats(trace: LearnerTrace, stream: ExpertStream) -> dict:
     """Self-confident statistics of a run, over its finite-loss rounds:
-    C1 = sum_t max_i (p_it/M_t - 1), C2 = max_{i,t} (p_it/M_t - 1)^2, and
-    vmax = max_i sum_t (p_it/M_t - 1)^2."""
+    C1 = sum_t max_i (p_it/M_t - 1) and C2 = max_{i,t} (p_it/M_t - 1)^2."""
     mask = trace.finite_mask()
     if not mask.any():
-        return {"c1": 0.0, "c2": 0.0, "vmax": 0.0}
+        return {"c1": 0.0, "c2": 0.0}
     P = stream.p[: trace.rounds][mask]
     M = trace.predictions[: trace.rounds][mask, None]
     # p/M and its square overflow when M is tiny; inf is then the statistic
@@ -443,18 +442,14 @@ def ratio_stats(trace: LearnerTrace, stream: ExpertStream) -> dict:
                 inv = np.exp(trace.losses[mask][under])[:, None]
                 ratio[under] = np.where(P[under] > 0.0, P[under] * inv, 0.0)
         excess = ratio - 1.0
-        sq = excess ** 2
-    return {
-        "c1": float(excess.max(axis=1).sum()),
-        "c2": float(sq.max()),
-        "vmax": float(sq.sum(axis=0).max()),
-    }
+        c2 = float((excess ** 2).max())
+    return {"c1": float(excess.max(axis=1).sum()), "c2": c2}
 
 
 def stream_best_count(stream: ExpertStream) -> int:
     """Number of experts that are ever a per-round argmax (tie rule included)."""
     tracker = BestSetTracker()
-    for t, p in enumerate(stream, 1):
+    for t, p in enumerate(map(np.ndarray.tolist, stream.p), 1):
         tracker.update(p, t)
     return tracker.total_best
 

@@ -14,13 +14,15 @@ schedule, which any object with ``rate``, ``observe`` and
 kernel for several plain schedules over a batch of streams at once, as one
 stack of weight rows.
 
-Every sum over the experts (soft-Bayes's M, meta's sum_k u_k M_k,
-ML-soft-Bayes's two sums, OGD's w . q and EG's log-sum-exp) is added left
-to right: up to ``SCALAR_MAX_N`` experts in a loop on the row's Python
-floats, above it and in the sweep as ``_mixture``'s product array and
-running sum.  No ``np.dot``, matmul or ``ndarray.sum`` reaches a trace, and
-exp and log are libm's, so a trace's bits do not depend on the BLAS kernel
-or numpy's SIMD path.
+Every learner's round is written once, on Python floats: each ``_rounds``
+reads a chunk's rows as lists (``_row_lists``) and runs its update with
+IEEE basic operations in an order the code fixes, every sum over the
+experts (soft-Bayes's M, meta's sum_k u_k M_k, ML-soft-Bayes's two sums,
+OGD's w . q and EG's log-sum-exp) added left to right, and exp and log
+libm's, so a trace's bits do not depend on the BLAS kernel or numpy's SIMD
+path.  The one numpy kernel, ``_mixture`` and ``_soft_bayes_rows``, is the
+sweep's, on its stack of weight rows; its running sum adds in the loop's
+order, and it gives the float form's bits.
 
 Divergence (the learner assigned probability zero to the realized symbol) is
 reported through the infinite-loss sentinel in the round's loss column, with
@@ -43,7 +45,6 @@ from .core import (
     as_simplex,
     check_rounds,
     project_floats,
-    project_simplex,
     uniform_weights,
 )
 from .rates import FixedRate
@@ -75,6 +76,18 @@ def _exp(x: float) -> float:
 
 # the most rows one ``_rounds`` call is handed
 _ROW_CHUNK = 256
+
+
+def _row_lists(P, n: int):
+    """The rows of a chunk ``P`` over ``n`` experts as lists of Python
+    floats, and whether its rounds yield their weights as numpy rows.  Up to
+    ``SCALAR_MAX_N`` experts the chunk is read at once and the rounds yield
+    the lists they make; above it each row is read as it comes and each
+    yielded weight row is a numpy row, so that a chunk of rounds holds one
+    float per weight, not a float object.  Neither choice changes a bit."""
+    if n <= SCALAR_MAX_N:
+        return P.tolist(), False
+    return map(np.ndarray.tolist, P), True
 
 
 class _Learner:
@@ -146,23 +159,21 @@ _MIN_NORMAL = sys.float_info.min
 
 
 def _mixture(w: np.ndarray, q) -> np.ndarray:
-    """M = w_1 q_1 + ... + w_N q_N, added left to right, per row of a weight
-    stack (``(K, N)``, or ``(K, S, N)`` against a round's ``(S, N)`` rows,
-    which broadcast) or for one weight row: one product array, then a
-    running sum along the experts (``np.add.accumulate``), the order of the
-    Python-float loop ``m += w_i q_i`` and one that no BLAS kernel or SIMD
-    path changes."""
+    """M = w_1 q_1 + ... + w_N q_N, added left to right, per row of the
+    sweep's ``(K, S, N)`` weight stack against a round's ``(S, N)`` rows:
+    one product array, then a running sum along the experts
+    (``np.add.accumulate``), the order of the Python-float loop
+    ``m += w_i q_i`` and one that no BLAS kernel or SIMD path changes."""
     return np.add.accumulate(w * q, axis=-1)[..., -1]
 
 
 def _soft_bayes_rows(w, q, m, eta, least) -> np.ndarray:
-    """w_i (1 - eta + eta q_i / M) in numpy operations, on one weight row or
-    a stack of them (``m`` and ``eta`` one per row); ``least`` is the
+    """w_i (1 - eta + eta q_i / M) in numpy operations, on the sweep's stack
+    of weight rows (``m`` and ``eta`` one per row); ``least`` is the
     smallest M.  Where M is subnormal, eta / M can overflow, so those rows
     divide before they scale, (1 - eta) w_i + eta ((w_i q_i) / M), and a
-    weight carrying all of M is not rounded away; ``SoftBayes._rounds``
-    writes the same arithmetic on Python floats for a normal M and at most
-    ``SCALAR_MAX_N`` experts."""
+    weight carrying all of M is not rounded away, as in ``SoftBayes._rounds``,
+    which writes the same arithmetic on Python floats."""
     if least < _MIN_NORMAL:
         tiny = m < _MIN_NORMAL
         divided = w * q / m * eta + (1.0 - eta) * w
@@ -173,47 +184,35 @@ def _soft_bayes_rows(w, q, m, eta, least) -> np.ndarray:
     return u if least >= _MIN_NORMAL else np.where(tiny, divided, u)
 
 
-def _ogd_cycle(w, q, eta: float):
-    """The OGD kernel: the projected gradient step w' = Pi(w + eta q / M);
-    returns ``(M, new weights)``, with the weights unchanged when M = 0.
-    ``w`` and ``q`` are lists of Python floats (up to ``SCALAR_MAX_N``
-    experts; the new weights are a list) or numpy rows.
+def _ogd_cycle(w: list, q: list, eta: float):
+    """The OGD kernel on lists of Python floats: the projected gradient step
+    w' = Pi(w + eta q / M); returns ``(M, new weights)``, with the weights
+    unchanged when M = 0.
 
     The projection can concentrate all mass on one expert, after which a
     round that expert gets wrong produces the infinite-loss sentinel.  A
     step eta/M that overflows is taken at its limit: all mass on the experts
     with the largest q, split as the projection of their current weights.
     """
-    floats = isinstance(w, list)
-    if floats:
-        m = 0.0
-        for wi, qi in zip(w, q):
-            m += wi * qi
-    else:
-        m = float(_mixture(w, q))
+    m = 0.0
+    for wi, qi in zip(w, q):
+        m += wi * qi
     if m == 0.0:
         return 0.0, w
     step = eta / m
     if math.isinf(step):
-        wa, qa = np.asarray(w), np.asarray(q)
-        top = qa == qa.max()
-        u = np.zeros_like(wa)
-        u[top] = project_simplex(wa[top])
-        return m, u.tolist() if floats else u
-    if floats:
-        # w_i + step q_i rounds twice on Python floats, as in numpy
-        return m, project_floats([wi + step * qi for wi, qi in zip(w, q)])
-    return m, project_simplex(w + step * q)
+        top = max(q)
+        shares = iter(project_floats([wi for wi, qi in zip(w, q) if qi == top]))
+        return m, [next(shares) if qi == top else 0.0 for qi in q]
+    # w_i + step q_i rounds twice: no fused multiply-add
+    return m, project_floats([wi + step * qi for wi, qi in zip(w, q)])
 
 
-def _ml_rate(v, ln_n: float, sqrt=np.sqrt):
+def _ml_rate(v: float, ln_n: float) -> float:
     """ML-soft-Bayes's per-expert rate from the accumulated squared excess
     ratio V >= 0, in odds form: eta_bar / (1 + eta_bar) with
-    eta_bar = sqrt((ln N / 2) / (ln N + V)), for N >= 2; nonincreasing in V.
-
-    ``v`` is an array, or one float with ``sqrt=math.sqrt``; both square
-    roots round correctly, so the two give the same bits."""
-    eta_bar = sqrt((ln_n / 2.0) / (ln_n + v))
+    eta_bar = sqrt((ln N / 2) / (ln N + V)), for N >= 2; nonincreasing in V."""
+    eta_bar = math.sqrt((ln_n / 2.0) / (ln_n + v))
     return eta_bar / (1.0 + eta_bar)
 
 
@@ -227,9 +226,10 @@ def soft_bayes_sweep(batch, schedules):
     correction is a per-learner affair.  Returns ``(predictions, weights)``
     with shapes (K, S, T) and (K, S, T, N) (post-update weights); member
     ``[k, s]`` is bit for bit ``SoftBayes(N, schedules[k])`` run over
-    ``batch[s]``.  The weights are one (K, S, N) stack stepped by the
-    kernel ``SoftBayes._rounds`` runs, so seed sweeps don't pay the
-    per-round interpreter cost once per learner.
+    ``batch[s]``.  The weights are one (K, S, N) stack stepped by
+    ``_soft_bayes_rows``, the numpy form of ``SoftBayes._rounds``'s update,
+    so seed sweeps don't pay the per-round interpreter cost once per
+    learner.
     """
     if not schedules:
         raise ValueError("a sweep needs at least one schedule")
@@ -283,57 +283,48 @@ class SoftBayes(_Learner):
         self.current_rate = schedule.rate(1)
 
     def _rounds(self, P):
-        """The schedule sees round t and its M before it gives eta_{t+1}, also
-        on a diverged round, as the row's Python floats up to
-        ``SCALAR_MAX_N`` experts and as its numpy row above.  Up to
-        ``SCALAR_MAX_N`` experts M and the weights are computed on Python
-        floats and the rounds yield the weights as a list; above it, or
-        where M is subnormal, on numpy rows."""
-        w, prior, schedule = self.weights, self.prior, self.schedule
+        """The schedule sees round t, as the row's Python floats, and its M
+        before it gives eta_{t+1}, also on a diverged round."""
+        schedule = self.schedule
         observe, rate = schedule.observe, schedule.rate
         corrects = schedule.applies_correction
         t, eta_t = self.t, self.current_rate
-        # above SCALAR_MAX_N the row (q) is numpy's, and w the weights
-        small = self.n <= SCALAR_MAX_N
-        wl, pl = w.tolist(), prior.tolist()
+        rows, wide = _row_lists(P, self.n)
+        wl, pl = self.weights.tolist(), self.prior.tolist()
         try:
-            for q in P.tolist() if small else P:
-                if small:
-                    m = 0.0
-                    for wi, qi in zip(wl, q):
-                        m += wi * qi
-                else:
-                    m = float(_mixture(w, q))
+            for q in rows:
+                m = 0.0
+                for wi, qi in zip(wl, q):
+                    m += wi * qi
                 observe(t, q, m)
                 eta_next = rate(t + 1)
                 if corrects and eta_next > eta_t and m != 0.0:
                     raise RuntimeError(
                         f"schedule {type(schedule).__name__} emitted an increasing rate "
                         f"({eta_t!r} -> {eta_next!r}) at t={t}")
-                if m != 0.0:
-                    if small and m >= _MIN_NORMAL:
-                        c1, c2 = 1.0 - eta_t, eta_t / m
-                        if corrects and eta_next != eta_t:
-                            ratio = eta_next / eta_t
-                            c3 = 1.0 - ratio
-                            wl = [wi * (c1 + c2 * qi) * ratio + c3 * pi
-                                  for wi, qi, pi in zip(wl, q, pl)]
-                        else:
-                            wl = [wi * (c1 + c2 * qi) for wi, qi in zip(wl, q)]
+                if m >= _MIN_NORMAL:
+                    c1, c2 = 1.0 - eta_t, eta_t / m
+                    if corrects and eta_next != eta_t:
+                        ratio = eta_next / eta_t
+                        c3 = 1.0 - ratio
+                        wl = [wi * (c1 + c2 * qi) * ratio + c3 * pi
+                              for wi, qi, pi in zip(wl, q, pl)]
                     else:
-                        if small:
-                            w, q = np.array(wl), np.array(q)
-                        w = _soft_bayes_rows(w, q, m, eta_t, m)
-                        if corrects and eta_next != eta_t:
-                            ratio = eta_next / eta_t
-                            w *= ratio
-                            w += (1.0 - ratio) * prior
-                        if small:
-                            wl = w.tolist()
+                        wl = [wi * (c1 + c2 * qi) for wi, qi in zip(wl, q)]
+                elif m != 0.0:
+                    # M is subnormal, so eta / M can overflow: each weight
+                    # divides before it scales, and one carrying all of M is
+                    # not rounded away
+                    c1 = 1.0 - eta_t
+                    wl = [wi * qi / m * eta_t + c1 * wi for wi, qi in zip(wl, q)]
+                    if corrects and eta_next != eta_t:
+                        ratio = eta_next / eta_t
+                        c3 = 1.0 - ratio
+                        wl = [wi * ratio + c3 * pi for wi, pi in zip(wl, pl)]
                 rate_used, t, eta_t = eta_t, t + 1, eta_next
-                yield m, _loss(m), rate_used, wl if small else w
+                yield m, _loss(m), rate_used, np.array(wl) if wide else wl
         finally:
-            self.weights, self.t, self.current_rate = np.array(wl) if small else w, t, eta_t
+            self.weights, self.t, self.current_rate = np.array(wl), t, eta_t
 
 
 class Bayes(SoftBayes):
@@ -369,13 +360,12 @@ class ExponentiatedGradient(_Learner):
         arguments reach ~1e300; beyond the float range the mass collapses
         onto the offending experts, which is the instability this update
         genuinely has.  A zero weight stays zero.  The rounds yield the log
-        weights, as a list up to ``SCALAR_MAX_N`` experts and as a numpy row
-        above, so a chunk of them holds one float per weight."""
+        weights."""
         log_w, eta = self.log_w.tolist(), self.eta
         exp, log, inf = math.exp, math.log, math.inf
-        small = self.n <= SCALAR_MAX_N
+        rows, wide = _row_lists(P, self.n)
         try:
-            for q in P.tolist() if small else map(np.ndarray.tolist, P):
+            for q in rows:
                 log_q = [log(qi) if qi > 0.0 else -inf for qi in q]
                 z = [lw + lq for lw, lq in zip(log_w, log_q)]
                 top = max(z)
@@ -405,7 +395,7 @@ class ExponentiatedGradient(_Learner):
                     # the prediction may underflow to 0.0 for display while
                     # the loss, taken from ln M, stays finite
                     m, loss = exp(log_m), -log_m
-                yield m, loss, eta, log_w if small else np.array(log_w)
+                yield m, loss, eta, np.array(log_w) if wide else log_w
         finally:
             self.log_w = np.array(log_w)
 
@@ -426,17 +416,15 @@ class OnlineGradientDescent(_Learner):
         self.weights = _start_weights(n, prior)
 
     def _rounds(self, P):
-        """Up to ``SCALAR_MAX_N`` experts the kernel runs on the rows' Python
-        floats, and the rounds yield the weights as a list."""
         eta = self.eta
-        small = self.n <= SCALAR_MAX_N
-        w = self.weights.tolist() if small else self.weights
+        rows, wide = _row_lists(P, self.n)
+        w = self.weights.tolist()
         try:
-            for q in P.tolist() if small else P:
+            for q in rows:
                 m, w = _ogd_cycle(w, q, eta)
-                yield m, _loss(m), eta, w
+                yield m, _loss(m), eta, np.array(w) if wide else w
         finally:
-            self.weights = np.array(w) if small else w
+            self.weights = np.array(w)
 
 
 class MLSoftBayes(_Learner):
@@ -451,64 +439,46 @@ class MLSoftBayes(_Learner):
         self.name = name
         self.prior = _start_weights(n, prior)
         self.weights = self.prior.copy()
-        self.rates = np.full(n, _ml_rate(0.0, self.ln_n, math.sqrt))
+        self.rates = np.full(n, _ml_rate(0.0, self.ln_n))
         self.V = np.zeros(n)
 
     def _rounds(self, P):
         """Prediction sum(w_i eta_i p_i) / sum(w_i eta_i), both sums added
         left to right; each expert then runs the soft-Bayes update and prior
         blend with its own rate pair, eta_{t+1} taken from V advanced by
-        (p_i/M - 1)^2.  A diverged round leaves the state as it was.  Up to
-        ``SCALAR_MAX_N`` experts the state is carried as Python floats
-        through the block."""
-        w, rates, V, prior, ln_n = self.weights, self.rates, self.V, self.prior, self.ln_n
-        # above SCALAR_MAX_N the lists go unused, and the row (q) is numpy's
-        small = self.n <= SCALAR_MAX_N
-        sqrt = math.sqrt
-        wl, rl, vl, pl = w.tolist(), rates.tolist(), V.tolist(), prior.tolist()
-        wr = w * rates
-        wrl = wr.tolist()
+        (p_i/M - 1)^2.  A diverged round leaves the state as it was."""
+        ln_n = self.ln_n
+        rows, wide = _row_lists(P, self.n)
+        wl, rl, vl = self.weights.tolist(), self.rates.tolist(), self.V.tolist()
+        pl = self.prior.tolist()
+        wrl = [wi * ri for wi, ri in zip(wl, rl)]
         try:
-            for q in P.tolist() if small else P:
-                if small:
-                    num = den = 0.0
-                    for wri, qi in zip(wrl, q):
-                        num += wri * qi
-                        den += wri
-                    m = num / den
-                else:
-                    m = float(_mixture(wr, q)) / float(np.add.accumulate(wr)[-1])
+            for q in rows:
+                num = den = 0.0
+                for wri, qi in zip(wrl, q):
+                    num += wri * qi
+                    den += wri
+                m = num / den
                 if m != 0.0:
                     # eta_bar / (1 + eta_bar) can rise by an ulp as V grows,
                     # so the rates are clamped to stay nonincreasing
-                    if small:
-                        new_w, new_v, new_r, new_wr = [], [], [], []
-                        for wi, ri, qi, vi, pi in zip(wl, rl, q, vl, pl):
-                            ratio = qi / m
-                            d = ratio - 1.0
-                            vi += d * d
-                            nxt = min(_ml_rate(vi, ln_n, sqrt), ri)
-                            # a rate is 0 only once V is inf; numpy's 0 / 0 is then NaN
-                            blend = nxt / ri if ri else math.nan
-                            wi = wi * (1.0 - ri + ri * ratio) * blend + (1.0 - blend) * pi
-                            new_w.append(wi)
-                            new_v.append(vi)
-                            new_r.append(nxt)
-                            new_wr.append(wi * nxt)
-                        wl, vl, rl, wrl = new_w, new_v, new_r, new_wr
-                    else:
-                        ratio = q / m
-                        V += (ratio - 1.0) ** 2
-                        nxt = np.minimum(_ml_rate(V, ln_n), rates)
-                        u = w * (1.0 - rates + rates * ratio)
-                        blend = nxt / rates
-                        w = u * blend + (1.0 - blend) * prior
-                        rates, wr = nxt, w * nxt
-                yield m, _loss(m), math.nan, wl if small else w
+                    new_w, new_v, new_r, new_wr = [], [], [], []
+                    for wi, ri, qi, vi, pi in zip(wl, rl, q, vl, pl):
+                        ratio = qi / m
+                        d = ratio - 1.0
+                        vi += d * d
+                        nxt = min(_ml_rate(vi, ln_n), ri)
+                        # a rate is 0 only once V is inf; its blend 0 / 0 is NaN
+                        blend = nxt / ri if ri else math.nan
+                        wi = wi * (1.0 - ri + ri * ratio) * blend + (1.0 - blend) * pi
+                        new_w.append(wi)
+                        new_v.append(vi)
+                        new_r.append(nxt)
+                        new_wr.append(wi * nxt)
+                    wl, vl, rl, wrl = new_w, new_v, new_r, new_wr
+                yield m, _loss(m), math.nan, np.array(wl) if wide else wl
         finally:
-            if small:
-                w, rates, V = np.array(wl), np.array(rl), np.array(vl)
-            self.weights, self.rates, self.V = w, rates, V
+            self.weights, self.rates, self.V = np.array(wl), np.array(rl), np.array(vl)
 
 
 class MetaBayes(_Learner):

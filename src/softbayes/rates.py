@@ -13,20 +13,18 @@ its rate reads as its own attributes: ``SparseRate.tracker`` (the best set)
 and ``SelfConfidentRate.C1`` and ``eta_prev``.  A schedule instance is owned
 by exactly one learner and its ``rate``/``observe`` methods are called in
 round order.  ``observe(t, p, M)`` is shown round t's row ``p`` as the
-learner holds it, a list of Python floats up to ``core.SCALAR_MAX_N``
-experts and the numpy row above it, and keeps no reference to it; the
-schedules here take a list as given and convert any other row (a test's,
-or ``stream_best_count``'s) once.  ``rate_offline`` is the horizon-tuned
-constant rate that the ``thm2`` bound assumes; a caller runs it as a
-``FixedRate``.
+learner holds it, a list of Python floats, and keeps no reference to it;
+the schedules here read a row only by ``max``, iteration and ``==``, so a
+numpy row (a test's) leaves the same statistics.  ``rate_offline`` is the
+horizon-tuned constant rate that the ``thm2`` bound assumes; a caller runs
+it as a ``FixedRate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import indexOf
 
 # Keeps every emitted rate strictly inside (0, 1); the sparse formula can
 # otherwise exceed 1 in the first rounds when ln(N) > 2.
@@ -64,22 +62,14 @@ class BestSetTracker:
     _last: tuple = field(default=(0, 0), init=False, repr=False, compare=False)
 
     def update(self, p, t: int) -> None:
-        """Count round ``t``'s row ``p``: a list of floats as given, any
-        other row as one numpy array."""
+        """Count round ``t``'s row ``p``, a sequence of floats."""
         best = self.first_best
+        top = max(p)
         # where the lowest of the tied experts is counted, by the tie rule
         # nothing changes
-        if isinstance(p, list):
-            top = max(p)
-            if p.index(top) in best:
-                return
-            ties = [i for i, x in enumerate(p) if x == top]
-        else:
-            q = np.asarray(p, dtype=float)
-            first = int(q.argmax())
-            if first in best:
-                return
-            ties = np.flatnonzero(q == q[first]).tolist()
+        if indexOf(p, top) in best:
+            return
+        ties = [i for i, x in enumerate(p) if x == top]
         if not any(i in best for i in ties):
             best[ties[0]] = t
             self._last = (max(best.values()), len(best))
@@ -234,8 +224,7 @@ class SelfConfidentRate(_Schedule):
 
     def observe(self, t: int, p, m: float) -> None:
         if m > 0.0:
-            top = max(p) if isinstance(p, list) else float(np.asarray(p, dtype=float).max())
-            self.C1 += top / m - 1.0
+            self.C1 += max(p) / m - 1.0
 
 
 # selector kind -> (its parameter: "required", "none" or "optional"; factory(n, param))

@@ -10,6 +10,7 @@ from softbayes.core import (
     BadRoundError,
     ExpertStream,
     as_simplex,
+    project_floats,
     project_simplex,
     uniform_weights,
 )
@@ -81,8 +82,11 @@ class TestProjectSimplex:
     @given(st.lists(PROJECTION_ENTRIES, min_size=1, max_size=SCALAR_MAX_N + 1))
     @settings(max_examples=400, deadline=None)
     def test_both_forms_match_the_numpy_restatement_bit_for_bit(self, xs):
-        # up to SCALAR_MAX_N entries the projection runs on Python floats
-        assert project_simplex(xs).tobytes() == project_simplex_numpy(xs).tobytes()
+        # the projection runs on Python floats at every width, as an array
+        # (project_simplex) and as a list (project_floats)
+        want = project_simplex_numpy(xs).tobytes()
+        assert project_simplex(xs).tobytes() == want
+        assert np.array(project_floats([float(x) for x in xs])).tobytes() == want
 
     def test_huge_entry_swallowing_the_rest(self):
         # 1e300 - 1 rounds to 1e300, so no entry passes the support test

@@ -3,9 +3,9 @@
 Each stream drives a mixture prediction M to a subnormal or a tiny normal
 value, where eta/M or p/M overflows the float range.  A run must still end
 in a verdict (exit 0 or 1), and since the suite turns warnings into errors,
-without a RuntimeWarning.  Streams A-E and G have at most 3 experts, so
-the learners run their Python-float forms on them; each is also run padded
-with zero columns to ``SCALAR_MAX_N + 1`` experts, where the numpy forms run.
+without a RuntimeWarning.  Streams A-E and G have at most 3 experts; each is
+also run padded with zero columns to ``SCALAR_MAX_N + 1`` experts, where the
+learners read their rows one at a time and yield numpy weight rows.
 """
 
 import hashlib
@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from softbayes import core, learners
+from softbayes import learners
 from softbayes.cli import main
 from softbayes.core import SCALAR_MAX_N, ExpertStream
 from softbayes.harness import parse_learner, write_stream_jsonl
@@ -130,8 +130,8 @@ def ties_and_zeros(n):
     return build
 
 
-# the edge streams as they are, where the Python-float forms run, and two
-# streams of ties and zeros up to SCALAR_MAX_N experts
+# the edge streams as they are and two streams of ties and zeros up to
+# SCALAR_MAX_N experts, where a learner reads a chunk's rows at once
 FORM_STREAMS = {name: make for name, make in STREAMS.items() if not name.endswith("-wide")}
 FORM_STREAMS.update({f"ties-{n}": ties_and_zeros(n) for n in (7, SCALAR_MAX_N)})
 
@@ -139,9 +139,10 @@ FORM_STREAMS.update({f"ties-{n}": ties_and_zeros(n) for n in (7, SCALAR_MAX_N)})
 @pytest.mark.parametrize("selector", SELECTORS)
 @pytest.mark.parametrize("stream", sorted(FORM_STREAMS))
 def test_python_float_forms_match_the_numpy_forms(stream, selector, monkeypatch):
+    # the width constant changes how a learner reads its rows and returns
+    # its weight rows, never a bit: set to 0, every row is read one at a
+    # time and every weight row goes back as a numpy row
     data = FORM_STREAMS[stream]()
     floats = trace_digest(selector, data)
-    # the schedules take the form of the row the learner hands them
-    for module in (core, learners):
-        monkeypatch.setattr(module, "SCALAR_MAX_N", 0)
+    monkeypatch.setattr(learners, "SCALAR_MAX_N", 0)
     assert trace_digest(selector, data) == floats

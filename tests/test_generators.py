@@ -108,6 +108,12 @@ class TestIIDMixture:
         with pytest.raises(ValueError):
             iid_mixture([0.5, 0.5], [[0.9, 0.2], [0.2, 0.8]], T=10, seed=1)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_a_non_finite_distribution_entry(self, entry):
+        # a NaN passes the sign and sum checks, and numpy's sampler named no argument
+        with pytest.raises(ValueError, match="^distributions must be finite$"):
+            iid_mixture([0.5, 0.5], [[entry, 1.0], [0.5, 0.5]], T=10, seed=1)
+
     def test_random_instance_deterministic(self):
         a = random_iid_instance(4, 100, seed=5)
         b = random_iid_instance(4, 100, seed=5)

@@ -201,7 +201,8 @@ VERIFY = (
 # predictions, losses, rates and weights bytes: at the benchmark's scale, the
 # adversarial-compare learners on theorem2:T=20000, where meta's rate-1 row
 # dies past round 10,000, and the e2e-csv learners on its iid stream; and
-# every learner kind past SCALAR_MAX_N, where the numpy forms run
+# every learner kind past SCALAR_MAX_N, where the learners read their rows
+# one at a time and yield numpy weight rows
 TRACE_DIGESTS = {
     ("theorem2:T=20000", 0, "soft-bayes:anytime"):
         "fc916c22686242b2fe2a0999c9385ab12a17b1df031bd4c2160c7bd691edd164",
@@ -275,6 +276,9 @@ BAD_GENERATORS = {
     "iid-mixture:N=3,T=5,alphabet=0": ("error: generator 'iid_mixture' parameter alphabet "
                                        "must be at least 1, got 0"),
     "theorem2:T=": "error: generator 'theorem2' parameter T must be an integer, got ''",
+    # a count below 1 breaks theorem2's own rule, not the general one
+    "theorem2:T=-4": "error: generator 'theorem2' parameter T must be even and at least 2, got -4",
+    "theorem2:T=0": "error: generator 'theorem2' parameter T must be even and at least 2, got 0",
     "theorem2:T=1": "error: generator 'theorem2' parameter T must be even and at least 2, got 1",
     "theorem2:T=3": "error: generator 'theorem2' parameter T must be even and at least 2, got 3",
     "theorem2:T=10,T=20": "error: generator 'theorem2' parameter T is given twice",

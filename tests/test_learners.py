@@ -210,8 +210,8 @@ class TestMLSoftBayes:
         np.testing.assert_allclose(learner.V, [1.0, 4.0], atol=1e-12)
         # base update to (0.25, 0.75), each blended toward the prior by its
         # own rate ratio
-        # the learner's Python-float rates carry the array formula's bits
-        np.testing.assert_array_equal(learner.rates, _ml_rate(np.array([1.0, 4.0]), math.log(2)))
+        # each rate is the formula on its own expert's V, one float at a time
+        assert learner.rates.tolist() == [_ml_rate(v, math.log(2)) for v in (1.0, 4.0)]
         blend = learner.rates / [0.5, 0.25]
         np.testing.assert_allclose(out.weights[0], [0.25, 0.75] * blend + (1 - blend) * 0.5,
                                    atol=1e-15)
@@ -477,8 +477,9 @@ class TestSoftBayesSweep:
                 assert np.array_equal(preds[k, s], trace.predictions), (k, s)
         return preds
 
-    # N = 17 is past the sequential learner's N <= 16 scalar branch
-    @pytest.mark.parametrize("n", [2, 5, 17])
+    # the sweep is the one numpy form of soft-Bayes, held to the learner's
+    # Python floats past SCALAR_MAX_N too
+    @pytest.mark.parametrize("n", [2, 5, 17, 40])
     def test_bitwise_matches_sequential_learner(self, n):
         batch = np.random.default_rng(31).uniform(0.01, 1.0, size=(6, 120, n))
         self.assert_members_match_sequential(batch, [
@@ -494,8 +495,7 @@ class TestSoftBayesSweep:
         assert [(k, s) for k in range(2) for s in range(2)
                 if preds[k, s, 50] < sys.float_info.min] == [(0, 0)]
 
-    # N = 17 is past the sequential learner's N <= 16 scalar branch
-    @pytest.mark.parametrize("n", [2, 17])
+    @pytest.mark.parametrize("n", [2, 17, 40])
     def test_subnormal_and_normal_members_in_one_round(self, n):
         # round 1 puts all of the Bayes member's weight on expert 1, which
         # reads 1 until round 51 reads it 1e-320: that member divides first
@@ -787,16 +787,16 @@ class RecordsRows(FixedRate):
         self.rows.append(p)
 
 
-@pytest.mark.parametrize("n", [2, SCALAR_MAX_N, SCALAR_MAX_N + 1])
+@pytest.mark.parametrize("n", [2, SCALAR_MAX_N, SCALAR_MAX_N + 1, 64])
 def test_the_schedule_sees_each_row_in_the_form_the_learner_holds(n):
-    # the row's Python floats up to SCALAR_MAX_N experts, its numpy row above
+    # the row's Python floats at every width, on either side of SCALAR_MAX_N
     stream = random_stream(np.random.default_rng(n), _ROW_CHUNK + 44, n)
     schedule = RecordsRows()
     run_learner(SoftBayes(n, schedule), stream)
     assert len(schedule.rows) == len(stream)
-    kind = list if n <= SCALAR_MAX_N else np.ndarray
-    assert all(type(row) is kind for row in schedule.rows)
-    assert [list(row) for row in schedule.rows] == stream.p.tolist()
+    assert all(type(row) is list for row in schedule.rows)
+    assert all(type(x) is float for row in schedule.rows for x in row)
+    assert schedule.rows == stream.p.tolist()
 
 
 def test_block_and_one_row_forms_agree_on_a_rising_rate():

@@ -223,7 +223,7 @@ class TestBestSetTracker:
 
 @pytest.mark.parametrize("n", [2, 7, 16, 17])
 def test_a_list_row_and_a_numpy_row_leave_the_same_statistics(n):
-    # observe(t, p, M) takes the row as a list of floats or as a numpy row;
+    # observe(t, p, M) is shown a list of floats, and reads a numpy row alike;
     # on tie-heavy rows with signed zeros both leave every statistic alike
     rng = np.random.default_rng(n)
     P = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=(400, n))
