@@ -87,6 +87,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {args.seed}")
     spec = parse_generator(args.generator)
     stream = spec.build(args.seed)
     write_stream_jsonl(stream, args.out)
@@ -98,9 +100,15 @@ def _cmd_bound(args) -> int:
     params = {}
     for item in args.param:
         key, sep, value = item.partition("=")
-        if not sep:
+        key = key.strip()
+        if not sep or not key:
             raise ConfigError(f"malformed parameter {item!r}, expected key=value")
-        params[key.strip()] = float(value)
+        if key in params:
+            raise ConfigError(f"parameter {key} is given twice")
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise ConfigError(f"parameter {key} must be a number, got {value!r}") from None
     for k in ("T", "N", "m", "K"):
         if k in params:
             if not params[k].is_integer():

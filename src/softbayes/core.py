@@ -16,16 +16,6 @@ SIMPLEX_ATOL = 1e-9
 
 INFINITE_LOSS = math.inf
 
-# Up to this many experts, a learner reads a chunk of rows as Python floats
-# at once (``rows.tolist()``) and yields its weight rows as the lists it
-# makes; above it, it reads one row at a time and yields numpy rows, so that
-# a chunk of rounds holds one float per weight.  It changes no bit: every
-# learner round is one form on Python floats, IEEE basic operations
-# (+ - * /, sqrt, comparisons, max/min, sorting) in one order the code
-# fixes, every sum over the experts added left to right, and exp and log
-# from libm through ``math``.
-SCALAR_MAX_N = 16
-
 
 def as_simplex(v) -> np.ndarray:
     """Validate ``v`` as a probability vector, renormalizing float dust.

@@ -113,6 +113,8 @@ def _per_line_rounds(lines: list) -> np.ndarray:
             raise StreamFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise StreamFormatError(f"line {lineno}: expected an object per line")
+        if "p" in obj and "dists" in obj:
+            raise StreamFormatError(f"line {lineno}: round has both 'p' and 'dists'")
         if "p" in obj:
             row = obj["p"]
             if not isinstance(row, list):

@@ -2,9 +2,9 @@
 
 Each update rule has one kernel, and its learner class is the one driver of
 it.  One round loop, ``_Learner.step_block(P, halt, every)``, steps every class
-through its ``_rounds(P)`` generator, which keeps only the class's update,
-handing it at most ``_ROW_CHUNK`` rows a call; ``run_learner`` is one call
-of it.  The class keeps its state as plain
+through its ``_rounds(rows)`` generator, which keeps only the class's update,
+handing it one chunk of rows a call as lists of Python floats; ``run_learner``
+is one call of it.  The class keeps its state as plain
 attributes: ``weights`` (EG keeps ``log_w``, and meta its posterior ``u``
 over its ``SoftBayes`` sub-learners ``subs``), the ``prior`` that
 soft-Bayes and ML-soft-Bayes blend toward, ML-soft-Bayes's ``rates`` and
@@ -15,8 +15,8 @@ kernel for several plain schedules over a batch of streams at once, as one
 stack of weight rows.
 
 Every learner's round is written once, on Python floats: each ``_rounds``
-reads a chunk's rows as lists (``_row_lists``) and runs its update with
-IEEE basic operations in an order the code fixes, every sum over the
+iterates its chunk's row lists and runs its update with IEEE basic
+operations in an order the code fixes, every sum over the
 experts (soft-Bayes's M, meta's sum_k u_k M_k, ML-soft-Bayes's two sums,
 OGD's w . q and EG's log-sum-exp) added left to right, and exp and log
 libm's, so a trace's bits do not depend on the BLAS kernel or numpy's SIMD
@@ -40,7 +40,6 @@ import numpy as np
 
 from .core import (
     INFINITE_LOSS,
-    SCALAR_MAX_N,
     ExpertStream,
     as_simplex,
     check_rounds,
@@ -74,20 +73,10 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-# the most rows one ``_rounds`` call is handed
+# a chunk, the rows one ``_rounds`` call is handed, holds at most
+# _ROW_CHUNK rows and at most _CHUNK_CELLS row entries, and one row at least
 _ROW_CHUNK = 256
-
-
-def _row_lists(P, n: int):
-    """The rows of a chunk ``P`` over ``n`` experts as lists of Python
-    floats, and whether its rounds yield their weights as numpy rows.  Up to
-    ``SCALAR_MAX_N`` experts the chunk is read at once and the rounds yield
-    the lists they make; above it each row is read as it comes and each
-    yielded weight row is a numpy row, so that a chunk of rounds holds one
-    float per weight, not a float object.  Neither choice changes a bit."""
-    if n <= SCALAR_MAX_N:
-        return P.tolist(), False
-    return map(np.ndarray.tolist, P), True
+_CHUNK_CELLS = 2048
 
 
 class _Learner:
@@ -99,17 +88,21 @@ class _Learner:
     ``every``, 2 ``every``, ... and of the last round stepped, each shaped
     like ``weights``; the other columns keep every round.
 
-    The loop hands ``_rounds`` at most ``_ROW_CHUNK`` rows at a time, writes
-    the rounds that chunk yields into columns allocated once for the block,
-    and releases them before it makes the next chunk, so the block's
-    transient memory is one chunk; a halted block returns copies of the rows
-    it stepped.
+    The loop is the one place where rows become Python floats: it hands
+    ``_rounds`` one chunk of rows at a time, read once as lists
+    (``tolist()``), at most ``_ROW_CHUNK`` rows and ``_CHUNK_CELLS`` entries
+    (one row at least), so its size is bounded at any width.  It writes the
+    rounds that chunk yields into columns allocated once for the block, and
+    releases them before it makes the next chunk, so the block's transient
+    memory is one chunk; a halted block returns copies of the rows it
+    stepped.
 
-    ``_rounds`` keeps the state in locals, yields each round's
-    ``(prediction, loss, rate, weights)`` after its update, and writes the
-    state back in its ``finally``, which the loop's ``close`` runs also on a
-    halt or a raise; so a block may be cut anywhere, and stepping its parts
-    in turn gives the trace and state of the whole.
+    ``_rounds`` keeps the state in locals, iterates the chunk's row lists,
+    yields each round's ``(prediction, loss, rate, weights)`` after its
+    update, the weights as the list it holds, and writes the state back in
+    its ``finally``, which the loop's ``close`` runs also on a halt or a
+    raise; so a block may be cut anywhere, and stepping its parts in turn
+    gives the trace and state of the whole.
 
     ``step_block`` trusts its rows: it checks only their width, not the
     stream rule, which ``run_learner`` holds a raw array to."""
@@ -121,13 +114,14 @@ class _Learner:
         if every < 1:
             raise ValueError(f"weight stride {every!r} must be at least 1")
         T = len(P)
+        size = max(1, min(_ROW_CHUNK, _CHUNK_CELLS // self.n))
         preds, losses, rates = np.empty(T), np.empty(T), np.empty(T)
         weights = np.empty((-(-T // every), *np.shape(self.weights)))
         done = kept = 0
         halted_at = None
         while done < T and halted_at is None:
             chunk = []
-            with closing(self._rounds(P[done:done + _ROW_CHUNK])) as rounds:
+            with closing(self._rounds(P[done:done + size].tolist())) as rounds:
                 for row in rounds:
                     chunk.append(row)
                     if halt and row[1] == INFINITE_LOSS:
@@ -282,14 +276,13 @@ class SoftBayes(_Learner):
         # the rate the next round will use
         self.current_rate = schedule.rate(1)
 
-    def _rounds(self, P):
+    def _rounds(self, rows):
         """The schedule sees round t, as the row's Python floats, and its M
         before it gives eta_{t+1}, also on a diverged round."""
         schedule = self.schedule
         observe, rate = schedule.observe, schedule.rate
         corrects = schedule.applies_correction
         t, eta_t = self.t, self.current_rate
-        rows, wide = _row_lists(P, self.n)
         wl, pl = self.weights.tolist(), self.prior.tolist()
         try:
             for q in rows:
@@ -322,7 +315,7 @@ class SoftBayes(_Learner):
                         c3 = 1.0 - ratio
                         wl = [wi * ratio + c3 * pi for wi, pi in zip(wl, pl)]
                 rate_used, t, eta_t = eta_t, t + 1, eta_next
-                yield m, _loss(m), rate_used, np.array(wl) if wide else wl
+                yield m, _loss(m), rate_used, wl
         finally:
             self.weights, self.t, self.current_rate = np.array(wl), t, eta_t
 
@@ -351,7 +344,7 @@ class ExponentiatedGradient(_Learner):
     def weights(self) -> np.ndarray:
         return np.array([math.exp(x) for x in self.log_w.tolist()])
 
-    def _rounds(self, P):
+    def _rounds(self, rows):
         """EG's round on Python floats at every width: ln M by log-sum-exp,
         each sum added left to right, with ln M = -inf and the log weights
         unchanged on divergence.
@@ -363,7 +356,6 @@ class ExponentiatedGradient(_Learner):
         weights."""
         log_w, eta = self.log_w.tolist(), self.eta
         exp, log, inf = math.exp, math.log, math.inf
-        rows, wide = _row_lists(P, self.n)
         try:
             for q in rows:
                 log_q = [log(qi) if qi > 0.0 else -inf for qi in q]
@@ -395,7 +387,7 @@ class ExponentiatedGradient(_Learner):
                     # the prediction may underflow to 0.0 for display while
                     # the loss, taken from ln M, stays finite
                     m, loss = exp(log_m), -log_m
-                yield m, loss, eta, np.array(log_w) if wide else log_w
+                yield m, loss, eta, log_w
         finally:
             self.log_w = np.array(log_w)
 
@@ -415,14 +407,13 @@ class OnlineGradientDescent(_Learner):
         self.name = name
         self.weights = _start_weights(n, prior)
 
-    def _rounds(self, P):
+    def _rounds(self, rows):
         eta = self.eta
-        rows, wide = _row_lists(P, self.n)
         w = self.weights.tolist()
         try:
             for q in rows:
                 m, w = _ogd_cycle(w, q, eta)
-                yield m, _loss(m), eta, np.array(w) if wide else w
+                yield m, _loss(m), eta, w
         finally:
             self.weights = np.array(w)
 
@@ -442,13 +433,12 @@ class MLSoftBayes(_Learner):
         self.rates = np.full(n, _ml_rate(0.0, self.ln_n))
         self.V = np.zeros(n)
 
-    def _rounds(self, P):
+    def _rounds(self, rows):
         """Prediction sum(w_i eta_i p_i) / sum(w_i eta_i), both sums added
         left to right; each expert then runs the soft-Bayes update and prior
         blend with its own rate pair, eta_{t+1} taken from V advanced by
         (p_i/M - 1)^2.  A diverged round leaves the state as it was."""
         ln_n = self.ln_n
-        rows, wide = _row_lists(P, self.n)
         wl, rl, vl = self.weights.tolist(), self.rates.tolist(), self.V.tolist()
         pl = self.prior.tolist()
         wrl = [wi * ri for wi, ri in zip(wl, rl)]
@@ -476,7 +466,7 @@ class MLSoftBayes(_Learner):
                         new_r.append(nxt)
                         new_wr.append(wi * nxt)
                     wl, vl, rl, wrl = new_w, new_v, new_r, new_wr
-                yield m, _loss(m), math.nan, np.array(wl) if wide else wl
+                yield m, _loss(m), math.nan, wl
         finally:
             self.weights, self.rates, self.V = np.array(wl), np.array(rl), np.array(vl)
 
@@ -504,15 +494,15 @@ class MetaBayes(_Learner):
         """Meta weights over the sub-learners (not over the experts)."""
         return self.u
 
-    def _rounds(self, P):
-        """Each live sub-learner's own rounds, stepped in lockstep; one whose
-        M is 0 is closed on that round.  The rounds yield the meta weights,
-        as a list."""
+    def _rounds(self, rows):
+        """Each live sub-learner's own rounds over the same row lists,
+        stepped in lockstep; one whose M is 0 is closed on that round.  The
+        rounds yield the meta weights, as a list."""
         ul, dead = self.u.tolist(), list(self.sub_dead)
-        live = {k: sub._rounds(P) for k, sub in enumerate(self.subs) if not dead[k]}
+        live = {k: sub._rounds(rows) for k, sub in enumerate(self.subs) if not dead[k]}
         ms = [0.0] * len(dead)
         try:
-            for _ in range(len(P)):
+            for _ in rows:
                 for k in tuple(live):
                     ms[k] = m = next(live[k])[0]
                     if m == 0.0:

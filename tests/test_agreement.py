@@ -48,7 +48,7 @@ from softbayes.rates import (
 STREAMS = {
     "theorem2": lambda: adversarial_alternating(200),
     "iid-n5": lambda: random_iid_instance(5, 300, seed=3),
-    # past SCALAR_MAX_N, where the learners read their rows one at a time
+    # 20 experts, where a chunk holds 102 rows
     "iid-n20": lambda: random_iid_instance(20, 300, seed=5),
 }
 
@@ -128,7 +128,7 @@ def test_exact_rates(schedule_name, stream_name):
 
 
 META_CASES = {
-    # iid N = 2, 10 and 20 cover both sides of SCALAR_MAX_N
+    # iid N = 2, 10 and 20: chunks of 256, 204 and 102 rows
     "iid-n2": (lambda: random_iid_instance(2, 300, seed=3), None),
     "iid-n10-prior": (lambda: random_iid_instance(10, 300, seed=4),
                       np.random.default_rng(4).dirichlet(np.ones(10))),

@@ -4,8 +4,8 @@ Each stream drives a mixture prediction M to a subnormal or a tiny normal
 value, where eta/M or p/M overflows the float range.  A run must still end
 in a verdict (exit 0 or 1), and since the suite turns warnings into errors,
 without a RuntimeWarning.  Streams A-E and G have at most 3 experts; each is
-also run padded with zero columns to ``SCALAR_MAX_N + 1`` experts, where the
-learners read their rows one at a time and yield numpy weight rows.
+also run padded with zero columns to 17 experts, where a chunk of rows is
+cut short by its cell budget.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ import pytest
 
 from softbayes import learners
 from softbayes.cli import main
-from softbayes.core import SCALAR_MAX_N, ExpertStream
+from softbayes.core import ExpertStream
 from softbayes.harness import parse_learner, write_stream_jsonl
 
 
@@ -44,10 +44,10 @@ STREAMS = {
 
 
 def padded(make):
-    """The stream ``make`` builds, with zero columns up to SCALAR_MAX_N + 1."""
+    """The stream ``make`` builds, with zero columns up to 17 experts."""
     def build():
         p = make().p
-        return ExpertStream(np.hstack([p, np.zeros((len(p), SCALAR_MAX_N + 1 - p.shape[1]))]))
+        return ExpertStream(np.hstack([p, np.zeros((len(p), 17 - p.shape[1]))]))
     return build
 
 
@@ -130,19 +130,18 @@ def ties_and_zeros(n):
     return build
 
 
-# the edge streams as they are and two streams of ties and zeros up to
-# SCALAR_MAX_N experts, where a learner reads a chunk's rows at once
+# the edge streams as they are and two streams of ties and zeros, of 7 and
+# 16 experts
 FORM_STREAMS = {name: make for name, make in STREAMS.items() if not name.endswith("-wide")}
-FORM_STREAMS.update({f"ties-{n}": ties_and_zeros(n) for n in (7, SCALAR_MAX_N)})
+FORM_STREAMS.update({f"ties-{n}": ties_and_zeros(n) for n in (7, 16)})
 
 
 @pytest.mark.parametrize("selector", SELECTORS)
 @pytest.mark.parametrize("stream", sorted(FORM_STREAMS))
 def test_python_float_forms_match_the_numpy_forms(stream, selector, monkeypatch):
-    # the width constant changes how a learner reads its rows and returns
-    # its weight rows, never a bit: set to 0, every row is read one at a
-    # time and every weight row goes back as a numpy row
+    # the chunk rule changes how many rows a learner is handed at once,
+    # never a bit: with no cell budget, every chunk is one row
     data = FORM_STREAMS[stream]()
     floats = trace_digest(selector, data)
-    monkeypatch.setattr(learners, "SCALAR_MAX_N", 0)
+    monkeypatch.setattr(learners, "_CHUNK_CELLS", 0)
     assert trace_digest(selector, data) == floats

@@ -201,8 +201,7 @@ VERIFY = (
 # predictions, losses, rates and weights bytes: at the benchmark's scale, the
 # adversarial-compare learners on theorem2:T=20000, where meta's rate-1 row
 # dies past round 10,000, and the e2e-csv learners on its iid stream; and
-# every learner kind past SCALAR_MAX_N, where the learners read their rows
-# one at a time and yield numpy weight rows
+# every learner kind on 20 experts, where a chunk holds 102 rows
 TRACE_DIGESTS = {
     ("theorem2:T=20000", 0, "soft-bayes:anytime"):
         "fc916c22686242b2fe2a0999c9385ab12a17b1df031bd4c2160c7bd691edd164",

@@ -313,7 +313,10 @@ class TestStreamIO:
         ('{"dists": [[0.2, 0.8], "ab"], "x": 1}',
          "line 2: malformed 'dists': each distribution must be a list covering symbol x=1"),
         ('{"p": [1' + "0" * 400 + ', 0.5]}', "line 2: stream probabilities must lie in [0, 1]"),
-    ], ids=["bool-p", "string-p", "bool-x", "bool-dists", "string-dist", "huge-int"])
+        ('{"dists": [[0.2, 0.8], [0.6, 0.4]], "x": 1, "p": [0.1, 0.1]}',
+         "line 2: round has both 'p' and 'dists'"),
+    ], ids=["bool-p", "string-p", "bool-x", "bool-dists", "string-dist", "huge-int",
+            "p-and-dists"])
     def test_stream_values_must_be_json_numbers(self, tmp_path, capsys, text, error):
         path = tmp_path / "s.jsonl"
         path.write_text('{"p": [0.5, 0.5]}\n' + text + "\n")
@@ -913,9 +916,31 @@ class TestCLI:
 
     @pytest.mark.parametrize("param", ["T=10.7", "N=2.9", "m=1.5", "K=0.5", "T=inf"])
     def test_bound_rejects_non_integral_counts(self, capsys, param):
-        argv = ["bound", "--variant", "thm5", "-p", "T=10", "-p", "N=2", "-p", param]
+        # the count under test replaces its default, since a key given twice is refused
+        argv = ["bound", "--variant", "thm5"]
+        for item in ("T=10", "N=2"):
+            if item[0] != param[0]:
+                argv += ["-p", item]
+        argv += ["-p", param]
         assert main(argv) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params, error", [
+        (["T=abc"], "parameter T must be a number, got 'abc'"),
+        (["T="], "parameter T must be a number, got ''"),
+        (["=5"], "malformed parameter '=5', expected key=value"),
+        ([" =5"], "malformed parameter ' =5', expected key=value"),
+        (["T=10", "T=20"], "parameter T is given twice"),
+        (["T=10", " T =20"], "parameter T is given twice"),
+    ], ids=["word", "empty-value", "empty-key", "blank-key", "repeated", "repeated-padded"])
+    def test_bound_names_the_parameter_it_cannot_read(self, capsys, params, error):
+        argv = ["bound", "--variant", "thm5", "-p", "N=2"]
+        for param in params:
+            argv += ["-p", param]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {error}\n"
 
     @pytest.mark.parametrize("variant, params, message", [
         ("thm7", ["T=10", "N=1", "K=1"], "needs N >= 2, got 1"),
@@ -970,6 +995,8 @@ class TestCLI:
         ["run", "--generator", "iid-mixture:N=2,T=5", "--learner", "bayes"],
         ["gen", "--generator", "iid-mixture:N=2,T=5", "--out", "s.jsonl"],
         ["verify"],
+        # theorem2 reads no seed, so gen refuses it before the generator can
+        ["gen", "--generator", "theorem2:T=10", "--out", "s.jsonl"],
     ])
     def test_negative_seed_names_itself(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softbayes.core import SCALAR_MAX_N, BadRoundError, ExpertStream
+from softbayes.core import BadRoundError, ExpertStream
 from softbayes.generators import adversarial_alternating
 from softbayes.harness import LEARNER_KINDS, parse_learner
 from softbayes.learners import (
@@ -478,7 +478,7 @@ class TestSoftBayesSweep:
         return preds
 
     # the sweep is the one numpy form of soft-Bayes, held to the learner's
-    # Python floats past SCALAR_MAX_N too
+    # Python floats past 16 experts too
     @pytest.mark.parametrize("n", [2, 5, 17, 40])
     def test_bitwise_matches_sequential_learner(self, n):
         batch = np.random.default_rng(31).uniform(0.01, 1.0, size=(6, 120, n))
@@ -571,7 +571,7 @@ def halts_at(k):
 
 
 # every LEARNER_KINDS selector (soft-Bayes under each schedule) on the edge
-# streams, as they are and padded past SCALAR_MAX_N, on theorem2, and on
+# streams, as they are and padded to 17 experts, on theorem2, and on
 # streams that halt on the last and on the first row of a ``_ROW_CHUNK``
 BLOCK_STREAMS = {**EDGE_STREAMS, "theorem2": lambda: adversarial_alternating(200),
                  "halt-256": halts_at(256), "halt-257": halts_at(257)}
@@ -647,15 +647,46 @@ def test_block_and_one_row_forms_agree(stream_name, selector, policy):
         assert learner_state(parts) == learner_state(block), name
 
 
+@pytest.mark.parametrize("n, T", [(2, 600), (8, 600), (9, 600), (64, 600), (3000, 3)])
+@pytest.mark.parametrize("selector", ["soft-bayes:anytime", "meta:rates=1,0.5,0.25"])
+def test_a_chunk_holds_at_most_its_rows_and_cells(selector, n, T):
+    # each _rounds call is handed one chunk of row lists: one row at least,
+    # at most _ROW_CHUNK rows and 2,048 entries, one row a chunk past that;
+    # meta's sub-learners are handed the very lists meta is
+    learner = parse_learner(selector).build(n)
+    handed = []
+
+    def spy(rounds):
+        def call(rows):
+            handed.append(rows)
+            return rounds(rows)
+        return call
+
+    learner._rounds = spy(learner._rounds)
+    for sub in getattr(learner, "subs", ()):
+        sub._rounds = spy(sub._rounds)
+    stream = random_stream(np.random.default_rng(n), T, n)
+    run_learner(learner, stream)
+    # each call on meta is followed by one on each sub-learner, none of which dies
+    calls = 1 + len(getattr(learner, "subs", ()))
+    chunks = handed[::calls]
+    assert all(rows is handed[i - i % calls] for i, rows in enumerate(handed))
+    assert [row for chunk in chunks for row in chunk] == stream.p.tolist()
+    for chunk in chunks:
+        assert 1 <= len(chunk) <= _ROW_CHUNK
+        assert len(chunk) * n <= 2048 or len(chunk) == 1
+    assert len(chunks) == (T if n == 3000 else -(-T // min(_ROW_CHUNK, 2048 // n)))
+
+
 def trace_columns(trace):
     return trace.predictions, trace.losses, trace.rates, trace.weights
 
 
-@pytest.mark.parametrize("n", [2, SCALAR_MAX_N + 1])
+@pytest.mark.parametrize("n", [2, 17])
 @pytest.mark.parametrize("selector", EDGE_SELECTORS)
 def test_a_run_holds_its_trace_columns_and_one_chunk(selector, n):
     # the rounds' Python floats and weight rows are written into the columns
-    # a _ROW_CHUNK at a time, not kept until the block ends
+    # a chunk at a time, not kept until the block ends
     stream = random_stream(np.random.default_rng(n), 20_000, n)
     learner = parse_learner(selector).build(n)
     tracemalloc.start()
@@ -670,7 +701,7 @@ def test_a_run_holds_its_trace_columns_and_one_chunk(selector, n):
     assert peak - entry <= sum(column.nbytes for column in trace_columns(trace)) + 512 * 1024
 
 
-@pytest.mark.parametrize("n", [2, SCALAR_MAX_N + 1])
+@pytest.mark.parametrize("n", [2, 17])
 @pytest.mark.parametrize("selector", EDGE_SELECTORS)
 def test_a_halted_run_owns_only_the_rows_it_stepped(selector, n):
     # on the prior's one expert until round 5 reads it 0: every learner halts there
@@ -684,7 +715,7 @@ def test_a_halted_run_owns_only_the_rows_it_stepped(selector, n):
 
 
 @pytest.mark.parametrize("policy", ["halt", "continue"])
-@pytest.mark.parametrize("n", [2, SCALAR_MAX_N + 1])
+@pytest.mark.parametrize("n", [2, 17])
 @pytest.mark.parametrize("selector", EDGE_SELECTORS)
 def test_a_stride_keeps_the_rows_of_its_rounds(selector, n, policy):
     # halt-257 ends off the stride of 3, on round 257 (Bayes, OGD) or 512;
@@ -708,8 +739,9 @@ def test_a_stride_keeps_the_rows_of_its_rounds(selector, n, policy):
 @pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
 def test_a_run_that_keeps_the_last_row_holds_three_columns_and_one_chunk(kind, n):
     # no T x N weights column: what a run holds beside its predictions,
-    # losses and rates is one _ROW_CHUNK of rounds, each at most 1 KiB up to
-    # 64 experts (a weight row, three floats and their list slots)
+    # losses and rates is one chunk of at most _ROW_CHUNK rounds, each at
+    # most 1 KiB up to 64 experts (a row, a weight row, three floats and
+    # their list slots)
     T = 20_000
     stream = random_stream(np.random.default_rng(n), T, n)
     selector = next(s for s in EDGE_SELECTORS if parse_learner(s).kind == kind)
@@ -787,9 +819,9 @@ class RecordsRows(FixedRate):
         self.rows.append(p)
 
 
-@pytest.mark.parametrize("n", [2, SCALAR_MAX_N, SCALAR_MAX_N + 1, 64])
+@pytest.mark.parametrize("n", [2, 16, 17, 64])
 def test_the_schedule_sees_each_row_in_the_form_the_learner_holds(n):
-    # the row's Python floats at every width, on either side of SCALAR_MAX_N
+    # the row's Python floats at every width
     stream = random_stream(np.random.default_rng(n), _ROW_CHUNK + 44, n)
     schedule = RecordsRows()
     run_learner(SoftBayes(n, schedule), stream)
