@@ -105,13 +105,6 @@ class ExpertStream:
     def __iter__(self):
         return iter(self.p)
 
-    def slice(self, start: int, stop: int) -> "ExpertStream":
-        """Sub-stream of rounds ``start..stop`` inclusive, 1-based: a view of
-        ``p``, not a copy."""
-        if not (1 <= start <= stop <= len(self)):
-            raise ValueError(f"invalid round range [{start}, {stop}] for T={len(self)}")
-        return unchecked_stream(self.p[start - 1 : stop])
-
     def concat(self, other: "ExpertStream") -> "ExpertStream":
         if other.n_experts != self.n_experts:
             raise ValueError("cannot concatenate streams with different expert counts")

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import project_simplex_numpy
-from softbayes import core
 from softbayes.core import (
     BadRoundError,
     ExpertStream,
@@ -128,21 +127,7 @@ class TestExpertStream:
         with pytest.raises(ValueError):
             ExpertStream(np.array([[0.5, -0.1]]))
 
-    def test_slice_and_concat(self):
+    def test_concat(self):
         s = ExpertStream(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
-        first = s.slice(1, 2)
-        assert len(first) == 2
-        both = first.concat(s.slice(3, 3))
+        both = ExpertStream(s.p[:2]).concat(ExpertStream(s.p[2:]))
         np.testing.assert_array_equal(both.p, s.p)
-        with pytest.raises(ValueError):
-            s.slice(0, 2)
-
-    def test_slice_is_an_unchecked_view(self, monkeypatch):
-        s = ExpertStream(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
-        checked = []
-        monkeypatch.setattr(core, "check_rounds", checked.append)
-        view = s.slice(2, 3)
-        np.testing.assert_array_equal(view.p, s.p[1:])
-        assert np.shares_memory(view.p, s.p) and checked == []
-        with pytest.raises(ValueError, match=r"^invalid round range \[2, 4\] for T=3$"):
-            s.slice(2, 4)
