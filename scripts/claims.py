@@ -96,7 +96,7 @@ def guarantees(T, n, seeds):
     eta = rate_offline(T, n)
     # label -> (schedule factory, bound variant, its parameters past T and N given the run's schedule)
     schedules = {
-        f"fixed:{eta:.4f}": (lambda: FixedRate(eta), "thm2", lambda _: {"m": m, "eta": eta}),
+        f"fixed:{eta!r}": (lambda: FixedRate(eta), "thm2", lambda _: {"m": m, "eta": eta}),
         "anytime": (lambda: AnytimeRate(n), "thm5", lambda _: {}),
         "sparse": (lambda: SparseRate(n), "thm6", lambda _: {"m": m}),
         "shifting": (lambda: ShiftingRate(n), "thm7", lambda _: {"K": 1}),

@@ -18,7 +18,7 @@ from . import verify as verify_mod
 from .comparators import theoretical_bound
 from .generators import parse_generator
 from .harness import (
-    CLI_BOUNDS,
+    BOUNDS,
     ConfigError,
     ExperimentConfig,
     StreamFormatError,
@@ -36,7 +36,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                         "ogd:fixed=0.1, bayes, ml-soft-bayes, meta:rates=1,0.5,0.25")
     p.add_argument("--comparator", default=None,
                    help="fixed-mixture | single-best | shifting=t2,t3,...")
-    p.add_argument("--bound", action="append", default=[], choices=list(CLI_BOUNDS),
+    p.add_argument("--bound", action="append", default=[], choices=list(BOUNDS),
                    help="repeatable; guarantee(s) to evaluate against the regret")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--on-divergence", choices=["halt", "continue"], default=None)
@@ -65,8 +65,8 @@ def _config_from_args(args) -> ExperimentConfig:
         seed=args.seed,
         on_divergence=args.on_divergence,
         bits=args.bits,
-        out_csv=getattr(args, "out_csv", None),
-        out_json=getattr(args, "out_json", None),
+        out_csv=args.out_csv,
+        out_json=args.out_json,
     )
     if args.config:
         return ExperimentConfig.from_json_file(args.config, **overrides)

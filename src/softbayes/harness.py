@@ -214,7 +214,9 @@ def write_stream_jsonl(stream: ExpertStream, path: str) -> None:
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Parsed learner selector, e.g. ``soft-bayes:anytime`` or ``eg:fixed=0.5``.
+    """Parsed learner selector, e.g. ``soft-bayes:anytime`` or ``eg:fixed=0.5``:
+    its text, its kind, and ``arg``, what the kind's parser read from the
+    rest (a ``ScheduleConfig``, a rate, a tuple of rates, or None).
 
     A non-uniform prior comes in through the config file, where a learner
     entry may be ``{"spec": "...", "prior": [...]}`` instead of a string.
@@ -222,37 +224,34 @@ class LearnerSpec:
 
     text: str
     kind: str
-    schedule: ScheduleConfig | None = None
-    eta: float | None = None
-    rates: tuple = ()
+    arg: object = None
     prior: tuple | None = None
 
     def build(self, n: int):
         prior = None if self.prior is None else list(self.prior)
-        return LEARNER_KINDS[self.kind][1](self, n, prior=prior, name=self.text)
+        return LEARNER_KINDS[self.kind][1](self.arg, n, prior=prior, name=self.text)
 
     @property
     def constant_rate(self) -> float | None:
         """The learner's constant rate when it has one (drives bound tables)."""
-        return LEARNER_KINDS[self.kind][2](self)
+        return LEARNER_KINDS[self.kind][2](self.arg)
 
 
-def _schedule_arg(arg: str, kind: str, text: str) -> dict:
+def _schedule_arg(arg: str, kind: str, text: str) -> ScheduleConfig:
     try:
-        return {"schedule": parse_schedule(arg) if arg else ScheduleConfig("anytime")}
+        return parse_schedule(arg) if arg else ScheduleConfig("anytime")
     except ValueError as exc:
         raise ConfigError(f"bad schedule in {text!r}: {exc}") from exc
 
 
 def _no_arg(why: str):
-    def parse(arg: str, kind: str, text: str) -> dict:
+    def parse(arg: str, kind: str, text: str) -> None:
         if arg:
             raise ConfigError(f"{kind} takes no schedule ({why})")
-        return {}
     return parse
 
 
-def _fixed_rate_arg(arg: str, kind: str, text: str) -> dict:
+def _fixed_rate_arg(arg: str, kind: str, text: str) -> float:
     if not arg:
         raise ConfigError(f"{kind} needs a rate, e.g. {kind}:fixed=0.5")
     head, sep, value = arg.replace(":", "=").partition("=")
@@ -266,10 +265,10 @@ def _fixed_rate_arg(arg: str, kind: str, text: str) -> dict:
         raise ConfigError(f"{kind} rate must be positive")
     if math.isinf(eta):
         raise ConfigError(f"{kind} rate {value.strip()!r} must be finite")
-    return {"eta": eta}
+    return eta
 
 
-def _rates_arg(arg: str, kind: str, text: str) -> dict:
+def _rates_arg(arg: str, kind: str, text: str) -> tuple:
     head, sep, value = arg.partition("=")
     if head.strip() != "rates" or not sep:
         raise ConfigError("meta needs sub-rates, e.g. meta:rates=1,0.5,0.25")
@@ -279,26 +278,24 @@ def _rates_arg(arg: str, kind: str, text: str) -> dict:
         raise ConfigError(f"bad meta rates {value!r}") from exc
     if not rates or any(not 0.0 < r <= 1.0 for r in rates):
         raise ConfigError("meta rates must lie in (0, 1]")
-    return {"rates": rates}
+    return rates
 
 
-# selector kind -> (argument parser (arg, kind, text) -> LearnerSpec fields,
-#                   factory (spec, n, prior=, name=), constant rate (spec))
+# selector kind -> (argument parser (arg, kind, text) -> LearnerSpec.arg,
+#                   factory (arg, n, prior=, name=), constant rate (arg))
 LEARNER_KINDS = {
-    "soft-bayes": (_schedule_arg, lambda s, n, **kw: SoftBayes(n, s.schedule.build(n), **kw),
-                   lambda s: s.schedule.param if s.schedule.kind == "fixed" else None),
-    "bayes": (_no_arg("it is soft-bayes at rate 1"), lambda s, n, **kw: Bayes(n, **kw),
-              lambda s: 1.0),
-    "eg": (_fixed_rate_arg, lambda s, n, **kw: ExponentiatedGradient(n, s.eta, **kw),
-           lambda s: s.eta),
-    "ogd": (_fixed_rate_arg, lambda s, n, **kw: OnlineGradientDescent(n, s.eta, **kw),
-            lambda s: s.eta),
-    "ml-soft-bayes": (_no_arg("rates are per-expert"), lambda s, n, **kw: MLSoftBayes(n, **kw),
-                      lambda s: None),
-    "meta": (_rates_arg, lambda s, n, **kw: MetaBayes(n, s.rates, **kw), lambda s: None),
+    "soft-bayes": (_schedule_arg, lambda a, n, **kw: SoftBayes(n, a.build(n), **kw),
+                   lambda a: a.param if a.kind == "fixed" else None),
+    "bayes": (_no_arg("it is soft-bayes at rate 1"), lambda a, n, **kw: Bayes(n, **kw),
+              lambda a: 1.0),
+    "eg": (_fixed_rate_arg, lambda a, n, **kw: ExponentiatedGradient(n, a, **kw),
+           lambda a: a),
+    "ogd": (_fixed_rate_arg, lambda a, n, **kw: OnlineGradientDescent(n, a, **kw),
+            lambda a: a),
+    "ml-soft-bayes": (_no_arg("rates are per-expert"), lambda a, n, **kw: MLSoftBayes(n, **kw),
+                      lambda a: None),
+    "meta": (_rates_arg, lambda a, n, **kw: MetaBayes(n, a, **kw), lambda a: None),
 }
-
-LEARNER_NAMES = tuple(LEARNER_KINDS)
 
 
 def parse_learner(text: str) -> LearnerSpec:
@@ -306,8 +303,8 @@ def parse_learner(text: str) -> LearnerSpec:
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
     if kind not in LEARNER_KINDS:
-        raise ConfigError(f"unknown learner {text!r}; known: {', '.join(LEARNER_NAMES)}")
-    return LearnerSpec(spec, kind, **LEARNER_KINDS[kind][0](arg.strip(), kind, text))
+        raise ConfigError(f"unknown learner {text!r}; known: {', '.join(LEARNER_KINDS)}")
+    return LearnerSpec(spec, kind, LEARNER_KINDS[kind][0](arg.strip(), kind, text))
 
 
 # -------------------------------------------------------------- comparator
@@ -500,8 +497,6 @@ BOUNDS = {
     "single-expert": _single_expert,
 }
 
-CLI_BOUNDS = tuple(BOUNDS)
-
 
 # ------------------------------------------------------------------ config
 
@@ -545,8 +540,8 @@ class ExperimentConfig:
         self.learner_specs = [self._learner_spec(entry) for entry in self.learners]
         self.comparator_spec = parse_comparator(self.comparator)
         for b in self.bounds:
-            if b not in CLI_BOUNDS:
-                raise ConfigError(f"unknown bound {b!r}; known: {', '.join(CLI_BOUNDS)}")
+            if b not in BOUNDS:
+                raise ConfigError(f"unknown bound {b!r}; known: {', '.join(BOUNDS)}")
         if self.generator is not None:
             try:
                 self.generator_spec = parse_generator(self.generator)
@@ -615,16 +610,11 @@ def _text_rows(block: np.ndarray, bits=False) -> list:
     return rows
 
 
-def _fmt(value: float | None, bits: bool = False) -> str:
-    """One artifact number as text under ``_text_rows``'s rule; None is
-    empty, like NaN."""
-    return _text_rows(np.array([[value]], dtype=float), bits)[0]
-
-
 def _scale(value: float | None, bits: bool):
-    """The JSON form of ``_fmt``: None for empty text, infinities as text,
-    other numbers as floats (exact, since ``float(repr(x)) == x``)."""
-    text = _fmt(value, bits)
+    """One artifact number in its JSON form, under ``_text_rows``'s rule:
+    None for NaN or None, infinities as text, other numbers as floats
+    (exact, since ``float(repr(x)) == x``)."""
+    text = _text_rows(np.array([[value]], dtype=float), bits)[0]
     if not text:
         return None
     return text if text in ("inf", "-inf") else float(text)
@@ -637,7 +627,11 @@ class RunArtifact:
     traces: list
     reports: list
     summary: dict
-    exit_code: int
+
+    @property
+    def exit_code(self) -> int:
+        """The summary's: 1 when an evaluated bound check failed, else 0."""
+        return self.summary["exit_code"]
 
     def write(self) -> None:
         """Write the artifacts the config names a path for.  The trace CSV
@@ -661,7 +655,7 @@ class RunArtifact:
                     cum = trace.cumulative_losses
                     # an empty first trace still has the block with the header
                     for start in range(0, trace.rounds or int(k == 0), BLOCK_ROWS):
-                        fh.write(_csv_table(config, stream, traces, k, start, cum))
+                        fh.write(_csv_table(config, traces, k, start, cum))
         if config.out_json:
             with open(config.out_json, "w", encoding="utf-8") as fh:
                 json.dump(self.summary, fh, sort_keys=True, indent=2)
@@ -686,23 +680,22 @@ def _weight_stride(config: ExperimentConfig, stream: ExpertStream) -> int:
     return 1 if stream.n_experts <= 16 else max(1, math.ceil(T / 1000))
 
 
-def _csv_table(config: ExperimentConfig, stream: ExpertStream, traces: list,
-               k: int, start: int, cum: np.ndarray) -> str:
+def _csv_table(config: ExperimentConfig, traces: list, k: int, start: int,
+               cum: np.ndarray) -> str:
     """One block of the trace CSV: the rows of ``traces[k]`` for rounds
     ``start + 1`` to ``start + BLOCK_ROWS`` (or its last), and before them
     the header row when this is the first block (``k == start == 0``).
     ``cum`` is that trace's ``cumulative_losses``, taken once for the trace
     and sliced here, so every block's sums are those of the whole run.
-    The trace keeps its weights at the stride the CSV prints them at, which
-    ``RunArtifact.write`` checks first."""
+    The weights print at the trace's own stride ``every``, which
+    ``RunArtifact.write`` has checked against the CSV's."""
     width = max(t.weights.shape[1] if t.weights.size else 0 for t in traces)
-    stride = _weight_stride(config, stream)
     head = ""
     if k == start == 0:
         head = _csv_line(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
                          + [f"w{i + 1}" for i in range(width)])
     trace = traces[k]
-    n = trace.rounds
+    n, stride = trace.rounds, trace.every
     if start >= n:
         return head
     # the name quoted as the csv module would, and a comma
@@ -812,4 +805,4 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         "learners": learner_summaries,
         "exit_code": exit_code,
     }
-    return RunArtifact(config, stream, traces, reports, summary, exit_code)
+    return RunArtifact(config, stream, traces, reports, summary)

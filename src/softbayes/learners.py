@@ -184,9 +184,12 @@ def _ogd_cycle(w: list, q: list, eta: float):
     unchanged when M = 0.
 
     The projection can concentrate all mass on one expert, after which a
-    round that expert gets wrong produces the infinite-loss sentinel.  A
-    step eta/M that overflows is taken at its limit: all mass on the experts
-    with the largest q, split as the projection of their current weights.
+    round that expert gets wrong produces the infinite-loss sentinel.  Where
+    the step eta/M overflows (M subnormal), each entry divides before it
+    scales, w_i + eta (q_i / M), which stays finite where q_i is as small
+    as M; only when one of those is infinite too is the step taken at its
+    limit: all mass on the experts with the largest q, split as the
+    projection of their current weights.
     """
     m = 0.0
     for wi, qi in zip(w, q):
@@ -195,6 +198,9 @@ def _ogd_cycle(w: list, q: list, eta: float):
         return 0.0, w
     step = eta / m
     if math.isinf(step):
+        u = [wi + eta * (qi / m) for wi, qi in zip(w, q)]
+        if not any(map(math.isinf, u)):
+            return m, project_floats(u)
         top = max(q)
         shares = iter(project_floats([wi for wi, qi in zip(w, q) if qi == top]))
         return m, [next(shares) if qi == top else 0.0 for qi in q]

@@ -1,5 +1,5 @@
 """The learners' updates and the online rate schedules restated in 60-digit
-``decimal`` arithmetic.
+``decimal`` arithmetic (more where an OGD step needs them).
 
 Each ``*_losses`` function replays one update rule over a stream's rows and
 returns the per-round losses -ln M as floats, ``math.inf`` on a round whose
@@ -172,7 +172,10 @@ def project_simplex_numpy(v) -> np.ndarray:
 
 def ogd_losses(p, eta) -> list:
     """Projected gradient steps from the uniform prior:
-    w <- Pi(w + eta p / M)."""
+    w <- Pi(w + eta p / M).  The projection takes 1 from sums of entries as
+    large as the step eta / M, so a round steps and projects at ``DIGITS``
+    digits beyond the step's magnitude, which passes 10^300 where M is
+    subnormal."""
     with localcontext() as ctx:
         ctx.prec = DIGITS
         rows = _rows(p)
@@ -181,10 +184,12 @@ def ogd_losses(p, eta) -> list:
         w = [Decimal(1) / n] * n
         losses = []
         for q in rows:
+            ctx.prec = DIGITS
             m = _dot(w, q)
             losses.append(_loss(m))
             if m == 0:
                 continue
+            ctx.prec = DIGITS + max(0, (e / m).adjusted())
             w = _project_simplex([wi + e * qi / m for wi, qi in zip(w, q)])
         return losses
 

@@ -26,6 +26,7 @@ from reference import (
     soft_bayes_losses,
     sparse_rates,
 )
+from softbayes.core import ExpertStream
 from softbayes.generators import adversarial_alternating, random_iid_instance
 from softbayes.learners import (
     Bayes,
@@ -45,11 +46,25 @@ from softbayes.rates import (
     SparseRate,
 )
 
+
+def _runs(*runs):
+    """The stream of each (count, row) run's row repeated count times."""
+    return ExpertStream(np.array([row for count, row in runs for _ in range(count)]))
+
+
 STREAMS = {
     "theorem2": lambda: adversarial_alternating(200),
     "iid-n5": lambda: random_iid_instance(5, 300, seed=3),
     # 20 experts, where a chunk holds 102 rows
     "iid-n20": lambda: random_iid_instance(20, 300, seed=5),
+    # M is subnormal on round 21: every update divides before it scales, and
+    # the corrected schedules blend toward the prior after it; OGD's step
+    # eta / M overflows while each eta q_i / M stays finite
+    "subnormal-row": lambda: _runs((20, [0.6, 0.4]), (1, [2e-310, 1e-310]), (20, [0.6, 0.4])),
+    # OGD's step eta / M on round 31 is 10^169, far past the reference's 60
+    # digits; the round-32 row's subnormal entry then meets a zero weight
+    "huge-step": lambda: _runs((30, [0.6, 0.4]), (1, [1e-170, 0.4]), (1, [1e-310, 1.0]),
+                               (5, [0.6, 0.4])),
 }
 
 

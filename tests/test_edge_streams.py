@@ -139,9 +139,11 @@ FORM_STREAMS.update({f"ties-{n}": ties_and_zeros(n) for n in (7, 16)})
 @pytest.mark.parametrize("selector", SELECTORS)
 @pytest.mark.parametrize("stream", sorted(FORM_STREAMS))
 def test_python_float_forms_match_the_numpy_forms(stream, selector, monkeypatch):
-    # the chunk rule changes how many rows a learner is handed at once,
-    # never a bit: with no cell budget, every chunk is one row
+    # one-row chunks against the default chunking (the name is older than
+    # the one float form, and kept so that the case ids stay): the chunk
+    # rule changes how many rows a learner is handed at once, never a bit;
+    # with no cell budget, every chunk is one row
     data = FORM_STREAMS[stream]()
-    floats = trace_digest(selector, data)
+    default = trace_digest(selector, data)
     monkeypatch.setattr(learners, "_CHUNK_CELLS", 0)
-    assert trace_digest(selector, data) == floats
+    assert trace_digest(selector, data) == default

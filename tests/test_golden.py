@@ -69,7 +69,7 @@ RUNS = {
             "json": (14767, "8d8bea9ae47048d34c1a4a6b9c6ca4e7d5524f09e02a6fb1b635366df849337c"),
         },
     ),
-    # N <= 16: the scalar update path, a weight snapshot every round
+    # N <= 16: the CSV's weight stride is 1, a snapshot every round
     "iid-n10-bits": (
         ["--generator", "iid-mixture:N=10,T=400", "--seed", "5", "--bits",
          *_learners(ALL_LEARNERS), *_bounds(("thm2", "thm4", "thm5"))],
@@ -80,7 +80,8 @@ RUNS = {
             "json": (9041, "249f597b41a5f8cbeafa98d9d0299b48d2c52e896e3b96b3a726b9c14e5b2363"),
         },
     ),
-    # N > 16: the numpy update path, a weight snapshot every third round
+    # N > 16: the CSV's weight stride is ceil(T / 1000) = 3, a snapshot every
+    # third round and on the last
     "iid-n20-halt": (
         ["--generator", "iid-mixture:N=20,T=2500", "--seed", "7",
          "--on-divergence", "halt",

@@ -44,21 +44,21 @@ from test_edge_streams import SELECTORS as EDGE_SELECTORS
 class TestParseLearner:
     def test_soft_bayes_default_schedule(self):
         spec = parse_learner("soft-bayes")
-        assert spec.kind == "soft-bayes" and spec.schedule.kind == "anytime"
+        assert spec.kind == "soft-bayes" and spec.arg.kind == "anytime"
 
     def test_soft_bayes_with_schedule(self):
         spec = parse_learner("soft-bayes:self-confident=0.4")
-        assert spec.schedule.kind == "self-confident" and spec.schedule.param == 0.4
+        assert spec.arg.kind == "self-confident" and spec.arg.param == 0.4
         assert parse_learner("soft-bayes:fixed=0.25").constant_rate == 0.25
 
     def test_eg_and_ogd_rates(self):
-        assert parse_learner("eg:fixed=0.5").eta == 0.5
-        assert parse_learner("ogd:fixed=0.1").eta == 0.1
-        assert parse_learner("eg:fixed=2.0").eta == 2.0  # EG allows rates above 1
+        assert parse_learner("eg:fixed=0.5").arg == 0.5
+        assert parse_learner("ogd:fixed=0.1").arg == 0.1
+        assert parse_learner("eg:fixed=2.0").arg == 2.0  # EG allows rates above 1
 
     def test_meta_rates(self):
         spec = parse_learner("meta:rates=1,0.5,0.25")
-        assert spec.rates == (1.0, 0.5, 0.25)
+        assert spec.arg == (1.0, 0.5, 0.25)
 
     def test_errors(self):
         for bad in ("mystery", "eg", "eg:anytime", "meta", "bayes:fixed=1",
@@ -672,7 +672,7 @@ def _write_csv(path, bits, stream, traces):
     """The trace CSV as ``RunArtifact.write`` puts it in its file."""
     config = SimpleNamespace(bits=bits, out_csv=str(path), out_json=None)
     with np.errstate(invalid="ignore"):   # cumulative inf + -inf
-        RunArtifact(config, stream, traces, [], {}, 0).write()
+        RunArtifact(config, stream, traces, [], {}).write()
     return path.read_bytes()
 
 
@@ -744,7 +744,8 @@ class TestCsvRenderer:
     @pytest.mark.parametrize("bits", [False, True])
     def test_one_value_matches_the_reference(self, bits):
         for value in (None, *EDGE_VALUES, 3, -2.5, 1e300):
-            assert harness._fmt(value, bits) == _reference_fmt(value, bits)
+            got = harness._text_rows(np.array([[value]], dtype=float), bits)[0]
+            assert got == _reference_fmt(value, bits)
 
     @staticmethod
     def _whole_block_rule(block, bits):
@@ -798,7 +799,7 @@ class TestCsvRenderer:
                   for name in ("soft-bayes", "eg:fixed=0.5", "ml-soft-bayes")]
         stream = ExpertStream(np.full((T, n), 0.5))
         config = SimpleNamespace(bits=False, out_csv=str(self.path), out_json=None)
-        artifact = RunArtifact(config, stream, traces, [], {}, 0)
+        artifact = RunArtifact(config, stream, traces, [], {})
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]

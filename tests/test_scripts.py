@@ -47,10 +47,10 @@ GUARANTEES_HEADER = ("stream       learner                    mean regret  max r
 # over 2 seeds, so both blocks are held at a short and a longer stream.
 SCRIPTS = {
     "claims.py": ("claims.py", CLAIMS_ARGS, ROBUSTNESS_HEADER,
-                  "f9e441ad3602f8f0e21ae6f4ab1295f17c3b87e838da6396870ee12cffa3b62c"),
+                  "5081c31e9ab2764e85c1c95197dcf791466847f08c899a131d6c4f98f3465e5d"),
     "claims.py --T 200": ("claims.py", ["--T", "200", "--n", "3", "--seeds", "2"],
                           GUARANTEES_HEADER,
-                          "881ee8891f43f37cacc09ad0c9f83fb1c5ec2c82581cf4f5b5915cfa72516f11"),
+                          "a0244bb2756814d8362a6f5a63a7d0f5077e2b27a96cccd1da03cd08d3245e9a"),
 }
 
 
@@ -125,7 +125,7 @@ def _guarantee_rows():
     eta = rate_offline(T, N)
     bounds = {"thm2": {"m": m, "eta": eta}, "thm5": {}, "thm6": {"m": m}, "thm7": {"K": 1}}
     rows = {}
-    for label, make, variant in ((f"fixed:{eta:.4f}", lambda: FixedRate(eta), "thm2"),
+    for label, make, variant in ((f"fixed:{eta!r}", lambda: FixedRate(eta), "thm2"),
                                  ("anytime", lambda: AnytimeRate(N), "thm5"),
                                  ("sparse", lambda: SparseRate(N), "thm6"),
                                  ("shifting", lambda: ShiftingRate(N), "thm7"),
