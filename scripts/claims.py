@@ -56,12 +56,13 @@ def regret(learner, stream, comparator, policy="continue"):
     return trace, regret_report(trace, comparator).regret
 
 
-def row(stream, learner, cells, theorem, note=""):
-    """Print one table line: a number at three decimals, inf as "inf" and a
-    missing bound (or ratio) as "-"; a string cell is printed as it is."""
+def row(stream, learner, width, cells, theorem, note=""):
+    """Print one table line, its learner padded to ``width``: a number at
+    three decimals, inf as "inf" and a missing bound (or ratio) as "-"; a
+    string cell is printed as it is."""
     text = (c if isinstance(c, str) else "-" if c is None else "inf" if math.isinf(c)
             else f"{c:.3f}" for c in cells)
-    print(f"{stream:<12} {learner:<26} {' '.join(f'{c:>11}' for c in text)}  "
+    print(f"{stream:<12} {learner:<{width}} {' '.join(f'{c:>11}' for c in text)}  "
           f"{theorem:<10} {note}".rstrip())
 
 
@@ -72,10 +73,12 @@ def robustness(T, eta):
     print(f"== robustness: 2 Dirac experts, T={T} (flip: T+1), EG and OGD at eta={eta} ==")
     print(f"EG weight on the always-wrong expert after {t} rounds: "
           f"{w:.3e} (<= exp(-{eta * t:.0f}) = {math.exp(-eta * t):.3e})")
-    row("stream", "learner", ("comparator", "loss", "regret", "bound", "ratio"), "theorem", "notes")
     eg = lambda: ExponentiatedGradient(2, eta, name=f"eg:fixed={eta}")
     ogd = lambda: OnlineGradientDescent(2, eta, name=f"ogd:fixed={eta}")
     anytime = lambda: SoftBayes(2, AnytimeRate(2), name="soft-bayes:anytime")
+    width = max(len(label) for label in ("learner", *(make().name for make in (eg, ogd, anytime))))
+    row("stream", "learner", width, ("comparator", "loss", "regret", "bound", "ratio"),
+        "theorem", "notes")
     for label, s, learners, policy in (
             ("constant", stream, (eg, ogd, anytime), "continue"),
             ("alternating", adversarial_alternating(T), (eg, anytime), "continue"),
@@ -85,7 +88,7 @@ def robustness(T, eta):
             trace, r = regret(make(), s, comparator, policy)
             bound = theoretical_bound("thm5", T=len(s), N=2) if make is anytime else None
             ratio = None if bound is None else r / bound
-            row(label, trace.name, (comparator, trace.total_loss, r, bound, ratio),
+            row(label, trace.name, width, (comparator, trace.total_loss, r, bound, ratio),
                 "-" if bound is None else "thm5", "diverged" if trace.diverged else "")
 
 
@@ -103,7 +106,8 @@ def guarantees(T, n, seeds):
         "self-confident": (lambda: SelfConfidentRate(n), "thm4_tuned", lambda s: {"c1": s.C1}),
     }
     print(f"\n== guarantees: N={n}, T={T}, {seeds} seeded iid streams, worst best-set size m={m} ==")
-    row("stream", "learner", ("mean regret", "max regret", "bound", "max ratio"), "theorem")
+    width = max(len(label) for label in ("learner", *(f"soft-bayes:{s}" for s in schedules)))
+    row("stream", "learner", width, ("mean regret", "max regret", "bound", "max ratio"), "theorem")
     for label, (make, theorem, params) in schedules.items():
         regrets, bounds = [], []
         for s, comparator in zip(streams, comparators):
@@ -112,7 +116,7 @@ def guarantees(T, n, seeds):
             bounds.append(theoretical_bound(theorem, T=T, N=n, **params(schedule)))
         ratios = [r / b for r, b in zip(regrets, bounds)]
         worst = ratios.index(max(ratios))
-        row("iid-mixture", f"soft-bayes:{label}",
+        row("iid-mixture", f"soft-bayes:{label}", width,
             (np.mean(regrets), max(regrets), f"{bounds[worst]:.2f}", ratios[worst]), theorem)
 
 

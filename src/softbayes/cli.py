@@ -16,6 +16,7 @@ import sys
 
 from . import verify as verify_mod
 from .comparators import theoretical_bound
+from .core import read_number
 from .generators import parse_generator
 from .harness import (
     BOUNDS,
@@ -25,6 +26,14 @@ from .harness import (
     run_experiment,
     write_stream_jsonl,
 )
+
+
+def _int(text: str) -> int:
+    """An integer flag, read by ``read_number``'s rule."""
+    try:
+        return read_number(text, int)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -38,7 +47,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="fixed-mixture | single-best | shifting=t2,t3,...")
     p.add_argument("--bound", action="append", default=[], choices=list(BOUNDS),
                    help="repeatable; guarantee(s) to evaluate against the regret")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument("--on-divergence", choices=["halt", "continue"], default=None)
     p.add_argument("--bits", action="store_const", const=True, default=None,
                    help="report losses in bits instead of nats")
@@ -46,10 +55,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 
 def _samples(text: str) -> int:
     """``verify --samples``: at least 4, one per reverse-Jensen width."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    n = _int(text)
     if n < 4:
         raise argparse.ArgumentTypeError(f"must be at least 4, got {n}")
     return n
@@ -106,7 +112,7 @@ def _cmd_bound(args) -> int:
         if key in params:
             raise ConfigError(f"parameter {key} is given twice")
         try:
-            params[key] = float(value)
+            params[key] = read_number(value)
         except ValueError:
             raise ConfigError(f"parameter {key} must be a number, got {value!r}") from None
     for k in ("T", "N", "m", "K"):
@@ -157,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="write a generator stream to a JSONL file")
     p_gen.add_argument("--generator", required=True)
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=_int, default=None)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(fn=_cmd_gen)
 
@@ -169,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the built-in verification suites")
     p_verify.add_argument("--samples", type=_samples, default=100_000)
-    p_verify.add_argument("--seed", type=int, default=2024)
+    p_verify.add_argument("--seed", type=_int, default=2024)
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_cmp = sub.add_parser("compare", help="multi-learner regret table")

@@ -17,6 +17,17 @@ SIMPLEX_ATOL = 1e-9
 INFINITE_LOSS = math.inf
 
 
+def read_number(text: str, kind=float):
+    """``text`` read by ``kind``, ``float`` or ``int``, refusing with a
+    ValueError the digit-group underscores and non-ASCII characters (digits
+    of other scripts, no-break spaces) those take.  Every number that a
+    stream, selector, flag or generator parameter gives as text is read by
+    this one rule."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
+    return kind(text)
+
+
 def as_simplex(v) -> np.ndarray:
     """Validate ``v`` as a probability vector, renormalizing float dust.
 

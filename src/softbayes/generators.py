@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ExpertStream, as_simplex
+from .core import ExpertStream, as_simplex, read_number
 
 RNG_NAME = "philox"
 
@@ -162,15 +162,12 @@ class GeneratorSpec:
 
     def _number(self, key, text: str):
         """A parameter's text as an int, or as a float where it has a point
-        or an exponent; digit-group underscores and non-ASCII digits are
-        refused, as the CSV stream reader refuses them."""
-        if "_" not in text and text.isascii():
-            try:
-                return float(text) if "." in text or "e" in text.lower() else int(text)
-            except ValueError:
-                pass
-        raise ValueError(f"generator {self.kind!r} parameter {key} must be an integer, "
-                         f"got {text.strip()!r}")
+        or an exponent, by ``read_number``'s rule."""
+        try:
+            return read_number(text, float if "." in text or "e" in text.lower() else int)
+        except ValueError:
+            raise ValueError(f"generator {self.kind!r} parameter {key} must be an integer, "
+                             f"got {text.strip()!r}") from None
 
     def _int(self, key, even: bool = False):
         v = self.params.get(key)

@@ -36,7 +36,7 @@ from .comparators import (
     regret_report,
     theoretical_bound,
 )
-from .core import BadRoundError, ExpertStream, unchecked_stream
+from .core import BadRoundError, ExpertStream, read_number, unchecked_stream
 from .generators import RNG_NAME, parse_generator
 from .learners import (
     Bayes,
@@ -161,15 +161,6 @@ def read_stream_jsonl(text: str) -> ExpertStream:
     return _stream(p, lambda r: [i for i, line in enumerate(lines, 1) if line.strip()][r - 1])
 
 
-def _csv_float(cell: str) -> float:
-    """A CSV cell as a float: what ``float()`` takes but for digit-group
-    underscores and non-ASCII characters (digits of other scripts, no-break
-    spaces), which a JSONL stream's numbers do not have either."""
-    if "_" in cell or not cell.isascii():
-        raise ValueError(f"could not convert string to float: {cell!r}")
-    return float(cell)
-
-
 def read_stream_csv(text: str) -> ExpertStream:
     reader = csv.reader(io.StringIO(text))
     rows = [(reader.line_num, row) for row in reader if row]
@@ -177,7 +168,7 @@ def read_stream_csv(text: str) -> ExpertStream:
         raise StreamFormatError("CSV stream needs a header row plus at least one round")
     header = rows[0][1]
     try:
-        [_csv_float(cell) for cell in header]
+        [read_number(cell) for cell in header]
     except ValueError:
         pass
     else:
@@ -187,7 +178,7 @@ def read_stream_csv(text: str) -> ExpertStream:
         if len(row) != len(header):
             raise StreamFormatError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
         try:
-            rounds.append([_csv_float(cell) for cell in row])
+            rounds.append([read_number(cell) for cell in row])
         except ValueError as exc:
             raise StreamFormatError(f"line {lineno}: non-numeric probability: {exc}") from exc
     return _stream(np.asarray(rounds, dtype=float), lambda r: rows[r][0])
@@ -258,7 +249,7 @@ def _fixed_rate_arg(arg: str, kind: str, text: str) -> float:
     if head.strip() != "fixed" or not sep:
         raise ConfigError(f"{kind} takes only a fixed rate, e.g. {kind}:fixed=0.5")
     try:
-        eta = float(value)
+        eta = read_number(value)
     except ValueError as exc:
         raise ConfigError(f"bad rate for {kind}: {value!r}") from exc
     if not eta > 0.0:
@@ -273,7 +264,7 @@ def _rates_arg(arg: str, kind: str, text: str) -> tuple:
     if head.strip() != "rates" or not sep:
         raise ConfigError("meta needs sub-rates, e.g. meta:rates=1,0.5,0.25")
     try:
-        rates = tuple(float(v) for v in value.split(","))
+        rates = tuple(read_number(v) for v in value.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad meta rates {value!r}") from exc
     if not rates or any(not 0.0 < r <= 1.0 for r in rates):
@@ -384,7 +375,7 @@ def parse_comparator(text: str) -> ComparatorSpec:
     if not arg:
         raise ConfigError(f"{kind} comparator needs boundaries, e.g. {kind}=51,101")
     try:
-        extra = tuple(int(v) for v in arg.split(","))
+        extra = tuple(read_number(v, int) for v in arg.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad {kind} boundaries {arg!r}") from exc
     # round 1 starts the first segment, so a boundary names a later round
@@ -448,9 +439,9 @@ def ratio_stats(trace: LearnerTrace, stream: ExpertStream) -> dict:
 def stream_best_count(stream: ExpertStream) -> int:
     """Number of experts that are ever a per-round argmax (tie rule included)."""
     tracker = BestSetTracker()
-    for t, p in enumerate(map(np.ndarray.tolist, stream.p), 1):
-        tracker.update(p, t)
-    return tracker.total_best
+    for p in map(np.ndarray.tolist, stream.p):
+        tracker.update(p)
+    return tracker.m
 
 
 class _BoundInput(NamedTuple):

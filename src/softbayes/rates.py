@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass, field
 from operator import indexOf
 
+from .core import read_number
+
 # Keeps every emitted rate strictly inside (0, 1); the sparse formula can
 # otherwise exceed 1 in the first rounds when ln(N) > 2.
 RATE_CAP = 0.5
@@ -48,47 +50,31 @@ def rate_offline(T: int, N: int, m: int | None = None) -> float:
 
 @dataclass
 class BestSetTracker:
-    """Tracks which experts have been a per-round argmax, and when first.
+    """The experts that have been a per-round argmax: ``best`` holds their
+    0-based indices, and ``m`` counts them, at least 1.
 
-    ``first_best[i]`` is the first round at which expert ``i`` (0-based) tied
-    for the largest probability.  Ties are resolved in favor of an expert
-    already counted, so no new expert enters the set on a shared argmax; among
-    equally eligible experts the lowest index wins, for reproducibility.
+    Ties are resolved in favor of an expert already counted, so no new expert
+    enters the set on a shared argmax; among equally eligible experts the lowest
+    index wins, for reproducibility.
     """
 
-    first_best: dict = field(default_factory=dict)
-    # (the latest first-best round, the set's size) as update() last left
-    # them: past that round, while the set is that size, m(t) needs no scan
-    _last: tuple = field(default=(0, 0), init=False, repr=False, compare=False)
+    best: set = field(default_factory=set)
 
-    def update(self, p, t: int) -> None:
-        """Count round ``t``'s row ``p``, a sequence of floats."""
-        best = self.first_best
+    def update(self, p) -> None:
+        """Count a row ``p``, a sequence of floats."""
+        best = self.best
         top = max(p)
-        # where the lowest of the tied experts is counted, by the tie rule
-        # nothing changes
-        if indexOf(p, top) in best:
-            return
-        ties = [i for i, x in enumerate(p) if x == top]
-        if not any(i in best for i in ties):
-            best[ties[0]] = t
-            self._last = (max(best.values()), len(best))
-
-    def members(self, t: int) -> set:
-        """The best set at round t: experts first best strictly before t."""
-        return {i for i, s in self.first_best.items() if s < t}
-
-    def m(self, t: int) -> int:
-        """The size of ``members(t)``, at least 1."""
-        last, size = self._last
-        if t > last and len(self.first_best) == size:
-            return max(1, size)
-        return max(1, len([s for s in self.first_best.values() if s < t]))
+        first = indexOf(p, top)
+        # the lowest tied expert enters unless a tied expert is counted; the
+        # first test is the common case, that it is itself counted
+        if first not in best and not any(x == top and i in best for i, x in enumerate(p)):
+            best.add(first)
 
     @property
-    def total_best(self) -> int:
-        """Number of experts ever best so far (the m that enters the bounds)."""
-        return max(1, len(self.first_best))
+    def m(self) -> int:
+        """Number of experts ever best so far, at least 1 (the m that enters
+        the sparse rate and the bounds)."""
+        return max(1, len(self.best))
 
 
 class _Schedule:
@@ -149,8 +135,9 @@ class AnytimeRate(_Schedule):
 
 
 class SparseRate(_Schedule):
-    """sqrt(ln N / (2 m_t t)), the anytime rate with N replaced by m_t, the
-    number of experts best before round t, and capped at ``RATE_CAP``."""
+    """sqrt(ln N / (2 m_t t)), the anytime rate with N replaced by m_t, and
+    capped at ``RATE_CAP``.  m_t counts the experts ever best in the rows the
+    schedule was shown; under the round order, those are the rows before t."""
 
     def __init__(self, n: int):
         if n < 2:
@@ -161,10 +148,10 @@ class SparseRate(_Schedule):
     def rate(self, t: int) -> float:
         if t < 1:
             raise ValueError("t must be >= 1")
-        return min(math.sqrt(self.ln_n / (2.0 * self.tracker.m(t) * t)), RATE_CAP)
+        return min(math.sqrt(self.ln_n / (2.0 * self.tracker.m * t)), RATE_CAP)
 
     def observe(self, t: int, p, m: float) -> None:
-        self.tracker.update(p, t)
+        self.tracker.update(p)
 
 
 class ShiftingRate(_Schedule):
@@ -272,4 +259,4 @@ def parse_schedule(text: str) -> ScheduleConfig:
         raise ValueError(f"schedule {kind!r} needs a parameter, e.g. {kind}:0.5")
     if takes == "none" and arg:
         raise ValueError(f"schedule {kind!r} takes no parameter")
-    return ScheduleConfig(kind, float(arg) if arg else None)
+    return ScheduleConfig(kind, read_number(arg) if arg else None)

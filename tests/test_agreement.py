@@ -28,6 +28,7 @@ from reference import (
 )
 from softbayes.core import ExpertStream
 from softbayes.generators import adversarial_alternating, random_iid_instance
+from softbayes.harness import stream_best_count
 from softbayes.learners import (
     Bayes,
     ExponentiatedGradient,
@@ -65,6 +66,13 @@ STREAMS = {
     # digits; the round-32 row's subnormal entry then meets a zero weight
     "huge-step": lambda: _runs((30, [0.6, 0.4]), (1, [1e-170, 0.4]), (1, [1e-310, 1.0]),
                                (5, [0.6, 0.4])),
+    # every row ties at its maximum but the fourth run's and the last's: the
+    # first tie counts expert 1, the lowest of two uncounted; the second
+    # counts nothing, as expert 1 is tied, though expert 0 is the lowest;
+    # the three-way tie and the fifth run's tie with expert 2 add nothing
+    "ties": lambda: _runs((20, [0.2, 0.4, 0.4]), (20, [0.4, 0.4, 0.2]), (20, [1 / 3] * 3),
+                          (20, [0.25, 0.25, 0.5]), (20, [0.4, 0.2, 0.4]),
+                          (20, [0.5, 0.25, 0.25])),
 }
 
 
@@ -140,6 +148,16 @@ def test_exact_rates(schedule_name, stream_name):
     want = RATE_REFERENCES[schedule_name](stream.p, trace.predictions)
     assert len(got) == len(want) == len(stream) + 1
     assert max(abs(Decimal(g) / w - 1) for g, w in zip(got, want)) <= Decimal("1e-14")
+
+
+@pytest.mark.parametrize("stream_name", ["ties", "iid-n20"])
+def test_the_sparse_schedule_and_the_bounds_read_one_count(stream_name):
+    # the m the sparse rate reads once the stream is run is the m the
+    # thm2/thm6 bounds take
+    stream = STREAMS[stream_name]()
+    learner = SoftBayes(stream.n_experts, SparseRate(stream.n_experts))
+    run_learner(learner, stream)
+    assert learner.schedule.tracker.m == stream_best_count(stream)
 
 
 META_CASES = {

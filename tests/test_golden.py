@@ -246,19 +246,28 @@ BAD_SELECTORS = {
     "eg": "error: eg needs a rate, e.g. eg:fixed=0.5",
     "eg:0.5": "error: eg takes only a fixed rate, e.g. eg:fixed=0.5",
     "eg:fixed=inf": "error: eg rate 'inf' must be finite",
+    # every number a selector takes is read as a CSV cell is: no digit-group
+    # underscores, no digits of other scripts
+    "eg:fixed=0_5": "error: bad rate for eg: '0_5'",
     "meta": "error: meta needs sub-rates, e.g. meta:rates=1,0.5,0.25",
     "meta:rates=2": "error: meta rates must lie in (0, 1]",
     "meta:rates=a,b": "error: bad meta rates 'a,b'",
+    "meta:rates=1,0_5": "error: bad meta rates '1,0_5'",
     "ml-soft-bayes:anytime": "error: ml-soft-bayes takes no schedule (rates are per-expert)",
     "mystery": ("error: unknown learner 'mystery'; "
                 "known: soft-bayes, bayes, eg, ogd, ml-soft-bayes, meta"),
     "ogd:fixed=-1": "error: ogd rate must be positive",
     "ogd:fixed=inf": "error: ogd rate 'inf' must be finite",
+    "ogd:fixed=0_1": "error: bad rate for ogd: '0_1'",
     "soft-bayes:anytime=3": ("error: bad schedule in 'soft-bayes:anytime=3': "
                              "schedule 'anytime' takes no parameter"),
     "soft-bayes:fixed": ("error: bad schedule in 'soft-bayes:fixed': "
                          "schedule 'fixed' needs a parameter, e.g. fixed:0.5"),
     "soft-bayes:fixed=1.5": "error: fixed rate 1.5 outside (0, 1]",
+    "soft-bayes:fixed=٠.٥": ("error: bad schedule in 'soft-bayes:fixed=٠.٥': "
+                             "could not convert string to float: '٠.٥'"),
+    "soft-bayes:inverse-t:1_0": ("error: bad schedule in 'soft-bayes:inverse-t:1_0': "
+                                 "could not convert string to float: '1_0'"),
     "soft-bayes:inverse-t=inf": "error: inverse-t offset inf must be positive and finite",
     "soft-bayes:self-confident=2": "error: self-confident eta_max 2.0 outside (0, 1)",
     "soft-bayes:self-confident=nan": "error: self-confident eta_max nan outside (0, 1)",
@@ -298,12 +307,31 @@ BAD_COMPARATORS = {
     "shifting=0": "error: shifting boundary 0 must be a round after 1",
     "shifting=-3": "error: shifting boundary -3 must be a round after 1",
     "shifting=a": "error: bad shifting boundaries 'a'",
+    "shifting=٥": "error: bad shifting boundaries '٥'",
     "shifting=500": "error: boundary 500 beyond horizon 200",
     # a kind is a whole table key, not a prefix of the text
     "shiftingX=3": ("error: unknown comparator 'shiftingX=3'; "
                     "known: fixed-mixture, single-best, shifting=t2,t3,..."),
     "shifting-best=3": ("error: unknown comparator 'shifting-best=3'; "
                         "known: fixed-mixture, single-best, shifting=t2,t3,..."),
+}
+
+
+# a flag value no reader takes -> the last stderr line (every one exits with
+# code 2); the number rule of the selectors holds for flags too
+BAD_FLAGS = {
+    ("bound", "--variant", "thm5", "-p", "T=1_000", "-p", "N=2"):
+        "error: parameter T must be a number, got '1_000'",
+    ("run", "--generator", "theorem2:T=10", "--learner", "bayes", "--seed", "1_0"):
+        "softbayes run: error: argument --seed: invalid int value: '1_0'",
+    ("compare", "--generator", "theorem2:T=10", "--learner", "bayes", "--seed", "٥"):
+        "softbayes compare: error: argument --seed: invalid int value: '٥'",
+    ("gen", "--generator", "iid-mixture:N=2,T=5", "--seed", "1_0", "--out", "s.jsonl"):
+        "softbayes gen: error: argument --seed: invalid int value: '1_0'",
+    ("verify", "--samples", "4", "--seed", "1_0"):
+        "softbayes verify: error: argument --seed: invalid int value: '1_0'",
+    ("verify", "--samples", "٥"):
+        "softbayes verify: error: argument --samples: invalid int value: '٥'",
 }
 
 
@@ -389,3 +417,17 @@ def test_malformed_comparator_message_pinned(comparator, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == BAD_COMPARATORS[comparator] + "\n"
+
+
+@pytest.mark.parametrize("argv", sorted(BAD_FLAGS), ids=" ".join)
+def test_malformed_flag_message_pinned(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:   # argparse's own errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == BAD_FLAGS[argv]
+    assert not any(tmp_path.iterdir())

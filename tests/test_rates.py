@@ -62,14 +62,14 @@ class TestSparseRate:
     def test_values(self):
         # two experts best before round 5: sqrt(ln 10 / 20) evaluated directly
         sched = SparseRate(10)
-        sched.tracker.first_best.update({0: 1, 3: 2})
+        sched.tracker.best.update({0, 3})
         assert sched.rate(5) == pytest.approx(0.3393070212, abs=1e-9)
         # the raw sqrt(ln 2 / 2) = 0.58871 at t = 1 is capped
         assert SparseRate(2).rate(1) == RATE_CAP
 
     def test_full_set_reduces_to_anytime(self):
         sched = SparseRate(6)
-        sched.tracker.first_best.update({i: 1 for i in range(6)})
+        sched.tracker.best.update(range(6))
         for t in (2, 10, 100):
             assert sched.rate(t) == AnytimeRate(6).rate(t)
 
@@ -153,48 +153,37 @@ class TestSelfConfidentRate:
 class TestBestSetTracker:
     def test_tie_between_uncounted_picks_lowest_index(self):
         tracker = BestSetTracker()
-        tracker.update([0.3, 0.7, 0.7], 1)
-        assert tracker.first_best == {1: 1}
-        assert tracker.members(2) == {1}
-        assert tracker.m(2) == 1
+        tracker.update([0.3, 0.7, 0.7])
+        assert tracker.best == {1}
+        assert tracker.m == 1
 
     def test_tie_prefers_already_counted(self):
         tracker = BestSetTracker()
-        tracker.first_best[2] = 3
-        tracker.update([0.3, 0.7, 0.7], 5)
-        assert tracker.first_best == {2: 3}
+        tracker.best.add(2)
+        tracker.update([0.3, 0.7, 0.7])
+        assert tracker.best == {2}
 
     def test_m_starts_at_one(self):
-        assert BestSetTracker().m(1) == 1
+        assert BestSetTracker().m == 1
 
-    def test_m_counts_the_members_before_and_after_the_last_new_best(self):
+    def test_m_counts_every_row_seen(self):
         tracker = BestSetTracker()
-        for t, p in enumerate([[0.9, 0.1, 0.0], [0.9, 0.1, 0.0], [0.1, 0.9, 0.0],
-                               [0.0, 0.1, 0.9]], start=1):
-            tracker.update(p, t)
-        assert tracker.first_best == {0: 1, 1: 3, 2: 4}
-        assert [tracker.m(t) for t in range(1, 7)] == [1, 1, 1, 2, 3, 3]
-        # a set changed by hand is still counted as members() reads it
-        tracker.first_best[3] = 9
-        assert [tracker.m(t) for t in range(1, 12)] == [
-            max(1, len(tracker.members(t))) for t in range(1, 12)]
-
-    def test_member_enters_strictly_after_first_best(self):
-        tracker = BestSetTracker()
-        tracker.update([0.1, 0.9], 4)
-        assert tracker.members(4) == set()
-        assert tracker.members(5) == {1}
+        sizes = []
+        for p in [[0.9, 0.1, 0.0], [0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.1, 0.9]]:
+            tracker.update(p)
+            sizes.append(tracker.m)
+        assert tracker.best == {0, 1, 2}
+        assert sizes == [1, 1, 2, 3]
 
     @staticmethod
-    def _reference_update(first_best, p, t):
+    def _reference_update(best, p):
         """The rule as it was first written: the lowest counted tie, else
         the lowest tie, enters if it is not counted yet."""
         q = np.asarray(p, dtype=float)
         ties = np.nonzero(q == q.max())[0]
-        counted = [int(i) for i in ties if int(i) in first_best]
+        counted = [int(i) for i in ties if int(i) in best]
         pick = min(counted) if counted else int(ties[0])
-        if pick not in first_best:
-            first_best[pick] = t
+        best.add(pick)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_tie_heavy_stream_matches_the_reference(self, seed):
@@ -202,21 +191,21 @@ class TestBestSetTracker:
         tracker = BestSetTracker()
         # odd seeds start from a tracker with experts already counted
         if seed % 2:
-            tracker.first_best.update({int(i): 1 for i in rng.choice(5, 2, replace=False)})
-        reference = dict(tracker.first_best)
-        for t, p in enumerate(rng.choice([0.0, 0.5, 1.0], size=(200, 5)), start=2):
-            tracker.update(p, t)
-            self._reference_update(reference, p, t)
-            assert list(tracker.first_best.items()) == list(reference.items())
-        assert all(type(i) is int for i in tracker.first_best)
+            tracker.best.update(int(i) for i in rng.choice(5, 2, replace=False))
+        reference = set(tracker.best)
+        for p in rng.choice([0.0, 0.5, 1.0], size=(200, 5)):
+            tracker.update(p)
+            self._reference_update(reference, p)
+            assert tracker.best == reference
+        assert all(type(i) is int for i in tracker.best)
 
     def test_monotone_growth(self):
         rng = np.random.default_rng(11)
         tracker = BestSetTracker()
         sizes = []
-        for t in range(1, 100):
-            tracker.update(rng.random(6), t)
-            sizes.append(tracker.m(t + 1))
+        for _ in range(99):
+            tracker.update(rng.random(6))
+            sizes.append(tracker.m)
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] <= 6
 
@@ -236,9 +225,9 @@ def test_a_list_row_and_a_numpy_row_leave_the_same_statistics(n):
         for sched in as_array:
             sched.observe(t, p, m)
     (sparse, confident), (sparse_np, confident_np) = as_list, as_array
-    assert list(sparse.tracker.first_best.items()) == list(sparse_np.tracker.first_best.items())
-    assert sparse.tracker._last == sparse_np.tracker._last
-    assert len(sparse.tracker.first_best) > 1
+    assert sparse.tracker.best == sparse_np.tracker.best
+    assert all(type(i) is int for i in sparse_np.tracker.best)
+    assert len(sparse.tracker.best) > 1
     assert confident.C1 == confident_np.C1 > 0.0
 
 

@@ -37,20 +37,20 @@ ROOT = Path(__file__).resolve().parent.parent
 T, N, SEEDS = 40, 3, 2
 CLAIMS_ARGS = ["--T", str(T), "--n", str(N), "--seeds", str(SEEDS)]
 
-ROBUSTNESS_HEADER = ("stream       learner                     comparator        loss      regret"
+ROBUSTNESS_HEADER = ("stream       learner             comparator        loss      regret"
                      "       bound       ratio  theorem    notes")
-GUARANTEES_HEADER = ("stream       learner                    mean regret  max regret       bound"
-                     "   max ratio  theorem")
+GUARANTEES_HEADER = ("stream       learner                               mean regret  max regret"
+                     "       bound   max ratio  theorem")
 
 # pinned run -> (script, arguments, a header line it prints, sha256 of its stdout).
 # The claims report is pinned at two sizes: T = 40 and T = 200 with 3 experts
 # over 2 seeds, so both blocks are held at a short and a longer stream.
 SCRIPTS = {
     "claims.py": ("claims.py", CLAIMS_ARGS, ROBUSTNESS_HEADER,
-                  "5081c31e9ab2764e85c1c95197dcf791466847f08c899a131d6c4f98f3465e5d"),
+                  "447d2597500ae3fa13d161cedd43b15fd8ace03eca872728a7aedc21dbf3ecba"),
     "claims.py --T 200": ("claims.py", ["--T", "200", "--n", "3", "--seeds", "2"],
                           GUARANTEES_HEADER,
-                          "a0244bb2756814d8362a6f5a63a7d0f5077e2b27a96cccd1da03cd08d3245e9a"),
+                          "8fff68bd4ac5821650f47e5fb5abba9d3f3807392e4b13401b2fff21e59286c8"),
 }
 
 
