@@ -265,7 +265,7 @@ BOUND_VARIANTS = {
     "thm5": (("T", "N"), _bound_thm5),
     "thm6": (("T", "N", "m"), _bound_thm6),
     "thm7": (("T", "N", "K"), _bound_thm7),
-    "single-expert": (("eta", "prior_entry"), _bound_single_expert),
+    "single_expert": (("eta", "prior_entry"), _bound_single_expert),
 }
 
 # the least value of each count a bound takes: T rounds, N experts, m experts
@@ -278,10 +278,11 @@ _FLOORS = {"T": 1, "N": 2, "m": 1, "K": 1, "c1": 0, "c2": 0, "vmax": 0}
 def theoretical_bound(variant: str, **params) -> float:
     """Evaluate a closed-form regret guarantee.
 
-    ``variant`` is one of ``BOUND_VARIANTS``; every listed parameter must be
-    supplied (extras are rejected, to catch typos), and a count, constant or
-    rate outside the bound's domain is rejected too."""
-    key = variant.replace("-", "_") if variant != "single-expert" else variant
+    ``variant`` is one of ``BOUND_VARIANTS``, with ``-`` and ``_``
+    interchangeable; every listed parameter must be supplied (extras are
+    rejected, to catch typos), and a count, constant or rate outside the
+    bound's domain is rejected too."""
+    key = variant.replace("-", "_")
     if key not in BOUND_VARIANTS:
         known = ", ".join(sorted(BOUND_VARIANTS))
         raise ValueError(f"unknown bound variant {variant!r}; known: {known}")
@@ -298,7 +299,7 @@ def theoretical_bound(variant: str, **params) -> float:
                              f"got {params[name]!r}")
     # a rate or prior entry lies in (0, 1), and for the single-expert bound
     # in (0, 1]: it takes the Bayes rate and a prior on one expert
-    closed = key == "single-expert"
+    closed = key == "single_expert"
     for name in ("eta", "prior_entry"):
         if name in params and not (0.0 < params[name] <= 1.0 if closed
                                    else 0.0 < params[name] < 1.0):

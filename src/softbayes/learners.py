@@ -20,9 +20,10 @@ operations in an order the code fixes, every sum over the
 experts (soft-Bayes's M, meta's sum_k u_k M_k, ML-soft-Bayes's two sums,
 OGD's w . q and EG's log-sum-exp) added left to right, and exp and log
 libm's, so a trace's bits do not depend on the BLAS kernel or numpy's SIMD
-path.  The one numpy kernel, ``_mixture`` and ``_soft_bayes_rows``, is the
-sweep's, on its stack of weight rows; its running sum adds in the loop's
-order, and it gives the float form's bits.
+path.  The one numpy form is the sweep's, on its stack of weight rows: its
+M is a running sum in the loop's order, and it steps only rounds whose every
+M is normal, with the operations of ``SoftBayes._rounds``'s normal-M branch,
+so it gives the float form's bits and refuses the rest.
 
 Divergence (the learner assigned probability zero to the realized symbol) is
 reported through the infinite-loss sentinel in the round's loss column, with
@@ -152,32 +153,6 @@ class _Learner:
 _MIN_NORMAL = sys.float_info.min
 
 
-def _mixture(w: np.ndarray, q) -> np.ndarray:
-    """M = w_1 q_1 + ... + w_N q_N, added left to right, per row of the
-    sweep's ``(K, S, N)`` weight stack against a round's ``(S, N)`` rows:
-    one product array, then a running sum along the experts
-    (``np.add.accumulate``), the order of the Python-float loop
-    ``m += w_i q_i`` and one that no BLAS kernel or SIMD path changes."""
-    return np.add.accumulate(w * q, axis=-1)[..., -1]
-
-
-def _soft_bayes_rows(w, q, m, eta, least) -> np.ndarray:
-    """w_i (1 - eta + eta q_i / M) in numpy operations, on the sweep's stack
-    of weight rows (``m`` and ``eta`` one per row); ``least`` is the
-    smallest M.  Where M is subnormal, eta / M can overflow, so those rows
-    divide before they scale, (1 - eta) w_i + eta ((w_i q_i) / M), and a
-    weight carrying all of M is not rounded away, as in ``SoftBayes._rounds``,
-    which writes the same arithmetic on Python floats."""
-    if least < _MIN_NORMAL:
-        tiny = m < _MIN_NORMAL
-        divided = w * q / m * eta + (1.0 - eta) * w
-        m = np.where(tiny, 1.0, m)
-    u = q * (eta / m)
-    u += 1.0 - eta
-    u *= w
-    return u if least >= _MIN_NORMAL else np.where(tiny, divided, u)
-
-
 def _ogd_cycle(w: list, q: list, eta: float):
     """The OGD kernel on lists of Python floats: the projected gradient step
     w' = Pi(w + eta q / M); returns ``(M, new weights)``, with the weights
@@ -226,10 +201,14 @@ def soft_bayes_sweep(batch, schedules):
     correction is a per-learner affair.  Returns ``(predictions, weights)``
     with shapes (K, S, T) and (K, S, T, N) (post-update weights); member
     ``[k, s]`` is bit for bit ``SoftBayes(N, schedules[k])`` run over
-    ``batch[s]``.  The weights are one (K, S, N) stack stepped by
-    ``_soft_bayes_rows``, the numpy form of ``SoftBayes._rounds``'s update,
-    so seed sweeps don't pay the per-round interpreter cost once per
-    learner.
+    ``batch[s]``.  The weights are one (K, S, N) stack stepped in numpy
+    by the operations of ``SoftBayes._rounds``'s normal-M update, so seed
+    sweeps don't pay the per-round interpreter cost once per learner.
+
+    The sweep steps only that case: a round where any member's M is below
+    the smallest normal float, 0 included, raises ``ValueError`` before its
+    weights are stored.  The learner alone handles divergence and a
+    subnormal M.
     """
     if not schedules:
         raise ValueError("a sweep needs at least one schedule")
@@ -249,14 +228,19 @@ def soft_bayes_sweep(batch, schedules):
     etas = np.array([[schedule.rate(t) for schedule in schedules] for t in range(1, T + 1)])
     for t in range(T):
         Q = P[:, t, :]
-        m = _mixture(W, Q)
-        # one reduction of M serves the divergence test and the kernel's
-        # subnormal test; check_rounds leaves no NaN for Python's min to miss
-        lo = min(m.ravel().tolist())
-        if not lo > 0.0:
-            raise ValueError(f"round {t + 1}: a sweep member diverged (mixture hit 0); "
-                             "run it through run_learner for divergence handling")
-        W = _soft_bayes_rows(W, Q, m[..., None], etas[t, :, None, None], lo)
+        # M = w_1 q_1 + ... + w_N q_N added left to right, the learner's
+        # order, and one that no BLAS kernel or SIMD path changes
+        m = np.add.accumulate(W * Q, axis=-1)[..., -1]
+        # check_rounds leaves no NaN for Python's min to miss
+        if not min(m.ravel().tolist()) >= _MIN_NORMAL:
+            raise ValueError(f"round {t + 1}: a sweep member diverged (mixture 0) or its "
+                             "mixture is subnormal; run it through run_learner, which "
+                             "steps both")
+        # SoftBayes._rounds's normal-M update, w_i ((1 - eta) + (eta / M) q_i)
+        eta = etas[t, :, None, None]
+        u = Q * (eta / m[..., None])
+        u += 1.0 - eta
+        W *= u
         preds[:, :, t] = m
         hist[:, :, t] = W
     return preds, hist

@@ -970,6 +970,8 @@ class TestCLI:
         ("single-expert", ["eta=1.5", "prior_entry=0.5"], "needs 0 < eta <= 1, got 1.5"),
         ("single-expert", ["eta=1", "prior_entry=0"], "needs 0 < prior_entry <= 1, got 0.0"),
         ("single-expert", ["eta=1", "prior_entry=2"], "needs 0 < prior_entry <= 1, got 2.0"),
+        ("single_expert", ["eta=0", "prior_entry=0.5"], "needs 0 < eta <= 1, got 0.0"),
+        ("single_expert", ["eta=1", "prior_entry=2"], "needs 0 < prior_entry <= 1, got 2.0"),
     ])
     def test_bound_rejects_counts_outside_its_domain(self, capsys, variant, params, message):
         argv = ["bound", "--variant", variant]
@@ -1076,6 +1078,11 @@ class TestCLI:
         assert main(["bound", "--variant", "single-expert",
                      "-p", "eta=1", "-p", "prior_entry=0.125"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(math.log(8), abs=1e-12)
+        # "-" and "_" are one character in every variant's name
+        for variant in ("single-expert", "single_expert"):
+            assert main(["bound", "--variant", variant,
+                         "-p", "eta=0.5", "-p", "prior_entry=0.25"]) == 0
+            assert capsys.readouterr().out == "2.772588722239781\n"
 
     def test_config_errors_exit_2(self, capsys):
         assert main(["run", "--generator", "theorem2:T=8"]) == 2  # no learner

@@ -485,29 +485,48 @@ class TestSoftBayesSweep:
         self.assert_members_match_sequential(batch, [
             (FixedRate, 0.3), (InverseT, 2.5), (FixedRate, 1.0), (InverseT, n / 2.0)])
 
-    def test_bitwise_matches_sequential_learner_through_a_subnormal_round(self):
+    # the sweep steps only normal mixtures: a round where any member's M is
+    # subnormal is refused whole, and the learner alone steps it
+    REFUSAL = (r"^round {}: a sweep member diverged \(mixture 0\) or its mixture is "
+               r"subnormal; run it through run_learner, which steps both$")
+
+    def test_refuses_a_subnormal_round(self):
         # only member (0, 0) goes subnormal, at round 51: Bayes zeroes expert
         # 0 on stream 0, which rate 0.5 only halves each round
         subnormal = np.concatenate([np.tile([0.0, 1.0], (50, 1)), [[1.0, 1e-320]],
                                     np.tile([0.5, 0.5], (3, 1))])
         batch = np.stack([subnormal, np.random.default_rng(5).uniform(0.01, 1.0, (54, 2))])
-        preds = self.assert_members_match_sequential(batch, [(FixedRate, 1.0), (FixedRate, 0.5)])
-        assert [(k, s) for k in range(2) for s in range(2)
-                if preds[k, s, 50] < sys.float_info.min] == [(0, 0)]
+        kinds = [(FixedRate, 1.0), (FixedRate, 0.5)]
+        self.assert_members_match_sequential(batch[:, :50], kinds)
+        with pytest.raises(ValueError, match=self.REFUSAL.format(51)):
+            soft_bayes_sweep(batch, [cls(arg) for cls, arg in kinds])
 
     @pytest.mark.parametrize("n", [2, 17, 40])
-    def test_subnormal_and_normal_members_in_one_round(self, n):
+    def test_refuses_a_subnormal_member_beside_normal_ones(self, n):
         # round 1 puts all of the Bayes member's weight on expert 1, which
-        # reads 1 until round 51 reads it 1e-320: that member divides first
-        # there, while the lower rates keep a normal M and the plain form in
-        # the same stack, on weights and a row of random values
+        # reads 1 until round 51 reads it 1e-320: that member's M is
+        # subnormal there, while the lower rates keep a normal M
         stream = np.random.default_rng(n).uniform(0.01, 1.0, (54, n))
         stream[:51, 1] = 1.0
         stream[0] = np.eye(n)[1]
         stream[50, 1] = 1e-320
+        kinds = [(FixedRate, 1.0), (FixedRate, 0.5), (FixedRate, 0.25)]
+        self.assert_members_match_sequential(stream[None, :50], kinds)
+        with pytest.raises(ValueError, match=self.REFUSAL.format(51)):
+            soft_bayes_sweep(stream[None], [cls(arg) for cls, arg in kinds])
+
+    def test_steps_a_mixture_at_the_smallest_normal_float(self):
+        stream = np.random.default_rng(7).uniform(0.01, 1.0, (20, 2))
+        stream[0] = 2.0 ** -1022
         preds = self.assert_members_match_sequential(
-            stream[None], [(FixedRate, 1.0), (FixedRate, 0.5), (FixedRate, 0.25)])
-        assert (preds[:, 0, 50] < sys.float_info.min).tolist() == [True, False, False]
+            stream[None], [(FixedRate, 1.0), (FixedRate, 0.5)])
+        assert preds[:, 0, 0].tolist() == [sys.float_info.min] * 2
+
+    def test_refuses_a_mixture_below_the_smallest_normal_float(self):
+        stream = np.random.default_rng(7).uniform(0.01, 1.0, (20, 2))
+        stream[0] = 2.0 ** -1023
+        with pytest.raises(ValueError, match=self.REFUSAL.format(1)):
+            soft_bayes_sweep(stream[None], [FixedRate(1.0), FixedRate(0.5)])
 
     def test_rejects_correcting_schedules(self):
         with pytest.raises(ValueError, match="plain"):
