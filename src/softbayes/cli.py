@@ -23,6 +23,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     StreamFormatError,
+    bound_key,
     run_experiment,
     write_stream_jsonl,
 )
@@ -45,7 +46,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                         "ogd:fixed=0.1, bayes, ml-soft-bayes, meta:rates=1,0.5,0.25")
     p.add_argument("--comparator", default=None,
                    help="fixed-mixture | single-best | shifting=t2,t3,...")
-    p.add_argument("--bound", action="append", default=[], choices=list(BOUNDS),
+    p.add_argument("--bound", action="append", default=[], type=bound_key,
+                   choices=list(BOUNDS),
                    help="repeatable; guarantee(s) to evaluate against the regret")
     p.add_argument("--seed", type=_int, default=None)
     p.add_argument("--on-divergence", choices=["halt", "continue"], default=None)

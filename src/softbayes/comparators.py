@@ -241,8 +241,6 @@ def _bound_thm6(T, N, m):
 
 
 def _bound_thm7(T, N, K):
-    if T < 2:
-        raise ValueError("the shifting guarantee needs T >= 2")
     ln_n = math.log(N)
     lead = math.sqrt(2.0 * (T + 1) * N * ln_n)
     return (lead * (math.log(T + 3.0) + K * (2.0 / ln_n + 1.0 / math.log(T)))
@@ -293,7 +291,9 @@ def theoretical_bound(variant: str, **params) -> float:
     extra = [k for k in params if k not in required]
     if extra:
         raise ValueError(f"bound {variant!r} got unexpected parameters: {', '.join(extra)}")
-    for name, least in _FLOORS.items():
+    # thm7's 1 / ln T term needs a second round
+    floors = {**_FLOORS, "T": 2} if key == "thm7" else _FLOORS
+    for name, least in floors.items():
         if name in params and not params[name] >= least:
             raise ValueError(f"bound {variant!r} needs {name} >= {least}, "
                              f"got {params[name]!r}")

@@ -433,7 +433,8 @@ def ratio_stats(trace: LearnerTrace, stream: ExpertStream) -> dict:
                 ratio[under] = np.where(P[under] > 0.0, P[under] * inv, 0.0)
         excess = ratio - 1.0
         c2 = float((excess ** 2).max())
-    return {"c1": float(excess.max(axis=1).sum()), "c2": c2}
+    # a round's max_i p_i/M - 1 is at least 0, which rounding can miss
+    return {"c1": float(np.maximum(excess.max(axis=1), 0.0).sum()), "c2": c2}
 
 
 def stream_best_count(stream: ExpertStream) -> int:
@@ -489,6 +490,14 @@ BOUNDS = {
 }
 
 
+def bound_key(name: str) -> str:
+    """The ``BOUNDS`` key a bound name stands for, ``-`` and ``_`` being one
+    character as ``theoretical_bound`` reads them; a name that stands for
+    none is returned as it is, for its error to quote."""
+    key = name.replace("_", "-")
+    return key if key in BOUNDS else name
+
+
 # ------------------------------------------------------------------ config
 
 # the JSON types each config-file key takes, None standing for null; they are
@@ -531,8 +540,9 @@ class ExperimentConfig:
         self.learner_specs = [self._learner_spec(entry) for entry in self.learners]
         self.comparator_spec = parse_comparator(self.comparator)
         for b in self.bounds:
-            if b not in BOUNDS:
+            if not isinstance(b, str) or bound_key(b) not in BOUNDS:
                 raise ConfigError(f"unknown bound {b!r}; known: {', '.join(BOUNDS)}")
+        self.bounds = tuple(map(bound_key, self.bounds))
         if self.generator is not None:
             try:
                 self.generator_spec = parse_generator(self.generator)
@@ -616,7 +626,6 @@ class RunArtifact:
     config: ExperimentConfig
     stream: ExpertStream
     traces: list
-    reports: list
     summary: dict
 
     @property
@@ -641,12 +650,18 @@ class RunArtifact:
                 if trace.every != stride:
                     raise ValueError(f"trace {trace.name!r} keeps its weights at stride "
                                      f"{trace.every}, but the CSV prints them at stride {stride}")
+            width = max(t.weights.shape[1] if t.weights.size else 0 for t in traces)
+            head = _csv_line(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
+                             + [f"w{i + 1}" for i in range(width)])
+            # rate, prediction, loss, cum_loss, weights: losses take the unit
+            bits = np.array([False, False, True, True] + [False] * width) & config.bits
             with open(config.out_csv, "w", encoding="utf-8") as fh:
-                for k, trace in enumerate(traces):
+                for trace in traces:
                     cum = trace.cumulative_losses
                     # an empty first trace still has the block with the header
-                    for start in range(0, trace.rounds or int(k == 0), BLOCK_ROWS):
-                        fh.write(_csv_table(config, traces, k, start, cum))
+                    for start in range(0, trace.rounds or int(bool(head)), BLOCK_ROWS):
+                        fh.write(_csv_table(trace, start, cum, head, bits))
+                        head = ""
         if config.out_json:
             with open(config.out_json, "w", encoding="utf-8") as fh:
                 json.dump(self.summary, fh, sort_keys=True, indent=2)
@@ -671,35 +686,27 @@ def _weight_stride(config: ExperimentConfig, stream: ExpertStream) -> int:
     return 1 if stream.n_experts <= 16 else max(1, math.ceil(T / 1000))
 
 
-def _csv_table(config: ExperimentConfig, traces: list, k: int, start: int,
-               cum: np.ndarray) -> str:
-    """One block of the trace CSV: the rows of ``traces[k]`` for rounds
-    ``start + 1`` to ``start + BLOCK_ROWS`` (or its last), and before them
-    the header row when this is the first block (``k == start == 0``).
-    ``cum`` is that trace's ``cumulative_losses``, taken once for the trace
-    and sliced here, so every block's sums are those of the whole run.
-    The weights print at the trace's own stride ``every``, which
+def _csv_table(trace: LearnerTrace, start: int, cum: np.ndarray, head: str,
+               bits: np.ndarray) -> str:
+    """One block of the trace CSV: ``head`` (the file's header row, or
+    empty after its first block), then the rows of ``trace`` for rounds
+    ``start + 1`` to ``start + BLOCK_ROWS`` (or its last).  ``cum`` is the
+    trace's ``cumulative_losses``, taken once for the trace and sliced here;
+    ``bits`` is the file's unit mask, whose columns past the fourth are its
+    weights.  The weights print at the trace's own stride ``every``, which
     ``RunArtifact.write`` has checked against the CSV's."""
-    width = max(t.weights.shape[1] if t.weights.size else 0 for t in traces)
-    head = ""
-    if k == start == 0:
-        head = _csv_line(["learner", "t", "eta", "prediction", "loss", "cum_loss"]
-                         + [f"w{i + 1}" for i in range(width)])
-    trace = traces[k]
     n, stride = trace.rounds, trace.every
     if start >= n:
         return head
     # the name quoted as the csv module would, and a comma
     prefix = _csv_line([trace.name, ""])[:-1]
-    # rate, prediction, loss, cum_loss, weights: losses take the unit
-    bits = np.array([False, False, True, True] + [False] * width) & config.bits
     t = np.arange(start + 1, min(start + BLOCK_ROWS, n) + 1)
     rows = slice(start, t[-1])
     # a weight snapshot every stride-th round and on the last, the rounds
     # whose rows the trace kept (round r in row (r - 1) // stride); NaN
     # renders every other weight cell empty
     snapshot = (t % stride == 0) | (t == n)
-    w = np.full((len(t), width), np.nan)
+    w = np.full((len(t), len(bits) - 4), np.nan)
     w[snapshot, : trace.weights.shape[-1]] = trace.weights[(t[snapshot] - 1) // stride]
     block = np.column_stack([trace.rates[rows], trace.predictions[rows],
                              trace.losses[rows], cum[rows], w])
@@ -738,7 +745,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
     comparator_loss, detail = _comparator_loss(cmp_spec, stream, config.bits)
     m_best = functools.cache(lambda: stream_best_count(stream))
 
-    reports, learner_summaries = [], []
+    learner_summaries = []
     for spec, trace in zip(config.learner_specs, traces):
         excluded = 0
         exclude = trace.diverged and config.on_divergence == "continue"
@@ -749,7 +756,6 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         else:
             cmp_loss_i = comparator_loss
         report = regret_report(trace, cmp_loss_i, exclude_diverged=exclude)
-        reports.append(report)
 
         rows = []
         b = _BoundInput(len(stream), stream.n_experts, spec.constant_rate, m_best,
@@ -796,4 +802,4 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         "learners": learner_summaries,
         "exit_code": exit_code,
     }
-    return RunArtifact(config, stream, traces, reports, summary)
+    return RunArtifact(config, stream, traces, summary)

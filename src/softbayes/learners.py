@@ -431,18 +431,18 @@ class MLSoftBayes(_Learner):
         ln_n = self.ln_n
         wl, rl, vl = self.weights.tolist(), self.rates.tolist(), self.V.tolist()
         pl = self.prior.tolist()
-        wrl = [wi * ri for wi, ri in zip(wl, rl)]
         try:
             for q in rows:
                 num = den = 0.0
-                for wri, qi in zip(wrl, q):
+                for wi, ri, qi in zip(wl, rl, q):
+                    wri = wi * ri
                     num += wri * qi
                     den += wri
                 m = num / den
                 if m != 0.0:
                     # eta_bar / (1 + eta_bar) can rise by an ulp as V grows,
                     # so the rates are clamped to stay nonincreasing
-                    new_w, new_v, new_r, new_wr = [], [], [], []
+                    new_w, new_v, new_r = [], [], []
                     for wi, ri, qi, vi, pi in zip(wl, rl, q, vl, pl):
                         ratio = qi / m
                         d = ratio - 1.0
@@ -454,8 +454,7 @@ class MLSoftBayes(_Learner):
                         new_w.append(wi)
                         new_v.append(vi)
                         new_r.append(nxt)
-                        new_wr.append(wi * nxt)
-                    wl, vl, rl, wrl = new_w, new_v, new_r, new_wr
+                    wl, vl, rl = new_w, new_v, new_r
                 yield m, _loss(m), math.nan, wl
         finally:
             self.weights, self.rates, self.V = np.array(wl), np.array(rl), np.array(vl)

@@ -435,9 +435,8 @@ class TestRunExperiment:
             comparator="fixed-mixture",
         )
         artifact = run_experiment(cfg)
-        assert len(artifact.reports) == 2
-        soft, eg = artifact.reports
-        assert eg.regret > soft.regret
+        soft, eg = artifact.summary["learners"]
+        assert eg["regret"] > soft["regret"]
 
     def test_estimator_prediction_value(self):
         cfg = ExperimentConfig(
@@ -487,7 +486,7 @@ class TestRunExperiment:
         artifact = run_experiment(cfg)
         entry = artifact.summary["learners"][0]
         assert entry["diverged"] and entry["excluded_rounds"] == 1
-        assert math.isfinite(artifact.reports[0].regret)
+        assert math.isfinite(entry["regret"])
 
     def test_divergence_reports_infinite_regret_under_halt(self, tmp_path):
         stream = with_flip_round(adversarial_constant(10))
@@ -672,7 +671,7 @@ def _write_csv(path, bits, stream, traces):
     """The trace CSV as ``RunArtifact.write`` puts it in its file."""
     config = SimpleNamespace(bits=bits, out_csv=str(path), out_json=None)
     with np.errstate(invalid="ignore"):   # cumulative inf + -inf
-        RunArtifact(config, stream, traces, [], {}).write()
+        RunArtifact(config, stream, traces, {}).write()
     return path.read_bytes()
 
 
@@ -799,7 +798,7 @@ class TestCsvRenderer:
                   for name in ("soft-bayes", "eg:fixed=0.5", "ml-soft-bayes")]
         stream = ExpertStream(np.full((T, n), 0.5))
         config = SimpleNamespace(bits=False, out_csv=str(self.path), out_json=None)
-        artifact = RunArtifact(config, stream, traces, [], {})
+        artifact = RunArtifact(config, stream, traces, {})
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -972,6 +971,7 @@ class TestCLI:
         ("single-expert", ["eta=1", "prior_entry=2"], "needs 0 < prior_entry <= 1, got 2.0"),
         ("single_expert", ["eta=0", "prior_entry=0.5"], "needs 0 < eta <= 1, got 0.0"),
         ("single_expert", ["eta=1", "prior_entry=2"], "needs 0 < prior_entry <= 1, got 2.0"),
+        ("thm7", ["T=1", "N=2", "K=1"], "needs T >= 2, got 1"),
     ])
     def test_bound_rejects_counts_outside_its_domain(self, capsys, variant, params, message):
         argv = ["bound", "--variant", variant]
@@ -1083,6 +1083,74 @@ class TestCLI:
             assert main(["bound", "--variant", variant,
                          "-p", "eta=0.5", "-p", "prior_entry=0.25"]) == 0
             assert capsys.readouterr().out == "2.772588722239781\n"
+
+    def test_bound_names_take_either_separator(self, tmp_path, capsys):
+        # "-" and "_" are one character in a run's bound names too, on the
+        # command line and in a config file, and the run records the key
+        outs = []
+        for spelling in ("single-expert", "single_expert"):
+            common = ["--generator", "theorem2:T=20", "--learner", "soft-bayes:fixed=0.5",
+                      "--comparator", "single-best"]
+            cfg = tmp_path / f"{spelling}.json"
+            cfg.write_text(json.dumps({"generator": "theorem2:T=20",
+                                       "learners": ["soft-bayes:fixed=0.5"],
+                                       "comparator": "single-best", "bounds": [spelling]}))
+            for argv in (["run", *common, "--bound", spelling], ["run", "--config", str(cfg)]):
+                out = tmp_path / "summary.json"
+                assert main([*argv, "--out-json", str(out)]) == 0
+                outs.append((capsys.readouterr().out, out.read_bytes()))
+        assert all(o == outs[0] for o in outs)
+        assert "  bound single-expert: " in outs[0][0]
+        summary = json.loads(outs[0][1])
+        assert summary["config"]["bounds"] == ["single-expert"]
+        assert summary["learners"][0]["bounds"][0]["variant"] == "single-expert"
+
+    @pytest.mark.parametrize("entry", [[1], {"a": 1}, 5, None, "thm_9"])
+    def test_config_file_bound_that_names_none_exits_2(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generator": "theorem2:T=8", "learners": ["bayes"],
+                                   "bounds": [entry]}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: unknown bound {entry!r}; known: thm2, thm3, thm4, thm5, "
+                       "thm6, thm7, single-expert\n")
+
+    def test_self_confident_bounds_where_every_expert_agrees(self, tmp_path, capsys):
+        # M = sum_i w_i p can round a hair above p, so a round's
+        # max_i p_i/M - 1 reads below 0; C1 sums those maxima clamped at 0
+        path = tmp_path / "agree.jsonl"
+        path.write_text('{"p": [0.1, 0.1, 0.1, 0.1, 0.1]}\n' * 5)
+        argv = ["run", "--stream", str(path), "--bound", "thm3", "--bound", "thm4"]
+        for selector in ("soft-bayes:anytime", "soft-bayes:fixed=0.5", "eg:fixed=0.5",
+                         "ogd:fixed=0.1"):
+            argv += ["--learner", selector]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("  bound thm4: 0.0 -> pass") == 4
+        assert out.count("  bound thm3: ") == 4 and "FAIL" not in out
+        artifact = run_experiment(ExperimentConfig(stream=str(path), learners=("eg:fixed=0.5",)))
+        assert ratio_stats(artifact.traces[0], artifact.stream)["c1"] == 0.0
+
+    def test_bounds_where_every_round_diverges(self, tmp_path, capsys):
+        # a prior on the expert that always gives 0: continue mode excludes
+        # every round, so C1 and C2 come from no round and thm4's tuned form
+        # takes its C1 <= 0 branch
+        path = tmp_path / "zero.jsonl"
+        path.write_text('{"p": [0.0, 1.0]}\n' * 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "stream": str(path), "on_divergence": "continue", "bounds": ["thm3", "thm4"],
+            "learners": [{"spec": "bayes", "prior": [1.0, 0.0]},
+                         {"spec": "soft-bayes:fixed=0.5", "prior": [1.0, 0.0]}]}))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == (
+            "bayes: loss=0.0 regret=0.0 [diverged]\n"
+            "  bound thm3: 0.6931471805599453 -> pass "
+            "(tuned form (constant rate 1.0 outside (0, 1)))\n"
+            "  bound thm4: 0.0 -> pass (tuned form (constant rate 1.0 outside (0, 1)))\n"
+            "soft-bayes:fixed=0.5: loss=0.0 regret=0.0 [diverged]\n"
+            "  bound thm3: 1.3862943611198906 -> pass\n"
+            "  bound thm4: 0.0 -> pass\n")
 
     def test_config_errors_exit_2(self, capsys):
         assert main(["run", "--generator", "theorem2:T=8"]) == 2  # no learner
