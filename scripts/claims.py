@@ -32,21 +32,9 @@ from softbayes.generators import (
     random_iid_instance,
     with_flip_round,
 )
-from softbayes.harness import stream_best_count
-from softbayes.learners import (
-    ExponentiatedGradient,
-    OnlineGradientDescent,
-    SoftBayes,
-    run_learner,
-)
-from softbayes.rates import (
-    AnytimeRate,
-    FixedRate,
-    SelfConfidentRate,
-    ShiftingRate,
-    SparseRate,
-    rate_offline,
-)
+from softbayes.harness import parse_learner, stream_best_count
+from softbayes.learners import run_learner
+from softbayes.rates import rate_offline
 
 
 def regret(learner, stream, comparator, policy="continue"):
@@ -69,24 +57,22 @@ def row(stream, learner, width, cells, theorem, note=""):
 def robustness(T, eta):
     stream = adversarial_constant(T)
     t = T // 2
-    w = run_learner(ExponentiatedGradient(2, eta), stream).weights[t - 1, 0]
+    eg, ogd, anytime = f"eg:fixed={eta}", f"ogd:fixed={eta}", "soft-bayes:anytime"
+    w = run_learner(parse_learner(eg).build(2), stream).weights[t - 1, 0]
     print(f"== robustness: 2 Dirac experts, T={T} (flip: T+1), EG and OGD at eta={eta} ==")
     print(f"EG weight on the always-wrong expert after {t} rounds: "
           f"{w:.3e} (<= exp(-{eta * t:.0f}) = {math.exp(-eta * t):.3e})")
-    eg = lambda: ExponentiatedGradient(2, eta, name=f"eg:fixed={eta}")
-    ogd = lambda: OnlineGradientDescent(2, eta, name=f"ogd:fixed={eta}")
-    anytime = lambda: SoftBayes(2, AnytimeRate(2), name="soft-bayes:anytime")
-    width = max(len(label) for label in ("learner", *(make().name for make in (eg, ogd, anytime))))
+    width = max(map(len, ("learner", eg, ogd, anytime)))
     row("stream", "learner", width, ("comparator", "loss", "regret", "bound", "ratio"),
         "theorem", "notes")
-    for label, s, learners, policy in (
+    for label, s, selectors, policy in (
             ("constant", stream, (eg, ogd, anytime), "continue"),
             ("alternating", adversarial_alternating(T), (eg, anytime), "continue"),
             ("flip", with_flip_round(adversarial_constant(T)), (ogd, anytime), "halt")):
         comparator = best_fixed_mixture(s).loss
-        for make in learners:
-            trace, r = regret(make(), s, comparator, policy)
-            bound = theoretical_bound("thm5", T=len(s), N=2) if make is anytime else None
+        for selector in selectors:
+            trace, r = regret(parse_learner(selector).build(2), s, comparator, policy)
+            bound = theoretical_bound("thm5", T=len(s), N=2) if selector == anytime else None
             ratio = None if bound is None else r / bound
             row(label, trace.name, width, (comparator, trace.total_loss, r, bound, ratio),
                 "-" if bound is None else "thm5", "diverged" if trace.diverged else "")
@@ -97,26 +83,27 @@ def guarantees(T, n, seeds):
     comparators = [best_fixed_mixture(s).loss for s in streams]
     m = max(stream_best_count(s) for s in streams)
     eta = rate_offline(T, n)
-    # label -> (schedule factory, bound variant, its parameters past T and N given the run's schedule)
+    # schedule -> (bound variant, its parameters past T and N given the run's learner)
     schedules = {
-        f"fixed:{eta!r}": (lambda: FixedRate(eta), "thm2", lambda _: {"m": m, "eta": eta}),
-        "anytime": (lambda: AnytimeRate(n), "thm5", lambda _: {}),
-        "sparse": (lambda: SparseRate(n), "thm6", lambda _: {"m": m}),
-        "shifting": (lambda: ShiftingRate(n), "thm7", lambda _: {"K": 1}),
-        "self-confident": (lambda: SelfConfidentRate(n), "thm4_tuned", lambda s: {"c1": s.C1}),
+        f"fixed:{eta!r}": ("thm2", lambda _: {"m": m, "eta": eta}),
+        "anytime": ("thm5", lambda _: {}),
+        "sparse": ("thm6", lambda _: {"m": m}),
+        "shifting": ("thm7", lambda _: {"K": 1}),
+        "self-confident": ("thm4_tuned", lambda learner: {"c1": learner.schedule.C1}),
     }
     print(f"\n== guarantees: N={n}, T={T}, {seeds} seeded iid streams, worst best-set size m={m} ==")
     width = max(len(label) for label in ("learner", *(f"soft-bayes:{s}" for s in schedules)))
     row("stream", "learner", width, ("mean regret", "max regret", "bound", "max ratio"), "theorem")
-    for label, (make, theorem, params) in schedules.items():
+    for label, (theorem, params) in schedules.items():
+        selector = f"soft-bayes:{label}"
         regrets, bounds = [], []
         for s, comparator in zip(streams, comparators):
-            schedule = make()
-            regrets.append(regret(SoftBayes(n, schedule), s, comparator)[1])
-            bounds.append(theoretical_bound(theorem, T=T, N=n, **params(schedule)))
+            learner = parse_learner(selector).build(n)
+            regrets.append(regret(learner, s, comparator)[1])
+            bounds.append(theoretical_bound(theorem, T=T, N=n, **params(learner)))
         ratios = [r / b for r, b in zip(regrets, bounds)]
         worst = ratios.index(max(ratios))
-        row("iid-mixture", f"soft-bayes:{label}", width,
+        row("iid-mixture", selector, width,
             (np.mean(regrets), max(regrets), f"{bounds[worst]:.2f}", ratios[worst]), theorem)
 
 

@@ -12,6 +12,7 @@ failed, 2 configuration or ingestion error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import verify as verify_mod
@@ -27,6 +28,7 @@ from .harness import (
     run_experiment,
     write_stream_jsonl,
 )
+from .learners import DIVERGENCE_POLICIES
 
 
 def _int(text: str) -> int:
@@ -41,16 +43,16 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with experiment settings; flags override")
     p.add_argument("--stream", help="stream file (JSONL or CSV)")
     p.add_argument("--generator", help="generator spec, e.g. theorem2:T=100")
-    p.add_argument("--learner", action="append", default=[], metavar="SPEC",
+    p.add_argument("--learner", action="append", default=[], metavar="SPEC", dest="learners",
                    help="repeatable; e.g. soft-bayes:anytime, eg:fixed=0.5, "
                         "ogd:fixed=0.1, bayes, ml-soft-bayes, meta:rates=1,0.5,0.25")
     p.add_argument("--comparator", default=None,
                    help="fixed-mixture | single-best | shifting=t2,t3,...")
-    p.add_argument("--bound", action="append", default=[], type=bound_key,
+    p.add_argument("--bound", action="append", default=[], type=bound_key, dest="bounds",
                    choices=list(BOUNDS),
                    help="repeatable; guarantee(s) to evaluate against the regret")
     p.add_argument("--seed", type=_int, default=None)
-    p.add_argument("--on-divergence", choices=["halt", "continue"], default=None)
+    p.add_argument("--on-divergence", choices=DIVERGENCE_POLICIES, default=None)
     p.add_argument("--bits", action="store_const", const=True, default=None,
                    help="report losses in bits instead of nats")
 
@@ -64,21 +66,11 @@ def _samples(text: str) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = dict(
-        stream=args.stream,
-        generator=args.generator,
-        learners=tuple(args.learner),
-        comparator=args.comparator,
-        bounds=tuple(args.bound),
-        seed=args.seed,
-        on_divergence=args.on_divergence,
-        bits=args.bits,
-        out_csv=args.out_csv,
-        out_json=args.out_json,
-    )
+    # every config field is the dest of the flag that sets it
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)}
     if args.config:
         return ExperimentConfig.from_json_file(args.config, **overrides)
-    return ExperimentConfig(**{k: v for k, v in overrides.items() if v not in (None, ())})
+    return ExperimentConfig(**{k: v for k, v in overrides.items() if v not in (None, [])})
 
 
 def _cmd_run(args) -> int:

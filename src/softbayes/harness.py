@@ -39,6 +39,7 @@ from .comparators import (
 from .core import BadRoundError, ExpertStream, read_number, unchecked_stream
 from .generators import RNG_NAME, parse_generator
 from .learners import (
+    DIVERGENCE_POLICIES,
     Bayes,
     ExponentiatedGradient,
     LearnerTrace,
@@ -242,11 +243,19 @@ def _no_arg(why: str):
     return parse
 
 
+def _keyword_value(arg: str, keyword: str) -> str | None:
+    """The value of a ``keyword=value`` argument, ``:`` standing for ``=``
+    and the keyword read in any case, as ``parse_schedule`` reads a schedule;
+    None when ``arg`` is not of that form."""
+    head, *value = re.split("[:=]", arg, maxsplit=1)
+    return value[0] if value and head.strip().lower() == keyword else None
+
+
 def _fixed_rate_arg(arg: str, kind: str, text: str) -> float:
     if not arg:
         raise ConfigError(f"{kind} needs a rate, e.g. {kind}:fixed=0.5")
-    head, sep, value = arg.replace(":", "=").partition("=")
-    if head.strip() != "fixed" or not sep:
+    value = _keyword_value(arg, "fixed")
+    if value is None:
         raise ConfigError(f"{kind} takes only a fixed rate, e.g. {kind}:fixed=0.5")
     try:
         eta = read_number(value)
@@ -260,8 +269,8 @@ def _fixed_rate_arg(arg: str, kind: str, text: str) -> float:
 
 
 def _rates_arg(arg: str, kind: str, text: str) -> tuple:
-    head, sep, value = arg.partition("=")
-    if head.strip() != "rates" or not sep:
+    value = _keyword_value(arg, "rates")
+    if value is None:
         raise ConfigError("meta needs sub-rates, e.g. meta:rates=1,0.5,0.25")
     try:
         rates = tuple(read_number(v) for v in value.split(","))
@@ -421,16 +430,12 @@ def ratio_stats(trace: LearnerTrace, stream: ExpertStream) -> dict:
         return {"c1": 0.0, "c2": 0.0}
     P = stream.p[: trace.rounds][mask]
     M = trace.predictions[: trace.rounds][mask, None]
-    # p/M and its square overflow when M is tiny; inf is then the statistic
-    with np.errstate(over="ignore"):
-        ratio = np.divide(P, M, out=np.zeros_like(P), where=M > 0.0)
-        # a displayed prediction can underflow to 0.0 behind a finite loss
-        # -ln M (EG): there p/M = p exp(loss), and 0 where p = 0
-        under = M[:, 0] == 0.0
-        if under.any():
-            with np.errstate(invalid="ignore"):
-                inv = np.exp(trace.losses[mask][under])[:, None]
-                ratio[under] = np.where(P[under] > 0.0, P[under] * inv, 0.0)
+    # p/M and its square overflow when M is tiny; inf is then the statistic.
+    # A displayed prediction can underflow to 0.0 behind a finite loss -ln M
+    # (EG): that loss exceeds 745, so p/M = p exp(loss) is past exp's float
+    # range too, and p/0.0 reads it as inf (0 where p = 0)
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = np.divide(P, M, out=np.zeros_like(P), where=P > 0.0)
         excess = ratio - 1.0
         c2 = float((excess ** 2).max())
     # a round's max_i p_i/M - 1 is at least 0, which rounding can miss
@@ -531,7 +536,7 @@ class ExperimentConfig:
             raise ConfigError("at least one learner is required")
         if (self.stream is None) == (self.generator is None):
             raise ConfigError("exactly one of a stream file or a generator is required")
-        if self.on_divergence not in ("halt", "continue"):
+        if self.on_divergence not in DIVERGENCE_POLICIES:
             raise ConfigError(f"unknown divergence policy {self.on_divergence!r}")
         # a seed the generators would refuse is refused before a run records it
         if self.seed is not None and self.seed < 0:

@@ -560,6 +560,10 @@ class LearnerTrace:
         return np.isfinite(self.losses)
 
 
+# what a run does at an infinite loss: stop there, or step on with the weights kept
+DIVERGENCE_POLICIES = ("halt", "continue")
+
+
 def run_learner(learner, stream, on_divergence: str = "continue",
                 every: int = 1) -> LearnerTrace:
     """Run a learner over a stream, recording every round's outcome: one
@@ -573,7 +577,7 @@ def run_learner(learner, stream, on_divergence: str = "continue",
     partial trace; ``"continue"`` keeps stepping (the learner's weights are
     unchanged on diverged rounds).
     """
-    if on_divergence not in ("halt", "continue"):
+    if on_divergence not in DIVERGENCE_POLICIES:
         raise ValueError(f"unknown divergence policy {on_divergence!r}")
     if not isinstance(stream, ExpertStream):
         stream = ExpertStream(stream)

@@ -60,6 +60,16 @@ class TestParseLearner:
         spec = parse_learner("meta:rates=1,0.5,0.25")
         assert spec.arg == (1.0, 0.5, 0.25)
 
+    @pytest.mark.parametrize("text, plain", [
+        ("eg:FIXED=0.5", "eg:fixed=0.5"),
+        ("ogd:Fixed:0.1", "ogd:fixed=0.1"),
+        ("meta:RATES:1,0.5", "meta:rates=1,0.5"),
+    ])
+    def test_keywords_take_any_case_and_either_separator(self, text, plain, capsys):
+        # read as parse_schedule reads a schedule kind, as in soft-bayes:FIXED=0.5
+        assert parse_learner(text).arg == parse_learner(plain).arg
+        assert main(["run", "--generator", "theorem2:T=6", "--learner", text]) == 0
+
     def test_errors(self):
         for bad in ("mystery", "eg", "eg:anytime", "meta", "bayes:fixed=1",
                     "ml-soft-bayes:anytime", "meta:rates=2"):
@@ -360,6 +370,8 @@ class TestStreamIO:
         ("s.jsonl", '\n{"p": []}\n{"p": []}\n', "line 2: stream needs at least one expert"),
         ("s.csv", "p1,p2\n0.5,0.5\n0.5,2\n", "line 3: stream probabilities must lie in [0, 1]"),
         ("s.csv", "p1,p2\n\n0.5,nan\n", "line 3: non-finite probability"),
+        ("s.jsonl", "[0.5, 0.5]\n", "line 1: expected an object per line"),
+        ("s.jsonl", '{"p": 0.5}\n', "line 1: 'p' must be a list"),
     ])
     def test_bad_values_name_their_source_line(self, tmp_path, capsys, name, text, error):
         path = tmp_path / name
@@ -1152,6 +1164,36 @@ class TestCLI:
             "  bound thm3: 1.3862943611198906 -> pass\n"
             "  bound thm4: 0.0 -> pass\n")
 
+    @pytest.mark.parametrize("selector, error", [
+        ("soft-bayes:anytime", "anytime schedule needs N >= 2"),
+        ("soft-bayes:sparse", "sparse schedule needs N >= 2"),
+        ("soft-bayes:shifting", "shifting schedule needs N >= 2"),
+        ("soft-bayes:self-confident", "self-confident schedule needs N >= 2"),
+        ("ml-soft-bayes", "ml-soft-bayes needs N >= 2"),
+    ])
+    def test_one_expert_stream_refused_where_a_rate_needs_two(self, tmp_path, capsys,
+                                                               selector, error):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"p": [0.5]}\n{"p": [1.0]}\n')
+        assert main(["run", "--stream", str(path), "--learner", selector]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    @pytest.mark.parametrize("name, text, error", [
+        ("s.csv", "p1,p2\n", "CSV stream needs a header row plus at least one round"),
+        ("cfg.json", "[]", "config file must hold a JSON object"),
+        ("cfg.json", '{"generator": "theorem2:T=8", "learners": ["bayes"], '
+                     '"on_divergence": "stop"}', "unknown divergence policy 'stop'"),
+        ("cfg.json", '{"generator": "theorem2:T=8", "learners": [1]}',
+         "learner entries must be selector strings or {'spec': ..., 'prior': [...]} objects"),
+    ], ids=["header-only-csv", "config-list", "config-policy", "config-learner-number"])
+    def test_run_input_refused_in_one_line(self, tmp_path, capsys, name, text, error):
+        path = tmp_path / name
+        path.write_text(text)
+        source = ["--config", str(path)] if name.endswith(".json") else [
+            "--stream", str(path), "--learner", "bayes"]
+        assert main(["run", *source]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
     def test_config_errors_exit_2(self, capsys):
         assert main(["run", "--generator", "theorem2:T=8"]) == 2  # no learner
         assert main(["run", "--generator", "theorem2:T=8", "--learner", "mystery"]) == 2
@@ -1276,6 +1318,15 @@ class TestCLI:
         }))
         with pytest.raises(ConfigError, match="learner objects"):
             ExperimentConfig.from_json_file(str(cfg_path))
+
+    def test_config_file_null_prior_is_the_plain_selector(self, tmp_path, capsys):
+        outs = []
+        for entry in ("eg:fixed=0.5", {"spec": "eg:fixed=0.5", "prior": None}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"generator": "theorem2:T=8", "learners": [entry]}))
+            assert main(["run", "--config", str(cfg)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("selector", EDGE_SELECTORS)
     def test_config_file_prior_of_the_wrong_length_exits_2(self, tmp_path, capsys, selector):
