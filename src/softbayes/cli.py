@@ -17,14 +17,13 @@ import sys
 
 from . import verify as verify_mod
 from .comparators import theoretical_bound
-from .core import read_number
+from .core import read_count, read_name, read_number
 from .generators import parse_generator
 from .harness import (
     BOUNDS,
     ConfigError,
     ExperimentConfig,
     StreamFormatError,
-    bound_key,
     run_experiment,
     write_stream_jsonl,
 )
@@ -32,9 +31,9 @@ from .learners import DIVERGENCE_POLICIES
 
 
 def _int(text: str) -> int:
-    """An integer flag, read by ``read_number``'s rule."""
+    """An integer flag, read by ``read_count``."""
     try:
-        return read_number(text, int)
+        return read_count(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
@@ -48,8 +47,9 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                         "ogd:fixed=0.1, bayes, ml-soft-bayes, meta:rates=1,0.5,0.25")
     p.add_argument("--comparator", default=None,
                    help="fixed-mixture | single-best | shifting=t2,t3,...")
-    p.add_argument("--bound", action="append", default=[], type=bound_key, dest="bounds",
-                   choices=list(BOUNDS),
+    # a name that stands for no bound is kept for the choices error to quote
+    p.add_argument("--bound", action="append", default=[], dest="bounds", choices=list(BOUNDS),
+                   type=lambda name: read_name(name, BOUNDS) or name,
                    help="repeatable; guarantee(s) to evaluate against the regret")
     p.add_argument("--seed", type=_int, default=None)
     p.add_argument("--on-divergence", choices=DIVERGENCE_POLICIES, default=None)
@@ -109,11 +109,12 @@ def _cmd_bound(args) -> int:
             params[key] = read_number(value)
         except ValueError:
             raise ConfigError(f"parameter {key} must be a number, got {value!r}") from None
-    for k in ("T", "N", "m", "K"):
-        if k in params:
-            if not params[k].is_integer():
-                raise ConfigError(f"parameter {k} must be an integer, got {params[k]!r}")
-            params[k] = int(params[k])
+        if key in ("T", "N", "m", "K"):
+            try:
+                params[key] = read_count(value)
+            except ValueError:
+                raise ConfigError(
+                    f"parameter {key} must be an integer, got {params[key]!r}") from None
     value = theoretical_bound(args.variant, **params)
     print(repr(value))
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITE_LOSS, ExpertStream, uniform_weights
+from .core import INFINITE_LOSS, ExpertStream, read_name, uniform_weights
 
 BOUND_SLACK = 1e-6
 # the fixed-mixture solve's barrier weight: its start, and the factor it is cut by
@@ -276,12 +276,12 @@ _FLOORS = {"T": 1, "N": 2, "m": 1, "K": 1, "c1": 0, "c2": 0, "vmax": 0}
 def theoretical_bound(variant: str, **params) -> float:
     """Evaluate a closed-form regret guarantee.
 
-    ``variant`` is one of ``BOUND_VARIANTS``, with ``-`` and ``_``
-    interchangeable; every listed parameter must be supplied (extras are
-    rejected, to catch typos), and a count, constant or rate outside the
-    bound's domain is rejected too."""
-    key = variant.replace("-", "_")
-    if key not in BOUND_VARIANTS:
+    ``variant`` names one of ``BOUND_VARIANTS`` by ``read_name``'s rule;
+    every listed parameter must be supplied (extras are rejected, to catch
+    typos), and a count, constant or rate outside the bound's domain is
+    rejected too."""
+    key = read_name(variant, BOUND_VARIANTS)
+    if key is None:
         known = ", ".join(sorted(BOUND_VARIANTS))
         raise ValueError(f"unknown bound variant {variant!r}; known: {known}")
     required, fn = BOUND_VARIANTS[key]

@@ -28,6 +28,28 @@ def read_number(text: str, kind=float):
     return kind(text)
 
 
+def read_count(text: str) -> int:
+    """``text`` read as an integer by ``read_number``'s rule: a digit string
+    exactly, any other spelling (``1e4``, ``10.0``) when its float is
+    integral; a ValueError for ``10.5``, ``1e400`` or ``nan``.  Every count
+    given as text is read by this one rule."""
+    try:
+        return read_number(text, int)
+    except ValueError:
+        value = read_number(text)
+    if not value.is_integer():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(value)
+
+
+def read_name(text: str, names):
+    """The key of ``names`` (lower-case keys) that ``text`` stands for, or
+    None: the text is stripped, its case ignored, and ``-`` and ``_`` are one
+    character.  Every selector name is read by this one rule."""
+    name = text.strip().lower().replace("_", "-")
+    return next((key for key in names if key.replace("_", "-") == name), None)
+
+
 def as_simplex(v) -> np.ndarray:
     """Validate ``v`` as a probability vector, renormalizing float dust.
 

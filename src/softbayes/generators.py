@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ExpertStream, as_simplex, read_number
+from .core import ExpertStream, as_simplex, read_count, read_name, read_number
 
 RNG_NAME = "philox"
 
@@ -142,8 +142,9 @@ GENERATOR_KINDS = {
 class GeneratorSpec:
     """Parsed generator selector; ``build(seed)`` materializes the stream.
 
-    A parameter is a number, or its text as a selector spells it, which is
-    read once the kind and the keys are known to be good."""
+    A parameter is a count: its text as a selector spells it, read by
+    ``read_count`` once the kind and the keys are known to be good, or an
+    integral number."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -157,35 +158,38 @@ class GeneratorSpec:
             if key not in takes:
                 raise ValueError(f"generator {self.kind!r} has no parameter {key!r}; "
                                  f"it takes {', '.join(takes)}")
-        object.__setattr__(self, "params", {k: self._number(k, v) if isinstance(v, str) else v
-                                            for k, v in self.params.items()})
+        object.__setattr__(self, "params", {k: self._count(k, v) for k, v in self.params.items()})
 
-    def _number(self, key, text: str):
-        """A parameter's text as an int, or as a float where it has a point
-        or an exponent, by ``read_number``'s rule."""
-        try:
-            return read_number(text, float if "." in text or "e" in text.lower() else int)
-        except ValueError:
-            raise ValueError(f"generator {self.kind!r} parameter {key} must be an integer, "
-                             f"got {text.strip()!r}") from None
+    def _count(self, key, value) -> int:
+        """A parameter as an int: its text read by ``read_count``, or a
+        number from Python when it is integral."""
+        if isinstance(value, str):
+            try:
+                return read_count(value)
+            except ValueError:
+                # quoted as the number it spells, or else as its text
+                try:
+                    value = read_number(value)
+                except ValueError:
+                    value = value.strip()
+        elif float(value).is_integer():
+            return int(value)
+        raise ValueError(f"generator {self.kind!r} parameter {key} must be an integer, "
+                         f"got {value!r}")
 
-    def _int(self, key, even: bool = False):
+    def _int(self, key, even: bool = False) -> int:
         v = self.params.get(key)
         if v is None:
             raise ValueError(f"generator {self.kind!r} needs parameter {key}")
-        # a float here came from text such as 10.5 or 1e400; 1e4 is an integer
-        if isinstance(v, float) and not v.is_integer():
-            raise ValueError(f"generator {self.kind!r} parameter {key} must be an integer, "
-                             f"got {v!r}")
         # every count a generator takes (rounds, experts, symbols) is
         # positive, and an even one at least 2
         if even and (v < 2 or v % 2):
             raise ValueError(f"generator {self.kind!r} parameter {key} must be even and "
-                             f"at least 2, got {int(v)}")
+                             f"at least 2, got {v}")
         if v < 1:
             raise ValueError(f"generator {self.kind!r} parameter {key} must be at least 1, "
-                             f"got {int(v)}")
-        return int(v)
+                             f"got {v}")
+        return v
 
     def build(self, seed: int | None = None) -> ExpertStream:
         return GENERATOR_KINDS[self.kind][1](self, seed)
@@ -193,11 +197,7 @@ class GeneratorSpec:
     def __str__(self):
         if not self.params:
             return self.kind
-        # an integral float echoes as the integer ``_int`` reads, so T=1e1
-        # and T=10 name the same generator
-        echo = {k: int(v) if isinstance(v, float) and v.is_integer() else v
-                for k, v in self.params.items()}
-        inner = ",".join(f"{k}={echo[k]}" for k in sorted(echo))
+        inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
         return f"{self.kind}:{inner}"
 
 
@@ -205,7 +205,7 @@ def parse_generator(text: str) -> GeneratorSpec:
     """Parse e.g. ``theorem2:T=100``, ``disjoint-dirac:N=3,T=1000``,
     ``iid-mixture:N=10,T=10000[,alphabet=12]``."""
     head, _, rest = text.strip().partition(":")
-    kind = head.strip().lower().replace("-", "_")
+    kind = read_name(head, GENERATOR_KINDS) or head.strip()
     items = []
     for item in rest.split(",") if rest.strip() else ():
         k, sep, v = item.partition("=")

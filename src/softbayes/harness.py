@@ -36,7 +36,7 @@ from .comparators import (
     regret_report,
     theoretical_bound,
 )
-from .core import BadRoundError, ExpertStream, read_number, unchecked_stream
+from .core import BadRoundError, ExpertStream, read_count, read_name, read_number, unchecked_stream
 from .generators import RNG_NAME, parse_generator
 from .learners import (
     DIVERGENCE_POLICIES,
@@ -49,7 +49,7 @@ from .learners import (
     SoftBayes,
     run_learner,
 )
-from .rates import BestSetTracker, ScheduleConfig, parse_schedule
+from .rates import SCHEDULE_KINDS, BestSetTracker, ScheduleConfig, parse_schedule
 
 LN2 = math.log(2.0)
 # rows per repr or json call: few calls, while a block's text and objects
@@ -83,7 +83,7 @@ def _reduce_full_round(obj, lineno):
 
 
 # a reduced round on one line, its list holding nothing but number characters
-_REDUCED_LINE = re.compile(r'[ \t]*\{[ \t]*"p"[ \t]*:[ \t]*\[[-+.0-9eE, \t]*\][ \t]*\}[ \t]*')
+_REDUCED_LINE = re.compile(r'[ \t]*\{[ \t]*"p"[ \t]*:[ \t]*\[[-+.0-9eE, \t]*\][ \t]*\}[ \t]*\r?')
 
 
 def _bulk_rounds(lines: list):
@@ -154,7 +154,8 @@ def _stream(p: np.ndarray, line_of_round) -> ExpertStream:
 
 
 def read_stream_jsonl(text: str) -> ExpertStream:
-    lines = text.splitlines()
+    # a line ends at "\n" alone, so a JSON string may hold any other break
+    lines = text.split("\n")
     p = _bulk_rounds(lines)
     if p is None:
         p = _per_line_rounds(lines)
@@ -245,10 +246,10 @@ def _no_arg(why: str):
 
 def _keyword_value(arg: str, keyword: str) -> str | None:
     """The value of a ``keyword=value`` argument, ``:`` standing for ``=``
-    and the keyword read in any case, as ``parse_schedule`` reads a schedule;
-    None when ``arg`` is not of that form."""
+    and the keyword read by ``read_name``, as ``parse_schedule`` reads a
+    schedule; None when ``arg`` is not of that form."""
     head, *value = re.split("[:=]", arg, maxsplit=1)
-    return value[0] if value and head.strip().lower() == keyword else None
+    return value[0] if value and read_name(head, (keyword,)) else None
 
 
 def _fixed_rate_arg(arg: str, kind: str, text: str) -> float:
@@ -299,12 +300,17 @@ LEARNER_KINDS = {
 
 
 def parse_learner(text: str) -> LearnerSpec:
-    spec = text.strip()
-    kind, _, arg = spec.partition(":")
-    kind = kind.strip().lower()
-    if kind not in LEARNER_KINDS:
+    """A learner selector's spec, whose text spells the learner's name and
+    its argument's (a schedule or a keyword) as their tables key them."""
+    head, _, arg = text.strip().partition(":")
+    kind = read_name(head, LEARNER_KINDS)
+    if kind is None:
         raise ConfigError(f"unknown learner {text!r}; known: {', '.join(LEARNER_KINDS)}")
-    return LearnerSpec(spec, kind, LEARNER_KINDS[kind][0](arg.strip(), kind, text))
+    arg = arg.strip()
+    name, *value = re.split("([:=])", arg, maxsplit=1)
+    name = read_name(name, (*SCHEDULE_KINDS, "rates")) or name
+    return LearnerSpec(":".join(filter(None, (kind, name + "".join(value)))), kind,
+                       LEARNER_KINDS[kind][0](arg, kind, text))
 
 
 # -------------------------------------------------------------- comparator
@@ -334,6 +340,10 @@ class ComparatorSpec:
     @property
     def k(self) -> int:
         return len(self.boundaries)
+
+    def __str__(self):
+        extra = ",".join(map(str, self.boundaries[1:]))
+        return f"{self.kind}={extra}" if extra else self.kind
 
     def segments(self, T: int) -> list:
         """Inclusive 1-based (start, end) pairs covering rounds 1..T."""
@@ -373,9 +383,9 @@ COMPARATOR_KINDS = {
 
 
 def parse_comparator(text: str) -> ComparatorSpec:
-    kind, sep, arg = text.strip().lower().partition("=")
-    kind = kind.strip()
-    if kind not in COMPARATOR_KINDS or (sep and not COMPARATOR_KINDS[kind][0]):
+    kind, sep, arg = text.strip().partition("=")
+    kind = read_name(kind, COMPARATOR_KINDS)
+    if kind is None or (sep and not COMPARATOR_KINDS[kind][0]):
         known = ", ".join(f"{k}=t2,t3,..." if takes else k
                           for k, (takes, _) in COMPARATOR_KINDS.items())
         raise ConfigError(f"unknown comparator {text!r}; known: {known}")
@@ -384,7 +394,7 @@ def parse_comparator(text: str) -> ComparatorSpec:
     if not arg:
         raise ConfigError(f"{kind} comparator needs boundaries, e.g. {kind}=51,101")
     try:
-        extra = tuple(read_number(v, int) for v in arg.split(","))
+        extra = tuple(read_count(v) for v in arg.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad {kind} boundaries {arg!r}") from exc
     # round 1 starts the first segment, so a boundary names a later round
@@ -495,14 +505,6 @@ BOUNDS = {
 }
 
 
-def bound_key(name: str) -> str:
-    """The ``BOUNDS`` key a bound name stands for, ``-`` and ``_`` being one
-    character as ``theoretical_bound`` reads them; a name that stands for
-    none is returned as it is, for its error to quote."""
-    key = name.replace("_", "-")
-    return key if key in BOUNDS else name
-
-
 # ------------------------------------------------------------------ config
 
 # the JSON types each config-file key takes, None standing for null; they are
@@ -541,13 +543,17 @@ class ExperimentConfig:
         # a seed the generators would refuse is refused before a run records it
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        # fail fast on unparsable selectors
+        # fail fast on unparsable selectors; a run records each as the
+        # tables spell its names and its counts read
         self.learner_specs = [self._learner_spec(entry) for entry in self.learners]
+        self.learners = tuple(s.text if isinstance(e, str) else {**e, "spec": s.text}
+                              for e, s in zip(self.learners, self.learner_specs))
         self.comparator_spec = parse_comparator(self.comparator)
+        self.comparator = str(self.comparator_spec)
         for b in self.bounds:
-            if not isinstance(b, str) or bound_key(b) not in BOUNDS:
+            if not isinstance(b, str) or read_name(b, BOUNDS) is None:
                 raise ConfigError(f"unknown bound {b!r}; known: {', '.join(BOUNDS)}")
-        self.bounds = tuple(map(bound_key, self.bounds))
+        self.bounds = tuple(read_name(b, BOUNDS) for b in self.bounds)
         if self.generator is not None:
             try:
                 self.generator_spec = parse_generator(self.generator)

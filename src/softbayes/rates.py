@@ -23,10 +23,11 @@ it as a ``FixedRate``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from operator import indexOf
 
-from .core import read_number
+from .core import read_name, read_number
 
 # Keeps every emitted rate strictly inside (0, 1); the sparse formula can
 # otherwise exceed 1 in the first rounds when ln(N) > 2.
@@ -243,16 +244,10 @@ def parse_schedule(text: str) -> ScheduleConfig:
     """Parse ``fixed:0.5``, ``inverse-t:3``, ``anytime``, ``sparse``,
     ``shifting``, ``self-confident[:eta_max]``.  ``=`` is accepted in place
     of ``:`` so the same grammar works inside learner selectors."""
-    spec = text.strip()
-    for sep in (":", "="):
-        if sep in spec:
-            kind, _, arg = spec.partition(sep)
-            break
-    else:
-        kind, arg = spec, ""
-    kind = kind.strip().lower()
-    arg = arg.strip()
-    if kind not in SCHEDULE_KINDS:
+    kind, *arg = re.split("[:=]", text, maxsplit=1)
+    kind = read_name(kind, SCHEDULE_KINDS)
+    arg = arg[0].strip() if arg else ""
+    if kind is None:
         raise ValueError(f"unknown schedule {text!r}")
     takes = SCHEDULE_KINDS[kind][0]
     if takes == "required" and not arg:

@@ -55,7 +55,7 @@ def _report(num: int, ok: bool, detail: str):
 
 def test_criterion_1_disjoint_support_exactness():
     t0 = time.perf_counter()
-    results = disjoint_equivalence_checks(T=1000, n_seeds=20, tol=1e-12)
+    results = disjoint_equivalence_checks()
     elapsed = time.perf_counter() - t0
     worst = max(float(r.detail.split()[-1]) for r in results)
     ok = all(r.passed for r in results) and elapsed < 1.0

@@ -278,6 +278,28 @@ class TestStreamIO:
         expected = "".join(json.dumps({"p": [float(v) for v in row]}) + "\n" for row in p)
         assert (tmp_path / "s.jsonl").read_text() == expected
 
+    @pytest.mark.parametrize("mark", ["\u2028", "\u2029", "\x85"])
+    def test_a_line_ends_at_a_newline_alone(self, mark, tmp_path, capsys):
+        # JSON takes these marks unescaped inside a string, where
+        # str.splitlines would break the line
+        path = tmp_path / "s.jsonl"
+        first = f'{{"p": [0.5, 0.5], "note": "a{mark}b"}}\n'
+        path.write_text(first + '{"p": [1, 0]}\n', encoding="utf-8")
+        assert main(["run", "--stream", str(path), "--learner", "bayes"]) == 0
+        assert capsys.readouterr().err == ""
+        np.testing.assert_array_equal(load_stream(str(path)).p, [[0.5, 0.5], [1.0, 0.0]])
+        path.write_text(first + '{"p": [0.5]}\n', encoding="utf-8")
+        with pytest.raises(StreamFormatError, match="^line 2: expected 2 experts, got 1$"):
+            load_stream(str(path))
+
+    def test_crlf_text_reads_as_lf_text_in_bulk(self):
+        text = '{"p": [0.5, 1e-3]}\n\n  {"p":[1, 0]}\t\n{"p": [5e-324, 1.0]}\n'
+        crlf = text.replace("\n", "\r\n")
+        assert harness._bulk_rounds(crlf.split("\n")) is not None
+        np.testing.assert_array_equal(read_stream_jsonl(crlf).p, read_stream_jsonl(text).p)
+        with pytest.raises(StreamFormatError, match="^line 3: expected 2 experts, got 1$"):
+            read_stream_jsonl('{"p": [0.5, 0.5]}\r\n\r\n{"p": [1]}\r\n')
+
     @pytest.mark.parametrize("block", [2, BLOCK_ROWS])
     def test_bulk_and_per_line_reads_agree(self, block, monkeypatch):
         monkeypatch.setattr(harness, "BLOCK_ROWS", block)

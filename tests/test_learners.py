@@ -701,12 +701,21 @@ def trace_columns(trace):
     return trace.predictions, trace.losses, trace.rates, trace.weights
 
 
+def memory_test_rounds(n):
+    """The rounds of a traced-memory run at ``n`` experts.  At 2 experts a
+    chunk is small beside the columns, so the run is long; wider, 4,000
+    rounds still leave a step_block that keeps every chunk's rows, or a
+    (T, N) array, more than twice the bound, and trace far faster."""
+    return 20_000 if n == 2 else 4_000
+
+
 @pytest.mark.parametrize("n", [2, 17])
 @pytest.mark.parametrize("selector", EDGE_SELECTORS)
 def test_a_run_holds_its_trace_columns_and_one_chunk(selector, n):
     # the rounds' Python floats and weight rows are written into the columns
     # a chunk at a time, not kept until the block ends
-    stream = random_stream(np.random.default_rng(n), 20_000, n)
+    T = memory_test_rounds(n)
+    stream = random_stream(np.random.default_rng(n), T, n)
     learner = parse_learner(selector).build(n)
     tracemalloc.start()
     try:
@@ -716,7 +725,7 @@ def test_a_run_holds_its_trace_columns_and_one_chunk(selector, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.rounds == 20_000
+    assert trace.rounds == T
     assert peak - entry <= sum(column.nbytes for column in trace_columns(trace)) + 512 * 1024
 
 
@@ -761,7 +770,7 @@ def test_a_run_that_keeps_the_last_row_holds_three_columns_and_one_chunk(kind, n
     # losses and rates is one chunk of at most _ROW_CHUNK rounds, each at
     # most 1 KiB up to 64 experts (a row, a weight row, three floats and
     # their list slots)
-    T = 20_000
+    T = memory_test_rounds(n)
     stream = random_stream(np.random.default_rng(n), T, n)
     selector = next(s for s in EDGE_SELECTORS if parse_learner(s).kind == kind)
     learner = parse_learner(selector).build(n)

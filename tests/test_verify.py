@@ -21,8 +21,8 @@ def test_reverse_jensen_suite_passes():
     assert all(r.passed for r in results), [r.line() for r in results]
 
 
-def test_disjoint_equivalence_small():
-    results = disjoint_equivalence_checks(T=200, n_seeds=3)
+def test_disjoint_equivalence_suite_passes():
+    results = disjoint_equivalence_checks()
     assert len(results) == 9
     assert all(r.passed for r in results), [r.line() for r in results]
 
@@ -30,10 +30,10 @@ def test_disjoint_equivalence_small():
 def test_closed_form_mismatch_is_a_failed_check(monkeypatch):
     exact = verify.disjoint_closed_form
     monkeypatch.setattr(verify, "disjoint_closed_form", lambda *a: exact(*a) + 1e-9)
-    results = disjoint_equivalence_checks(T=200, n_seeds=3)
+    results = disjoint_equivalence_checks()
     assert len(results) == 9
     assert not any(r.passed for r in results)
-    assert all(r.line().endswith("closed form differs at round 100") for r in results)
+    assert all(r.line().endswith("closed form differs at round 500") for r in results)
 
 
 def test_check_line_format():
