@@ -18,7 +18,7 @@ import sys
 from . import verify as verify_mod
 from .comparators import theoretical_bound
 from .core import read_count, read_name, read_number
-from .generators import parse_generator
+from .generators import parse_generator, read_seed
 from .harness import (
     BOUNDS,
     ConfigError,
@@ -87,8 +87,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {args.seed}")
+    if args.seed is not None:
+        read_seed(args.seed)
     spec = parse_generator(args.generator)
     stream = spec.build(args.seed)
     write_stream_jsonl(stream, args.out)
@@ -110,11 +110,7 @@ def _cmd_bound(args) -> int:
         except ValueError:
             raise ConfigError(f"parameter {key} must be a number, got {value!r}") from None
         if key in ("T", "N", "m", "K"):
-            try:
-                params[key] = read_count(value)
-            except ValueError:
-                raise ConfigError(
-                    f"parameter {key} must be an integer, got {params[key]!r}") from None
+            params[key] = read_count(value, f"parameter {key}")
     value = theoretical_bound(args.variant, **params)
     print(repr(value))
     return 0

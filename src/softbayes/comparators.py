@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITE_LOSS, ExpertStream, read_name, uniform_weights
+from .core import INFINITE_LOSS, ExpertStream, read_count, read_name, uniform_weights
 
 BOUND_SLACK = 1e-6
 # the fixed-mixture solve's barrier weight: its start, and the factor it is cut by
@@ -278,8 +278,8 @@ def theoretical_bound(variant: str, **params) -> float:
 
     ``variant`` names one of ``BOUND_VARIANTS`` by ``read_name``'s rule;
     every listed parameter must be supplied (extras are rejected, to catch
-    typos), and a count, constant or rate outside the bound's domain is
-    rejected too."""
+    typos), each count (T, N, m, K) is read by ``read_count``, and a count,
+    constant or rate outside the bound's domain is rejected too."""
     key = read_name(variant, BOUND_VARIANTS)
     if key is None:
         known = ", ".join(sorted(BOUND_VARIANTS))
@@ -291,6 +291,8 @@ def theoretical_bound(variant: str, **params) -> float:
     extra = [k for k in params if k not in required]
     if extra:
         raise ValueError(f"bound {variant!r} got unexpected parameters: {', '.join(extra)}")
+    params.update({name: read_count(params[name], f"bound {variant!r} parameter {name}")
+                   for name in ("T", "N", "m", "K") if name in params})
     # thm7's 1 / ln T term needs a second round
     floors = {**_FLOORS, "T": 2} if key == "thm7" else _FLOORS
     for name, least in floors.items():

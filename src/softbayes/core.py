@@ -8,6 +8,7 @@ sentinel ``math.inf``, never by a floating-point overflow.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,18 +29,28 @@ def read_number(text: str, kind=float):
     return kind(text)
 
 
-def read_count(text: str) -> int:
-    """``text`` read as an integer by ``read_number``'s rule: a digit string
-    exactly, any other spelling (``1e4``, ``10.0``) when its float is
-    integral; a ValueError for ``10.5``, ``1e400`` or ``nan``.  Every count
-    given as text is read by this one rule."""
-    try:
-        return read_number(text, int)
-    except ValueError:
-        value = read_number(text)
-    if not value.is_integer():
-        raise ValueError(f"not an integer: {text!r}")
-    return int(value)
+def read_count(value, what: str = "a count") -> int:
+    """``value`` read as an integer: text by ``read_number``'s rule, a digit
+    string exactly and any other spelling (``1e4``, ``10.0``) when its float
+    is integral; an integer that is not a bool as it is; any other real
+    number, numpy's included, when it is integral.  Every count is read by
+    this one rule.  A ValueError says that ``what`` must be an integer and
+    quotes text as the number it spells, or else as its stripped text."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    number = value
+    if isinstance(value, str):
+        try:
+            return read_number(value, int)
+        except ValueError:
+            try:
+                number = read_number(value)
+            except ValueError:
+                number = value.strip()
+    if (isinstance(number, bool) or not isinstance(number, numbers.Real)
+            or not float(number).is_integer()):
+        raise ValueError(f"{what} must be an integer, got {number!r}")
+    return int(number)
 
 
 def read_name(text: str, names):
@@ -144,16 +155,6 @@ class ExpertStream:
         return ExpertStream(np.concatenate([self.p, other.p]))
 
 
-def unchecked_stream(p: np.ndarray) -> ExpertStream:
-    """A stream over ``p`` as it is, with no copy and no check: ``p`` holds
-    rows of a stream that passed the stream rule, and any subset of them
-    passes it again, since the rule is per row.  Its reader must not write
-    to ``p``."""
-    stream = object.__new__(ExpertStream)
-    stream.p = p
-    return stream
-
-
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based):
     ``project_floats`` on a nonempty vector."""
@@ -164,27 +165,26 @@ def project_simplex(v) -> np.ndarray:
 
 
 def project_floats(xs: list) -> list:
-    """The projection of a nonempty list of Python floats, as a list."""
+    """The projection of a nonempty list of finite Python floats, as a list:
+    the descending sort, a running sum added left to right, and the largest
+    j whose sorted entry passes u_j j > sum_{i <= j} u_i - 1 gives the
+    shift."""
     # a NaN fails both comparisons
     if not all(-math.inf < xi < math.inf for xi in xs):
         raise ValueError("projection input must be finite")
-    return _project_floats(xs)
-
-
-def _project_floats(xs: list) -> list:
-    """The projection of a list of finite Python floats: the descending
-    sort, a running sum added left to right, and the largest j whose sorted
-    entry passes u_j j > sum_{i <= j} u_i - 1 gives the shift."""
-    css = css_rho = 0.0
-    rho = 0
-    for j, uj in enumerate(sorted(xs, reverse=True), 1):
-        css += uj
-        if uj * j > css - 1.0:
-            rho, css_rho = j, css
-    if not rho:
+    while True:
+        css = css_rho = 0.0
+        rho = 0
+        for j, uj in enumerate(sorted(xs, reverse=True), 1):
+            css += uj
+            if uj * j > css - 1.0:
+                rho, css_rho = j, css
+        if rho:
+            break
         # rounding swallowed the 1 beside a huge top entry; shifting every
-        # entry by the max leaves the projection unchanged
+        # entry by the max leaves the projection unchanged (an entry that
+        # shifts past the float range reads -inf, and projects to 0)
         top = max(xs)
-        return _project_floats([xi - top for xi in xs])
+        xs = [xi - top for xi in xs]
     lam = (1.0 - css_rho) / rho
     return [v if (v := xi + lam) > 0.0 else 0.0 for xi in xs]

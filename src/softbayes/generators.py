@@ -8,20 +8,27 @@ stream.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ExpertStream, as_simplex, read_count, read_name, read_number
+from .core import ExpertStream, as_simplex, read_count, read_name
 
 RNG_NAME = "philox"
 
 
+def read_seed(seed) -> int:
+    """A seed as ``read_count`` reads a count, refused when it is negative.
+    Every seed a run, stream or check takes is read by this one rule."""
+    with suppress(ValueError):
+        if (count := read_count(seed)) >= 0:
+            return count
+    raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(read_seed(seed)))
 
 
 def adversarial_alternating(T: int) -> ExpertStream:
@@ -142,9 +149,8 @@ GENERATOR_KINDS = {
 class GeneratorSpec:
     """Parsed generator selector; ``build(seed)`` materializes the stream.
 
-    A parameter is a count: its text as a selector spells it, read by
-    ``read_count`` once the kind and the keys are known to be good, or an
-    integral number."""
+    A parameter is a count, as text or a number, read by ``read_count`` once
+    the kind and the keys are known to be good."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -158,24 +164,9 @@ class GeneratorSpec:
             if key not in takes:
                 raise ValueError(f"generator {self.kind!r} has no parameter {key!r}; "
                                  f"it takes {', '.join(takes)}")
-        object.__setattr__(self, "params", {k: self._count(k, v) for k, v in self.params.items()})
-
-    def _count(self, key, value) -> int:
-        """A parameter as an int: its text read by ``read_count``, or a
-        number from Python when it is integral."""
-        if isinstance(value, str):
-            try:
-                return read_count(value)
-            except ValueError:
-                # quoted as the number it spells, or else as its text
-                try:
-                    value = read_number(value)
-                except ValueError:
-                    value = value.strip()
-        elif float(value).is_integer():
-            return int(value)
-        raise ValueError(f"generator {self.kind!r} parameter {key} must be an integer, "
-                         f"got {value!r}")
+        where = f"generator {self.kind!r} parameter"
+        object.__setattr__(self, "params", {k: read_count(v, f"{where} {k}")
+                                            for k, v in self.params.items()})
 
     def _int(self, key, even: bool = False) -> int:
         v = self.params.get(key)

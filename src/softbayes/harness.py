@@ -36,8 +36,8 @@ from .comparators import (
     regret_report,
     theoretical_bound,
 )
-from .core import BadRoundError, ExpertStream, read_count, read_name, read_number, unchecked_stream
-from .generators import RNG_NAME, parse_generator
+from .core import BadRoundError, ExpertStream, read_count, read_name, read_number
+from .generators import RNG_NAME, parse_generator, read_seed
 from .learners import (
     DIVERGENCE_POLICIES,
     Bayes,
@@ -328,7 +328,7 @@ class ComparatorSpec:
         if self.kind not in COMPARATOR_KINDS:
             raise ValueError(f"unknown comparator kind {self.kind!r}; "
                              f"known: {', '.join(COMPARATOR_KINDS)}")
-        b = tuple(int(t) for t in self.boundaries)
+        b = tuple(read_count(t, f"comparator {self.kind!r} boundary") for t in self.boundaries)
         if not b or b[0] != 1:
             raise ValueError("boundaries must start at round 1")
         if any(y <= x for x, y in zip(b, b[1:])):
@@ -354,12 +354,13 @@ class ComparatorSpec:
     def rows(self, stream: ExpertStream, mask=None):
         """Each segment's rows as a stream, in segment order.  Under a boolean
         ``mask`` over the rounds only the rows where it is true count, and a
-        segment without any is skipped.  The rows are those of ``stream``,
-        which passed the stream rule, so they are not checked again."""
+        segment without any is skipped.  Each segment's rows, a view of
+        ``stream``'s where no mask is given, are held to the stream rule as
+        every stream is."""
         for s, e in self.segments(len(stream)):
             p = stream.p[s - 1 : e] if mask is None else stream.p[s - 1 : e][mask[s - 1 : e]]
             if len(p):   # only a mask can empty a segment
-                yield unchecked_stream(p)
+                yield ExpertStream(p)
 
 
 def _mixture_fit(rows: ExpertStream, bits: bool):
@@ -541,8 +542,11 @@ class ExperimentConfig:
         if self.on_divergence not in DIVERGENCE_POLICIES:
             raise ConfigError(f"unknown divergence policy {self.on_divergence!r}")
         # a seed the generators would refuse is refused before a run records it
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.seed is not None:
+            try:
+                self.seed = read_seed(self.seed)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         # fail fast on unparsable selectors; a run records each as the
         # tables spell its names and its counts read
         self.learner_specs = [self._learner_spec(entry) for entry in self.learners]

@@ -91,6 +91,8 @@ class TestProjectSimplex:
         # until the point is shifted by its max
         np.testing.assert_array_equal(project_simplex([1e300, 1.0]), [1.0, 0.0])
         np.testing.assert_array_equal(project_simplex([1.0, 1e300, 1e300]), [0.0, 0.5, 0.5])
+        # the shift takes the low entry past the float range, to -inf
+        np.testing.assert_array_equal(project_simplex([1e308, -1e308]), [1.0, 0.0])
 
 
 class TestSimplexValidation:

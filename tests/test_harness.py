@@ -181,34 +181,24 @@ class TestComparatorFit:
                 ComparatorSpec(kind, (1, 50))
             assert ComparatorSpec(kind, (1,)).k == 1
 
-    def test_segment_fits_check_no_row_again(self, monkeypatch):
-        # every segment's rows are the run's stream's, which passed the
-        # stream rule once when it was built
-        inside, checked, masks = [0], [], []
-        check, fit = core.check_rounds, harness._comparator_loss
+    def test_segment_fits_check_their_rows_as_views(self, monkeypatch):
+        # each segment is a stream, held to the stream rule as every stream
+        # is; with no mask its rows are a view of the run's stream, no copy
+        stream = parse_generator("theorem2:T=200").build()
+        checked, check = [], core.check_rounds
 
         def counted_check(q):
-            if inside[0]:
-                checked.append(q.shape)
+            checked.append((q.shape, np.shares_memory(q, stream.p)))
             return check(q)
 
-        def traced_fit(cmp_spec, stream, bits, mask=None):
-            inside[0] += 1
-            masks.append(mask is not None)
-            try:
-                return fit(cmp_spec, stream, bits, mask)
-            finally:
-                inside[0] -= 1
-
         monkeypatch.setattr(core, "check_rounds", counted_check)
-        monkeypatch.setattr(harness, "_comparator_loss", traced_fit)
-        cfg = ExperimentConfig(generator="theorem2:T=200", comparator="shifting=51,151",
-                               learners=("soft-bayes:anytime", "eg:fixed=0.5", "ogd:fixed=0.5"),
-                               on_divergence="continue")
-        artifact = run_experiment(cfg)
-        assert [entry["excluded_rounds"] > 0 for entry in artifact.summary["learners"]] == [
-            False, True, True]
-        assert masks == [False, True, True] and checked == []
+        spec = parse_comparator("shifting=51,151")
+        assert [len(rows) for rows in spec.rows(stream)] == [50, 100, 50]
+        assert checked == [((50, 2), True), ((100, 2), True), ((50, 2), True)]
+        checked.clear()
+        mask = np.arange(200) % 4 > 0
+        assert [len(rows) for rows in spec.rows(stream, mask)] == [37, 75, 38]
+        assert [shape for shape, _ in checked] == [(37, 2), (75, 2), (38, 2)]
 
     @pytest.mark.parametrize("kind", sorted(COMPARATOR_KINDS))
     def test_all_true_mask_is_the_full_fit(self, kind):

@@ -1,14 +1,19 @@
 """Every selector family reads a name by one rule, ``core.read_name`` (any
 case, ``-`` and ``_`` one character), and every count by one rule,
-``core.read_count`` (any integral spelling, digit strings exactly).  A
-spelling either rule takes gives the canonical spelling's bytes."""
+``core.read_count`` (any integral spelling, digit strings exactly; from
+Python, an integer that is no bool or an integral real number).  A spelling
+either rule takes gives the canonical spelling's bytes."""
 
 import json
 
+import numpy as np
 import pytest
 
 from softbayes.cli import main
+from softbayes.comparators import theoretical_bound
 from softbayes.core import read_count, read_name
+from softbayes.generators import GeneratorSpec, rng_from_seed
+from softbayes.harness import ComparatorSpec, ExperimentConfig
 
 LEARNER = ["run", "--generator", "theorem2:T=20", "--learner", "{}"]
 RUN = LEARNER[:-1] + ["soft-bayes:anytime"]
@@ -126,6 +131,31 @@ def test_a_text_that_is_no_count_keeps_its_site_message(site, value, number, tmp
     code, out, err, data = outputs(spelled(COUNTS[site], value), tmp_path, monkeypatch, capsys)
     assert code == 2 and out == "" and data == b""
     assert err.splitlines()[-1] == refusal(site, value, number)
+
+
+# site -> (what it reads from a count handed in from Python, values it refuses)
+PYTHON_COUNTS = {
+    "comparator-boundary": (lambda v: ComparatorSpec("shifting", (1, v)).boundaries, [10.7]),
+    "rng-seed": (lambda v: rng_from_seed(v).random(), [1.9]),
+    "config-seed": (lambda v: ExperimentConfig(generator="theorem2:T=4", learners=["bayes"],
+                                               seed=v).seed, [1.5]),
+    "generator": (lambda v: GeneratorSpec("theorem2", {"T": v}).params, []),
+    "bound-T": (lambda v: theoretical_bound("thm5", T=v, N=2), []),
+    "bound-N": (lambda v: theoretical_bound("thm5", T=10, N=v), [2.5]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PYTHON_COUNTS))
+def test_a_count_from_python_follows_the_count_rule(site):
+    read, refused = PYTHON_COUNTS[site]
+    want = read(10)
+    for value in (10.0, np.int64(10), np.float64(10.0)):
+        got = read(value)
+        assert got == want and type(got) is type(want), value
+    for value in [*refused, 10.5, np.float64(10.5), True]:
+        with pytest.raises(ValueError) as exc:
+            read(value)
+        assert str(value) in str(exc.value), value
 
 
 def test_read_count_reads_digit_strings_exactly():
