@@ -13,6 +13,7 @@ optimum, which ``MixtureSolution.gap`` reports.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,8 +279,9 @@ def theoretical_bound(variant: str, **params) -> float:
 
     ``variant`` names one of ``BOUND_VARIANTS`` by ``read_name``'s rule;
     every listed parameter must be supplied (extras are rejected, to catch
-    typos), each count (T, N, m, K) is read by ``read_count``, and a count,
-    constant or rate outside the bound's domain is rejected too."""
+    typos), each count (T, N, m, K) is read by ``read_count``, each rate,
+    prior entry or constant must be a real number that is not a bool, and a
+    count, constant or rate outside the bound's domain is rejected too."""
     key = read_name(variant, BOUND_VARIANTS)
     if key is None:
         known = ", ".join(sorted(BOUND_VARIANTS))
@@ -293,6 +295,11 @@ def theoretical_bound(variant: str, **params) -> float:
         raise ValueError(f"bound {variant!r} got unexpected parameters: {', '.join(extra)}")
     params.update({name: read_count(params[name], f"bound {variant!r} parameter {name}")
                    for name in ("T", "N", "m", "K") if name in params})
+    for name in ("eta", "prior_entry", "c1", "c2", "vmax"):
+        value = params.get(name, 0.0)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"bound {variant!r} parameter {name} must be a real number, "
+                             f"got {value!r}")
     # thm7's 1 / ln T term needs a second round
     floors = {**_FLOORS, "T": 2} if key == "thm7" else _FLOORS
     for name, least in floors.items():

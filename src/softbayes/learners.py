@@ -1,10 +1,12 @@
 """Sequential learners over expert-probability streams.
 
-Each update rule has one kernel, and its learner class is the one driver of
-it.  One round loop, ``_Learner.step_block(P, halt, every)``, steps every class
-through its ``_rounds(rows)`` generator, which keeps only the class's update,
-handing it one chunk of rows a call as lists of Python floats; ``run_learner``
-is one call of it.  The class keeps its state as plain
+Each update rule has one kernel, its class's ``_rounds(rows)`` generator,
+which holds the whole update and nothing else and yields each round the
+linear weight row its trace records.  One round loop,
+``_Learner.step_block(P, halt, every)``, steps every class through it,
+handing it one chunk of rows a call as lists of Python floats, and writes
+the rows it keeps as they were yielded; ``run_learner`` is one call of it.
+The class keeps its state as plain
 attributes: ``weights`` (EG keeps ``log_w``, and meta its posterior ``u``
 over its ``SoftBayes`` sub-learners ``subs``), the ``prior`` that
 soft-Bayes and ML-soft-Bayes blend toward, ML-soft-Bayes's ``rates`` and
@@ -100,7 +102,8 @@ class _Learner:
 
     ``_rounds`` keeps the state in locals, iterates the chunk's row lists,
     yields each round's ``(prediction, loss, rate, weights)`` after its
-    update, the weights as the list it holds, and writes the state back in
+    update, the weights as the row the trace records (EG's the exponent of
+    the log weights it holds), and writes the state back in
     its ``finally``, which the loop's ``close`` runs also on a halt or a
     raise; so a block may be cut anywhere, and stepping its parts in turn
     gives the trace and state of the whole.
@@ -134,7 +137,7 @@ class _Learner:
             w = w[(every - 1 - done) % every::every] + (
                 w[-1:] if (stop == T or halted_at is not None) and stop % every else ())
             if w:
-                weights[kept:kept + len(w)] = self._weights_column(w)
+                weights[kept:kept + len(w)] = w
                 kept += len(w)
             done = stop
             del chunk, w   # released before the next chunk is made
@@ -143,44 +146,9 @@ class _Learner:
             columns = [column[:n].copy() for column, n in zip(columns, (done, done, done, kept))]
         return (*columns, halted_at)
 
-    def _weights_column(self, weights) -> np.ndarray:
-        """The weights column's rows for the rows of one chunk that it keeps,
-        as ``_rounds`` yielded them."""
-        return np.asarray(weights)
-
 
 # the smallest normal float: below it eta / M can overflow
 _MIN_NORMAL = sys.float_info.min
-
-
-def _ogd_cycle(w: list, q: list, eta: float):
-    """The OGD kernel on lists of Python floats: the projected gradient step
-    w' = Pi(w + eta q / M); returns ``(M, new weights)``, with the weights
-    unchanged when M = 0.
-
-    The projection can concentrate all mass on one expert, after which a
-    round that expert gets wrong produces the infinite-loss sentinel.  Where
-    the step eta/M overflows (M subnormal), each entry divides before it
-    scales, w_i + eta (q_i / M), which stays finite where q_i is as small
-    as M; only when one of those is infinite too is the step taken at its
-    limit: all mass on the experts with the largest q, split as the
-    projection of their current weights.
-    """
-    m = 0.0
-    for wi, qi in zip(w, q):
-        m += wi * qi
-    if m == 0.0:
-        return 0.0, w
-    step = eta / m
-    if math.isinf(step):
-        u = [wi + eta * (qi / m) for wi, qi in zip(w, q)]
-        if not any(map(math.isinf, u)):
-            return m, project_floats(u)
-        top = max(q)
-        shares = iter(project_floats([wi for wi, qi in zip(w, q) if qi == top]))
-        return m, [next(shares) if qi == top else 0.0 for qi in q]
-    # w_i + step q_i rounds twice: no fused multiply-add
-    return m, project_floats([wi + step * qi for wi, qi in zip(w, q)])
 
 
 def _ml_rate(v: float, ln_n: float) -> float:
@@ -342,8 +310,8 @@ class ExponentiatedGradient(_Learner):
         Log-sum-exp keeps -ln M finite after M underflows and lets exponent
         arguments reach ~1e300; beyond the float range the mass collapses
         onto the offending experts, which is the instability this update
-        genuinely has.  A zero weight stays zero.  The rounds yield the log
-        weights."""
+        genuinely has.  A zero weight stays zero.  The rounds yield the
+        weights' linear row, the exponent of the log weights."""
         log_w, eta = self.log_w.tolist(), self.eta
         exp, log, inf = math.exp, math.log, math.inf
         try:
@@ -377,13 +345,9 @@ class ExponentiatedGradient(_Learner):
                     # the prediction may underflow to 0.0 for display while
                     # the loss, taken from ln M, stays finite
                     m, loss = exp(log_m), -log_m
-                yield m, loss, eta, log_w
+                yield m, loss, eta, list(map(exp, log_w))
         finally:
             self.log_w = np.array(log_w)
-
-    def _weights_column(self, weights) -> np.ndarray:
-        """The exponent of the log weights the column keeps."""
-        return np.array([list(map(math.exp, row)) for row in weights])
 
 
 class OnlineGradientDescent(_Learner):
@@ -398,11 +362,37 @@ class OnlineGradientDescent(_Learner):
         self.weights = _start_weights(n, prior)
 
     def _rounds(self, rows):
+        """The projected gradient step w' = Pi(w + eta q / M), M = w . q added
+        left to right, with the weights unchanged when M = 0.
+
+        The projection can concentrate all mass on one expert, after which a
+        round that expert gets wrong produces the infinite-loss sentinel.
+        Where the step eta/M overflows (M subnormal), each entry divides
+        before it scales, w_i + eta (q_i / M), which stays finite where q_i
+        is as small as M; only when one of those is infinite too is the step
+        taken at its limit: all mass on the experts with the largest q, split
+        as the projection of their current weights."""
         eta = self.eta
         w = self.weights.tolist()
         try:
             for q in rows:
-                m, w = _ogd_cycle(w, q, eta)
+                m = 0.0
+                for wi, qi in zip(w, q):
+                    m += wi * qi
+                if m != 0.0:
+                    step = eta / m
+                    if math.isinf(step):
+                        u = [wi + eta * (qi / m) for wi, qi in zip(w, q)]
+                        if any(map(math.isinf, u)):
+                            top = max(q)
+                            shares = iter(project_floats([wi for wi, qi in zip(w, q)
+                                                          if qi == top]))
+                            w = [next(shares) if qi == top else 0.0 for qi in q]
+                        else:
+                            w = project_floats(u)
+                    else:
+                        # w_i + step q_i rounds twice: no fused multiply-add
+                        w = project_floats([wi + step * qi for wi, qi in zip(w, q)])
                 yield m, _loss(m), eta, w
         finally:
             self.weights = np.array(w)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -363,6 +364,32 @@ class TestTheoreticalBound:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown"):
             theoretical_bound("thm9", T=1, N=2)
+
+    # (variant, the other parameters, the one under test)
+    REAL_PARAMETERS = [
+        ("thm2", dict(T=100, N=5, m=3), "eta"),
+        ("thm3_cumulative", dict(N=5, eta=0.1), "vmax"),
+        ("thm3_tuned", dict(T=100, N=5), "c2"),
+        ("thm4_tuned", dict(T=10, N=2), "c1"),
+        ("single_expert", dict(eta=0.5), "prior_entry"),
+        ("single_expert", dict(prior_entry=0.5), "eta"),
+    ]
+
+    @pytest.mark.parametrize("bad", [True, False, "5", None, 1j])
+    @pytest.mark.parametrize("variant, others, name", REAL_PARAMETERS)
+    def test_a_rate_or_constant_must_be_a_real_number(self, variant, others, name, bad):
+        # a bool is no number here, as it is no count for read_count
+        with pytest.raises(ValueError, match=re.escape(
+                f"bound {variant!r} parameter {name} must be a real number, got {bad!r}")):
+            theoretical_bound(variant, **others, **{name: bad})
+
+    @pytest.mark.parametrize("variant, others, name", REAL_PARAMETERS)
+    def test_a_numpy_float_reads_as_its_float(self, variant, others, name):
+        want = theoretical_bound(variant, **others, **{name: 0.5})
+        assert theoretical_bound(variant, **others, **{name: np.float64(0.5)}) == want
+
+    def test_an_infinite_constant_still_passes(self):
+        assert theoretical_bound("thm4_tuned", T=10, N=2, c1=math.inf) > 0
 
 
 class TestDisjointClosedForm:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softbayes.core import BadRoundError, ExpertStream
-from softbayes.generators import adversarial_alternating
+from softbayes.generators import adversarial_alternating, parse_generator
 from softbayes.harness import LEARNER_KINDS, parse_learner
 from softbayes.learners import (
     _ROW_CHUNK,
@@ -787,7 +787,7 @@ def test_a_run_that_keeps_the_last_row_holds_three_columns_and_one_chunk(kind, n
 
 
 @pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
-def test_an_empty_block_keeps_a_weights_column_of_no_rows(kind):
+def test_an_empty_block_keeps_a_weight_column_of_no_rows(kind):
     # the weights column is (rows, W) for every block, W the experts or
     # meta's sub-learners, so a block of no rounds concatenates with others
     n = 3
@@ -803,6 +803,34 @@ def test_an_empty_block_keeps_a_weights_column_of_no_rows(kind):
     assert trace.rounds == 0 and trace.weights.shape == (0, width)
     assert trace.weight_rounds.tolist() == []
     assert learner_state(learner) == before
+
+
+CONTRACT_STREAMS = {"theorem2": ("theorem2:T=300", None),
+                    "iid-N5": ("iid-mixture:N=5,T=300", 0)}
+
+
+@pytest.mark.parametrize("prior", ["uniform", "zero-on-expert-1"])
+@pytest.mark.parametrize("stream_name", sorted(CONTRACT_STREAMS))
+@pytest.mark.parametrize("selector", EDGE_SELECTORS)
+def test_each_round_yields_the_weight_row_its_trace_keeps(selector, stream_name, prior):
+    # the driver writes the rows that _rounds yields as they are, so each
+    # is the linear row the trace keeps: EG's with a zero weight, whose log
+    # is -inf, too
+    generator, seed = CONTRACT_STREAMS[stream_name]
+    stream = parse_generator(generator).build(seed)
+    spec = parse_learner(selector)
+    if prior != "uniform":
+        n = stream.n_experts
+        spec = replace(spec, prior=(0.0, *[1.0 / (n - 1)] * (n - 1)))
+    rows = [list(row[3]) for row in spec.build(stream.n_experts)._rounds(stream.p.tolist())]
+    kept = run_learner(spec.build(stream.n_experts), stream).weights
+    assert bits(np.array(rows)) == bits(kept)
+    assert np.isfinite(kept).all() and (kept >= 0.0).all()
+    # ML-soft-Bayes's weights are unnormalized: its prediction divides by
+    # sum_i w_i eta_i, so its rows need not sum to 1; meta's sum over its
+    # sub-rates
+    if spec.kind != "ml-soft-bayes":
+        assert max(abs(math.fsum(row) - 1.0) for row in rows) <= 4e-15
 
 
 @pytest.mark.parametrize("row", [[-0.5, 0.9], [1.5, 0.2], [math.nan, 0.2]])
